@@ -759,9 +759,16 @@ fn main() {
     // (seed 1998, --jobs default). Machine-dependent — informational.
     let (fig07_before, scaling_before) =
         if args.fast { (0.1304, 2.6524) } else { (0.5604, 5.1005) };
+    // `ext_stealing` fast-mode wall-clock before the per-window
+    // destination index, timed back to back with the after-run on the
+    // same 2-core machine over the same 36 cells (seed 1998, --jobs
+    // default). No full-mode recording exists, so full mode has no row.
+    let stealing_before = args.fast.then_some(295.54);
     timings.baselines = [
         SectionBaseline::compare("fig07", &timings.sections, fig07_before),
         SectionBaseline::compare("ext_scaling", &timings.sections, scaling_before),
+        stealing_before
+            .and_then(|b| SectionBaseline::compare("ext_stealing", &timings.sections, b)),
     ]
     .into_iter()
     .flatten()

@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod dest;
 pub mod faults;
 pub mod metrics;
 pub mod network;

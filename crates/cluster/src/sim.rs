@@ -29,6 +29,7 @@
 //! same buffers.
 
 use crate::config::{AdmissionPolicy, ClusterConfig, RunMode};
+use crate::dest::{DestIndex, Pool};
 use crate::faults::{FaultEventKind, FaultModel, FaultStats};
 use crate::service::{effective_queue_capacity, queue_budget_from_env, ServiceStats};
 use crate::state::{JobCold, JobRecord, JobSlabs, JobState, NodeId, NodeSlabs, NO_JOB, NO_NODE};
@@ -187,6 +188,11 @@ pub struct ClusterSim {
     /// claim/release, so a saturated cluster answers "no idle node" in
     /// O(1) instead of rescanning all free nodes.
     free_idle: NodeIndex,
+    /// Sorted view of the two central candidate pools (`free_idle` and
+    /// free ∧ non-idle), built at most once per window and shared by
+    /// every destination query — linger migration, eviction, transfer
+    /// retry and queue placement.
+    dest: DestIndex,
     /// Per-window scratch: the recruitment idle flags of every node at
     /// the current window as packed bit words, and the CPU demands.
     idle_words: Vec<u64>,
@@ -397,6 +403,7 @@ impl ClusterSim {
             free: NodeIndex::full(n),
             busy: NodeIndex::new(n),
             free_idle: NodeIndex::new(n),
+            dest: DestIndex::default(),
             idle_words: vec![0; n.div_ceil(64).max(1)],
             cpu_w: vec![0.0; n],
             place_scratch: VecDeque::new(),
@@ -1139,6 +1146,7 @@ impl ClusterSim {
         // set content is identical (`free` already excludes crashed
         // nodes).
         self.free_idle.assign_and_words(&self.idle_words, &self.free);
+        self.dest.invalidate();
     }
 
     /// Phase 3 classify: every shard scans its slice of the busy index
@@ -1365,13 +1373,13 @@ impl ClusterSim {
         let Some(start) = self.jobs.cold[ji].episode_start else { return };
         let mem_kb = self.jobs.mem_kb[ji];
         if self.steal.is_some() {
-            // Decentralized mode has no global destination index (and
-            // the O(free) scan it implies — the centralized scan per
-            // lingering job per window dominates wall-clock at scale).
-            // Apply the linger test against an assumed-idle destination;
-            // past the threshold the job returns to its home deque and
-            // waits to be popped or stolen, paying queue and steal
-            // latency where the central policy paid a directed move.
+            // Decentralized mode has no global destination index: nodes
+            // acquire work themselves, so no coordinator knows the best
+            // destination. Apply the linger test against an assumed-idle
+            // destination; past the threshold the job returns to its
+            // home deque and waits to be popped or stolen, paying queue
+            // and steal latency where the central policy paid a
+            // directed move.
             let h = self.cpu_w[node.0];
             let t_migr = self.cfg.params.migration.cost(mem_kb);
             let age = t.saturating_since(start);
@@ -1382,7 +1390,7 @@ impl ClusterSim {
             }
             return;
         }
-        let Some(dest) = self.best_destination(mem_kb, Some(node)) else {
+        let Some(dest) = self.best_destination(Pool::Idle, mem_kb, Some(node)) else {
             return; // nowhere better to go; keep lingering
         };
         let h = self.cpu_w[node.0];
@@ -1419,7 +1427,7 @@ impl ClusterSim {
             self.requeue(ji, t);
             return;
         }
-        match self.best_destination(self.jobs.mem_kb[ji], Some(node)) {
+        match self.best_destination(Pool::Idle, self.jobs.mem_kb[ji], Some(node)) {
             Some(dest) => {
                 self.record_decision(ji, node, t, DecisionAction::Evict, Some(dest));
                 self.migrate(ji, node, dest, t);
@@ -1493,10 +1501,7 @@ impl ClusterSim {
             return;
         }
         self.crashed.remove(ni);
-        self.free.insert(ni);
-        if self.idle_at(ni) {
-            self.free_idle.insert(ni);
-        }
+        self.join_free(ni);
         self.telemetry
             .record(|| self.event_at(self.now(), EventKind::NodeReboot).on_node(ni as u32));
     }
@@ -1526,7 +1531,7 @@ impl ClusterSim {
             return;
         }
         let mem_kb = self.jobs.mem_kb[ji];
-        let Some(dest) = self.best_destination(mem_kb, None) else {
+        let Some(dest) = self.best_destination(Pool::Idle, mem_kb, None) else {
             // Nowhere to retry toward; fall back to the queue instead of
             // burning attempts against a saturated cluster.
             self.requeue(ji, t);
@@ -1684,33 +1689,53 @@ impl ClusterSim {
     fn release_node(&mut self, node: NodeId) {
         self.nodes.memory[node.0].detach_foreign();
         self.nodes.set_hosted(node.0, None);
-        self.free.insert(node.0);
-        if self.idle_at(node.0) {
-            self.free_idle.insert(node.0);
-        }
+        self.join_free(node.0);
         self.busy.remove(node.0);
     }
 
-    /// The best migration destination: the free idle node with the lowest
-    /// current utilization that can hold the job.
-    ///
-    /// The `free_idle` index iterates ascending — the order the old full
-    /// scan visited nodes — so `min_by` (with the id tiebreak) picks the
-    /// very same destination, and a saturated cluster (no free idle
-    /// nodes) answers in O(1).
-    fn best_destination(&self, mem_kb: u32, exclude: Option<NodeId>) -> Option<NodeId> {
+    /// Node `ni` returns to the free pool mid-window (release or reboot):
+    /// into `free`, into `free_idle` if its owner is idle, and into the
+    /// destination index at its sorted position.
+    fn join_free(&mut self, ni: usize) {
+        self.free.insert(ni);
+        let pool = if self.idle_at(ni) {
+            self.free_idle.insert(ni);
+            Pool::Idle
+        } else {
+            Pool::NonIdle
+        };
+        self.dest.insert(pool, (self.cpu_w[ni], ni as u32, self.nodes.memory[ni].free_kb()));
+    }
+
+    /// The best destination in `pool`: the free node with the lowest
+    /// current utilization (ties to the lowest id) that can hold
+    /// `mem_kb`, other than `exclude`. Answered by the per-window
+    /// [`DestIndex`]; an empty pool answers in O(1).
+    fn best_destination(
+        &mut self,
+        pool: Pool,
+        mem_kb: u32,
+        exclude: Option<NodeId>,
+    ) -> Option<NodeId> {
+        let (cpu_w, memory) = (&self.cpu_w, &self.nodes.memory);
+        let cand = |ni: usize| (cpu_w[ni], ni as u32, memory[ni].free_kb());
         let ex = exclude.map(|n| n.0);
-        self.free_idle
-            .iter()
-            .filter(|&ni| Some(ni) != ex)
-            .filter(|&ni| self.nodes.memory[ni].fits(mem_kb))
-            .min_by(|&a, &b| {
-                self.cpu_w[a]
-                    .partial_cmp(&self.cpu_w[b])
-                    .expect("finite cpu")
-                    .then(a.cmp(&b))
-            })
-            .map(NodeId)
+        match pool {
+            Pool::Idle => {
+                let live = &self.free_idle;
+                self.dest.best(pool, live, mem_kb, ex, live.iter().map(cand))
+            }
+            Pool::NonIdle => {
+                let idle = &self.idle_words;
+                let members = self
+                    .free
+                    .iter()
+                    .filter(|&ni| idle[ni / 64] & (1u64 << (ni % 64)) == 0)
+                    .map(cand);
+                self.dest.best(pool, &self.free, mem_kb, ex, members)
+            }
+        }
+        .map(NodeId)
     }
 
     /// FIFO placement of queued jobs: idle nodes first; lingering policies
@@ -1726,18 +1751,12 @@ impl ClusterSim {
         }
         let mut unplaced = std::mem::take(&mut self.place_scratch);
         unplaced.clear();
-        // Destination indexes for this pass, built lazily on first use:
-        // each sorts one candidate pool once, so a long queue costs one
-        // sweep per pool instead of a full min-scan per queued job.
-        let mut idle_idx: Option<PassIndex> = None;
-        let mut nonidle_idx: Option<PassIndex> = None;
-        // Smallest memory demand whose scan already came up empty this
+        // Smallest memory demand whose query already came up empty this
         // pass. While placing, both candidate sets only shrink (claims
         // remove nodes; free nodes' memory never changes mid-pass), so a
         // failure at `m` KB guarantees failure for any demand ≥ m — the
-        // scan can be skipped without changing a single placement. This
-        // turns the saturated-queue case from O(queue × free) into
-        // O(queue).
+        // query can be skipped without changing a single placement. This
+        // keeps the saturated-queue case O(queue).
         let mut idle_fail_kb = u32::MAX;
         let mut nonidle_fail_kb = u32::MAX;
         let rtt_c = self.cfg.stealing.central_dispatch_rtt_secs;
@@ -1762,14 +1781,7 @@ impl ClusterSim {
             let mut target = if mem_kb >= idle_fail_kb {
                 None
             } else {
-                let idx = idle_idx.get_or_insert_with(|| {
-                    PassIndex::build(
-                        self.free_idle.iter(),
-                        &self.cpu_w,
-                        &self.nodes.memory,
-                    )
-                });
-                let d = idx.query(mem_kb, &self.free_idle);
+                let d = self.best_destination(Pool::Idle, mem_kb, None);
                 if d.is_none() {
                     idle_fail_kb = mem_kb;
                 }
@@ -1780,14 +1792,7 @@ impl ClusterSim {
                 && mem_kb < nonidle_fail_kb
             {
                 // Least-loaded non-idle node that can take the job.
-                let idx = nonidle_idx.get_or_insert_with(|| {
-                    PassIndex::build(
-                        self.free.iter().filter(|&ni| !self.idle_at(ni)),
-                        &self.cpu_w,
-                        &self.nodes.memory,
-                    )
-                });
-                let d = idx.query(mem_kb, &self.free);
+                let d = self.best_destination(Pool::NonIdle, mem_kb, None);
                 if d.is_none() {
                     nonidle_fail_kb = mem_kb;
                 }
@@ -2060,64 +2065,6 @@ impl ClusterSim {
         }
         self.steal_bufs = bufs;
         self.steal = Some(st);
-    }
-}
-
-/// One placement pass's destination index over one candidate pool
-/// (free ∧ idle, or free ∧ non-idle): the pool's members at first use,
-/// sorted by the exact `(cpu, id)` order [`ClusterSim::best_destination`]'s
-/// `min_by` visits them, with each node's free memory precomputed.
-///
-/// Within a pass the pool only shrinks (placements claim nodes; free
-/// nodes' memory never changes mid-pass), so for a fixed demand the
-/// first fitting position only moves forward — a per-demand cursor
-/// turns the whole pass's lookups into one amortized sorted sweep,
-/// where the plain per-job `min_by` rescans every candidate (the
-/// free-but-unfitting ones over and over) and goes quadratic on big
-/// clusters.
-struct PassIndex {
-    /// `(cpu busy fraction, node id, free KB)`, ascending `(cpu, id)`.
-    cands: Vec<(f64, u32, u32)>,
-    /// demand KB → resume position; one entry per distinct demand seen.
-    cursors: Vec<(u32, usize)>,
-}
-
-impl PassIndex {
-    fn build(
-        members: impl Iterator<Item = usize>,
-        cpu_w: &[f64],
-        memory: &[TwoPoolMemory],
-    ) -> Self {
-        let mut cands: Vec<(f64, u32, u32)> = members
-            .map(|ni| (cpu_w[ni], ni as u32, memory[ni].free_kb()))
-            .collect();
-        cands.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0).expect("finite cpu").then(a.1.cmp(&b.1))
-        });
-        PassIndex { cands, cursors: Vec::new() }
-    }
-
-    /// The minimum-`(cpu, id)` candidate still in `live` that fits
-    /// `mem_kb` — exactly what `best_destination`'s scan would return,
-    /// since skipped prefix entries are either claimed (gone for the
-    /// rest of the pass) or permanently too small for this demand.
-    fn query(&mut self, mem_kb: u32, live: &NodeIndex) -> Option<NodeId> {
-        let slot = match self.cursors.iter().position(|c| c.0 == mem_kb) {
-            Some(i) => i,
-            None => {
-                self.cursors.push((mem_kb, 0));
-                self.cursors.len() - 1
-            }
-        };
-        let mut pos = self.cursors[slot].1;
-        while let Some(&(_, ni, room)) = self.cands.get(pos) {
-            if room >= mem_kb && live.contains(ni as usize) {
-                break;
-            }
-            pos += 1;
-        }
-        self.cursors[slot].1 = pos;
-        self.cands.get(pos).map(|&(_, ni, _)| NodeId(ni as usize))
     }
 }
 
