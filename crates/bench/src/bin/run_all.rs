@@ -461,7 +461,7 @@ fn main() {
                 // The million-node row must actually finish for all four
                 // policies within a bounded footprint — the point of the
                 // chunked window pipeline (a monolithic table alone
-                // would need ~52 GiB).
+                // would need ~21 GiB).
                 let million: Vec<_> = es.iter().filter(|p| p.nodes == 1_048_576).collect();
                 let all_ran =
                     million.len() == 4 && million.iter().all(|p| p.completed > 0);

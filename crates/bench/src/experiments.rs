@@ -388,6 +388,26 @@ mod tests {
 
     const SEED: u64 = 7;
 
+    /// The realization estimate must not silently move a sweep point
+    /// between representations: at the default 4 GiB budget every count
+    /// through 65,536 builds a window table and the top two stream.
+    #[test]
+    fn scaling_sweep_representation_is_pinned() {
+        use linger_workload::stream::streamed_chunk_windows;
+        let period = scaling_trace().sample_count();
+        assert_eq!(period, 1800);
+        for nodes in SCALING_NODE_COUNTS {
+            let streams = streamed_chunk_windows(
+                nodes,
+                period,
+                linger_workload::DEFAULT_WINDOW_BUDGET_BYTES,
+                None,
+            )
+            .is_some();
+            assert_eq!(streams, nodes > 65_536, "{nodes} nodes");
+        }
+    }
+
     #[test]
     fn fig02_fast_fits_match() {
         let r = fig02(SEED, true);
@@ -565,10 +585,20 @@ pub fn ext_parallel_throughput(
 
 /// Node counts the scaling extension sweeps. The top counts stream
 /// their windows through the chunked pipeline (a monolithic table at
-/// 1,048,576 nodes would need ~52 GiB); `run_all` only runs past
+/// 1,048,576 nodes would need ~21 GiB); `run_all` only runs past
 /// 65,536 in full mode.
 pub const SCALING_NODE_COUNTS: [usize; 8] =
     [64, 256, 1024, 4096, 16_384, 65_536, 262_144, 1_048_576];
+
+/// The scaling sweep's owner trace: one hour of coarse trace, replayed
+/// cyclically — enough diversity for a scaling study while keeping
+/// window tables through 65,536 nodes under the default window budget.
+fn scaling_trace() -> CoarseTraceConfig {
+    CoarseTraceConfig {
+        duration: SimDuration::from_secs(3600),
+        ..Default::default()
+    }
+}
 
 /// One deterministic cell of the scaling sweep. Every field is a pure
 /// function of `(seed, fast)`, so CI can byte-diff the JSON across
@@ -667,20 +697,16 @@ pub fn ext_scaling_at(
     fast: bool,
 ) -> (Vec<ScalingPoint>, Vec<ScalingTiming>) {
     let horizon = SimTime::from_secs(if fast { 600 } else { 3600 });
-    // One hour of coarse trace, replayed cyclically — enough diversity
-    // for a scaling study while keeping 4096 nodes' traces in memory.
-    let trace_cfg = CoarseTraceConfig {
-        duration: SimDuration::from_secs(3600),
-        ..Default::default()
-    };
+    let trace_cfg = scaling_trace();
     let mut points = Vec::new();
     let mut timings = Vec::new();
     for &nodes in node_counts {
         let t0 = std::time::Instant::now();
-        // One realization (traces + offsets + window table) per node
-        // count, shared across all four policies and every timing
-        // replicate below — and with every other driver that asks for
-        // the same `(trace_cfg, seed, nodes)` key.
+        // One realization (offsets + window table, or a stream spec at
+        // the top counts) per node count, shared across all four
+        // policies and every timing replicate below — and with every
+        // other driver that asks for the same `(trace_cfg, seed, nodes)`
+        // key.
         let real = TraceLibrary::global().realize(&trace_cfg, seed, nodes);
         let shared_setup = t0.elapsed().as_secs_f64() / Policy::ALL.len() as f64;
         for policy in Policy::ALL {
@@ -835,7 +861,7 @@ pub fn ext_faults(seed: u64, fast: bool) -> Vec<FaultPoint> {
         duration: SimDuration::from_secs(3600),
         ..Default::default()
     };
-    // One realization (traces + offsets + window table) shared by every
+    // One realization (offsets + window table) shared by every
     // cell of the grid.
     let real = TraceLibrary::global().realize(&trace_cfg, seed, nodes);
     let n_cells = FAULT_RATES.len() * Policy::ALL.len();

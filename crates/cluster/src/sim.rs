@@ -154,14 +154,16 @@ enum WindowSource {
     /// Memory-bounded chunked cursor over resumable per-node trace
     /// streams; chunks are built lazily just ahead of the sweep.
     Streamed(Box<WindowCursor>),
-    /// Mixed-period traces: per-node trace lookups every window.
+    /// Mixed-period traces handed to [`ClusterSim::with_traces`]:
+    /// per-node trace lookups every window.
     TraceOnly,
 }
 
 /// The cluster simulation.
 pub struct ClusterSim {
     cfg: ClusterConfig,
-    /// Per-node hot/cold slabs (occupancy, memory; traces behind them).
+    /// Per-node hot/cold slabs (occupancy, memory; traces only for
+    /// mixed-period [`Self::with_traces`] input).
     nodes: NodeSlabs,
     /// Per-job hot/cold slabs; materialized via [`Self::jobs`].
     jobs: JobSlabs,
@@ -282,33 +284,28 @@ impl ClusterSim {
     }
 
     /// Build the simulation over a shared workload realization (cached or
-    /// freshly synthesized) — traces, offsets, and the prebuilt window
-    /// table are shared by `Arc`, never copied per policy.
+    /// freshly synthesized) — its window table is shared by `Arc`, never
+    /// copied per policy; a streamed realization gets a fresh cursor.
     ///
     /// # Panics
     /// If the realization's node count differs from `cfg.nodes`.
     pub fn with_realization(cfg: ClusterConfig, real: &WorkloadRealization) -> Self {
         assert_eq!(real.nodes(), cfg.nodes, "realization must cover cfg.nodes");
-        if real.stream_spec().is_some() {
-            // Streamed realization: no per-node traces exist. Node state
-            // comes from the chunk rows; initial memory demand is the
-            // window-0 row (by construction the same bytes a monolithic
-            // table's `mem_row(0)` would hold).
-            let mut cursor = real.cursor().expect("streamed realization has a cursor");
-            let slabs = {
-                let chunk = cursor.ensure(0);
-                NodeSlabs::traceless(chunk.mem_row(0), cfg.node_memory_kb)
-            };
-            return Self::assemble(cfg, slabs, WindowSource::Streamed(Box::new(cursor)));
-        }
-        let slabs = NodeSlabs::new(
-            real.traces().to_vec(),
-            real.offsets().to_vec(),
-            cfg.node_memory_kb,
-        );
-        let source = match real.window_table().cloned() {
-            Some(tbl) => WindowSource::Table(tbl),
-            None => WindowSource::TraceOnly,
+        // No per-node traces exist either way: node state comes from the
+        // window rows, and initial memory demand is the window-0 row
+        // (the same bytes in both representations).
+        let (slabs, source) = match real.window_table() {
+            Some(tbl) => (
+                NodeSlabs::traceless(tbl.mem_row(0), cfg.node_memory_kb),
+                WindowSource::Table(tbl.clone()),
+            ),
+            None => {
+                let mut cursor = real
+                    .cursor()
+                    .expect("a realization without a table streams");
+                let slabs = NodeSlabs::traceless(cursor.ensure(0).mem_row(0), cfg.node_memory_kb);
+                (slabs, WindowSource::Streamed(Box::new(cursor)))
+            }
         };
         Self::assemble(cfg, slabs, source)
     }

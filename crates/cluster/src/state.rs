@@ -173,10 +173,10 @@ pub const NO_NODE: u32 = u32::MAX;
 /// Per-node state as parallel slabs keyed by node id.
 ///
 /// `hosted` (the occupancy array every placement and decision sweep
-/// reads) and `memory` (refreshed from the trace row each window) are
+/// reads) and `memory` (refreshed from the window row each window) are
 /// the hot slabs; the trace handles and phase offsets are cold — they
-/// are only consulted on the slow path when no shared window table
-/// exists.
+/// exist only for mixed-period traces given to `ClusterSim::with_traces`,
+/// the one case with no window rows to read.
 pub struct NodeSlabs {
     /// Job index hosted on (or reserved for) each node; [`NO_JOB`] when
     /// free.
@@ -204,15 +204,15 @@ impl NodeSlabs {
         NodeSlabs { hosted, memory, traces, offsets }
     }
 
-    /// Assemble the slabs without resident traces — the streamed window
-    /// pipeline supplies all per-window node state through its chunk
-    /// cursor instead. `initial_mem_kb` is the chunk's window-0 memory
-    /// row, which by construction equals `trace.sample(offset).mem_used_kb`
-    /// (so both constructors initialise the pools identically).
+    /// Assemble the slabs without resident traces — a realization's
+    /// window table or stream cursor supplies all per-window node state
+    /// instead. `initial_mem_kb` is its window-0 memory row, which by
+    /// construction equals `trace.sample(offset).mem_used_kb` (so both
+    /// constructors initialise the pools identically).
     ///
     /// The trace slow-path accessors ([`NodeSlabs::cpu`] etc.) must not
     /// be called on a traceless slab; the simulator only uses them when
-    /// it has no window source, and a streamed realization always is one.
+    /// it has no window rows, and a realization always has them.
     pub fn traceless(initial_mem_kb: &[u32], node_memory_kb: u32) -> Self {
         let memory = initial_mem_kb
             .iter()

@@ -5,9 +5,10 @@
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{evaluate_policy, ClusterConfig, ClusterSim};
-use linger_sim_core::SimDuration;
-use linger_workload::{TraceLibrary, WorkloadRealization};
+use linger_sim_core::{RngFactory, SimDuration};
+use linger_workload::{CoarseTrace, CoarseTraceConfig, LocalWorkload, TraceLibrary};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn cfg(policy: Policy, nodes: usize, jobs: u32, demand_s: u64, seed: u64) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper(
@@ -18,6 +19,24 @@ fn cfg(policy: Policy, nodes: usize, jobs: u32, demand_s: u64, seed: u64) -> Clu
     cfg.trace.duration = SimDuration::from_secs(1800);
     cfg.seed = seed;
     cfg
+}
+
+/// Whole per-node traces and offsets, synthesized the way
+/// `ClusterSim::new` did before the realization cache existed.
+fn legacy_traces(
+    trace: &CoarseTraceConfig,
+    seed: u64,
+    nodes: usize,
+) -> (Vec<Arc<CoarseTrace>>, Vec<usize>) {
+    let factory = RngFactory::new(seed);
+    let traces: Vec<Arc<CoarseTrace>> =
+        (0..nodes).map(|n| Arc::new(trace.synthesize(&factory, n as u64))).collect();
+    let offsets = traces
+        .iter()
+        .enumerate()
+        .map(|(n, t)| LocalWorkload::random_offset(t, &factory, n as u64))
+        .collect();
+    (traces, offsets)
 }
 
 /// Everything observable about a finished run, exactly.
@@ -34,8 +53,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// A cached run (`ClusterSim::new`, global library) and a
-    /// cache-bypassing run (`with_traces` over a freshly synthesized
-    /// realization) are bit-identical.
+    /// cache-bypassing run (`with_traces` over freshly synthesized whole
+    /// traces) are bit-identical.
     #[test]
     fn cached_and_bypassing_runs_are_identical(
         policy_idx in 0usize..4,
@@ -50,9 +69,8 @@ proptest! {
         let mut cached = ClusterSim::new(c.clone());
         prop_assert!(cached.run());
 
-        let fresh = WorkloadRealization::synthesize(&c.trace, c.seed, c.nodes);
-        let mut bypass =
-            ClusterSim::with_traces(c, fresh.traces().to_vec(), fresh.offsets().to_vec());
+        let (traces, offsets) = legacy_traces(&c.trace, c.seed, c.nodes);
+        let mut bypass = ClusterSim::with_traces(c, traces, offsets);
         prop_assert!(bypass.run());
 
         prop_assert_eq!(fingerprint(&cached), fingerprint(&bypass));

@@ -25,7 +25,9 @@
 use linger_node::steal_rate;
 use linger_sim_core::{NodeIndex, RngFactory, SimDuration, SimTime};
 use linger_telemetry::{DecisionAction, Event, EventKind, Recorder};
-use linger_workload::{BurstParamTable, CoarseTraceConfig, TraceLibrary, SAMPLE_PERIOD_SECS};
+use linger_workload::{
+    BurstParamTable, CoarseTraceConfig, TraceLibrary, WorkloadRealization, SAMPLE_PERIOD_SECS,
+};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -131,13 +133,26 @@ pub fn simulate_parallel_cluster_with_recorder(
     policy: ParallelPolicy,
     recorder: &Recorder,
 ) -> ParallelClusterReport {
+    // Offsets and window rows come from the shared realization cache —
+    // the same streams this code used to draw by hand, so the sweep's
+    // repeated calls reuse one synthesis.
+    let real = TraceLibrary::global().realize(&cfg.trace, cfg.seed, cfg.nodes);
+    simulate_over(cfg, policy, recorder, &real)
+}
+
+/// The experiment over an explicit realization — monolithic or streamed,
+/// which must not change the report.
+fn simulate_over(
+    cfg: &ParallelClusterConfig,
+    policy: ParallelPolicy,
+    recorder: &Recorder,
+    real: &WorkloadRealization,
+) -> ParallelClusterReport {
+    assert_eq!(real.nodes(), cfg.nodes, "realization must cover cfg.nodes");
     let factory = RngFactory::new(cfg.seed);
     let table = BurstParamTable::paper_calibrated();
     let cs = SimDuration::from_micros(100);
-    // Traces, offsets, and the window-major table come from the shared
-    // realization cache — the same streams this code used to draw by
-    // hand, so the sweep's repeated calls reuse one synthesis.
-    let real = TraceLibrary::global().realize(&cfg.trace, cfg.seed, cfg.nodes);
+    let mut cursor = real.cursor();
 
     // Pre-draw the arrival sequence.
     let mut arr_rng = factory.stream_for(linger_sim_core::domains::JOBS, 0);
@@ -194,23 +209,25 @@ pub fn simulate_parallel_cluster_with_recorder(
             next_arrival += 1;
         }
 
-        // One window-table row (or trace lookup) per node per window.
-        idle.clear();
-        if let Some(tbl) = real.window_table() {
-            cpu_w.copy_from_slice(tbl.cpu_row(w));
-            let idle_row = tbl.idle_row(w);
-            for n in 0..cfg.nodes {
-                if idle_row[n / 64] & (1u64 << (n % 64)) != 0 {
-                    idle.insert(n);
-                }
+        // One window row per node per window: the shared table's, or the
+        // streamed chunk's (same row contract, absolute windows).
+        let (cpu_row, idle_row) = match cursor.as_mut() {
+            Some(cursor) => {
+                let chunk = cursor.ensure(w);
+                (chunk.cpu_row(w), chunk.idle_row(w))
             }
-        } else {
-            let (traces, offsets) = (real.traces(), real.offsets());
-            for n in 0..cfg.nodes {
-                if traces[n].is_idle(offsets[n] + w) {
-                    idle.insert(n);
-                }
-                cpu_w[n] = traces[n].sample(offsets[n] + w).cpu;
+            None => {
+                let tbl = real
+                    .window_table()
+                    .expect("a realization that does not stream has a table");
+                (tbl.cpu_row(w), tbl.idle_row(w))
+            }
+        };
+        cpu_w.copy_from_slice(cpu_row);
+        idle.clear();
+        for n in 0..cfg.nodes {
+            if idle_row[n / 64] & (1u64 << (n % 64)) != 0 {
+                idle.insert(n);
             }
         }
 
@@ -526,6 +543,30 @@ mod tests {
             linger.completed,
             rigid.completed
         );
+    }
+
+    /// A streamed realization — at chunk sizes down to one window, with
+    /// the horizon wrapping the trace — yields the monolithic report.
+    #[test]
+    fn streamed_realization_matches_monolithic() {
+        let mut c = cfg();
+        c.trace.duration = SimDuration::from_secs(1800);
+        let period = c.trace.sample_count();
+        let mono = WorkloadRealization::synthesize_monolithic(&c.trace, c.seed, c.nodes);
+        for policy in [ParallelPolicy::RigidIdle, ParallelPolicy::Linger] {
+            let want = simulate_over(&c, policy, &Recorder::disabled(), &mono);
+            assert!(want.completed > 0, "{policy:?} completed nothing");
+            for chunk in [1, 7, period] {
+                let streamed =
+                    WorkloadRealization::synthesize_streamed(&c.trace, c.seed, c.nodes, chunk);
+                let got = simulate_over(&c, policy, &Recorder::disabled(), &streamed);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{policy:?} chunk {chunk}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`generator`] — the two-level generator wiring coarse traces to the
 //!   burst process (Fig 6);
 //! * [`library`] — the shared workload-realization cache: one synthesis
-//!   of traces + offsets + window table per `(config, seed, nodes)` key,
-//!   reused across policies, sweep points, and replications;
+//!   of offsets + window table (or stream spec) per `(config, seed,
+//!   nodes)` key, reused across policies, sweep points, and replications;
 //! * [`stream`] — the memory-bounded streaming realization: resumable
 //!   per-node trace streams feeding a chunked window cursor, for node
 //!   counts whose monolithic table would not fit the byte budget;

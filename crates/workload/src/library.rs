@@ -1,13 +1,13 @@
 //! Shared workload-realization cache.
 //!
 //! Every policy evaluation under common random numbers deliberately
-//! replays the *same* owner-workload realization: the per-node
-//! [`CoarseTrace`]s, their phase offsets, and the window-major
-//! [`WindowTable`] derive only from `(master seed, stream domain,
-//! node id)` — never from the policy, the cost parameters, or the thread
-//! that happens to run the simulation. Re-synthesizing them for each of
-//! the four policies at every sweep point is therefore pure redundant
-//! work: the bytes are provably identical.
+//! replays the *same* owner-workload realization: the per-node phase
+//! offsets and the window-major [`WindowTable`] (or the stream recipe
+//! that realizes it in chunks) derive only from `(master seed, stream
+//! domain, node id)` — never from the policy, the cost parameters, or
+//! the thread that happens to run the simulation. Re-synthesizing them
+//! for each of the four policies at every sweep point is therefore pure
+//! redundant work: the bytes are provably identical.
 //!
 //! [`TraceLibrary`] is a content-keyed store of those realizations. The
 //! key is `(CoarseTraceConfig, seed, node count)` — the *logical* inputs
@@ -23,11 +23,10 @@
 //! safe by construction — holders keep their `Arc`s alive, and a re-miss
 //! re-synthesizes the identical realization.
 
-use crate::coarse::{CoarseTrace, CoarseTraceConfig};
+use crate::coarse::{CoarseTrace, CoarseTraceConfig, TraceStream};
 use crate::generator::LocalWorkload;
 use crate::stream::{
-    auto_chunk_windows, forced_chunk_windows, monolithic_bytes_estimate, window_budget_bytes,
-    StreamSpec, WindowCursor,
+    forced_chunk_windows, streamed_chunk_windows, window_budget_bytes, StreamSpec, WindowCursor,
 };
 use linger_sim_core::{par_map_indexed, RngFactory};
 use serde::Serialize;
@@ -45,11 +44,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// a time as packed bit words — so each pass streams the minimum number
 /// of cache lines for the field it actually consumes.
 ///
-/// Row `w` holds all nodes for window `w % period()`, in node order.
+/// Row `w` holds all nodes for window `w % period()`, in node order:
+/// node `n`'s entry is sample `(offset_n + w) % period` of its trace.
 /// Because every [`CoarseTrace`] lookup wraps modulo the trace length,
 /// row `w` equals the direct per-trace lookups at *any* `w`, not just
 /// `w < period()`: for traces of length `period`,
 /// `(offset + (w % period)) % period == (offset + w) % period`.
+///
+/// Synthesized realizations write the table straight from the per-node
+/// trace streams (`WindowTable::synthesize`); [`WindowTable::build`]
+/// transposes already materialized traces (measured or hand-built).
 #[derive(Debug, Clone)]
 pub struct WindowTable {
     period: usize,
@@ -62,7 +66,107 @@ pub struct WindowTable {
     idle: Vec<u64>,
 }
 
+/// Nodes per column block of [`WindowTable::synthesize`]: one packed
+/// idle word per row.
+const BLOCK_NODES: usize = 64;
+
+/// Column blocks generated per parallel group of
+/// [`WindowTable::synthesize`] — bounds the transient block buffers to
+/// ~16 × 1.4 MB at a 1-hour trace, whatever the node count.
+const GROUP_BLOCKS: usize = 16;
+
+/// One column block of a table under construction: `width` ≤
+/// [`BLOCK_NODES`] adjacent nodes in window-major order.
+struct ColumnBlock {
+    width: usize,
+    cpu: Vec<f64>,
+    mem_kb: Vec<u32>,
+    /// One word per window; bit `j` ⇔ node `first + j` is idle.
+    idle: Vec<u64>,
+}
+
+impl ColumnBlock {
+    /// Run each node's [`TraceStream`] once through one period, writing
+    /// sample `s` of node `first + j` to row `(s - offset_j) mod period`
+    /// — the row whose lookup `(offset_j + w) % period` lands on `s`.
+    fn synthesize(
+        cfg: &CoarseTraceConfig,
+        factory: &RngFactory,
+        first: usize,
+        offsets: &[usize],
+        period: usize,
+    ) -> ColumnBlock {
+        let width = offsets.len();
+        let mut cpu = vec![0.0; period * width];
+        let mut mem_kb = vec![0; period * width];
+        let mut idle = vec![0u64; period];
+        for (j, &offset) in offsets.iter().enumerate() {
+            let mut stream = TraceStream::new(cfg, factory, (first + j) as u64);
+            let mut w = (period - offset % period) % period;
+            for _ in 0..period {
+                let (s, is_idle) = stream.next_sample();
+                cpu[w * width + j] = s.cpu;
+                mem_kb[w * width + j] = s.mem_used_kb;
+                idle[w] |= u64::from(is_idle) << j;
+                w += 1;
+                if w == period {
+                    w = 0;
+                }
+            }
+        }
+        ColumnBlock { width, cpu, mem_kb, idle }
+    }
+}
+
 impl WindowTable {
+    /// Synthesize the table of `offsets.len()` nodes straight from their
+    /// `cfg` trace streams under `factory`, without materializing a
+    /// single per-node trace.
+    ///
+    /// Nodes are generated in 64-node column blocks, [`GROUP_BLOCKS`]
+    /// blocks at a time over `jobs` workers, and each group is scattered
+    /// into the rows in block order — so the bytes are identical at any
+    /// worker count and equal [`WindowTable::build`] over the same
+    /// streams' traces, while peak memory is the table plus one group of
+    /// block buffers.
+    ///
+    /// # Panics
+    /// If the period is zero.
+    pub(crate) fn synthesize(
+        cfg: &CoarseTraceConfig,
+        factory: &RngFactory,
+        offsets: &[usize],
+        jobs: Option<usize>,
+    ) -> WindowTable {
+        let period = cfg.sample_count();
+        assert!(period > 0, "window table needs a nonzero period");
+        let nodes = offsets.len();
+        let words_per_row = nodes.div_ceil(BLOCK_NODES);
+        let mut cpu = vec![0.0; period * nodes];
+        let mut mem_kb = vec![0; period * nodes];
+        let mut idle = vec![0u64; period * words_per_row];
+        for group_start in (0..words_per_row).step_by(GROUP_BLOCKS) {
+            let group = GROUP_BLOCKS.min(words_per_row - group_start);
+            let blocks = par_map_indexed(group, jobs, |i| {
+                let first = (group_start + i) * BLOCK_NODES;
+                let last = (first + BLOCK_NODES).min(nodes);
+                ColumnBlock::synthesize(cfg, factory, first, &offsets[first..last], period)
+            });
+            let group_first = group_start * BLOCK_NODES;
+            for w in 0..period {
+                let mut col = w * nodes + group_first;
+                for (i, block) in blocks.iter().enumerate() {
+                    let src = w * block.width..(w + 1) * block.width;
+                    cpu[col..col + block.width].copy_from_slice(&block.cpu[src.clone()]);
+                    mem_kb[col..col + block.width].copy_from_slice(&block.mem_kb[src]);
+                    idle[w * words_per_row + group_start + i] = block.idle[w];
+                    col += block.width;
+                }
+            }
+        }
+        WindowTable { period, nodes, words_per_row, cpu, mem_kb, idle }
+    }
+
     /// Gather `traces` (with per-node phase `offsets`) into a window-major
     /// table.
     ///
@@ -137,70 +241,71 @@ impl WindowTable {
     }
 }
 
-/// One fully synthesized owner workload for a cluster: per-node traces,
-/// phase offsets, and the prebuilt window table.
+/// One fully synthesized owner workload for a cluster: per-node phase
+/// offsets plus either the prebuilt window table or the recipe a
+/// [`WindowCursor`] streams it from. No per-node trace is kept resident.
 ///
 /// This is the single shared helper behind `ClusterSim::new`, the
 /// parallel-program simulators, and the bench drivers — the one place
-/// that implements the `RngFactory` / [`LocalWorkload::random_offset`]
-/// derivation convention, so the consumers cannot drift.
+/// that implements the `RngFactory` /
+/// [`LocalWorkload::random_offset_for_len`] derivation convention, so the
+/// consumers cannot drift.
 #[derive(Debug)]
 pub struct WorkloadRealization {
-    traces: Vec<Arc<CoarseTrace>>,
     offsets: Vec<usize>,
-    window_table: Option<Arc<WindowTable>>,
-    /// `Some` for a streamed realization: no traces or table are
-    /// resident; consumers realize windows through a [`WindowCursor`].
-    stream: Option<StreamSpec>,
+    windows: Windows,
+}
+
+/// How a realization holds its window rows.
+#[derive(Debug)]
+enum Windows {
+    /// Fully materialized, `Arc`-shared with every simulator over it.
+    Table(Arc<WindowTable>),
+    /// Realized on demand in chunks, one [`WindowCursor`] per run.
+    Stream(StreamSpec),
 }
 
 impl WorkloadRealization {
     /// Deterministically synthesize the realization for `nodes` machines
     /// from `seed`.
     ///
-    /// Per-node traces come from the `COARSE_TRACE`/`MEMORY` streams of
-    /// machine `n`, offsets from its `TRACE_OFFSET` stream — exactly the
+    /// Node `n`'s samples come from its `COARSE_TRACE`/`MEMORY` streams
+    /// and its offset from its `TRACE_OFFSET` stream — exactly the
     /// streams `ClusterSim::new` historically drew, so cached and
-    /// uncached construction are bit-identical. Per-node synthesis is
-    /// index-keyed, so it fans out over the process worker pool without
-    /// affecting the bytes produced.
+    /// uncached construction are bit-identical. Synthesis is index-keyed,
+    /// so it fans out over the process worker pool without affecting the
+    /// bytes produced.
     ///
-    /// When the fully materialized realization would not fit the window
-    /// byte budget (`LINGER_WINDOW_BUDGET_BYTES`, default 4 GiB) — or
+    /// When the window table would not fit the window byte budget
+    /// (`LINGER_WINDOW_BUDGET_BYTES`, default 4 GiB) — or
     /// `LINGER_WINDOW_CHUNK` forces it — this returns a *streamed*
-    /// realization instead: only the offsets are computed up front and
-    /// windows are realized on demand in chunks, byte-identical to the
-    /// monolithic table at any chunk size.
+    /// realization instead (see [`streamed_chunk_windows`]): only the
+    /// offsets are computed up front and windows are realized on demand
+    /// in chunks, byte-identical to the monolithic table at any chunk
+    /// size.
     pub fn synthesize(cfg: &CoarseTraceConfig, seed: u64, nodes: usize) -> WorkloadRealization {
         let period = cfg.sample_count();
         let forced = forced_chunk_windows();
-        if nodes > 0 && period > 0 {
-            let budget = window_budget_bytes();
-            if forced.is_some() || monolithic_bytes_estimate(nodes, period) > budget {
-                let chunk = forced.unwrap_or_else(|| auto_chunk_windows(nodes, period, budget));
-                return Self::synthesize_streamed(cfg, seed, nodes, chunk);
-            }
+        match streamed_chunk_windows(nodes, period, window_budget_bytes(), forced) {
+            Some(chunk) => Self::synthesize_streamed(cfg, seed, nodes, chunk),
+            None => Self::synthesize_monolithic(cfg, seed, nodes),
         }
-        Self::synthesize_monolithic(cfg, seed, nodes)
     }
 
-    /// [`Self::synthesize`] pinned to the materialized (traces + window
-    /// table) representation, regardless of budget knobs.
+    /// [`Self::synthesize`] pinned to the materialized window-table
+    /// representation, regardless of budget knobs.
+    ///
+    /// # Panics
+    /// If `cfg` has a zero-length period.
     pub fn synthesize_monolithic(
         cfg: &CoarseTraceConfig,
         seed: u64,
         nodes: usize,
     ) -> WorkloadRealization {
         let factory = RngFactory::new(seed);
-        let traces: Vec<Arc<CoarseTrace>> =
-            par_map_indexed(nodes, None, |n| Arc::new(cfg.synthesize(&factory, n as u64)));
-        let offsets: Vec<usize> = traces
-            .iter()
-            .enumerate()
-            .map(|(n, t)| LocalWorkload::random_offset(t, &factory, n as u64))
-            .collect();
-        let window_table = WindowTable::build(&traces, &offsets).map(Arc::new);
-        WorkloadRealization { traces, offsets, window_table, stream: None }
+        let offsets = draw_offsets(cfg.sample_count(), &factory, nodes);
+        let table = WindowTable::synthesize(cfg, &factory, &offsets, None);
+        WorkloadRealization { offsets, windows: Windows::Table(Arc::new(table)) }
     }
 
     /// [`Self::synthesize`] pinned to the streamed representation with an
@@ -218,27 +323,14 @@ impl WorkloadRealization {
     ) -> WorkloadRealization {
         let period = cfg.sample_count();
         assert!(period > 0, "streamed realization needs a nonzero period");
-        let factory = RngFactory::new(seed);
-        let offsets: Vec<usize> = (0..nodes)
-            .map(|n| LocalWorkload::random_offset_for_len(period, &factory, n as u64))
-            .collect();
+        let offsets = draw_offsets(period, &RngFactory::new(seed), nodes);
         let spec = StreamSpec {
             cfg: cfg.clone(),
             seed,
             nodes,
             chunk_windows: chunk_windows.clamp(1, period),
         };
-        WorkloadRealization {
-            traces: Vec::new(),
-            offsets,
-            window_table: None,
-            stream: Some(spec),
-        }
-    }
-
-    /// The per-node coarse traces (empty for a streamed realization).
-    pub fn traces(&self) -> &[Arc<CoarseTrace>] {
-        &self.traces
+        WorkloadRealization { offsets, windows: Windows::Stream(spec) }
     }
 
     /// The per-node phase offsets (in samples).
@@ -246,15 +338,21 @@ impl WorkloadRealization {
         &self.offsets
     }
 
-    /// The prebuilt window-major table, if the traces share one period
-    /// (always `None` for a streamed realization).
+    /// The prebuilt window-major table (`None` for a streamed
+    /// realization).
     pub fn window_table(&self) -> Option<&Arc<WindowTable>> {
-        self.window_table.as_ref()
+        match &self.windows {
+            Windows::Table(tbl) => Some(tbl),
+            Windows::Stream(_) => None,
+        }
     }
 
     /// The streamed-realization spec, if this realization streams.
     pub fn stream_spec(&self) -> Option<&StreamSpec> {
-        self.stream.as_ref()
+        match &self.windows {
+            Windows::Table(_) => None,
+            Windows::Stream(spec) => Some(spec),
+        }
     }
 
     /// A fresh window cursor at window 0, for streamed realizations.
@@ -262,26 +360,29 @@ impl WorkloadRealization {
     /// Each simulation run needs its own cursor (the per-node generator
     /// streams are mutable); the realization itself stays shareable.
     pub fn cursor(&self) -> Option<WindowCursor> {
-        self.stream.as_ref().map(|spec| WindowCursor::new(spec, &self.offsets))
+        self.stream_spec().map(|spec| WindowCursor::new(spec, &self.offsets))
     }
 
     /// Number of nodes this realization covers.
     pub fn nodes(&self) -> usize {
-        match &self.stream {
-            Some(spec) => spec.nodes,
-            None => self.traces.len(),
-        }
+        self.offsets.len()
     }
 
-    /// Estimated resident bytes (samples + idle flags + offsets + table;
-    /// just the offsets for a streamed realization — cursors own the
-    /// chunk arena and are not cached).
+    /// Estimated resident bytes: the window table plus the offsets (just
+    /// the offsets for a streamed realization — cursors own the chunk
+    /// arena and are not cached).
     pub fn approx_bytes(&self) -> usize {
-        let per_sample = std::mem::size_of::<crate::coarse::CoarseSample>() + 1;
-        let traces: usize = self.traces.iter().map(|t| t.len() * per_sample).sum();
-        let table = self.window_table.as_ref().map_or(0, |t| t.approx_bytes());
-        traces + table + self.offsets.len() * std::mem::size_of::<usize>()
+        let table = self.window_table().map_or(0, |t| t.approx_bytes());
+        table + self.offsets.len() * std::mem::size_of::<usize>()
     }
+}
+
+/// Every node's phase offset into a `period`-sample trace, drawn from its
+/// `TRACE_OFFSET` stream — shared by both representations.
+fn draw_offsets(period: usize, factory: &RngFactory, nodes: usize) -> Vec<usize> {
+    (0..nodes)
+        .map(|n| LocalWorkload::random_offset_for_len(period, factory, n as u64))
+        .collect()
 }
 
 /// Cache key: the logical inputs of synthesis, bit-exact.
@@ -376,8 +477,11 @@ impl TraceCacheStats {
     }
 }
 
-/// Default byte budget: 1 GiB comfortably holds the full
-/// 64/256/1024/4096-node scaling sweep (~330 MB) with headroom.
+/// Default byte budget: 1 GiB. A realization costs ~21.8 KB per node at
+/// a 1-hour trace (window table + offset), so the 64–16,384-node scaling
+/// points fit together (~477 MB) with headroom; a 65,536-node table
+/// (~1.43 GB) exceeds the budget on its own, so it evicts every other
+/// entry and is itself evicted by the next miss.
 const DEFAULT_MAX_BYTES: usize = 1 << 30;
 
 /// Content-keyed store of [`WorkloadRealization`]s.
@@ -582,6 +686,7 @@ fn cache_disabled() -> bool {
 mod tests {
     use super::*;
     use linger_sim_core::SimDuration;
+    use proptest::prelude::*;
 
     fn cfg(secs: u64) -> CoarseTraceConfig {
         CoarseTraceConfig {
@@ -609,23 +714,101 @@ mod tests {
         (traces, offsets)
     }
 
+    /// Assert two tables hold bit-identical rows (cpu bits, memory,
+    /// idle words) and that padding bits past the node count are zero.
+    fn assert_same_rows(got: &WindowTable, want: &WindowTable, what: &str) {
+        assert_eq!(got.period(), want.period(), "{what}: period");
+        assert_eq!(got.nodes(), want.nodes(), "{what}: nodes");
+        assert_eq!(got.words_per_row(), want.words_per_row(), "{what}: words");
+        let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for w in 0..want.period() {
+            assert_eq!(
+                bits(got.cpu_row(w)),
+                bits(want.cpu_row(w)),
+                "{what}: cpu row {w}"
+            );
+            assert_eq!(got.mem_row(w), want.mem_row(w), "{what}: mem row {w}");
+            assert_eq!(got.idle_row(w), want.idle_row(w), "{what}: idle row {w}");
+            let tail = got.nodes() % 64;
+            if tail != 0 {
+                assert_eq!(got.idle_row(w)[got.nodes() / 64] >> tail, 0, "{what}: padding {w}");
+            }
+        }
+    }
+
+    /// The fused builder against the legacy derivation: whole traces,
+    /// then [`WindowTable::build`].
+    fn assert_fused_matches_legacy(c: &CoarseTraceConfig, seed: u64, nodes: usize, jobs: usize) {
+        let (traces, offsets) = legacy_synthesize(c, seed, nodes);
+        let legacy = WindowTable::build(&traces, &offsets).expect("uniform traces");
+        let fused = WindowTable::synthesize(c, &RngFactory::new(seed), &offsets, Some(jobs));
+        assert_same_rows(&fused, &legacy, &format!("{nodes} nodes, jobs {jobs}, seed {seed}"));
+    }
+
     #[test]
     fn synthesize_matches_the_legacy_derivation() {
         let c = cfg(1800);
         let real = WorkloadRealization::synthesize(&c, 42, 6);
         let (traces, offsets) = legacy_synthesize(&c, 42, 6);
         assert_eq!(real.offsets(), &offsets[..]);
-        for (a, b) in real.traces().iter().zip(&traces) {
-            assert_eq!(a.samples(), b.samples());
-            assert_eq!(a.idle_flags(), b.idle_flags());
+        let legacy = WindowTable::build(&traces, &offsets).expect("uniform traces");
+        let tbl = real.window_table().expect("monolithic realization");
+        assert_same_rows(tbl, &legacy, "6 nodes");
+    }
+
+    #[test]
+    fn fused_table_matches_legacy_at_block_and_group_edges() {
+        // Periods 1 and 97 (not a multiple of the 64-node block; long
+        // enough for the one-minute quiet streak that sets idle bits);
+        // node counts straddling one block, two blocks, and — at 1,089
+        // — the 16-block group boundary of the scatter.
+        for secs in [2, 194] {
+            for nodes in [1, 63, 64, 65, 130, 1089] {
+                for jobs in [1, 4] {
+                    assert_fused_matches_legacy(&cfg(secs), 11, nodes, jobs);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_realization_has_an_empty_table() {
+        let real = WorkloadRealization::synthesize_monolithic(&cfg(600), 3, 0);
+        let tbl = real.window_table().expect("monolithic realization");
+        assert_eq!((tbl.nodes(), tbl.words_per_row()), (0, 0));
+        assert!(tbl.cpu_row(5).is_empty() && tbl.idle_row(5).is_empty());
+        assert_eq!(real.nodes(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every row of the fused table equals the legacy transpose, at
+        /// any node count, period and worker count.
+        #[test]
+        fn fused_table_matches_legacy_build(
+            node_pick in 0usize..6,
+            any_nodes in 1usize..=300,
+            secs_pick in 0usize..3,
+            any_secs in 2u64..=400,
+            jobs_pick in 0usize..2,
+            seed in 0u64..1_000,
+        ) {
+            // Block edges, or any count ≤ 300; period 1, 97 (not a
+            // multiple of the block), or any period ≤ 200.
+            let nodes = [1, 63, 64, 65, 130, any_nodes][node_pick];
+            let secs = [2, 194, any_secs][secs_pick];
+            let jobs = [1, 4][jobs_pick];
+            assert_fused_matches_legacy(&cfg(secs), seed, nodes, jobs);
         }
     }
 
     #[test]
     fn window_table_rows_match_direct_trace_lookups() {
         let real = WorkloadRealization::synthesize(&cfg(600), 7, 5);
+        let (traces, _) = legacy_synthesize(&cfg(600), 7, 5);
         let tbl = real.window_table().expect("uniform traces build a table");
-        assert_eq!(tbl.period(), real.traces()[0].len());
+        assert_eq!(tbl.period(), traces[0].len());
         assert_eq!(tbl.nodes(), 5);
         // Probe beyond the period to cover the wrap equivalence.
         for w in [0, 1, tbl.period() - 1, tbl.period(), 3 * tbl.period() + 2] {
@@ -635,11 +818,11 @@ mod tests {
             assert_eq!(idle.len(), tbl.words_per_row());
             for n in 0..tbl.nodes() {
                 let i = real.offsets()[n] + w;
-                let s = real.traces()[n].sample(i);
+                let s = traces[n].sample(i);
                 assert_eq!(cpu[n].to_bits(), s.cpu.to_bits());
                 assert_eq!(mem[n], s.mem_used_kb);
                 let bit = idle[n / 64] & (1u64 << (n % 64)) != 0;
-                assert_eq!(bit, real.traces()[n].is_idle(i));
+                assert_eq!(bit, traces[n].is_idle(i));
             }
             // Padding bits past the node count stay clear.
             let tail = tbl.nodes() % 64;
@@ -703,9 +886,8 @@ mod tests {
         let a2 = lib.realize(&c, 1, 2);
         assert!(!Arc::ptr_eq(&a1, &a2));
         assert_eq!(a1.offsets(), a2.offsets());
-        for (x, y) in a1.traces().iter().zip(a2.traces()) {
-            assert_eq!(x.samples(), y.samples());
-        }
+        let table = |r: &WorkloadRealization| r.window_table().expect("monolithic").clone();
+        assert_same_rows(&table(&a2), &table(&a1), "re-synthesized after eviction");
         assert_eq!(lib.stats().misses, 3);
     }
 

@@ -1,10 +1,10 @@
 //! Memory-bounded streaming realization of the window table.
 //!
 //! The monolithic [`WindowTable`](crate::library::WindowTable) costs
-//! `O(nodes × period)` bytes — ~12 B per node-window, plus ~17 B per
-//! node-sample for the traces behind it. At 1,048,576 nodes and a
-//! 3600-second trace that is tens of gigabytes: the memory wall, not the
-//! sweep loop, is what used to cap the scaling experiments.
+//! `O(nodes × period)` bytes — ~12 B per node-window (no per-node traces
+//! stay resident behind it). At 1,048,576 nodes and a 3600-second trace
+//! that is ~21 GiB: the memory wall, not the sweep loop, is what used to
+//! cap the scaling experiments.
 //!
 //! This module replaces the build-everything-up-front step with a
 //! deterministic pipeline that never materializes a trace at all:
@@ -39,9 +39,9 @@ use linger_sim_core::{default_jobs, RngFactory, ShardPlan};
 use std::time::Instant;
 
 /// Default byte ceiling for a fully materialized realization
-/// (traces + window table): 4 GiB keeps every historical sweep point
-/// (≤65,536 nodes) on the monolithic path while 262,144 nodes and up
-/// stream.
+/// (window table + offsets): 4 GiB keeps every historical sweep point
+/// (≤65,536 nodes, ~1.3 GiB at a 1-hour trace) on the monolithic path
+/// while 262,144 nodes (~5.3 GiB) and up stream.
 pub const DEFAULT_WINDOW_BUDGET_BYTES: usize = 4 << 30;
 
 /// Spawn fill threads only at or above this node count — below it the
@@ -70,21 +70,48 @@ pub fn forced_chunk_windows() -> Option<usize> {
         .filter(|&w| w > 0)
 }
 
-/// Estimated resident bytes of a *monolithic* realization: traces
-/// (samples + idle flags) plus the window-major table.
+/// Estimated resident bytes of a *monolithic* realization: the
+/// window-major table plus the per-node offsets.
 pub fn monolithic_bytes_estimate(nodes: usize, period: usize) -> usize {
-    let per_sample = std::mem::size_of::<crate::coarse::CoarseSample>() + 1;
-    let table_row = nodes * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
-        + nodes.div_ceil(64) * std::mem::size_of::<u64>();
-    nodes * period * per_sample + period * table_row + nodes * std::mem::size_of::<usize>()
+    period * window_row_bytes(nodes) + nodes * std::mem::size_of::<usize>()
+}
+
+/// Bytes of one window row over `nodes` nodes (cpu + memory lanes plus
+/// the packed idle words).
+fn window_row_bytes(nodes: usize) -> usize {
+    nodes * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
+        + nodes.div_ceil(64) * std::mem::size_of::<u64>()
+}
+
+/// The representation [`WorkloadRealization::synthesize`] picks for
+/// `nodes` over a `period`-window trace: `Some(chunk_windows)` to stream,
+/// `None` for the monolithic table.
+///
+/// Streams when `forced` (the `LINGER_WINDOW_CHUNK` override) is set or
+/// the monolithic estimate exceeds `budget_bytes`; a pure function of
+/// its arguments, so the choice for every sweep point is testable
+/// without synthesizing anything.
+///
+/// [`WorkloadRealization::synthesize`]: crate::library::WorkloadRealization::synthesize
+pub fn streamed_chunk_windows(
+    nodes: usize,
+    period: usize,
+    budget_bytes: usize,
+    forced: Option<usize>,
+) -> Option<usize> {
+    if nodes == 0 || period == 0 {
+        return None;
+    }
+    if forced.is_none() && monolithic_bytes_estimate(nodes, period) <= budget_bytes {
+        return None;
+    }
+    Some(forced.unwrap_or_else(|| auto_chunk_windows(nodes, period, budget_bytes)))
 }
 
 /// Chunk size (windows) chosen automatically: a quarter of the byte
 /// budget, at least 1 window, at most the whole period.
 pub fn auto_chunk_windows(nodes: usize, period: usize, budget_bytes: usize) -> usize {
-    let per_window = nodes * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
-        + nodes.div_ceil(64) * std::mem::size_of::<u64>();
-    ((budget_bytes / 4) / per_window.max(1)).clamp(1, period.max(1))
+    ((budget_bytes / 4) / window_row_bytes(nodes).max(1)).clamp(1, period.max(1))
 }
 
 /// The immutable recipe for a streamed realization: everything a
@@ -459,5 +486,21 @@ mod tests {
         let actual = real.approx_bytes();
         assert!(est >= actual, "estimate {est} must not undershoot {actual}");
         assert!(est <= actual * 2, "estimate {est} way above {actual}");
+    }
+
+    #[test]
+    fn representation_choice_is_a_pure_function_of_size_budget_and_override() {
+        // Degenerate realizations never stream.
+        assert_eq!(streamed_chunk_windows(0, 1800, 1, None), None);
+        assert_eq!(streamed_chunk_windows(64, 0, 1, Some(8)), None);
+        // Within budget: monolithic unless the override forces a chunk.
+        let fits = monolithic_bytes_estimate(64, 1800);
+        assert_eq!(streamed_chunk_windows(64, 1800, fits, None), None);
+        assert_eq!(streamed_chunk_windows(64, 1800, fits, Some(32)), Some(32));
+        // One byte over: stream with the automatic chunk size.
+        assert_eq!(
+            streamed_chunk_windows(64, 1800, fits - 1, None),
+            Some(auto_chunk_windows(64, 1800, fits - 1))
+        );
     }
 }
