@@ -37,15 +37,15 @@ fn bench_chunk_build(c: &mut Criterion) {
     let cfg = trace_cfg();
     for nodes in [4096usize, 65_536] {
         // 64-window chunks: the cursor rebuilds its arena once per
-        // `ensure` past the current chunk, so stepping a fresh cursor
+        // `rows` call past the current chunk, so stepping a fresh cursor
         // through the first four chunks times pure build throughput.
         let real = WorkloadRealization::synthesize_streamed(&cfg, 1998, nodes, 64);
         let name = format!("chunk_build_{nodes}n_64w");
         c.bench_function(&name, |b| {
             b.iter(|| {
-                let mut cursor = real.cursor().expect("streamed realization");
+                let mut cursor = real.cursor();
                 for w in (0..256).step_by(64) {
-                    black_box(cursor.ensure(w).windows());
+                    black_box(cursor.rows(w).cpu.len());
                 }
                 cursor.chunks_built()
             })

@@ -43,7 +43,7 @@ use linger_sim_core::{
 use linger_telemetry::{DecisionAction, Event, EventKind, JournalCounts, Recorder};
 use linger_workload::{
     ArrivalGenerator, CoarseTrace, RealizeOrigin, TraceLibrary, TwoPoolMemory, WindowCursor,
-    WindowTable, WorkloadRealization, SAMPLE_PERIOD_SECS,
+    WorkloadRealization, SAMPLE_PERIOD_SECS,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -52,8 +52,8 @@ use std::sync::Arc;
 pub const WINDOW: SimDuration = SimDuration::from_secs(SAMPLE_PERIOD_SECS);
 
 /// Nodes below this count never spawn shard worker threads (the per-
-/// window spawn cost would dwarf the sweep itself). Overridable via
-/// `LINGER_SHARD_THREAD_MIN` and [`ClusterSim::set_shard_threading_min`].
+/// window spawn cost would dwarf the sweep itself). Tests lower it per
+/// simulation with [`ClusterSim::set_shard_threading_min`].
 const SHARD_THREAD_MIN_NODES: usize = 8192;
 
 /// Default shard count for an `n`-node cluster: one shard per ~8k nodes,
@@ -143,27 +143,10 @@ struct StealIntent {
     pop: bool,
 }
 
-/// Where the per-window `(cpu, idle, mem)` rows of phase 0 come from.
-/// Purely an execution choice — all three sources produce identical
-/// rows for the same realization (`stream::tests` and the cluster
-/// streaming suite prove it bit-for-bit).
-enum WindowSource {
-    /// Fully materialized window-major table, `Arc`-shared with every
-    /// other simulator over the same realization.
-    Table(Arc<WindowTable>),
-    /// Memory-bounded chunked cursor over resumable per-node trace
-    /// streams; chunks are built lazily just ahead of the sweep.
-    Streamed(Box<WindowCursor>),
-    /// Mixed-period traces handed to [`ClusterSim::with_traces`]:
-    /// per-node trace lookups every window.
-    TraceOnly,
-}
-
 /// The cluster simulation.
 pub struct ClusterSim {
     cfg: ClusterConfig,
-    /// Per-node hot/cold slabs (occupancy, memory; traces only for
-    /// mixed-period [`Self::with_traces`] input).
+    /// Per-node slabs (occupancy, memory).
     nodes: NodeSlabs,
     /// Per-job hot/cold slabs; materialized via [`Self::jobs`].
     jobs: JobSlabs,
@@ -206,9 +189,11 @@ pub struct ClusterSim {
     /// transfer progress and arrivals never rescan the ever-growing job
     /// table (throughput mode appends a record per respawn).
     migrating: Vec<usize>,
-    /// Per-window row source: shared table, streamed chunks, or raw
-    /// per-node traces (mixed periods).
-    windows: WindowSource,
+    /// Per-window `(cpu, mem, idle)` rows of phase 0: the realization's
+    /// shared table or its streamed chunks, behind one cursor (both
+    /// produce identical rows — `stream::tests` and the cluster
+    /// streaming suite prove it bit-for-bit).
+    windows: WindowCursor,
     /// Word-aligned partition of the node-id space driving the
     /// classify phase of every sweep.
     plan: ShardPlan,
@@ -283,38 +268,16 @@ impl ClusterSim {
         sim
     }
 
-    /// Build the simulation over a shared workload realization (cached or
-    /// freshly synthesized) — its window table is shared by `Arc`, never
-    /// copied per policy; a streamed realization gets a fresh cursor.
-    ///
-    /// # Panics
-    /// If the realization's node count differs from `cfg.nodes`.
-    pub fn with_realization(cfg: ClusterConfig, real: &WorkloadRealization) -> Self {
-        assert_eq!(real.nodes(), cfg.nodes, "realization must cover cfg.nodes");
-        // No per-node traces exist either way: node state comes from the
-        // window rows, and initial memory demand is the window-0 row
-        // (the same bytes in both representations).
-        let (slabs, source) = match real.window_table() {
-            Some(tbl) => (
-                NodeSlabs::traceless(tbl.mem_row(0), cfg.node_memory_kb),
-                WindowSource::Table(tbl.clone()),
-            ),
-            None => {
-                let mut cursor = real
-                    .cursor()
-                    .expect("a realization without a table streams");
-                let slabs = NodeSlabs::traceless(cursor.ensure(0).mem_row(0), cfg.node_memory_kb);
-                (slabs, WindowSource::Streamed(Box::new(cursor)))
-            }
-        };
-        Self::assemble(cfg, slabs, source)
-    }
-
     /// Build the simulation over explicit per-node traces and start
     /// offsets — for measured trace data or hand-built test scenarios.
+    /// The traces are transposed into a window table
+    /// ([`WorkloadRealization::from_traces`]) and the simulation is built
+    /// over it like any other realization.
     ///
     /// # Panics
-    /// If the number of traces or offsets differs from `cfg.nodes`.
+    /// If the number of traces or offsets differs from `cfg.nodes`, or
+    /// the traces do not all share one period (mixed-period traces have
+    /// no window-major form).
     pub fn with_traces(
         cfg: ClusterConfig,
         traces: Vec<Arc<CoarseTrace>>,
@@ -322,16 +285,25 @@ impl ClusterSim {
     ) -> Self {
         assert_eq!(traces.len(), cfg.nodes, "one trace per node");
         assert_eq!(offsets.len(), cfg.nodes, "one offset per node");
-        let source = match WindowTable::build(&traces, &offsets).map(Arc::new) {
-            Some(tbl) => WindowSource::Table(tbl),
-            None => WindowSource::TraceOnly,
-        };
-        let slabs = NodeSlabs::new(traces, offsets, cfg.node_memory_kb);
-        Self::assemble(cfg, slabs, source)
+        let real = WorkloadRealization::from_traces(&traces, offsets)
+            .expect("with_traces needs at least one trace, all of one period");
+        Self::with_realization(cfg, &real)
     }
 
-    fn assemble(cfg: ClusterConfig, nodes: NodeSlabs, windows: WindowSource) -> Self {
-        assert_eq!(nodes.len(), cfg.nodes, "one node slab entry per node");
+    /// Build the simulation over a shared workload realization (cached or
+    /// freshly synthesized) and queue the whole family at its arrival
+    /// times — every constructor ends here. The realization's window
+    /// table is shared by `Arc`, never copied per policy; a streamed
+    /// realization gets a fresh cursor.
+    ///
+    /// # Panics
+    /// If the realization's node count differs from `cfg.nodes`.
+    pub fn with_realization(cfg: ClusterConfig, real: &WorkloadRealization) -> Self {
+        assert_eq!(real.nodes(), cfg.nodes, "realization must cover cfg.nodes");
+        // Node state comes from the window rows; initial memory demand is
+        // the window-0 row.
+        let mut windows = real.cursor();
+        let nodes = NodeSlabs::new(windows.rows(0).mem_kb, cfg.node_memory_kb);
         let jobs = JobSlabs::from_specs(cfg.family.jobs());
         let next_job_id = jobs.len() as u32;
         let n = cfg.nodes;
@@ -362,10 +334,6 @@ impl ClusterSim {
             .ok()
             .and_then(|s| s.parse::<usize>().ok())
             .unwrap_or_else(|| default_shard_count(n));
-        let thread_min = std::env::var("LINGER_SHARD_THREAD_MIN")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or(SHARD_THREAD_MIN_NODES);
         let plan = ShardPlan::new(n, shards.max(1));
         let shard_count = plan.shard_count().max(1);
         // Open-arrivals wiring: the generator exists only in Open mode,
@@ -409,7 +377,7 @@ impl ClusterSim {
             plan,
             decide_bufs: vec![Vec::new(); shard_count],
             progress_bufs: vec![Vec::new(); shard_count],
-            thread_min,
+            thread_min: SHARD_THREAD_MIN_NODES,
             faults,
             crashed: NodeIndex::new(n),
             fault_cursor: 0,
@@ -449,9 +417,8 @@ impl ClusterSim {
     }
 
     /// Lower the node-count threshold above which shards run on scoped
-    /// worker threads (default 8192; `LINGER_SHARD_THREAD_MIN` overrides
-    /// it at construction). Tests use this to exercise the threaded path
-    /// on small clusters; results are identical either way.
+    /// worker threads (default 8192). Tests use this to exercise the
+    /// threaded path on small clusters; results are identical either way.
     pub fn set_shard_threading_min(&mut self, min_nodes: usize) {
         self.thread_min = min_nodes;
     }
@@ -496,38 +463,31 @@ impl ClusterSim {
     }
 
     /// Materialized records of the full job population — archived and
-    /// live — in ascending id order (inspect after a run). With the
-    /// append-only layout, slab order *was* id order, so this is the
-    /// same vector it always produced; slot recycling only changes
-    /// which slot a live record comes from, never its place here.
+    /// live — in ascending id order (inspect after a run). Slot
+    /// recycling only changes which slot a live record comes from, never
+    /// its place here.
     pub fn jobs(&self) -> Vec<JobRecord> {
-        let mut records = Vec::with_capacity(self.jobs.total_jobs());
-        records.extend(self.jobs.archived().iter().cloned());
-        // Slots parked on the free list are stale copies of records
-        // already in the archive (open mode retires without a respawn
-        // to reuse the slot right away) — skip them.
-        let mut parked: Vec<u32> = self.jobs.parked_slots().to_vec();
-        parked.sort_unstable();
+        let mut records = self.jobs.all_records();
+        // Queue time accrues lazily (one multiply at dequeue); jobs still
+        // on the queue carry an unflushed span — patch it in here so the
+        // materialized breakdowns match the historic per-window walk at
+        // any point of the run. Parked and archived rows are Done, so
+        // only live queued slots need it; ids are unique, so each finds
+        // its record by binary search.
+        let w = self.window as u32;
         for ji in 0..self.jobs.len() {
-            if parked.binary_search(&(ji as u32)).is_ok() {
+            if self.jobs.state[ji] != JobState::Queued {
                 continue;
             }
-            let mut rec = self.jobs.record(ji);
-            // Queue time accrues lazily (one multiply at dequeue); jobs
-            // still on the queue carry an unflushed span — patch it in
-            // here so the materialized breakdowns match the historic
-            // per-window walk at any point of the run. Archived records
-            // never need the patch: retirement implies completion.
-            if rec.state == JobState::Queued {
-                let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-                let w = self.window as u32;
-                if w > from {
-                    rec.breakdown.queued += Self::window_span(w - from);
-                }
+            let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
+            if w > from {
+                let id = self.jobs.id[ji].0;
+                let at = records
+                    .binary_search_by_key(&id, |r| r.spec.id.0)
+                    .expect("every live slot has a record");
+                records[at].breakdown.queued += Self::window_span(w - from);
             }
-            records.push(rec);
         }
-        records.sort_unstable_by_key(|r| r.spec.id.0);
         records
     }
 
@@ -567,19 +527,6 @@ impl ClusterSim {
     /// [`crate::state::JobSlabs::live_lane_bytes`]).
     pub fn live_lane_bytes(&self) -> usize {
         self.jobs.live_lane_bytes()
-    }
-
-    /// Whether completed slots are recycled through the free list (on by
-    /// default; `LINGER_NO_SLOT_REUSE=1` or [`Self::set_slot_reuse`]
-    /// selects the historical append-only layout).
-    pub fn slot_reuse(&self) -> bool {
-        self.jobs.slot_reuse()
-    }
-
-    /// Force the slot-reuse mode for this sim (used by the equivalence
-    /// tests and benches; outputs are byte-identical either way).
-    pub fn set_slot_reuse(&mut self, on: bool) {
-        self.jobs.set_slot_reuse(on);
     }
 
     /// Fault-injection counters accumulated so far (all zero when
@@ -622,31 +569,22 @@ impl ClusterSim {
     }
 
     /// Wall-clock seconds spent building streamed window chunks so far
-    /// (0 for table-backed and trace-only realizations). Chunk builds
-    /// are deferred synthesis, so harnesses attribute this to setup and
-    /// subtract it from the sweep's run time.
+    /// (0 for table-backed realizations). Chunk builds are deferred
+    /// synthesis, so harnesses attribute this to setup and subtract it
+    /// from the sweep's run time.
     pub fn stream_build_secs(&self) -> f64 {
-        match &self.windows {
-            WindowSource::Streamed(cursor) => cursor.build_secs(),
-            _ => 0.0,
-        }
+        self.windows.build_secs()
     }
 
     /// Number of window chunks built so far (0 unless streamed).
     pub fn stream_chunks_built(&self) -> u64 {
-        match &self.windows {
-            WindowSource::Streamed(cursor) => cursor.chunks_built(),
-            _ => 0,
-        }
+        self.windows.chunks_built()
     }
 
     /// Resident bytes of the streamed window arena — chunk plus per-node
     /// stream states and scratch (0 unless streamed).
     pub fn stream_arena_bytes(&self) -> usize {
-        match &self.windows {
-            WindowSource::Streamed(cursor) => cursor.approx_bytes(),
-            _ => 0,
-        }
+        self.windows.approx_bytes()
     }
 
     /// Recruitment idle flag of node `ni` at the current window.
@@ -754,11 +692,11 @@ impl ClusterSim {
         //    for the next window.
         let mut mig = std::mem::take(&mut self.migrating);
         // Sort by the slot's *current occupant id*, not the raw slab
-        // index: with the append-only layout the two orders coincided,
-        // but a recycled slot can hold a high id at a low index and the
-        // arrival order is observable (destination picks depend on what
-        // earlier arrivals occupied). Equal ids mean equal slots, so
-        // `dedup` still collapses duplicates after the sort.
+        // index: a recycled slot can hold a high id at a low index, and
+        // the arrival order is observable (destination picks depend on
+        // what earlier arrivals occupied), so it must follow submission
+        // order. Equal ids mean equal slots, so `dedup` still collapses
+        // duplicates after the sort.
         mig.sort_unstable_by_key(|&ji| self.jobs.id[ji].0);
         mig.dedup();
         if let Some(net) = self.cfg.network {
@@ -1016,9 +954,7 @@ impl ClusterSim {
             // Dropped-unserved jobs retire like completions: record to
             // the cold archive, recycle the slot. They are *not* counted
             // completed and carry no `completed_at`.
-            if self.jobs.slot_reuse() {
-                self.jobs.retire(ji);
-            }
+            self.jobs.retire(ji);
         }
     }
 
@@ -1059,9 +995,7 @@ impl ClusterSim {
                 self.telemetry.record(|| {
                     self.event_at(t, EventKind::DeadlineDrop { waited_secs }).for_job(job)
                 });
-                if self.jobs.slot_reuse() {
-                    self.jobs.retire(ji);
-                }
+                self.jobs.retire(ji);
             }
         }
         self.steal = Some(st);
@@ -1070,73 +1004,51 @@ impl ClusterSim {
     /// Phase 0: refresh the per-window scratch (cpu lane, idle words,
     /// memory demand) and rebuild the `free ∧ idle` candidate set.
     ///
-    /// With a window table, each shard streams its own slice of the three
-    /// SoA lanes: busy nodes take the full two-pool accounting path
-    /// (reclaim/regrow against the hosted job), then a branch-free bulk
-    /// store refreshes every node — a value-level no-op on the busy nodes
-    /// just updated, and exactly equivalent to the full path on nodes
-    /// with no foreign job attached.
+    /// Each shard streams its own slice of the window's three SoA rows:
+    /// busy nodes take the full two-pool accounting path (reclaim/regrow
+    /// against the hosted job), then a branch-free bulk store refreshes
+    /// every node — a value-level no-op on the busy nodes just updated,
+    /// and exactly equivalent to the full path on nodes with no foreign
+    /// job attached.
     fn refresh_window(&mut self, w: usize) {
-        if let WindowSource::Streamed(cursor) = &mut self.windows {
-            // Build (or reuse) the chunk covering `w` before any row
-            // borrow is taken; `ensure` recycles the arena in place.
-            cursor.ensure(w);
-        }
-        let rows = match &self.windows {
-            WindowSource::Table(tbl) => Some((tbl.cpu_row(w), tbl.mem_row(w), tbl.idle_row(w))),
-            WindowSource::Streamed(cursor) => {
-                let chunk = cursor.chunk();
-                Some((chunk.cpu_row(w), chunk.mem_row(w), chunk.idle_row(w)))
-            }
-            WindowSource::TraceOnly => None,
-        };
-        if let Some((cpu_row, mem_row, idle_row)) = rows {
-            let plan = &self.plan;
-            let busy_words = self.busy.words();
-            let cpu_parts = plan.split_mut(&mut self.cpu_w);
-            let mem_parts = plan.split_mut(&mut self.nodes.memory);
-            let idle_parts = plan.split_words_mut(&mut self.idle_words);
-            let workers = {
-                // Inline shard_workers(): `self` is partially borrowed.
-                if plan.shard_count() <= 1 || plan.len() < self.thread_min {
-                    1
-                } else {
-                    default_jobs().min(plan.shard_count())
-                }
-            };
-            let shard_args = cpu_parts.into_iter().zip(mem_parts).zip(idle_parts).enumerate();
-            if workers > 1 {
-                std::thread::scope(|scope| {
-                    for (si, ((cpu_dst, mem_dst), idle_dst)) in shard_args {
-                        let range = plan.ranges()[si].clone();
-                        let busy_w = &busy_words[plan.word_range(si)];
-                        scope.spawn(move || {
-                            refresh_shard(
-                                range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row,
-                                idle_row,
-                            )
-                        });
-                    }
-                });
+        // A streamed cursor builds (or reuses) the chunk covering `w`
+        // here, recycling its arena in place.
+        let rows = self.windows.rows(w);
+        let (cpu_row, mem_row, idle_row) = (rows.cpu, rows.mem_kb, rows.idle);
+        let plan = &self.plan;
+        let busy_words = self.busy.words();
+        let cpu_parts = plan.split_mut(&mut self.cpu_w);
+        let mem_parts = plan.split_mut(&mut self.nodes.memory);
+        let idle_parts = plan.split_words_mut(&mut self.idle_words);
+        let workers = {
+            // Inline shard_workers(): `self` is partially borrowed.
+            if plan.shard_count() <= 1 || plan.len() < self.thread_min {
+                1
             } else {
+                default_jobs().min(plan.shard_count())
+            }
+        };
+        let shard_args = cpu_parts.into_iter().zip(mem_parts).zip(idle_parts).enumerate();
+        if workers > 1 {
+            std::thread::scope(|scope| {
                 for (si, ((cpu_dst, mem_dst), idle_dst)) in shard_args {
                     let range = plan.ranges()[si].clone();
                     let busy_w = &busy_words[plan.word_range(si)];
-                    refresh_shard(
-                        range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row, idle_row,
-                    );
+                    scope.spawn(move || {
+                        refresh_shard(
+                            range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row,
+                            idle_row,
+                        )
+                    });
                 }
-            }
+            });
         } else {
-            // Slow path (mixed-period traces): per-node trace lookups.
-            self.idle_words.fill(0);
-            for ni in 0..self.nodes.len() {
-                if self.nodes.is_idle(ni, w) {
-                    self.idle_words[ni / 64] |= 1u64 << (ni % 64);
-                }
-                self.cpu_w[ni] = self.nodes.cpu(ni, w);
-                let used = self.nodes.mem_used(ni, w);
-                self.nodes.memory[ni].set_local_kb(used);
+            for (si, ((cpu_dst, mem_dst), idle_dst)) in shard_args {
+                let range = plan.ranges()[si].clone();
+                let busy_w = &busy_words[plan.word_range(si)];
+                refresh_shard(
+                    range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row, idle_row,
+                );
             }
         }
         // One O(n/64) pass replaces the historical per-node inserts; the
@@ -1656,10 +1568,9 @@ impl ClusterSim {
                 };
                 self.next_job_id += 1;
                 // Retire the finished record into the archive and respawn
-                // in the freed slot (or append when
-                // `LINGER_NO_SLOT_REUSE=1`): the id above comes from the
-                // same counter either way, so recycling only changes the
-                // slab index, never the identity.
+                // in the freed slot: the id above comes from the
+                // simulator's counter, so recycling only changes the slab
+                // index, never the identity.
                 let new_ji = self.jobs.respawn(ji, spec, self.window as u32);
                 self.enqueue_job(new_ji);
             }
@@ -1668,9 +1579,7 @@ impl ClusterSim {
                 // completion, and the finished row retires so live state
                 // tracks the active population, not the total flow.
                 self.service.latency.add(completion_secs);
-                if self.jobs.slot_reuse() {
-                    self.jobs.retire(ji);
-                }
+                self.jobs.retire(ji);
             }
             RunMode::Family => {}
         }
@@ -2729,21 +2638,17 @@ mod tests {
     }
 
     #[test]
-    fn open_mode_deterministic_across_shards_and_slot_reuse() {
+    fn open_mode_deterministic_across_shards() {
         for admission in AdmissionPolicy::ALL {
-            let outcome = |shards: usize, reuse: bool| {
+            let outcome = |shards: usize| {
                 let mut cfg = open_cfg(admission, 2.0, 24, 1800);
                 cfg.faults.crash_rate_per_hour = 0.5;
                 cfg.faults.migration_failure_prob = 0.2;
                 let mut sim = ClusterSim::new(cfg).with_shards(shards);
-                sim.set_slot_reuse(reuse);
                 sim.set_shard_threading_min(1);
                 run_outcome(sim)
             };
-            let base = outcome(1, true);
-            assert_eq!(base, outcome(4, true), "{admission:?}: shards changed bytes");
-            assert_eq!(base, outcome(1, false), "{admission:?}: slot reuse changed bytes");
-            assert_eq!(base, outcome(4, false), "{admission:?}: both changed bytes");
+            assert_eq!(outcome(1), outcome(4), "{admission:?}: shards changed bytes");
         }
     }
 
@@ -2810,24 +2715,22 @@ mod tests {
     }
 
     #[test]
-    fn stealing_deterministic_across_shards_threads_and_slot_reuse() {
+    fn stealing_deterministic_across_shards_and_threads() {
         use crate::stealing::StealingConfig;
-        let outcome = |shards: usize, reuse: bool, threaded: bool| {
+        let outcome = |shards: usize, threaded: bool| {
             let mut cfg = open_cfg(AdmissionPolicy::Shed, 2.0, 24, 1800);
             cfg.stealing = StealingConfig::randomized(3, 0.5);
             cfg.faults.crash_rate_per_hour = 0.5;
             cfg.faults.migration_failure_prob = 0.2;
             let mut sim = ClusterSim::new(cfg).with_shards(shards);
-            sim.set_slot_reuse(reuse);
             if threaded {
                 sim.set_shard_threading_min(1);
             }
             run_outcome(sim)
         };
-        let base = outcome(1, true, false);
-        assert_eq!(base, outcome(4, true, false), "shards changed stealing bytes");
-        assert_eq!(base, outcome(1, false, false), "slot reuse changed stealing bytes");
-        assert_eq!(base, outcome(4, false, true), "threads changed stealing bytes");
+        let base = outcome(1, false);
+        assert_eq!(base, outcome(4, false), "shards changed stealing bytes");
+        assert_eq!(base, outcome(4, true), "threads changed stealing bytes");
     }
 
     #[test]

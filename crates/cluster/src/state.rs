@@ -13,9 +13,8 @@
 
 use linger::{JobId, JobSpec};
 use linger_sim_core::{SimDuration, SimTime};
-use linger_workload::{CoarseTrace, TwoPoolMemory};
+use linger_workload::TwoPoolMemory;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Index of a node in the cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -174,52 +173,28 @@ pub const NO_NODE: u32 = u32::MAX;
 ///
 /// `hosted` (the occupancy array every placement and decision sweep
 /// reads) and `memory` (refreshed from the window row each window) are
-/// the hot slabs; the trace handles and phase offsets are cold — they
-/// exist only for mixed-period traces given to `ClusterSim::with_traces`,
-/// the one case with no window rows to read.
+/// the only slabs: every other per-window node attribute — CPU demand,
+/// recruitment idleness, owner memory — is read from the realization's
+/// window rows, so no per-node trace is ever resident.
 pub struct NodeSlabs {
     /// Job index hosted on (or reserved for) each node; [`NO_JOB`] when
     /// free.
     pub(crate) hosted: Vec<u32>,
     /// Two-pool memory state per node.
     pub(crate) memory: Vec<TwoPoolMemory>,
-    /// Replayed coarse trace per node (cold).
-    pub(crate) traces: Vec<Arc<CoarseTrace>>,
-    /// Start offset into each trace (random per node, Sec 4.2; cold).
-    pub(crate) offsets: Vec<usize>,
 }
 
 impl NodeSlabs {
-    /// Assemble the slabs for `traces`/`offsets`, with each node's memory
-    /// pool initialised from its trace sample at the start offset.
-    pub fn new(traces: Vec<Arc<CoarseTrace>>, offsets: Vec<usize>, node_memory_kb: u32) -> Self {
-        let memory = traces
-            .iter()
-            .zip(&offsets)
-            .map(|(trace, &offset)| {
-                TwoPoolMemory::new(node_memory_kb, trace.sample(offset).mem_used_kb)
-            })
-            .collect();
-        let hosted = vec![NO_JOB; traces.len()];
-        NodeSlabs { hosted, memory, traces, offsets }
-    }
-
-    /// Assemble the slabs without resident traces — a realization's
-    /// window table or stream cursor supplies all per-window node state
-    /// instead. `initial_mem_kb` is its window-0 memory row, which by
-    /// construction equals `trace.sample(offset).mem_used_kb` (so both
-    /// constructors initialise the pools identically).
-    ///
-    /// The trace slow-path accessors ([`NodeSlabs::cpu`] etc.) must not
-    /// be called on a traceless slab; the simulator only uses them when
-    /// it has no window rows, and a realization always has them.
-    pub fn traceless(initial_mem_kb: &[u32], node_memory_kb: u32) -> Self {
+    /// Assemble the slabs with every node free and its memory pool
+    /// initialised from `initial_mem_kb`, the realization's window-0
+    /// memory row (node `n`'s trace sample at its start offset).
+    pub fn new(initial_mem_kb: &[u32], node_memory_kb: u32) -> Self {
         let memory = initial_mem_kb
             .iter()
             .map(|&kb| TwoPoolMemory::new(node_memory_kb, kb))
             .collect();
         let hosted = vec![NO_JOB; initial_mem_kb.len()];
-        NodeSlabs { hosted, memory, traces: Vec::new(), offsets: Vec::new() }
+        NodeSlabs { hosted, memory }
     }
 
     /// Number of nodes.
@@ -248,23 +223,6 @@ impl NodeSlabs {
     /// The memory pool of node `ni`.
     pub fn memory(&self, ni: usize) -> &TwoPoolMemory {
         &self.memory[ni]
-    }
-
-    /// Local CPU utilization of node `ni` during window `w` (trace slow
-    /// path).
-    pub fn cpu(&self, ni: usize, w: usize) -> f64 {
-        self.traces[ni].sample(self.offsets[ni] + w).cpu
-    }
-
-    /// Recruited (idle) during window `w`? (trace slow path)
-    pub fn is_idle(&self, ni: usize, w: usize) -> bool {
-        self.traces[ni].is_idle(self.offsets[ni] + w)
-    }
-
-    /// Local memory demand of node `ni` during window `w`, KB (trace slow
-    /// path).
-    pub fn mem_used(&self, ni: usize, w: usize) -> u32 {
-        self.traces[ni].sample(self.offsets[ni] + w).mem_used_kb
     }
 }
 
@@ -334,19 +292,20 @@ impl JobCold {
 /// ## Slot recycling
 ///
 /// Slab *indices* are transient handles, not identities: a finished
-/// job's full record can be moved to the append-only `archived` store
+/// job's full record is moved to the `archived` store
 /// ([`JobSlabs::retire`]) and its slot parked on a free list, which the
 /// next [`JobSlabs::push`] reuses. Throughput mode retires every
 /// completed job before respawning its successor, so the live lanes
 /// stay `O(active jobs)` no matter how many jobs flow through the
 /// system — at a million nodes, ~2M rows (~420 MB) flat instead of
 /// ~13M (~2.7 GB) growing with the horizon.
-/// [`JobId`]s are minted by the simulator's own counter in the same
-/// order as ever; only the slot a job occupies is reused, and
+/// [`JobId`]s are minted by the simulator's own counter in submission
+/// order; only the slot a job occupies is reused, and
 /// [`JobSlabs::all_records`] reconstructs the full population in id
-/// order, so recycling is invisible in every output
-/// (`LINGER_NO_SLOT_REUSE=1` pins the historical append-only layout,
-/// and the slot-reuse proptests hold the two byte-identical).
+/// order, so recycling is invisible in every output but the
+/// `peak_live_rows` witness (a former layout that never reused a slot
+/// reproduced everything else the digests in `tests/fault_paths.rs`
+/// pin).
 pub struct JobSlabs {
     /// Lifecycle state.
     pub(crate) state: Vec<JobState>,
@@ -377,21 +336,6 @@ pub struct JobSlabs {
     archived: Vec<JobRecord>,
     /// Retired slot indices awaiting reuse.
     free: Vec<u32>,
-    /// Whether [`Self::push`] may reuse retired slots
-    /// (`LINGER_NO_SLOT_REUSE=1` disables at construction).
-    recycle: bool,
-}
-
-/// The `LINGER_NO_SLOT_REUSE=1` escape hatch: pin the historical
-/// append-only slab layout (finished rows stay live, nothing is
-/// archived, every respawn appends). Outputs are byte-identical either
-/// way; the hatch exists so CI and the proptests can prove exactly
-/// that.
-fn slot_reuse_disabled() -> bool {
-    match std::env::var("LINGER_NO_SLOT_REUSE") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
 }
 
 impl JobSlabs {
@@ -409,7 +353,6 @@ impl JobSlabs {
             cold: Vec::with_capacity(specs.len()),
             archived: Vec::new(),
             free: Vec::new(),
-            recycle: !slot_reuse_disabled(),
         };
         for spec in specs {
             slabs.push(*spec, 0);
@@ -419,25 +362,23 @@ impl JobSlabs {
 
     /// Add a fresh queued job for `spec`, entering the queue at window
     /// `queued_from`; returns its slot index. Reuses a retired slot when
-    /// one is free (and recycling is on), otherwise appends. Every lane
-    /// — including `queued_from` — is initialized by this one
-    /// transaction, so the slabs can never skew.
+    /// one is free, otherwise appends. Every lane — including
+    /// `queued_from` — is initialized by this one transaction, so the
+    /// slabs can never skew.
     pub fn push(&mut self, spec: JobSpec, queued_from: u32) -> usize {
-        if self.recycle {
-            if let Some(slot) = self.free.pop() {
-                let ji = slot as usize;
-                debug_assert_eq!(self.state[ji], JobState::Done, "free slot must be retired");
-                self.state[ji] = JobState::Queued;
-                self.node[ji] = NO_NODE;
-                self.remaining[ji] = spec.cpu_demand;
-                self.mem_kb[ji] = spec.mem_kb;
-                self.arrival[ji] = spec.arrival;
-                self.id[ji] = spec.id;
-                self.breakdown[ji] = StateBreakdown::default();
-                self.queued_from[ji] = queued_from;
-                self.cold[ji] = JobCold::fresh(spec.cpu_demand);
-                return ji;
-            }
+        if let Some(slot) = self.free.pop() {
+            let ji = slot as usize;
+            debug_assert_eq!(self.state[ji], JobState::Done, "free slot must be retired");
+            self.state[ji] = JobState::Queued;
+            self.node[ji] = NO_NODE;
+            self.remaining[ji] = spec.cpu_demand;
+            self.mem_kb[ji] = spec.mem_kb;
+            self.arrival[ji] = spec.arrival;
+            self.id[ji] = spec.id;
+            self.breakdown[ji] = StateBreakdown::default();
+            self.queued_from[ji] = queued_from;
+            self.cold[ji] = JobCold::fresh(spec.cpu_demand);
+            return ji;
         }
         self.state.push(JobState::Queued);
         self.node.push(NO_NODE);
@@ -463,15 +404,10 @@ impl JobSlabs {
     }
 
     /// Retire the finished job in slot `ji` and push its replacement in
-    /// one transaction — throughput-mode respawn. With recycling on,
-    /// the replacement lands in the slot just vacated; with the
-    /// `LINGER_NO_SLOT_REUSE=1` hatch nothing is retired and the
-    /// replacement appends, reproducing the historical layout byte for
-    /// byte (the Done row simply stays live, exactly as it always did).
+    /// one transaction — throughput-mode respawn. The replacement lands
+    /// in the slot just vacated.
     pub fn respawn(&mut self, ji: usize, spec: JobSpec, queued_from: u32) -> usize {
-        if self.recycle {
-            self.retire(ji);
-        }
+        self.retire(ji);
         self.push(spec, queued_from)
     }
 
@@ -493,13 +429,6 @@ impl JobSlabs {
         self.state.len() - self.free.len() + self.archived.len()
     }
 
-    /// Slots parked on the free list (retired, awaiting reuse). Their
-    /// rows are stale copies of already-archived records; population
-    /// walks must skip them.
-    pub fn parked_slots(&self) -> &[u32] {
-        &self.free
-    }
-
     /// Number of records moved to the cold archive.
     pub fn archived_len(&self) -> usize {
         self.archived.len()
@@ -508,12 +437,6 @@ impl JobSlabs {
     /// The archived (finished) records, in retirement order.
     pub fn archived(&self) -> &[JobRecord] {
         &self.archived
-    }
-
-    /// Whether retired slots are reused (false under
-    /// `LINGER_NO_SLOT_REUSE=1` or [`Self::set_slot_reuse`]).
-    pub fn slot_reuse(&self) -> bool {
-        self.recycle
     }
 
     /// Resident cost of one live job row across every per-slot lane
@@ -538,12 +461,6 @@ impl JobSlabs {
     /// `O(active jobs)`.
     pub fn live_lane_bytes(&self) -> usize {
         self.state.len() * Self::job_row_bytes()
-    }
-
-    /// Override the recycling switch (tests and benches A/B the two
-    /// layouts in one process; the environment only sets the default).
-    pub fn set_slot_reuse(&mut self, on: bool) {
-        self.recycle = on;
     }
 
     /// Reconstruct the static spec of job `ji`.
@@ -587,21 +504,19 @@ impl JobSlabs {
         }
     }
 
-    /// Materialize every *live* job in slot order. With recycling, slot
-    /// order is not id order — population-level consumers want
-    /// [`Self::all_records`].
-    pub fn records(&self) -> Vec<JobRecord> {
-        (0..self.len()).map(|ji| self.record(ji)).collect()
-    }
-
-    /// Materialize the full job population — archived and live — in
-    /// ascending id order: exactly the vector the append-only layout
-    /// produced (ids are minted in push order, so its slot order *was*
-    /// id order). Ids are unique, so the order is total.
+    /// Materialize the full job population — archived records plus
+    /// every live slot — in ascending id order (ids are minted in
+    /// submission order and unique, so the order is total). Slots parked
+    /// on the free list hold stale copies of archived records and are
+    /// skipped, so each job appears exactly once.
     pub fn all_records(&self) -> Vec<JobRecord> {
+        let mut parked = vec![false; self.len()];
+        for &slot in &self.free {
+            parked[slot as usize] = true;
+        }
         let mut records = Vec::with_capacity(self.total_jobs());
         records.extend(self.archived.iter().cloned());
-        records.extend((0..self.len()).map(|ji| self.record(ji)));
+        records.extend((0..self.len()).filter(|&ji| !parked[ji]).map(|ji| self.record(ji)));
         records.sort_unstable_by_key(|r| r.spec.id.0);
         records
     }
@@ -675,7 +590,6 @@ mod tests {
     #[test]
     fn retire_archives_the_final_record_and_recycles_the_slot() {
         let mut slabs = JobSlabs::from_specs(&[spec_with_id(0), spec_with_id(1)]);
-        slabs.set_slot_reuse(true);
         // Finish job 0 with some accumulated state, then retire it.
         slabs.state[0] = JobState::Done;
         slabs.node[0] = NO_NODE;
@@ -705,27 +619,26 @@ mod tests {
     }
 
     #[test]
-    fn respawn_without_reuse_appends_like_the_historical_layout() {
-        let mut slabs = JobSlabs::from_specs(&[spec_with_id(0)]);
-        slabs.set_slot_reuse(false);
-        slabs.state[0] = JobState::Done;
-        slabs.node[0] = NO_NODE;
-        let ji = slabs.respawn(0, spec_with_id(1), 3);
-        assert_eq!(ji, 1, "append-only respawn grows the slabs");
-        assert_eq!(slabs.len(), 2);
-        // The historical layout keeps the Done row live and archives
-        // nothing — `total_jobs` must not double-count the retiree.
+    fn all_records_skips_slots_parked_without_a_respawn() {
+        // Open mode retires a finished job without respawning into its
+        // slot: the parked row is a stale copy of the archived record.
+        let mut slabs = JobSlabs::from_specs(&[spec_with_id(0), spec_with_id(1)]);
+        slabs.state[1] = JobState::Done;
+        slabs.node[1] = NO_NODE;
+        slabs.retire(1);
         assert_eq!(slabs.total_jobs(), 2);
-        assert_eq!(slabs.archived_len(), 0);
-        assert_eq!(slabs.record(0).state, JobState::Done);
-        assert_eq!(slabs.record(1).spec.id, JobId(1));
-        assert_eq!(slabs.queued_from[1], 3);
+        let ids: Vec<u32> = slabs.all_records().iter().map(|r| r.spec.id.0).collect();
+        assert_eq!(ids, vec![0, 1], "each job exactly once");
+        // Reusing the parked slot brings its row back into the walk.
+        let ji = slabs.push(spec_with_id(2), 0);
+        assert_eq!(ji, 1, "push reuses the parked slot");
+        let ids: Vec<u32> = slabs.all_records().iter().map(|r| r.spec.id.0).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
     }
 
     #[test]
     fn all_records_reconstructs_the_population_in_id_order() {
         let mut slabs = JobSlabs::from_specs(&[spec_with_id(0), spec_with_id(1)]);
-        slabs.set_slot_reuse(true);
         // Retire id 1 first, then id 0 — archive order is retirement
         // order (1, 0), live slots hold ids 3 (slot 1) and 2 (slot 0).
         slabs.state[1] = JobState::Done;

@@ -1,4 +1,5 @@
-//! Fault-path regression pin for central destination selection.
+//! Fault-path regression pins: outcome digests recorded from earlier
+//! builds, which any later layout or indexing change must reproduce.
 //!
 //! A 512-node open central cell with node crashes, reboots, lost
 //! transfers and a serialized dispatcher (`central_dispatch_rtt_secs > 0`)
@@ -8,12 +9,24 @@
 //! evict at once. Each policy's outcome must hash to the digest pinned
 //! below at shard counts 1 and 4, so a change to how destinations are
 //! indexed cannot silently move a single placement or migration.
+//!
+//! The slab-turnover pins cover job-slot recycling: a faults-on
+//! throughput cell per policy (every completion retires and respawns into
+//! the vacated slot), an open cell per admission policy (retirement
+//! without respawn, shedding, deadline drops) and a stealing open cell.
+//! Their digests also cover the telemetry journal. They were recorded
+//! while an append-only slab layout (finished rows left in place, every
+//! respawn appended) still existed beside recycling, and that layout
+//! reproduced every pinned outcome except the `peak_live_rows` witness
+//! of the open cells — so the pins stand in for the retired layout
+//! equivalence proof.
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{
     AdmissionPolicy, ClusterConfig, ClusterSim, FaultConfig, RunMode, ServiceConfig, StealingConfig,
 };
-use linger_sim_core::{SimDuration, SimTime};
+use linger_sim_core::{set_default_jobs, SimDuration, SimTime};
+use linger_telemetry::Recorder;
 use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
 
 const NODES: usize = 512;
@@ -59,7 +72,7 @@ fn cell(policy: Policy) -> ClusterConfig {
 /// record (id order), the fault, service and steal counters, and the
 /// delivered-CPU and foreground-delay accumulators.
 fn outcome_digest(sim: &ClusterSim) -> u64 {
-    let text = format!(
+    fnv1a(&format!(
         "{:?}|{:?}|{:?}|{:?}|{}|{}|{:#x}",
         sim.jobs(),
         sim.fault_stats(),
@@ -68,7 +81,11 @@ fn outcome_digest(sim: &ClusterSim) -> u64 {
         sim.completed(),
         sim.foreign_cpu_delivered().as_nanos(),
         sim.foreground_delay_ratio().to_bits(),
-    );
+    ))
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(text: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in text.bytes() {
         h ^= b as u64;
@@ -106,4 +123,144 @@ fn fault_path_outcomes_are_pinned() {
             assert_eq!(got, want, "{policy} at {shards} shards: digest {got:#018x}");
         }
     }
+}
+
+/// The slab-turnover fault settings: crashes, reboots and lost
+/// transfers, so slots are vacated by completions, kills and retries.
+const TURNOVER_FAULTS: FaultConfig = FaultConfig {
+    crash_rate_per_hour: 2.0,
+    mean_reboot_secs: 120.0,
+    migration_failure_prob: 0.2,
+};
+
+/// A throughput cell with a short job demand against a long horizon:
+/// every family slot turns over many times.
+fn turnover_cell(policy: Policy) -> ClusterConfig {
+    let mut cfg = ClusterConfig::paper(
+        policy,
+        JobFamily::uniform(12, SimDuration::from_secs(90), 8 * 1024),
+    );
+    cfg.nodes = 24;
+    cfg.trace.duration = SimDuration::from_secs(3600);
+    cfg.seed = 7;
+    cfg.mode = RunMode::Throughput { horizon: SimTime::from_secs(1800) };
+    cfg.faults = TURNOVER_FAULTS;
+    cfg
+}
+
+/// An open cell at twice the service capacity of 16 nodes, so bounded
+/// admission sheds, blocks or drops and the queue churns.
+fn open_cell(admission: AdmissionPolicy, policy: Policy) -> ClusterConfig {
+    let mut cfg = ClusterConfig::paper(policy, JobFamily::empty());
+    cfg.nodes = 16;
+    cfg.trace.duration = SimDuration::from_secs(2 * 3600);
+    cfg.seed = 1998;
+    cfg.service = ServiceConfig {
+        arrivals: ArrivalConfig {
+            process: ArrivalProcess::Poisson { rate_per_hour: 2.0 * 16.0 * 30.0 },
+            mean_cpu_secs: 120.0,
+            mem_kb: 8 * 1024,
+            size_dist: SizeDistribution::Exponential,
+        },
+        admission,
+        queue_capacity: 32,
+        deadline_secs: 90.0,
+    };
+    cfg.mode = RunMode::Open { horizon: SimTime::from_secs(1800) };
+    cfg.faults = TURNOVER_FAULTS;
+    cfg
+}
+
+/// The shed open cell under randomized stealing with batch steals and
+/// heavy-tailed sizes.
+fn stealing_cell() -> ClusterConfig {
+    let mut cfg = open_cell(AdmissionPolicy::Shed, Policy::LingerLonger);
+    cfg.service.arrivals.size_dist = SizeDistribution::BoundedPareto {
+        alpha: 1.5,
+        max_ratio: 100.0,
+    };
+    cfg.stealing = StealingConfig::randomized(3, 0.5).with_steal_half();
+    cfg
+}
+
+/// Run `cfg` at `shards` shards and worker width `width` (threaded
+/// classify whenever both exceed 1) with a journal attached; returns the
+/// digest of the outcome and the journal, and the finished sim.
+fn run_journaled(cfg: ClusterConfig, shards: usize, width: usize) -> (u64, ClusterSim) {
+    set_default_jobs(width);
+    let mut sim = ClusterSim::new(cfg);
+    sim.set_shards(shards);
+    sim.set_shard_threading_min(1);
+    sim.set_recorder(Recorder::with_capacity(1 << 16));
+    sim.run();
+    set_default_jobs(0);
+    let events = sim
+        .recorder()
+        .journal()
+        .map(|j| serde_json::to_string(&j.snapshot()).unwrap())
+        .unwrap_or_default();
+    let digest = fnv1a(&format!("{:016x}|{}", outcome_digest(&sim), events));
+    (digest, sim)
+}
+
+/// Check each `(name, cfg, want)` pin at shards {1, 4} × widths {1, 4},
+/// reporting every mismatch at once; `check` asserts the cell really
+/// exercised slot turnover.
+fn assert_pins(pins: Vec<(String, ClusterConfig, u64)>, check: impl Fn(&str, &ClusterSim)) {
+    let mut wrong = Vec::new();
+    for (name, cfg, want) in pins {
+        for (shards, width) in [(1, 1), (4, 1), (4, 4)] {
+            let (got, sim) = run_journaled(cfg.clone(), shards, width);
+            check(&name, &sim);
+            if got != want {
+                wrong.push(format!("{name} shards={shards} width={width}: {got:#018x}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
+}
+
+#[test]
+fn throughput_turnover_outcomes_are_pinned() {
+    let pinned: [(Policy, u64); 4] = [
+        (Policy::ImmediateEviction, 0x4923_b579_0a68_aa84),
+        (Policy::PauseAndMigrate, 0xa112_aefc_10d2_9878),
+        (Policy::LingerLonger, 0x0590_9ef1_00dd_95fe),
+        (Policy::LingerForever, 0xe5d6_a9fb_e3bd_a36d),
+    ];
+    let pins = pinned.iter().map(|&(p, want)| (p.to_string(), turnover_cell(p), want)).collect();
+    assert_pins(pins, |name, sim| {
+        assert!(sim.completed() >= 24, "{name}: horizon must turn slots over");
+        assert_eq!(sim.live_job_rows(), 12, "{name}: live rows stay at the family size");
+        assert_eq!(sim.archived_jobs(), sim.completed(), "{name}: completions retire");
+        assert!(sim.fault_stats().crashes > 0, "{name}: {:?}", sim.fault_stats());
+    });
+}
+
+#[test]
+fn open_admission_outcomes_are_pinned() {
+    let pinned: [(AdmissionPolicy, Policy, u64); 4] = [
+        (AdmissionPolicy::Open, Policy::ImmediateEviction, 0x0c6e_be37_cb42_b30e),
+        (AdmissionPolicy::Shed, Policy::PauseAndMigrate, 0xdf46_99a1_d836_b32c),
+        (AdmissionPolicy::Block, Policy::LingerLonger, 0xc9d8_8594_b33a_e003),
+        (AdmissionPolicy::Deadline, Policy::LingerForever, 0x3894_4849_9ed6_91cf),
+    ];
+    let pins = pinned
+        .iter()
+        .map(|&(a, p, want)| (format!("{}/{p}", a.name()), open_cell(a, p), want))
+        .collect();
+    assert_pins(pins, |name, sim| {
+        assert!(sim.archived_jobs() > 0, "{name}: open runs retire jobs");
+        assert!(sim.service_stats().accounting_holds(), "{name}");
+    });
+}
+
+#[test]
+fn stealing_open_outcome_is_pinned() {
+    let pins = vec![("stealing".to_string(), stealing_cell(), 0x69f2_970a_dd5d_56be)];
+    assert_pins(pins, |name, sim| {
+        let st = sim.steal_stats();
+        assert!(st.hits > 0 && st.probes == st.hits + st.misses, "{name}: {st:?}");
+        assert!(sim.archived_jobs() > 0, "{name}: open runs retire jobs");
+    });
 }

@@ -272,3 +272,12 @@ fn staggered_arrivals_are_honored() {
         assert!(j.breakdown.queued.as_secs_f64() <= 4.0);
     }
 }
+
+#[test]
+#[should_panic(expected = "all of one period")]
+fn mixed_period_traces_are_rejected() {
+    // Traces of different lengths have no window-major form.
+    let cfg = base_cfg(Policy::LingerLonger, 2, 1, 120);
+    let traces = vec![trace(4000, &[]), trace(2000, &[])];
+    ClusterSim::with_traces(cfg, traces, vec![WINDOWS_PER_MIN; 2]);
+}

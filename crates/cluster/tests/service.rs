@@ -2,8 +2,8 @@
 //! every determinism contract the closed modes honor. An open run with
 //! faults, migrations, and telemetry active produces byte-identical
 //! outcomes — id-ordered job records, service counters, fault tallies,
-//! and the serialized journal — across shard counts, worker widths, and
-//! the slot-recycling hatch, for every admission policy. And a run
+//! and the serialized journal — across shard counts and worker widths,
+//! for every admission policy. And a run
 //! whose arrival process is silenced reproduces the closed family
 //! replay outcome record for record.
 
@@ -55,9 +55,8 @@ fn build(
 
 /// The run's complete observable outcome as one string: population,
 /// accumulators, fault counters, service counters, telemetry journal.
-fn run_signature(mut sim: ClusterSim, recycle: bool, shards: usize, width: usize) -> String {
+fn run_signature(mut sim: ClusterSim, shards: usize, width: usize) -> String {
     set_default_jobs(width);
-    sim.set_slot_reuse(recycle);
     sim.set_shards(shards);
     sim.set_shard_threading_min(1);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
@@ -67,12 +66,7 @@ fn run_signature(mut sim: ClusterSim, recycle: bool, shards: usize, width: usize
         .journal()
         .map(|j| serde_json::to_string(&j.snapshot()).unwrap())
         .unwrap_or_default();
-    // `peak_live_rows` is the slab-layout witness — it is *supposed* to
-    // differ between recycled and append-only layouts, so it stays out
-    // of the cross-layout signature.
-    let mut service_stats = sim.service_stats().clone();
-    service_stats.peak_live_rows = 0;
-    let service = serde_json::to_string(&service_stats).unwrap();
+    let service = serde_json::to_string(sim.service_stats()).unwrap();
     assert!(sim.service_stats().accounting_holds(), "loss accounting must balance");
     format!(
         "{:?}|{}|{}|{:?}|{}|{}",
@@ -89,8 +83,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Every admission policy serves a byte-identical run across shard
-    /// counts {1, 4}, worker widths {1, 4}, and both slab layouts, with
-    /// faults and telemetry active and the load near saturation.
+    /// counts {1, 4} and worker widths {1, 4}, with faults and telemetry
+    /// active and the load near saturation.
     #[test]
     fn open_runs_are_byte_identical_across_execution_plans(
         admission_idx in 0usize..4,
@@ -106,20 +100,18 @@ proptest! {
         let load = load_milli as f64 / 1000.0;
         let cap = 2 * nodes;
         let mk = || build(admission, policy, nodes, load, cap, 1800, seed, crash_rate, fail_prob);
-        let baseline = run_signature(mk(), true, 1, 1);
+        let baseline = run_signature(mk(), 1, 1);
         for shards in [1usize, 4] {
             for width in [1usize, 4] {
-                for recycle in [true, false] {
-                    if recycle && shards == 1 && width == 1 {
-                        continue;
-                    }
-                    let other = run_signature(mk(), recycle, shards, width);
-                    prop_assert_eq!(
-                        &baseline, &other,
-                        "{}/{} diverged at shards={} width={} recycle={}",
-                        admission.name(), policy, shards, width, recycle
-                    );
+                if shards == 1 && width == 1 {
+                    continue;
                 }
+                let other = run_signature(mk(), shards, width);
+                prop_assert_eq!(
+                    &baseline, &other,
+                    "{}/{} diverged at shards={} width={}",
+                    admission.name(), policy, shards, width
+                );
             }
         }
         set_default_jobs(0);

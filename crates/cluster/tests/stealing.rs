@@ -2,12 +2,12 @@
 //! every contract the central queue honors. A stealing run with faults,
 //! heavy-tailed sizes, and telemetry active produces byte-identical
 //! outcomes — id-ordered job records, service and steal counters, fault
-//! tallies, and the serialized journal — across shard counts, worker
-//! widths, and the slot-recycling hatch. And with steal latency forced
-//! to zero, stealing serves a saturating workload within a modest
-//! tolerance of the central dispatcher (the two disciplines order
-//! placements differently, so byte identity is impossible by design —
-//! LIFO owner pops vs global FIFO).
+//! tallies, and the serialized journal — across shard counts and worker
+//! widths. And with steal latency forced to zero, stealing serves a
+//! saturating workload within a modest tolerance of the central
+//! dispatcher (the two disciplines order placements differently, so
+//! byte identity is impossible by design — LIFO owner pops vs global
+//! FIFO).
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{
@@ -64,9 +64,8 @@ fn build(
 /// The run's complete observable outcome as one string: population,
 /// accumulators, fault counters, service counters, steal counters, and
 /// the telemetry journal.
-fn run_signature(mut sim: ClusterSim, recycle: bool, shards: usize, width: usize) -> String {
+fn run_signature(mut sim: ClusterSim, shards: usize, width: usize) -> String {
     set_default_jobs(width);
-    sim.set_slot_reuse(recycle);
     sim.set_shards(shards);
     sim.set_shard_threading_min(1);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
@@ -76,12 +75,7 @@ fn run_signature(mut sim: ClusterSim, recycle: bool, shards: usize, width: usize
         .journal()
         .map(|j| serde_json::to_string(&j.snapshot()).unwrap())
         .unwrap_or_default();
-    // `peak_live_rows` is the slab-layout witness — it is *supposed* to
-    // differ between recycled and append-only layouts, so it stays out
-    // of the cross-layout signature.
-    let mut service_stats = sim.service_stats().clone();
-    service_stats.peak_live_rows = 0;
-    let service = serde_json::to_string(&service_stats).unwrap();
+    let service = serde_json::to_string(sim.service_stats()).unwrap();
     let steal = serde_json::to_string(&sim.steal_stats()).unwrap();
     assert!(sim.service_stats().accounting_holds(), "loss accounting must balance");
     let st = sim.steal_stats();
@@ -101,10 +95,10 @@ fn run_signature(mut sim: ClusterSim, recycle: bool, shards: usize, width: usize
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Stealing serves a byte-identical run across shard counts {1, 4},
-    /// worker widths {1, 4}, and both slab layouts, with faults, steal
-    /// batching, heavy-tailed sizes, and telemetry all active near
-    /// saturation — the victim-RNG keying contract made observable.
+    /// Stealing serves a byte-identical run across shard counts {1, 4}
+    /// and worker widths {1, 4}, with faults, steal batching,
+    /// heavy-tailed sizes, and telemetry all active near saturation —
+    /// the victim-RNG keying contract made observable.
     #[test]
     fn stealing_runs_are_byte_identical_across_execution_plans(
         policy_idx in 0usize..4,
@@ -127,20 +121,18 @@ proptest! {
         let mk = || build(
             policy, nodes, load, 1800, seed, crash_rate, fail_prob, stealing, pareto,
         );
-        let baseline = run_signature(mk(), true, 1, 1);
+        let baseline = run_signature(mk(), 1, 1);
         for shards in [1usize, 4] {
             for width in [1usize, 4] {
-                for recycle in [true, false] {
-                    if recycle && shards == 1 && width == 1 {
-                        continue;
-                    }
-                    let other = run_signature(mk(), recycle, shards, width);
-                    prop_assert_eq!(
-                        &baseline, &other,
-                        "{} diverged at shards={} width={} recycle={}",
-                        policy, shards, width, recycle
-                    );
+                if shards == 1 && width == 1 {
+                    continue;
                 }
+                let other = run_signature(mk(), shards, width);
+                prop_assert_eq!(
+                    &baseline, &other,
+                    "{} diverged at shards={} width={}",
+                    policy, shards, width
+                );
             }
         }
         set_default_jobs(0);

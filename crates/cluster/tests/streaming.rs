@@ -84,7 +84,7 @@ proptest! {
         for chunk in [1usize, 7, 64, period] {
             let streamed =
                 WorkloadRealization::synthesize_streamed(&cfg.trace, seed, nodes, chunk);
-            prop_assert!(streamed.stream_spec().is_some());
+            prop_assert!(streamed.window_table().is_none());
             for shards in [1usize, 4] {
                 for width in [1usize, 4] {
                     let got = run_signature(cfg.clone(), &streamed, shards, width);

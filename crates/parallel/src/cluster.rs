@@ -209,24 +209,13 @@ fn simulate_over(
             next_arrival += 1;
         }
 
-        // One window row per node per window: the shared table's, or the
-        // streamed chunk's (same row contract, absolute windows).
-        let (cpu_row, idle_row) = match cursor.as_mut() {
-            Some(cursor) => {
-                let chunk = cursor.ensure(w);
-                (chunk.cpu_row(w), chunk.idle_row(w))
-            }
-            None => {
-                let tbl = real
-                    .window_table()
-                    .expect("a realization that does not stream has a table");
-                (tbl.cpu_row(w), tbl.idle_row(w))
-            }
-        };
-        cpu_w.copy_from_slice(cpu_row);
+        // One window row per node per window, from the shared table or
+        // the streamed chunk alike.
+        let rows = cursor.rows(w);
+        cpu_w.copy_from_slice(rows.cpu);
         idle.clear();
         for n in 0..cfg.nodes {
-            if idle_row[n / 64] & (1u64 << (n % 64)) != 0 {
+            if rows.idle[n / 64] & (1u64 << (n % 64)) != 0 {
                 idle.insert(n);
             }
         }

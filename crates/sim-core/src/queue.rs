@@ -297,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn ties_break_fifo_across_slot_reuse() {
+    fn ties_break_fifo_across_reused_slots() {
         // Slot indices get reused after pops; order must still follow
         // scheduling sequence, not slot numbering.
         let mut q = EventQueue::new();

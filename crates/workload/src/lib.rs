@@ -84,6 +84,6 @@ pub use library::{
     RealizeOrigin, TraceCacheStats, TraceLibrary, WindowTable, WorkloadRealization,
 };
 pub use memory::{TwoPoolMemory, PAGE_KB};
-pub use stream::{StreamSpec, WindowChunk, WindowCursor, DEFAULT_WINDOW_BUDGET_BYTES};
+pub use stream::{StreamSpec, WindowCursor, WindowRows, DEFAULT_WINDOW_BUDGET_BYTES};
 pub use paging::{Owner, PagingConfig, PagingSim, PagingStats};
 pub use params::{BucketParams, BurstParamTable, NUM_BUCKETS, WINDOW_SECS};

@@ -52,8 +52,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `(offset + (w % period)) % period == (offset + w) % period`.
 ///
 /// Synthesized realizations write the table straight from the per-node
-/// trace streams (`WindowTable::synthesize`); [`WindowTable::build`]
-/// transposes already materialized traces (measured or hand-built).
+/// trace streams (`WindowTable::synthesize`);
+/// [`WorkloadRealization::from_traces`] transposes already materialized
+/// traces (measured or hand-built). Simulators read it through a
+/// [`WindowCursor`].
 #[derive(Debug, Clone)]
 pub struct WindowTable {
     period: usize,
@@ -171,9 +173,8 @@ impl WindowTable {
     /// table.
     ///
     /// Returns `None` when the node set is empty or the traces do not all
-    /// share one period — the callers' slow path then reads traces
-    /// directly.
-    pub fn build(traces: &[Arc<CoarseTrace>], offsets: &[usize]) -> Option<WindowTable> {
+    /// share one period: such a set has no window-major form.
+    pub(crate) fn build(traces: &[Arc<CoarseTrace>], offsets: &[usize]) -> Option<WindowTable> {
         let period = traces.first()?.len();
         if period == 0 || traces.iter().any(|t| t.len() != period) {
             return None;
@@ -333,13 +334,32 @@ impl WorkloadRealization {
         WorkloadRealization { offsets, windows: Windows::Stream(spec) }
     }
 
+    /// A realization over already materialized per-node traces (measured
+    /// or hand-built) and their phase offsets: the traces are transposed
+    /// into a window table once and not kept.
+    ///
+    /// Returns `None` when `traces` is empty or the traces do not all
+    /// share one period.
+    ///
+    /// # Panics
+    /// If the number of offsets differs from the number of traces.
+    pub fn from_traces(
+        traces: &[Arc<CoarseTrace>],
+        offsets: Vec<usize>,
+    ) -> Option<WorkloadRealization> {
+        assert_eq!(offsets.len(), traces.len(), "one offset per trace");
+        let table = WindowTable::build(traces, &offsets)?;
+        Some(WorkloadRealization { offsets, windows: Windows::Table(Arc::new(table)) })
+    }
+
     /// The per-node phase offsets (in samples).
     pub fn offsets(&self) -> &[usize] {
         &self.offsets
     }
 
     /// The prebuilt window-major table (`None` for a streamed
-    /// realization).
+    /// realization). Simulators read rows through [`Self::cursor`]
+    /// instead, which serves both representations.
     pub fn window_table(&self) -> Option<&Arc<WindowTable>> {
         match &self.windows {
             Windows::Table(tbl) => Some(tbl),
@@ -347,20 +367,16 @@ impl WorkloadRealization {
         }
     }
 
-    /// The streamed-realization spec, if this realization streams.
-    pub fn stream_spec(&self) -> Option<&StreamSpec> {
-        match &self.windows {
-            Windows::Table(_) => None,
-            Windows::Stream(spec) => Some(spec),
-        }
-    }
-
-    /// A fresh window cursor at window 0, for streamed realizations.
+    /// A fresh window cursor at window 0: over the shared table for a
+    /// monolithic realization, or streaming chunks for a streamed one.
     ///
     /// Each simulation run needs its own cursor (the per-node generator
     /// streams are mutable); the realization itself stays shareable.
-    pub fn cursor(&self) -> Option<WindowCursor> {
-        self.stream_spec().map(|spec| WindowCursor::new(spec, &self.offsets))
+    pub fn cursor(&self) -> WindowCursor {
+        match &self.windows {
+            Windows::Table(tbl) => WindowCursor::table(tbl.clone()),
+            Windows::Stream(spec) => WindowCursor::streamed(spec, &self.offsets),
+        }
     }
 
     /// Number of nodes this realization covers.

@@ -1,10 +1,9 @@
 //! Memory-bounded streaming realization of the window table.
 //!
-//! The monolithic [`WindowTable`](crate::library::WindowTable) costs
-//! `O(nodes × period)` bytes — ~12 B per node-window (no per-node traces
-//! stay resident behind it). At 1,048,576 nodes and a 3600-second trace
-//! that is ~21 GiB: the memory wall, not the sweep loop, is what used to
-//! cap the scaling experiments.
+//! The monolithic [`WindowTable`] costs `O(nodes × period)` bytes — ~12 B
+//! per node-window (no per-node traces stay resident behind it). At
+//! 1,048,576 nodes and a 3600-second trace that is ~21 GiB: the memory
+//! wall, not the sweep loop, is what used to cap the scaling experiments.
 //!
 //! This module replaces the build-everything-up-front step with a
 //! deterministic pipeline that never materializes a trace at all:
@@ -12,10 +11,10 @@
 //! * each node keeps a resumable [`TraceStream`] — two counter-based RNGs
 //!   plus a handful of scalars (~400 B) — positioned at the sample its
 //!   phase offset says the sweep needs next;
-//! * a [`WindowCursor`] realizes windows in [`WindowChunk`]s of `W`
-//!   windows, built on demand just ahead of the sweep; the chunk and the
-//!   per-shard fill buffers form a fixed arena that is recycled on every
-//!   refill, so peak memory is `O(nodes × W)` regardless of the period;
+//! * a [`WindowCursor`] realizes windows in chunks of `W` windows, built
+//!   on demand just ahead of the sweep; the chunk and the per-shard fill
+//!   buffers form a fixed arena that is recycled on every refill, so
+//!   peak memory is `O(nodes × W)` regardless of the period;
 //! * chunk fill is sharded over contiguous 64-aligned node ranges
 //!   ([`ShardPlan`]) — every node's samples come from its own
 //!   `stream_for(domain, node)` streams and shards scatter into disjoint
@@ -28,6 +27,10 @@
 //! `offset` samples (on average half a period per node, done once,
 //! in parallel, and attributed to setup time by the harness).
 //!
+//! The same [`WindowCursor`] type also serves a monolithic realization,
+//! straight from its shared table, so every consumer reads window rows
+//! through one interface whichever representation it was handed.
+//!
 //! Knobs: `LINGER_WINDOW_CHUNK` forces streaming with an explicit chunk
 //! size (in windows); `LINGER_WINDOW_BUDGET_BYTES` (default 4 GiB) is the
 //! ceiling above which a monolithic realization would not fit and the
@@ -35,7 +38,9 @@
 //! of the budget.
 
 use crate::coarse::{CoarseTraceConfig, TraceStream};
+use crate::library::WindowTable;
 use linger_sim_core::{default_jobs, RngFactory, ShardPlan};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Default byte ceiling for a fully materialized realization
@@ -138,12 +143,11 @@ impl StreamSpec {
 }
 
 /// A window-major slice of the realization covering `windows` consecutive
-/// absolute windows starting at `base` — same row layout and accessor
-/// contract as [`WindowTable`](crate::library::WindowTable), minus the
-/// modulo (the cursor already resolved absolute windows to trace
-/// samples).
+/// absolute windows starting at `base` — same row layout as
+/// [`WindowTable`], minus the modulo (the stream already resolved
+/// absolute windows to trace samples).
 #[derive(Debug, Default)]
-pub struct WindowChunk {
+struct WindowChunk {
     base: usize,
     windows: usize,
     nodes: usize,
@@ -154,48 +158,25 @@ pub struct WindowChunk {
 }
 
 impl WindowChunk {
-    /// First absolute window this chunk holds.
-    pub fn base(&self) -> usize {
-        self.base
-    }
-
-    /// Number of windows held (0 before the first fill).
-    pub fn windows(&self) -> usize {
-        self.windows
-    }
-
     /// Whether absolute window `w` is resident.
-    pub fn contains(&self, w: usize) -> bool {
+    fn contains(&self, w: usize) -> bool {
         self.windows > 0 && w >= self.base && w < self.base + self.windows
     }
 
-    /// Owner CPU demand of every node for absolute window `w`.
-    ///
-    /// # Panics
-    /// If `w` is not resident ([`WindowChunk::contains`]).
-    pub fn cpu_row(&self, w: usize) -> &[f64] {
+    /// The rows of resident absolute window `w`.
+    fn rows(&self, w: usize) -> WindowRows<'_> {
         assert!(self.contains(w), "window {w} not in chunk");
-        let start = (w - self.base) * self.nodes;
-        &self.cpu[start..start + self.nodes]
-    }
-
-    /// Owner-resident memory (KB) of every node for absolute window `w`.
-    pub fn mem_row(&self, w: usize) -> &[u32] {
-        assert!(self.contains(w), "window {w} not in chunk");
-        let start = (w - self.base) * self.nodes;
-        &self.mem_kb[start..start + self.nodes]
-    }
-
-    /// Recruitment idle flags for absolute window `w` as packed bit
-    /// words; bits at or past the node count are zero.
-    pub fn idle_row(&self, w: usize) -> &[u64] {
-        assert!(self.contains(w), "window {w} not in chunk");
-        let start = (w - self.base) * self.words_per_row;
-        &self.idle[start..start + self.words_per_row]
+        let cells = (w - self.base) * self.nodes;
+        let words = (w - self.base) * self.words_per_row;
+        WindowRows {
+            cpu: &self.cpu[cells..cells + self.nodes],
+            mem_kb: &self.mem_kb[cells..cells + self.nodes],
+            idle: &self.idle[words..words + self.words_per_row],
+        }
     }
 
     /// Resident bytes of the chunk arena.
-    pub fn approx_bytes(&self) -> usize {
+    fn approx_bytes(&self) -> usize {
         self.cpu.capacity() * std::mem::size_of::<f64>()
             + self.mem_kb.capacity() * std::mem::size_of::<u32>()
             + self.idle.capacity() * std::mem::size_of::<u64>()
@@ -211,15 +192,103 @@ struct BlockBuf {
     idle: Vec<u64>,
 }
 
-/// A forward cursor over one simulation's windows, realizing them in
-/// chunks.
+/// One window's rows over every node, in node order: owner CPU demand
+/// (in `[0, 1]`), owner-resident memory (KB), and the recruitment idle
+/// flags as packed bit words (bit `n % 64` of word `n / 64` ⇔ node `n`
+/// is idle; bits at or past the node count are zero).
+#[derive(Debug, Clone, Copy)]
+pub struct WindowRows<'a> {
+    /// Owner CPU demand per node.
+    pub cpu: &'a [f64],
+    /// Owner-resident memory per node, KB.
+    pub mem_kb: &'a [u32],
+    /// Packed idle flags.
+    pub idle: &'a [u64],
+}
+
+/// A forward cursor over one simulation's window rows — the single row
+/// source of every consumer, whichever representation the realization
+/// holds (see [`WorkloadRealization::cursor`]).
+///
+/// Over a monolithic realization it reads the shared [`WindowTable`]
+/// (absolute windows wrap modulo the period, and nothing is ever built);
+/// over a streamed one it realizes windows in chunks. Either way
+/// [`WindowCursor::rows`] returns the identical bytes for every window.
 ///
 /// One cursor belongs to exactly one simulation run (the per-node
-/// streams are mutable); the shared [`StreamSpec`] is the cacheable
-/// part. Windows may be requested in any forward order; requesting an
-/// earlier window restarts the affected streams (correct, but O(period)
-/// — the sweep never does it).
+/// streams are mutable); the realization is the cacheable part.
+///
+/// [`WorkloadRealization::cursor`]: crate::library::WorkloadRealization::cursor
 pub struct WindowCursor {
+    source: RowSource,
+}
+
+enum RowSource {
+    /// The realization's fully materialized table, `Arc`-shared.
+    Table(Arc<WindowTable>),
+    /// Chunks realized on demand from per-node trace streams.
+    Stream(Box<ChunkStream>),
+}
+
+impl WindowCursor {
+    /// A cursor over a materialized table.
+    pub(crate) fn table(table: Arc<WindowTable>) -> WindowCursor {
+        WindowCursor { source: RowSource::Table(table) }
+    }
+
+    /// A streaming cursor at window 0 for `spec`, with per-node phase
+    /// `offsets` (the `TRACE_OFFSET`-stream draws).
+    pub(crate) fn streamed(spec: &StreamSpec, offsets: &[usize]) -> WindowCursor {
+        WindowCursor { source: RowSource::Stream(Box::new(ChunkStream::new(spec, offsets))) }
+    }
+
+    /// The rows of absolute window `w`, first realizing the chunk that
+    /// holds it if the cursor streams and `w` is not resident.
+    #[inline]
+    pub fn rows(&mut self, w: usize) -> WindowRows<'_> {
+        match &mut self.source {
+            RowSource::Table(table) => WindowRows {
+                cpu: table.cpu_row(w),
+                mem_kb: table.mem_row(w),
+                idle: table.idle_row(w),
+            },
+            RowSource::Stream(stream) => stream.rows(w),
+        }
+    }
+
+    /// Seconds spent building chunks so far (stream positioning +
+    /// generation + scatter; 0 over a table). Harnesses report this as
+    /// setup, not window-loop time.
+    pub fn build_secs(&self) -> f64 {
+        match &self.source {
+            RowSource::Table(_) => 0.0,
+            RowSource::Stream(stream) => stream.build_secs,
+        }
+    }
+
+    /// Chunks built so far (0 over a table).
+    pub fn chunks_built(&self) -> u64 {
+        match &self.source {
+            RowSource::Table(_) => 0,
+            RowSource::Stream(stream) => stream.chunks_built,
+        }
+    }
+
+    /// Resident bytes this cursor owns: the streaming arena (chunk +
+    /// scratch + streams), or 0 over a table (the table belongs to the
+    /// realization).
+    pub fn approx_bytes(&self) -> usize {
+        match &self.source {
+            RowSource::Table(_) => 0,
+            RowSource::Stream(stream) => stream.approx_bytes(),
+        }
+    }
+}
+
+/// The streaming half of [`WindowCursor`]. Windows may be requested in
+/// any forward order; requesting an earlier window restarts the affected
+/// streams (correct, but O(period) — the sweep never does it).
+struct ChunkStream {
     spec: StreamSpec,
     offsets: Vec<usize>,
     period: usize,
@@ -234,17 +303,15 @@ pub struct WindowCursor {
     chunks_built: u64,
 }
 
-impl WindowCursor {
-    /// A cursor at window 0 for `spec`, with per-node phase `offsets`
-    /// (the `TRACE_OFFSET`-stream draws).
-    pub fn new(spec: &StreamSpec, offsets: &[usize]) -> WindowCursor {
+impl ChunkStream {
+    fn new(spec: &StreamSpec, offsets: &[usize]) -> ChunkStream {
         assert_eq!(offsets.len(), spec.nodes, "one offset per node");
         let period = spec.period();
         assert!(period > 0, "streamed realization needs a nonzero period");
         let workers = default_jobs().max(1);
         let shards = if spec.nodes >= FILL_THREAD_MIN_NODES { workers } else { 1 };
         let plan = ShardPlan::new(spec.nodes, shards);
-        WindowCursor {
+        ChunkStream {
             spec: spec.clone(),
             offsets: offsets.to_vec(),
             period,
@@ -258,25 +325,8 @@ impl WindowCursor {
         }
     }
 
-    /// The spec this cursor realizes.
-    pub fn spec(&self) -> &StreamSpec {
-        &self.spec
-    }
-
-    /// Seconds spent building chunks so far (stream positioning +
-    /// generation + scatter). The harness reports this as setup, not
-    /// window-loop time.
-    pub fn build_secs(&self) -> f64 {
-        self.build_secs
-    }
-
-    /// Chunks built so far.
-    pub fn chunks_built(&self) -> u64 {
-        self.chunks_built
-    }
-
-    /// Resident bytes of the cursor arena (chunk + scratch + streams).
-    pub fn approx_bytes(&self) -> usize {
+    /// Resident bytes of the arena (chunk + scratch + streams).
+    fn approx_bytes(&self) -> usize {
         let scratch: usize = self
             .scratch
             .iter()
@@ -290,18 +340,12 @@ impl WindowCursor {
             + self.offsets.capacity() * std::mem::size_of::<usize>()
     }
 
-    /// Make absolute window `w` resident and return the chunk holding it.
-    pub fn ensure(&mut self, w: usize) -> &WindowChunk {
+    /// Make absolute window `w` resident and return its rows.
+    fn rows(&mut self, w: usize) -> WindowRows<'_> {
         if !self.chunk.contains(w) {
             self.fill(w);
         }
-        &self.chunk
-    }
-
-    /// The resident chunk (must already contain the windows being read —
-    /// [`WindowCursor::ensure`] first).
-    pub fn chunk(&self) -> &WindowChunk {
-        &self.chunk
+        self.chunk.rows(w)
     }
 
     /// Rebuild the chunk arena to cover `[base, base + W)`.
@@ -444,24 +488,33 @@ mod tests {
         let c = cfg(600); // period 300
         let mono = WorkloadRealization::synthesize_monolithic(&c, 13, 70);
         let tbl = mono.window_table().expect("table");
+        let mut table_cur = mono.cursor();
         for chunk_windows in [1usize, 7, 64, 300] {
             let streamed = WorkloadRealization::synthesize_streamed(&c, 13, 70, chunk_windows);
-            let mut cur = streamed.cursor().expect("streamed");
+            let mut cur = streamed.cursor();
             assert_eq!(streamed.offsets(), mono.offsets());
             // Probe past the period to exercise per-node restarts.
             for w in 0..2 * tbl.period() + 3 {
-                let chunk = cur.ensure(w);
+                let rows = cur.rows(w);
                 assert_eq!(
-                    chunk.cpu_row(w).iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
+                    rows.cpu.iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
                     tbl.cpu_row(w).iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
                     "cpu row {w} chunk {chunk_windows}"
                 );
-                assert_eq!(chunk.mem_row(w), tbl.mem_row(w), "mem row {w}");
-                assert_eq!(chunk.idle_row(w), tbl.idle_row(w), "idle row {w}");
+                assert_eq!(rows.mem_kb, tbl.mem_row(w), "mem row {w}");
+                assert_eq!(rows.idle, tbl.idle_row(w), "idle row {w}");
+                // The table-backed cursor serves the same bytes.
+                let t = table_cur.rows(w);
+                assert_eq!(t.cpu.as_ptr(), tbl.cpu_row(w).as_ptr(), "no copy of the table");
+                assert_eq!(t.mem_kb, rows.mem_kb);
+                assert_eq!(t.idle, rows.idle);
             }
             assert!(cur.build_secs() > 0.0);
             assert!(cur.chunks_built() >= 1);
         }
+        assert_eq!(table_cur.build_secs(), 0.0, "a table cursor builds nothing");
+        assert_eq!(table_cur.chunks_built(), 0);
+        assert_eq!(table_cur.approx_bytes(), 0, "the table belongs to the realization");
     }
 
     #[test]
