@@ -1,10 +1,14 @@
 //! Micro-benchmarks of the workload substrate: burst generation,
-//! moment fitting, dispatch-trace synthesis and coarse-trace synthesis.
+//! moment fitting, dispatch-trace synthesis, coarse-trace synthesis and
+//! the per-draw cost of the streams trace synthesis runs on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use linger_sim_core::{domains, RngFactory, SimDuration};
 use linger_stats::fit_two_moments;
-use linger_workload::{BurstGenerator, CoarseTraceConfig, DispatchTrace, FineGrainAnalysis};
+use linger_workload::{
+    BurstGenerator, CoarseTraceConfig, DispatchTrace, FineGrainAnalysis, TraceStream,
+};
+use rand::RngCore;
 use std::hint::black_box;
 
 fn bench_bursts(c: &mut Criterion) {
@@ -88,5 +92,27 @@ fn bench_traces(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_bursts, bench_bursts_changing_utilization, bench_fit, bench_traces);
+/// One draw per iteration from a long-lived stream, so the reported
+/// time is the amortized cost per `u64` (refills included) and per
+/// trace sample — the unit trace-synthesis setup is paid in.
+fn bench_draws(c: &mut Criterion) {
+    let f = RngFactory::new(1998);
+    c.bench_function("chacha8_next_u64", |b| {
+        let mut rng = f.stream_for(domains::COARSE_TRACE, 0);
+        b.iter(|| rng.next_u64())
+    });
+    c.bench_function("trace_stream_next_sample", |b| {
+        let mut stream = TraceStream::new(&CoarseTraceConfig::default(), &f, 0);
+        b.iter(|| stream.next_sample())
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_bursts,
+    bench_bursts_changing_utilization,
+    bench_fit,
+    bench_traces,
+    bench_draws
+);
 criterion_main!(benches);

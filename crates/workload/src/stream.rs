@@ -9,17 +9,20 @@
 //! deterministic pipeline that never materializes a trace at all:
 //!
 //! * each node keeps a resumable [`TraceStream`] — two counter-based RNGs
-//!   plus a handful of scalars (~400 B) — positioned at the sample its
-//!   phase offset says the sweep needs next;
+//!   (each buffering four ChaCha blocks) plus a handful of scalars,
+//!   ~760 B — positioned at the sample its phase offset says the sweep
+//!   needs next;
 //! * a [`WindowCursor`] realizes windows in chunks of `W` windows, built
-//!   on demand just ahead of the sweep; the chunk and the per-shard fill
-//!   buffers form a fixed arena that is recycled on every refill, so
-//!   peak memory is `O(nodes × W)` regardless of the period;
+//!   on demand just ahead of the sweep; the arena is the chunk plus the
+//!   streams, recycled on every refill, so peak memory is
+//!   `O(nodes × W)` regardless of the period;
 //! * chunk fill is sharded over contiguous 64-aligned node ranges
 //!   ([`ShardPlan`]) — every node's samples come from its own
-//!   `stream_for(domain, node)` streams and shards scatter into disjoint
-//!   row slices in node order, so the realized bytes are identical at any
-//!   worker count, any shard count, and any chunk size.
+//!   `stream_for(domain, node)` streams, and each shard writes straight
+//!   into its own disjoint slice of every chunk row (the 64-aligned
+//!   boundaries keep the packed idle words disjoint too), so the realized
+//!   bytes are identical at any worker count, any shard count, and any
+//!   chunk size.
 //!
 //! Replay wraps are handled per node: when `(offset + window) mod period`
 //! returns to 0 the node's stream is simply restarted at sample 0, which
@@ -183,15 +186,6 @@ impl WindowChunk {
     }
 }
 
-/// Per-shard fill buffer: the shard's nodes in window-major order,
-/// recycled across fills.
-#[derive(Default)]
-struct BlockBuf {
-    cpu: Vec<f64>,
-    mem_kb: Vec<u32>,
-    idle: Vec<u64>,
-}
-
 /// One window's rows over every node, in node order: owner CPU demand
 /// (in `[0, 1]`), owner-resident memory (KB), and the recruitment idle
 /// flags as packed bit words (bit `n % 64` of word `n / 64` ⇔ node `n`
@@ -257,7 +251,7 @@ impl WindowCursor {
     }
 
     /// Seconds spent building chunks so far (stream positioning +
-    /// generation + scatter; 0 over a table). Harnesses report this as
+    /// generation; 0 over a table). Harnesses report this as
     /// setup, not window-loop time.
     pub fn build_secs(&self) -> f64 {
         match &self.source {
@@ -275,8 +269,8 @@ impl WindowCursor {
     }
 
     /// Resident bytes this cursor owns: the streaming arena (chunk +
-    /// scratch + streams), or 0 over a table (the table belongs to the
-    /// realization).
+    /// per-node streams + offsets), or 0 over a table (the table belongs
+    /// to the realization).
     pub fn approx_bytes(&self) -> usize {
         match &self.source {
             RowSource::Table(_) => 0,
@@ -297,7 +291,6 @@ struct ChunkStream {
     /// the dominant setup cost and belongs inside `build_secs`).
     streams: Vec<TraceStream>,
     chunk: WindowChunk,
-    scratch: Vec<BlockBuf>,
     plan: ShardPlan,
     build_secs: f64,
     chunks_built: u64,
@@ -318,24 +311,15 @@ impl ChunkStream {
             factory: RngFactory::new(spec.seed),
             streams: Vec::new(),
             chunk: WindowChunk::default(),
-            scratch: Vec::new(),
             plan,
             build_secs: 0.0,
             chunks_built: 0,
         }
     }
 
-    /// Resident bytes of the arena (chunk + scratch + streams).
+    /// Resident bytes of the arena (chunk + streams + offsets).
     fn approx_bytes(&self) -> usize {
-        let scratch: usize = self
-            .scratch
-            .iter()
-            .map(|b| {
-                b.cpu.capacity() * 8 + b.mem_kb.capacity() * 4 + b.idle.capacity() * 8
-            })
-            .sum();
         self.chunk.approx_bytes()
-            + scratch
             + self.streams.capacity() * std::mem::size_of::<TraceStream>()
             + self.offsets.capacity() * std::mem::size_of::<usize>()
     }
@@ -348,7 +332,8 @@ impl ChunkStream {
         self.chunk.rows(w)
     }
 
-    /// Rebuild the chunk arena to cover `[base, base + W)`.
+    /// Rebuild the chunk arena to cover `[base, base + W)`. Every shard
+    /// writes its own nodes straight into its slice of each window row.
     fn fill(&mut self, base: usize) {
         let t0 = Instant::now();
         let nodes = self.spec.nodes;
@@ -365,110 +350,105 @@ impl ChunkStream {
             self.streams = linger_sim_core::par_map_indexed(nodes, None, |n| {
                 TraceStream::new(spec_cfg, factory, n as u64)
             });
-            self.scratch = (0..self.plan.shard_count()).map(|_| BlockBuf::default()).collect();
         }
 
-        // Generate into per-shard window-major buffers.
-        let ranges = self.plan.ranges().to_vec();
-        let stream_parts = self.plan.split_mut(&mut self.streams);
-        let offset_parts: Vec<&[usize]> = {
-            let mut parts = Vec::with_capacity(ranges.len());
-            let mut rest: &[usize] = &self.offsets;
-            let mut consumed = 0usize;
-            for r in &ranges {
-                let (head, tail) = rest.split_at(r.end - consumed);
-                parts.push(head);
-                rest = tail;
-                consumed = r.end;
+        let chunk = &mut self.chunk;
+        chunk.base = base;
+        chunk.windows = windows;
+        chunk.nodes = nodes;
+        chunk.words_per_row = words_per_row;
+        // Every cpu and memory cell is overwritten below; only the idle
+        // bits accumulate, so only they are cleared.
+        chunk.cpu.resize(windows * nodes, 0.0);
+        chunk.mem_kb.resize(windows * nodes, 0);
+        chunk.idle.clear();
+        chunk.idle.resize(windows * words_per_row, 0);
+
+        // Hand each shard its nodes' streams and its slice of every window
+        // row. Shard ranges are 64-aligned, so the idle words of distinct
+        // shards are disjoint. (`max(1)`: a node-less chunk has no rows.)
+        let plan = &self.plan;
+        let mut shards: Vec<ShardFill<'_>> = plan
+            .ranges()
+            .iter()
+            .zip(plan.split_mut(&mut self.streams))
+            .map(|(range, streams)| ShardFill {
+                start: range.start,
+                streams,
+                offsets: &self.offsets[range.clone()],
+                cpu: Vec::with_capacity(windows),
+                mem_kb: Vec::with_capacity(windows),
+                idle: Vec::with_capacity(windows),
+            })
+            .collect();
+        for ((cpu, mem_kb), idle) in chunk
+            .cpu
+            .chunks_exact_mut(nodes.max(1))
+            .zip(chunk.mem_kb.chunks_exact_mut(nodes.max(1)))
+            .zip(chunk.idle.chunks_exact_mut(words_per_row.max(1)))
+        {
+            for (((shard, cpu), mem_kb), idle) in shards
+                .iter_mut()
+                .zip(plan.split_mut(cpu))
+                .zip(plan.split_mut(mem_kb))
+                .zip(plan.split_words_mut(idle))
+            {
+                shard.cpu.push(cpu);
+                shard.mem_kb.push(mem_kb);
+                shard.idle.push(idle);
             }
-            parts
-        };
+        }
+
         let spec_cfg = &self.spec.cfg;
         let factory = &self.factory;
-        let fill_shard = |streams: &mut [TraceStream],
-                          offsets: &[usize],
-                          buf: &mut BlockBuf,
-                          range: &std::ops::Range<usize>| {
-            let len = range.len();
-            let words = len.div_ceil(64);
-            buf.cpu.clear();
-            buf.cpu.resize(windows * len, 0.0);
-            buf.mem_kb.clear();
-            buf.mem_kb.resize(windows * len, 0);
-            buf.idle.clear();
-            buf.idle.resize(windows * words, 0);
+        let fill_shard = |shard: ShardFill<'_>| {
+            let ShardFill { start, streams, offsets, mut cpu, mut mem_kb, mut idle } = shard;
             for (j, (stream, &offset)) in streams.iter_mut().zip(offsets).enumerate() {
                 for dw in 0..windows {
                     let target = (offset + base + dw) % period;
                     if stream.index() > target {
                         // Wrapped past the end of the trace: replay from
                         // sample 0 (a fresh stream *is* sample 0).
-                        *stream = TraceStream::new(spec_cfg, factory, range.start as u64 + j as u64);
+                        *stream = TraceStream::new(spec_cfg, factory, (start + j) as u64);
                     }
                     if stream.index() < target {
                         stream.skip(target - stream.index());
                     }
-                    let (s, idle) = stream.next_sample();
-                    buf.cpu[dw * len + j] = s.cpu;
-                    buf.mem_kb[dw * len + j] = s.mem_used_kb;
-                    if idle {
-                        buf.idle[dw * words + j / 64] |= 1u64 << (j % 64);
+                    let (s, is_idle) = stream.next_sample();
+                    cpu[dw][j] = s.cpu;
+                    mem_kb[dw][j] = s.mem_used_kb;
+                    if is_idle {
+                        idle[dw][j / 64] |= 1u64 << (j % 64);
                     }
                 }
             }
         };
-        if ranges.len() > 1 {
+        if shards.len() > 1 {
             let fill_shard = &fill_shard;
             std::thread::scope(|scope| {
-                for (((streams, offsets), buf), range) in stream_parts
-                    .into_iter()
-                    .zip(offset_parts)
-                    .zip(self.scratch.iter_mut())
-                    .zip(&ranges)
-                {
-                    scope.spawn(move || fill_shard(streams, offsets, buf, range));
+                for shard in shards {
+                    scope.spawn(move || fill_shard(shard));
                 }
             });
         } else {
-            for (((streams, offsets), buf), range) in stream_parts
-                .into_iter()
-                .zip(offset_parts)
-                .zip(self.scratch.iter_mut())
-                .zip(&ranges)
-            {
-                fill_shard(streams, offsets, buf, range);
-            }
-        }
-
-        // Scatter shard buffers into window-major rows, in node order.
-        let chunk = &mut self.chunk;
-        chunk.base = base;
-        chunk.windows = windows;
-        chunk.nodes = nodes;
-        chunk.words_per_row = words_per_row;
-        chunk.cpu.clear();
-        chunk.cpu.resize(windows * nodes, 0.0);
-        chunk.mem_kb.clear();
-        chunk.mem_kb.resize(windows * nodes, 0);
-        chunk.idle.clear();
-        chunk.idle.resize(windows * words_per_row, 0);
-        for dw in 0..windows {
-            for (i, (buf, range)) in self.scratch.iter().zip(&ranges).enumerate() {
-                let len = range.len();
-                let words = len.div_ceil(64);
-                chunk.cpu[dw * nodes + range.start..dw * nodes + range.end]
-                    .copy_from_slice(&buf.cpu[dw * len..dw * len + len]);
-                chunk.mem_kb[dw * nodes + range.start..dw * nodes + range.end]
-                    .copy_from_slice(&buf.mem_kb[dw * len..dw * len + len]);
-                let wr = self.plan.word_range(i);
-                chunk.idle[dw * words_per_row + wr.start..dw * words_per_row + wr.end]
-                    .copy_from_slice(&buf.idle[dw * words..dw * words + words]);
-            }
+            shards.into_iter().for_each(fill_shard);
         }
 
         self.build_secs += t0.elapsed().as_secs_f64();
         self.chunks_built += 1;
     }
+}
+
+/// One shard's share of a chunk fill: the streams and phase offsets of
+/// its nodes (the first is node `start`) and its slice of every window
+/// row, window by window.
+struct ShardFill<'a> {
+    start: usize,
+    streams: &'a mut [TraceStream],
+    offsets: &'a [usize],
+    cpu: Vec<&'a mut [f64]>,
+    mem_kb: Vec<&'a mut [u32]>,
+    idle: Vec<&'a mut [u64]>,
 }
 
 #[cfg(test)]
@@ -515,6 +495,36 @@ mod tests {
         assert_eq!(table_cur.build_secs(), 0.0, "a table cursor builds nothing");
         assert_eq!(table_cur.chunks_built(), 0);
         assert_eq!(table_cur.approx_bytes(), 0, "the table belongs to the realization");
+    }
+
+    /// The sharded fill — every shard writing its own slice of each row,
+    /// here with a ragged last shard — must reproduce the monolithic
+    /// table at every chunk size, including across the wrap.
+    #[test]
+    fn sharded_fill_matches_monolithic_table() {
+        let c = cfg(40); // period 20
+        let nodes = FILL_THREAD_MIN_NODES + 37;
+        linger_sim_core::set_default_jobs(4);
+        let mono = WorkloadRealization::synthesize_monolithic(&c, 29, nodes);
+        let tbl = mono.window_table().expect("table");
+        let period = tbl.period();
+        for chunk_windows in [1, 7, period] {
+            let streamed = WorkloadRealization::synthesize_streamed(&c, 29, nodes, chunk_windows);
+            let mut cur = streamed.cursor();
+            let RowSource::Stream(stream) = &cur.source else { panic!("streamed cursor") };
+            assert_eq!(stream.plan.shard_count(), 4, "fill must be sharded");
+            let ranges = stream.plan.ranges();
+            assert_ne!(ranges[3].len(), ranges[0].len(), "ragged last shard");
+            for w in 0..2 * period + 3 {
+                let rows = cur.rows(w);
+                let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                let (cpu, expect) = (bits(rows.cpu), bits(tbl.cpu_row(w)));
+                assert_eq!(cpu, expect, "cpu row {w} chunk {chunk_windows}");
+                assert_eq!(rows.mem_kb, tbl.mem_row(w), "mem row {w} chunk {chunk_windows}");
+                assert_eq!(rows.idle, tbl.idle_row(w), "idle row {w} chunk {chunk_windows}");
+            }
+        }
+        linger_sim_core::set_default_jobs(0);
     }
 
     #[test]
