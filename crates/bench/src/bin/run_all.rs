@@ -754,11 +754,13 @@ fn main() {
         }
     }
 
-    // Pre-cache wall-clock of the sections the realization cache targets,
-    // recorded on the reference machine immediately before the change
-    // (seed 1998, --jobs default). Machine-dependent — informational.
-    let (fig07_before, scaling_before) =
-        if args.fast { (0.1304, 2.6524) } else { (0.5604, 5.1005) };
+    // Pre-cache wall-clock of fig07, the section the realization cache
+    // targets, recorded on the reference machine immediately before the
+    // change (seed 1998, --jobs default). Machine-dependent —
+    // informational. `ext_scaling` has no row: its sweep has grown since
+    // any section-level recording, so `scaling_baselines` compares it
+    // cell by cell instead.
+    let fig07_before = if args.fast { 0.1304 } else { 0.5604 };
     // `ext_stealing` fast-mode wall-clock before the per-window
     // destination index, timed back to back with the after-run on the
     // same 2-core machine over the same 36 cells (seed 1998, --jobs
@@ -766,7 +768,6 @@ fn main() {
     let stealing_before = args.fast.then_some(295.54);
     timings.baselines = [
         SectionBaseline::compare("fig07", &timings.sections, fig07_before),
-        SectionBaseline::compare("ext_scaling", &timings.sections, scaling_before),
         stealing_before
             .and_then(|b| SectionBaseline::compare("ext_stealing", &timings.sections, b)),
     ]

@@ -173,10 +173,10 @@ pub struct ClusterSim {
     /// claim/release, so a saturated cluster answers "no idle node" in
     /// O(1) instead of rescanning all free nodes.
     free_idle: NodeIndex,
-    /// Sorted view of the two central candidate pools (`free_idle` and
-    /// free ∧ non-idle), built at most once per window and shared by
-    /// every destination query — linger migration, eviction, transfer
-    /// retry and queue placement.
+    /// Lazily sorted view of the two central candidate pools
+    /// (`free_idle` and free ∧ non-idle), collected at most once per
+    /// window and shared by every destination query — linger migration,
+    /// eviction, transfer retry and queue placement.
     dest: DestIndex,
     /// Per-window scratch: the recruitment idle flags of every node at
     /// the current window as packed bit words, and the CPU demands.
@@ -1610,7 +1610,7 @@ impl ClusterSim {
         } else {
             Pool::NonIdle
         };
-        self.dest.insert(pool, (self.cpu_w[ni], ni as u32, self.nodes.memory[ni].free_kb()));
+        self.dest.insert(pool, (self.cpu_w[ni], ni as u32));
     }
 
     /// The best destination in `pool`: the free node with the lowest
@@ -1624,12 +1624,13 @@ impl ClusterSim {
         exclude: Option<NodeId>,
     ) -> Option<NodeId> {
         let (cpu_w, memory) = (&self.cpu_w, &self.nodes.memory);
-        let cand = |ni: usize| (cpu_w[ni], ni as u32, memory[ni].free_kb());
+        let cand = |ni: usize| (cpu_w[ni], ni as u32);
+        let room = |ni: usize| memory[ni].free_kb();
         let ex = exclude.map(|n| n.0);
         match pool {
             Pool::Idle => {
                 let live = &self.free_idle;
-                self.dest.best(pool, live, mem_kb, ex, live.iter().map(cand))
+                self.dest.best(pool, live, room, mem_kb, ex, live.iter().map(cand))
             }
             Pool::NonIdle => {
                 let idle = &self.idle_words;
@@ -1638,7 +1639,7 @@ impl ClusterSim {
                     .iter()
                     .filter(|&ni| idle[ni / 64] & (1u64 << (ni % 64)) == 0)
                     .map(cand);
-                self.dest.best(pool, &self.free, mem_kb, ex, members)
+                self.dest.best(pool, &self.free, room, mem_kb, ex, members)
             }
         }
         .map(NodeId)
@@ -1655,6 +1656,18 @@ impl ClusterSim {
         if self.free.is_empty() {
             return;
         }
+        // A serialized dispatcher stops placing once its backlog is a
+        // full window deep: at most `WINDOW / rtt_c` placements per
+        // window, the rest wait in the bounded admission queue. This
+        // keeps the in-flight transfer list O(window / rtt_c) under
+        // overload instead of letting it grow without limit. The backlog
+        // only grows during a pass, so once it is full every job still
+        // queued keeps its place — the pass ends there (or never starts).
+        let rtt_c = self.cfg.stealing.central_dispatch_rtt_secs;
+        let backlog_full = |next_free: SimTime| rtt_c > 0.0 && next_free >= t + WINDOW;
+        if backlog_full(self.central_next_free) {
+            return;
+        }
         let mut unplaced = std::mem::take(&mut self.place_scratch);
         unplaced.clear();
         // Smallest memory demand whose query already came up empty this
@@ -1665,20 +1678,14 @@ impl ClusterSim {
         // keeps the saturated-queue case O(queue).
         let mut idle_fail_kb = u32::MAX;
         let mut nonidle_fail_kb = u32::MAX;
-        let rtt_c = self.cfg.stealing.central_dispatch_rtt_secs;
         while let Some(ji) = self.queue.pop_front() {
             if self.jobs.arrival[ji] > t {
                 unplaced.push_back(ji);
                 continue;
             }
-            // A serialized dispatcher stops placing once its backlog is a
-            // full window deep: at most `WINDOW / rtt_c` placements per
-            // window, the rest wait in the bounded admission queue. This
-            // keeps the in-flight transfer list O(window / rtt_c) under
-            // overload instead of letting it grow without limit.
-            if rtt_c > 0.0 && self.central_next_free >= t + WINDOW {
-                unplaced.push_back(ji);
-                continue;
+            if backlog_full(self.central_next_free) {
+                self.queue.push_front(ji);
+                break;
             }
             // Only the dense hot lanes (`mem_kb`, `arrival`) are read on
             // the skip path — a saturated queue never touches the cold
@@ -1725,8 +1732,16 @@ impl ClusterSim {
                 }
             }
         }
-        // The drained queue buffer becomes next window's scratch.
-        std::mem::swap(&mut self.queue, &mut unplaced);
+        if self.queue.is_empty() {
+            // The drained queue buffer becomes next window's scratch.
+            std::mem::swap(&mut self.queue, &mut unplaced);
+        } else {
+            // Stopped early: the few jobs skipped so far go back in front
+            // of the untouched rest.
+            while let Some(ji) = unplaced.pop_back() {
+                self.queue.push_front(ji);
+            }
+        }
         self.place_scratch = unplaced;
     }
 

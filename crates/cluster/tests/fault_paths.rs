@@ -23,7 +23,8 @@
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{
-    AdmissionPolicy, ClusterConfig, ClusterSim, FaultConfig, RunMode, ServiceConfig, StealingConfig,
+    AdmissionPolicy, ClusterConfig, ClusterSim, FaultConfig, JobState, RunMode, ServiceConfig,
+    StealingConfig,
 };
 use linger_sim_core::{set_default_jobs, SimDuration, SimTime};
 use linger_telemetry::Recorder;
@@ -94,8 +95,8 @@ fn fnv1a(text: &str) -> u64 {
     h
 }
 
-fn run(policy: Policy, shards: usize) -> (u64, ClusterSim) {
-    let mut sim = ClusterSim::new(cell(policy));
+fn run(cfg: ClusterConfig, shards: usize) -> (u64, ClusterSim) {
+    let mut sim = ClusterSim::new(cfg);
     sim.set_shards(shards);
     sim.run();
     (outcome_digest(&sim), sim)
@@ -111,7 +112,7 @@ fn fault_path_outcomes_are_pinned() {
     ];
     for (policy, want) in pinned {
         for shards in [1, 4] {
-            let (got, sim) = run(policy, shards);
+            let (got, sim) = run(cell(policy), shards);
             let fs = sim.fault_stats();
             // The cell must actually exercise the fault paths it pins.
             assert!(fs.crashes > 0 && fs.crash_evictions > 0, "{policy}: {fs:?}");
@@ -123,6 +124,53 @@ fn fault_path_outcomes_are_pinned() {
             assert_eq!(got, want, "{policy} at {shards} shards: digest {got:#018x}");
         }
     }
+}
+
+/// The fault cell with a dispatcher far too slow for its arrivals: a
+/// 2.5 s round trip allows 0.8 placements per 2 s window against ~7.7
+/// arrivals, so the bounded queue sheds for most of the run. Most
+/// placement passes end at the first job the full backlog cannot take;
+/// every fifth window the backlog is already full when the pass starts.
+/// The idle pool the remaining placements and linger tests draw from
+/// holds ~220–250 nodes, more than the destination index sorts up front.
+fn saturated_cell(policy: Policy) -> ClusterConfig {
+    let mut cfg = cell(policy);
+    cfg.stealing.central_dispatch_rtt_secs = 2.5;
+    cfg
+}
+
+#[test]
+fn saturated_dispatcher_outcomes_are_pinned() {
+    // Recorded before placement passes stopped at a full backlog and
+    // before the destination index sorted its pools lazily.
+    let pinned: [(Policy, u64); 3] = [
+        (Policy::LingerLonger, 0x5f19_e784_5ac4_64aa),
+        (Policy::ImmediateEviction, 0xaf1b_6b5c_971e_01cd),
+        (Policy::PauseAndMigrate, 0xe72c_b4dc_da3d_a93d),
+    ];
+    let windows = 1800 / 2;
+    let mut wrong = Vec::new();
+    for (policy, want) in pinned {
+        for shards in [1, 4] {
+            let (got, sim) = run(saturated_cell(policy), shards);
+            let svc = sim.service_stats();
+            assert!(svc.saturated_windows > windows / 2, "{policy}: {svc:?}");
+            // Nodes hosting or receiving a job at the end; the rest are
+            // free or crashed.
+            let held = sim
+                .jobs()
+                .iter()
+                .filter(|j| {
+                    j.node.is_some() && !matches!(j.state, JobState::Done | JobState::Queued)
+                })
+                .count();
+            assert!(NODES - held > 256, "{policy}: {held} nodes held");
+            if got != want {
+                wrong.push(format!("{policy} at {shards} shards: digest {got:#018x}"));
+            }
+        }
+    }
+    assert!(wrong.is_empty(), "digests moved:\n{}", wrong.join("\n"));
 }
 
 /// The slab-turnover fault settings: crashes, reboots and lost

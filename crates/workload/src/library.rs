@@ -72,15 +72,11 @@ pub struct WindowTable {
 /// idle word per row.
 const BLOCK_NODES: usize = 64;
 
-/// Column blocks generated per parallel group of
-/// [`WindowTable::synthesize`] — bounds the transient block buffers to
-/// ~16 × 1.4 MB at a 1-hour trace, whatever the node count.
-const GROUP_BLOCKS: usize = 16;
-
-/// One column block of a table under construction: `width` ≤
-/// [`BLOCK_NODES`] adjacent nodes in window-major order.
+/// One column block of a table under construction: up to
+/// [`BLOCK_NODES`] adjacent nodes in window-major order, each row as
+/// wide as the block's node count. A worker fills and scatters one
+/// block after another in the same buffers.
 struct ColumnBlock {
-    width: usize,
     cpu: Vec<f64>,
     mem_kb: Vec<u32>,
     /// One word per window; bit `j` ⇔ node `first + j` is idle.
@@ -88,35 +84,42 @@ struct ColumnBlock {
 }
 
 impl ColumnBlock {
+    fn new(period: usize) -> ColumnBlock {
+        ColumnBlock {
+            cpu: vec![0.0; period * BLOCK_NODES],
+            mem_kb: vec![0; period * BLOCK_NODES],
+            idle: vec![0; period],
+        }
+    }
+
     /// Run each node's [`TraceStream`] once through one period, writing
     /// sample `s` of node `first + j` to row `(s - offset_j) mod period`
     /// — the row whose lookup `(offset_j + w) % period` lands on `s`.
-    fn synthesize(
+    /// Rows are `offsets.len()` wide.
+    fn fill(
+        &mut self,
         cfg: &CoarseTraceConfig,
         factory: &RngFactory,
         first: usize,
         offsets: &[usize],
         period: usize,
-    ) -> ColumnBlock {
+    ) {
         let width = offsets.len();
-        let mut cpu = vec![0.0; period * width];
-        let mut mem_kb = vec![0; period * width];
-        let mut idle = vec![0u64; period];
+        self.idle.fill(0);
         for (j, &offset) in offsets.iter().enumerate() {
             let mut stream = TraceStream::new(cfg, factory, (first + j) as u64);
             let mut w = (period - offset % period) % period;
             for _ in 0..period {
                 let (s, is_idle) = stream.next_sample();
-                cpu[w * width + j] = s.cpu;
-                mem_kb[w * width + j] = s.mem_used_kb;
-                idle[w] |= u64::from(is_idle) << j;
+                self.cpu[w * width + j] = s.cpu;
+                self.mem_kb[w * width + j] = s.mem_used_kb;
+                self.idle[w] |= u64::from(is_idle) << j;
                 w += 1;
                 if w == period {
                     w = 0;
                 }
             }
         }
-        ColumnBlock { width, cpu, mem_kb, idle }
     }
 }
 
@@ -125,12 +128,12 @@ impl WindowTable {
     /// `cfg` trace streams under `factory`, without materializing a
     /// single per-node trace.
     ///
-    /// Nodes are generated in 64-node column blocks, [`GROUP_BLOCKS`]
-    /// blocks at a time over `jobs` workers, and each group is scattered
-    /// into the rows in block order — so the bytes are identical at any
-    /// worker count and equal [`WindowTable::build`] over the same
-    /// streams' traces, while peak memory is the table plus one group of
-    /// block buffers.
+    /// Nodes are generated in 64-node column blocks over `jobs` workers.
+    /// Each worker reuses one block buffer and scatters every block into
+    /// its columns as soon as it is filled. A block's bytes and columns
+    /// depend only on its index, so the table is identical at any worker
+    /// count and equals [`WindowTable::build`] over the same streams'
+    /// traces, while peak memory is the table plus one block per worker.
     ///
     /// # Panics
     /// If the period is zero.
@@ -144,29 +147,41 @@ impl WindowTable {
         assert!(period > 0, "window table needs a nonzero period");
         let nodes = offsets.len();
         let words_per_row = nodes.div_ceil(BLOCK_NODES);
-        let mut cpu = vec![0.0; period * nodes];
-        let mut mem_kb = vec![0; period * nodes];
-        let mut idle = vec![0u64; period * words_per_row];
-        for group_start in (0..words_per_row).step_by(GROUP_BLOCKS) {
-            let group = GROUP_BLOCKS.min(words_per_row - group_start);
-            let blocks = par_map_indexed(group, jobs, |i| {
-                let first = (group_start + i) * BLOCK_NODES;
-                let last = (first + BLOCK_NODES).min(nodes);
-                ColumnBlock::synthesize(cfg, factory, first, &offsets[first..last], period)
-            });
-            let group_first = group_start * BLOCK_NODES;
+        let table = Mutex::new(WindowTable {
+            period,
+            nodes,
+            words_per_row,
+            cpu: vec![0.0; period * nodes],
+            mem_kb: vec![0; period * nodes],
+            idle: vec![0u64; period * words_per_row],
+        });
+        // Idle block buffers: one per worker once every worker has run.
+        // A unit that panics poisons the locks only on its way to failing
+        // the whole fan-out.
+        const POISONED: &str = "a synthesis unit panicked";
+        let spare: Mutex<Vec<ColumnBlock>> = Mutex::new(Vec::new());
+        par_map_indexed(words_per_row, jobs, |b| {
+            let first = b * BLOCK_NODES;
+            let last = (first + BLOCK_NODES).min(nodes);
+            let width = last - first;
+            let mut block = spare
+                .lock()
+                .expect(POISONED)
+                .pop()
+                .unwrap_or_else(|| ColumnBlock::new(period));
+            block.fill(cfg, factory, first, &offsets[first..last], period);
+            let mut t = table.lock().expect(POISONED);
             for w in 0..period {
-                let mut col = w * nodes + group_first;
-                for (i, block) in blocks.iter().enumerate() {
-                    let src = w * block.width..(w + 1) * block.width;
-                    cpu[col..col + block.width].copy_from_slice(&block.cpu[src.clone()]);
-                    mem_kb[col..col + block.width].copy_from_slice(&block.mem_kb[src]);
-                    idle[w * words_per_row + group_start + i] = block.idle[w];
-                    col += block.width;
-                }
+                let col = w * nodes + first;
+                let src = w * width..(w + 1) * width;
+                t.cpu[col..col + width].copy_from_slice(&block.cpu[src.clone()]);
+                t.mem_kb[col..col + width].copy_from_slice(&block.mem_kb[src]);
+                t.idle[w * words_per_row + b] = block.idle[w];
             }
-        }
-        WindowTable { period, nodes, words_per_row, cpu, mem_kb, idle }
+            drop(t);
+            spare.lock().expect(POISONED).push(block);
+        });
+        table.into_inner().expect(POISONED)
     }
 
     /// Gather `traces` (with per-node phase `offsets`) into a window-major
@@ -773,11 +788,12 @@ mod tests {
     }
 
     #[test]
-    fn fused_table_matches_legacy_at_block_and_group_edges() {
+    fn fused_table_matches_legacy_at_block_edges() {
         // Periods 1 and 97 (not a multiple of the 64-node block; long
         // enough for the one-minute quiet streak that sets idle bits);
         // node counts straddling one block, two blocks, and — at 1,089
-        // — the 16-block group boundary of the scatter.
+        // — 18 blocks, so every worker's buffer is refilled, last with
+        // a one-node block narrower than the rows it held before.
         for secs in [2, 194] {
             for nodes in [1, 63, 64, 65, 130, 1089] {
                 for jobs in [1, 4] {
