@@ -875,6 +875,10 @@ fn main() {
         timings.telemetry = Some(linger_telemetry::metrics::global().summary());
     }
     timings.peak_rss_kb = peak_rss_kb();
+    if let Some((user, sys)) = cpu_secs() {
+        (timings.user_secs, timings.sys_secs) = (Some(user), Some(sys));
+        println!("[cpu time: user {user:.2} s, sys {sys:.2} s]");
+    }
     match timings.write("BENCH_runall.json") {
         Ok(()) => println!("[wrote BENCH_runall.json]"),
         Err(e) => eprintln!("[warn: could not write BENCH_runall.json: {e}]"),

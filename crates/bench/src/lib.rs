@@ -19,6 +19,6 @@ pub use chart::AsciiChart;
 pub use experiments::*;
 pub use output::{write_json, ArgError, Table};
 pub use runner::{
-    peak_rss_kb, CellError, FailedCell, FailedSection, RunTimings, Runner, ScalingBaseline,
+    cpu_secs, peak_rss_kb, CellError, FailedCell, FailedSection, RunTimings, Runner, ScalingBaseline,
     SectionBaseline, SectionTiming, TelemetryOverhead,
 };

@@ -144,6 +144,17 @@ pub fn peak_rss_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// `(user, system)` CPU seconds this process has used so far, read from
+/// `/proc/self/stat` (fields 14 and 15, in 1/100 s ticks); `None`
+/// without procfs, like [`peak_rss_kb`].
+pub fn cpu_secs() -> Option<(f64, f64)> {
+    let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+    // Fields after the parenthesized command name start at field 3.
+    let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(14 - 3);
+    let mut secs = || Some(fields.next()?.parse::<u64>().ok()? as f64 / 100.0);
+    Some((secs()?, secs()?))
+}
+
 /// Wall-clock timing of one named section (one figure in `run_all`).
 #[derive(Debug, Clone, Serialize)]
 pub struct SectionTiming {
@@ -199,6 +210,10 @@ pub struct RunTimings {
     /// Peak resident set size of the whole run, KiB ([`peak_rss_kb`];
     /// `None` where procfs is unavailable).
     pub peak_rss_kb: Option<u64>,
+    /// User CPU seconds of the whole run ([`cpu_secs`]).
+    pub user_secs: Option<f64>,
+    /// System CPU seconds of the whole run ([`cpu_secs`]).
+    pub sys_secs: Option<f64>,
     /// Total wall-clock seconds.
     pub total_secs: f64,
 }
@@ -480,5 +495,24 @@ mod tests {
         assert_eq!(t.sections.len(), 2);
         assert_eq!(t.sections[0].name, "a");
         assert!((t.total_secs - t.sections.iter().map(|s| s.secs).sum::<f64>()).abs() < 1e-12);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn cpu_secs_reads_procfs_and_grows() {
+        let (user0, sys0) = cpu_secs().expect("procfs on linux");
+        // Spin until at least one clock tick is charged (bounded, so a
+        // broken reader fails instead of hanging).
+        let t0 = std::time::Instant::now();
+        let (mut user1, mut sys1) = (user0, sys0);
+        let mut x = 1u64;
+        while user1 + sys1 <= user0 + sys0 && t0.elapsed().as_secs() < 10 {
+            for _ in 0..100_000 {
+                x = std::hint::black_box(x.wrapping_mul(6364136223846793005).wrapping_add(1));
+            }
+            (user1, sys1) = cpu_secs().expect("procfs on linux");
+        }
+        assert!(user1 + sys1 > user0 + sys0, "{user0}+{sys0} -> {user1}+{sys1}");
+        assert!(user1 >= user0 && sys1 >= sys0);
     }
 }

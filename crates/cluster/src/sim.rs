@@ -23,10 +23,13 @@
 //! Every side effect (index mutations, queue pushes, f64 accumulations,
 //! telemetry emission) happens only in the merge, so the produced bytes
 //! are identical at any shard count and any worker count; shards merely
-//! decide which execution unit *computed* each intent. Shards run on
-//! scoped threads only for large clusters (see
-//! [`ClusterSim::set_shards`]); otherwise they run in-line, through the
-//! same buffers.
+//! decide which execution unit *computed* each intent. Every phase runs
+//! its shards through [`ShardPlan::run`], which threads them only when
+//! there are several shards and a worker budget above one; otherwise
+//! they run in-line, through the same buffers. Clusters below
+//! [`linger_sim_core::SHARD_MIN_NODES`] default to one shard (see
+//! [`ClusterSim::set_shards`]), so they sweep in-line unless a shard
+//! count is set explicitly.
 
 use crate::config::{AdmissionPolicy, ClusterConfig, RunMode};
 use crate::dest::{DestIndex, Pool};
@@ -38,7 +41,7 @@ use linger::cost::should_migrate;
 use linger::{JobId, JobSpec, Policy};
 use linger_node::steal_rate;
 use linger_sim_core::{
-    default_jobs, prefetch_read, NodeIndex, RngFactory, ShardPlan, SimDuration, SimTime,
+    default_shard_count, prefetch_read, NodeIndex, RngFactory, ShardPlan, SimDuration, SimTime,
 };
 use linger_telemetry::{DecisionAction, Event, EventKind, JournalCounts, Recorder};
 use linger_workload::{
@@ -50,18 +53,6 @@ use std::sync::Arc;
 
 /// One simulation window (= the coarse-trace sampling period).
 pub const WINDOW: SimDuration = SimDuration::from_secs(SAMPLE_PERIOD_SECS);
-
-/// Nodes below this count never spawn shard worker threads (the per-
-/// window spawn cost would dwarf the sweep itself). Tests lower it per
-/// simulation with [`ClusterSim::set_shard_threading_min`].
-const SHARD_THREAD_MIN_NODES: usize = 8192;
-
-/// Default shard count for an `n`-node cluster: one shard per ~8k nodes,
-/// capped so merge buffers stay small. Purely an execution choice — any
-/// value produces the same bytes.
-fn default_shard_count(n: usize) -> usize {
-    (n / 8192).clamp(1, 16)
-}
 
 /// FNV-1a over the JSON serialization of a config — a stable name for
 /// its telemetry spill file.
@@ -200,8 +191,6 @@ pub struct ClusterSim {
     /// Reusable per-shard intent buffers.
     decide_bufs: Vec<Vec<DecideIntent>>,
     progress_bufs: Vec<Vec<ProgressIntent>>,
-    /// Minimum cluster size before shards run on scoped threads.
-    thread_min: usize,
     /// Pre-materialized crash/reboot schedule and migration-failure
     /// draws; empty/quiet when `cfg.faults` is disabled.
     faults: FaultModel,
@@ -377,7 +366,6 @@ impl ClusterSim {
             plan,
             decide_bufs: vec![Vec::new(); shard_count],
             progress_bufs: vec![Vec::new(); shard_count],
-            thread_min: SHARD_THREAD_MIN_NODES,
             faults,
             crashed: NodeIndex::new(n),
             fault_cursor: 0,
@@ -400,8 +388,10 @@ impl ClusterSim {
     ///
     /// An execution knob only: any shard count produces byte-identical
     /// results, because all side effects are applied by the sequential
-    /// index-ordered merge. Defaults to one shard per ~8k nodes;
-    /// `LINGER_SHARDS` overrides the default at construction.
+    /// index-ordered merge. Defaults to [`default_shard_count`];
+    /// `LINGER_SHARDS` overrides the default at construction. A count
+    /// above one threads the sweep whenever the worker budget is above
+    /// one ([`ShardPlan::run`]).
     pub fn set_shards(&mut self, shards: usize) {
         self.plan = ShardPlan::new(self.nodes.len(), shards.max(1));
         let shard_count = self.plan.shard_count().max(1);
@@ -414,24 +404,6 @@ impl ClusterSim {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.set_shards(shards);
         self
-    }
-
-    /// Lower the node-count threshold above which shards run on scoped
-    /// worker threads (default 8192). Tests use this to exercise the
-    /// threaded path on small clusters; results are identical either way.
-    pub fn set_shard_threading_min(&mut self, min_nodes: usize) {
-        self.thread_min = min_nodes;
-    }
-
-    /// Worker threads to use for the classify phase this window: 1 (run
-    /// shards in-line) unless the cluster is large, several shards exist,
-    /// and the process worker pool is wider than one.
-    fn shard_workers(&self) -> usize {
-        if self.plan.shard_count() <= 1 || self.nodes.len() < self.thread_min {
-            1
-        } else {
-            default_jobs().min(self.plan.shard_count())
-        }
     }
 
     /// Attach (or detach) an event recorder, replacing the one built
@@ -911,7 +883,7 @@ impl ClusterSim {
     }
 
     /// Admit one arrival: draw its demand, mint the next job id, push a
-    /// live slab row (recycling a retired slot when enabled), and join
+    /// live slab row (reusing a retired slot when one is free), and join
     /// the FIFO queue. Arrival time is the current window start, so the
     /// job is placeable this very window and its lazy queue-time span
     /// starts exactly here.
@@ -1017,40 +989,16 @@ impl ClusterSim {
         let (cpu_row, mem_row, idle_row) = (rows.cpu, rows.mem_kb, rows.idle);
         let plan = &self.plan;
         let busy_words = self.busy.words();
-        let cpu_parts = plan.split_mut(&mut self.cpu_w);
-        let mem_parts = plan.split_mut(&mut self.nodes.memory);
-        let idle_parts = plan.split_words_mut(&mut self.idle_words);
-        let workers = {
-            // Inline shard_workers(): `self` is partially borrowed.
-            if plan.shard_count() <= 1 || plan.len() < self.thread_min {
-                1
-            } else {
-                default_jobs().min(plan.shard_count())
-            }
-        };
-        let shard_args = cpu_parts.into_iter().zip(mem_parts).zip(idle_parts).enumerate();
-        if workers > 1 {
-            std::thread::scope(|scope| {
-                for (si, ((cpu_dst, mem_dst), idle_dst)) in shard_args {
-                    let range = plan.ranges()[si].clone();
-                    let busy_w = &busy_words[plan.word_range(si)];
-                    scope.spawn(move || {
-                        refresh_shard(
-                            range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row,
-                            idle_row,
-                        )
-                    });
-                }
-            });
-        } else {
-            for (si, ((cpu_dst, mem_dst), idle_dst)) in shard_args {
-                let range = plan.ranges()[si].clone();
-                let busy_w = &busy_words[plan.word_range(si)];
-                refresh_shard(
-                    range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row, idle_row,
-                );
-            }
-        }
+        let parts = plan
+            .split_mut(&mut self.cpu_w)
+            .into_iter()
+            .zip(plan.split_mut(&mut self.nodes.memory))
+            .zip(plan.split_words_mut(&mut self.idle_words));
+        plan.run(parts, |si, ((cpu_dst, mem_dst), idle_dst)| {
+            let range = plan.ranges()[si].clone();
+            let busy_w = &busy_words[plan.word_range(si)];
+            refresh_shard(range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row, idle_row);
+        });
         // One O(n/64) pass replaces the historical per-node inserts; the
         // set content is identical (`free` already excludes crashed
         // nodes).
@@ -1070,8 +1018,7 @@ impl ClusterSim {
         let cold = &self.jobs.cold;
         let idle_words = &self.idle_words;
         let policy = self.cfg.params.policy;
-        let workers = self.shard_workers();
-        let run = |si: usize, out: &mut Vec<DecideIntent>| {
+        plan.run(bufs.iter_mut(), |si, out| {
             out.clear();
             let wr = plan.word_range(si);
             classify_decisions_shard(
@@ -1085,19 +1032,7 @@ impl ClusterSim {
                 t,
                 out,
             );
-        };
-        if workers > 1 {
-            let run = &run;
-            std::thread::scope(|scope| {
-                for (si, out) in bufs.iter_mut().enumerate() {
-                    scope.spawn(move || run(si, out));
-                }
-            });
-        } else {
-            for (si, out) in bufs.iter_mut().enumerate() {
-                run(si, out);
-            }
-        }
+        });
         self.decide_bufs = bufs;
     }
 
@@ -1153,8 +1088,7 @@ impl ClusterSim {
         let remaining = &self.jobs.remaining;
         let cpu_w = &self.cpu_w;
         let cfg = &self.cfg;
-        let workers = self.shard_workers();
-        let run = |si: usize, out: &mut Vec<ProgressIntent>| {
+        plan.run(bufs.iter_mut(), |si, out| {
             out.clear();
             let wr = plan.word_range(si);
             classify_progress_shard(
@@ -1168,19 +1102,7 @@ impl ClusterSim {
                 cfg,
                 out,
             );
-        };
-        if workers > 1 {
-            let run = &run;
-            std::thread::scope(|scope| {
-                for (si, out) in bufs.iter_mut().enumerate() {
-                    scope.spawn(move || run(si, out));
-                }
-            });
-        } else {
-            for (si, out) in bufs.iter_mut().enumerate() {
-                run(si, out);
-            }
-        }
+        });
         self.progress_bufs = bufs;
     }
 
@@ -1828,25 +1750,12 @@ impl ClusterSim {
         let free_words = self.free.words();
         let idle_words = &self.idle_words;
         let policy = self.cfg.params.policy;
-        let workers = self.shard_workers();
         let st_ref = &st;
-        let run = |si: usize, out: &mut Vec<StealIntent>| {
+        plan.run(bufs.iter_mut(), |si, out| {
             out.clear();
             let wr = plan.word_range(si);
             classify_steals_shard(wr.start, &free_words[wr], idle_words, policy, st_ref, out);
-        };
-        if workers > 1 {
-            let run = &run;
-            std::thread::scope(|scope| {
-                for (si, out) in bufs.iter_mut().enumerate() {
-                    scope.spawn(move || run(si, out));
-                }
-            });
-        } else {
-            for (si, out) in bufs.iter_mut().enumerate() {
-                run(si, out);
-            }
-        }
+        });
         self.steal_bufs = bufs;
         self.steal = Some(st);
     }
@@ -2357,24 +2266,43 @@ mod tests {
         )
     }
 
+    /// `set_default_jobs` is process-global; the tests that flip it hold
+    /// this lock so they cannot observe each other's worker budget.
+    static JOBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    /// Run `f` under a worker budget of `width`, then restore the default.
+    fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
+        let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        linger_sim_core::set_default_jobs(width);
+        let out = f();
+        linger_sim_core::set_default_jobs(0);
+        out
+    }
+
+    /// A sim of `cfg` split into exactly `shards` shards.
+    fn sharded(cfg: ClusterConfig, shards: usize) -> ClusterSim {
+        assert_eq!(ShardPlan::new(cfg.nodes, shards).shard_count(), shards, "shard axis collapsed");
+        ClusterSim::new(cfg).with_shards(shards)
+    }
+
     #[test]
     fn shard_count_never_changes_results() {
+        // 2,048 nodes (32 bitset words): every shard count below exists.
+        let cfg = |policy| ClusterConfig { nodes: 2048, ..small_cfg(policy) };
         for policy in Policy::ALL {
-            let baseline = run_outcome(ClusterSim::new(small_cfg(policy)).with_shards(1));
+            let baseline = run_outcome(sharded(cfg(policy), 1));
             for shards in [2, 3, 7, 16] {
-                let sharded =
-                    run_outcome(ClusterSim::new(small_cfg(policy)).with_shards(shards));
-                assert_eq!(baseline, sharded, "{policy} diverged at {shards} shards");
+                let got = run_outcome(sharded(cfg(policy), shards));
+                assert_eq!(baseline, got, "{policy} diverged at {shards} shards");
             }
         }
     }
 
     #[test]
     fn threaded_shards_never_change_results() {
-        let baseline = run_outcome(ClusterSim::new(small_cfg(Policy::LingerLonger)));
-        let mut sim = ClusterSim::new(small_cfg(Policy::LingerLonger)).with_shards(4);
-        sim.set_shard_threading_min(1);
-        assert_eq!(baseline, run_outcome(sim));
+        let cfg = || ClusterConfig { nodes: 256, ..small_cfg(Policy::LingerLonger) };
+        let baseline = at_width(1, || run_outcome(sharded(cfg(), 1)));
+        assert_eq!(baseline, at_width(4, || run_outcome(sharded(cfg(), 4))));
     }
 
     #[test]
@@ -2652,17 +2580,20 @@ mod tests {
         );
     }
 
+    /// [`open_cfg`] grown to 256 nodes (4 bitset words, so 4 shards
+    /// exist) at the same per-node load and queue capacity, with faults.
+    fn open_cfg_256(admission: AdmissionPolicy, load: f64) -> ClusterConfig {
+        let mut cfg = open_cfg(admission, load * 32.0, 3 * 256, 1800);
+        cfg.nodes = 256;
+        cfg.faults.crash_rate_per_hour = 0.5;
+        cfg.faults.migration_failure_prob = 0.2;
+        cfg
+    }
+
     #[test]
     fn open_mode_deterministic_across_shards() {
         for admission in AdmissionPolicy::ALL {
-            let outcome = |shards: usize| {
-                let mut cfg = open_cfg(admission, 2.0, 24, 1800);
-                cfg.faults.crash_rate_per_hour = 0.5;
-                cfg.faults.migration_failure_prob = 0.2;
-                let mut sim = ClusterSim::new(cfg).with_shards(shards);
-                sim.set_shard_threading_min(1);
-                run_outcome(sim)
-            };
+            let outcome = |shards| run_outcome(sharded(open_cfg_256(admission, 2.0), shards));
             assert_eq!(outcome(1), outcome(4), "{admission:?}: shards changed bytes");
         }
     }
@@ -2732,20 +2663,14 @@ mod tests {
     #[test]
     fn stealing_deterministic_across_shards_and_threads() {
         use crate::stealing::StealingConfig;
-        let outcome = |shards: usize, threaded: bool| {
-            let mut cfg = open_cfg(AdmissionPolicy::Shed, 2.0, 24, 1800);
+        let outcome = |shards: usize, width: usize| {
+            let mut cfg = open_cfg_256(AdmissionPolicy::Shed, 2.0);
             cfg.stealing = StealingConfig::randomized(3, 0.5);
-            cfg.faults.crash_rate_per_hour = 0.5;
-            cfg.faults.migration_failure_prob = 0.2;
-            let mut sim = ClusterSim::new(cfg).with_shards(shards);
-            if threaded {
-                sim.set_shard_threading_min(1);
-            }
-            run_outcome(sim)
+            at_width(width, || run_outcome(sharded(cfg, shards)))
         };
-        let base = outcome(1, false);
-        assert_eq!(base, outcome(4, false), "shards changed stealing bytes");
-        assert_eq!(base, outcome(4, true), "threads changed stealing bytes");
+        let base = outcome(1, 1);
+        assert_eq!(base, outcome(4, 1), "shards changed stealing bytes");
+        assert_eq!(base, outcome(4, 4), "threads changed stealing bytes");
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! `(config, seed, node, window, attempt)`. Steal intents are classified
 //! per shard against window-start state and applied in ascending node
 //! order (the same classify → ordered-merge discipline as
-//! `DecideIntent`), so results are byte-identical at any `--jobs`,
-//! `LINGER_SHARDS`, or slab layout.
+//! `DecideIntent`), so results are byte-identical at any `--jobs` or
+//! `LINGER_SHARDS`.
 
 use linger_sim_core::{domains, RngFactory};
 use serde::{Deserialize, Serialize};

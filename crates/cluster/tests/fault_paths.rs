@@ -238,7 +238,6 @@ fn run_journaled(cfg: ClusterConfig, shards: usize, width: usize) -> (u64, Clust
     set_default_jobs(width);
     let mut sim = ClusterSim::new(cfg);
     sim.set_shards(shards);
-    sim.set_shard_threading_min(1);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
     sim.run();
     set_default_jobs(0);

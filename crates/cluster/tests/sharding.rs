@@ -6,7 +6,7 @@
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{ClusterConfig, ClusterSim, FaultConfig};
-use linger_sim_core::{set_default_jobs, SimDuration};
+use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
 use proptest::prelude::*;
 
@@ -25,7 +25,13 @@ fn build(
         JobFamily::uniform(jobs, SimDuration::from_secs(demand_s), 8 * 1024),
     );
     cfg.nodes = nodes;
-    cfg.trace.duration = SimDuration::from_secs(3600);
+    // A 10-minute trace (300 windows) keeps synthesis cheap at these
+    // node counts, and runs longer than it replay the trace from the
+    // start. The fault schedule is drawn up front for the whole horizon;
+    // these families finish within minutes, so a 2-hour cap (the
+    // default is a day) keeps construction cheap too.
+    cfg.trace.duration = SimDuration::from_secs(600);
+    cfg.max_time = SimTime::from_secs(2 * 3600);
     cfg.seed = seed;
     cfg.faults = FaultConfig {
         crash_rate_per_hour: crash_rate,
@@ -41,9 +47,6 @@ fn build(
 fn run_signature(mut sim: ClusterSim, shards: usize, width: usize) -> String {
     set_default_jobs(width);
     sim.set_shards(shards);
-    // Force the scoped-thread path even on these small clusters, so
-    // width > 1 actually exercises it.
-    sim.set_shard_threading_min(1);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
     sim.run();
     let events = sim
@@ -67,7 +70,9 @@ proptest! {
     #[test]
     fn any_shard_count_and_width_reproduces_the_serial_run(
         policy_idx in 0usize..4,
-        nodes in 8usize..32,
+        // 1,921–2,048 nodes (31–32 bitset words) is where every
+        // requested shard count below exists exactly.
+        nodes in 1921usize..2049,
         jobs in 4u32..16,
         demand_s in 60u64..240,
         seed in 0u64..10_000,
@@ -78,6 +83,7 @@ proptest! {
         let mk = || build(policy, nodes, jobs, demand_s, seed, crash_rate, fail_prob);
         let baseline = run_signature(mk(), 1, 1);
         for shards in [1usize, 2, 7, 16] {
+            prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);
             for width in [1usize, 4] {
                 let got = run_signature(mk(), shards, width);
                 prop_assert_eq!(

@@ -9,7 +9,7 @@
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{ClusterConfig, ClusterSim, FaultConfig, RunMode};
-use linger_sim_core::{set_default_jobs, SimDuration, SimTime};
+use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
 use proptest::prelude::*;
 
@@ -46,7 +46,6 @@ fn build(
 fn run_signature(mut sim: ClusterSim, shards: usize, width: usize) -> String {
     set_default_jobs(width);
     sim.set_shards(shards);
-    sim.set_shard_threading_min(1);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
     sim.run();
     let events = sim
@@ -78,7 +77,8 @@ proptest! {
     #[test]
     fn recycled_runs_are_byte_identical_across_execution_plans(
         policy_idx in 0usize..4,
-        nodes in 8usize..32,
+        // 193–256 nodes (4 bitset words) is where 4 shards exist.
+        nodes in 193usize..257,
         jobs in 4u32..16,
         demand_s in 60u64..240,
         seed in 0u64..10_000,
@@ -92,6 +92,7 @@ proptest! {
         let mk = || build(policy, nodes, jobs, demand_s, horizon_s, seed, crash_rate, fail_prob);
         let baseline = run_signature(mk(), 1, 1);
         for shards in [1usize, 4] {
+            prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);
             for width in [1usize, 4] {
                 if shards == 1 && width == 1 {
                     continue;

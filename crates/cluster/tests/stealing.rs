@@ -14,7 +14,7 @@ use linger_cluster::{
     AdmissionPolicy, ClusterConfig, ClusterSim, FaultConfig, RunMode, ServiceConfig,
     StealingConfig,
 };
-use linger_sim_core::{set_default_jobs, SimDuration, SimTime};
+use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
 use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
 use proptest::prelude::*;
@@ -67,7 +67,6 @@ fn build(
 fn run_signature(mut sim: ClusterSim, shards: usize, width: usize) -> String {
     set_default_jobs(width);
     sim.set_shards(shards);
-    sim.set_shard_threading_min(1);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
     sim.run();
     let events = sim
@@ -102,7 +101,8 @@ proptest! {
     #[test]
     fn stealing_runs_are_byte_identical_across_execution_plans(
         policy_idx in 0usize..4,
-        nodes in 8usize..24,
+        // 193–256 nodes (4 bitset words) is where 4 shards exist.
+        nodes in 193usize..257,
         load_milli in 500u64..2_500,
         seed in 0u64..10_000,
         crash_rate in 0.5f64..8.0,
@@ -123,6 +123,7 @@ proptest! {
         );
         let baseline = run_signature(mk(), 1, 1);
         for shards in [1usize, 4] {
+            prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);
             for width in [1usize, 4] {
                 if shards == 1 && width == 1 {
                     continue;

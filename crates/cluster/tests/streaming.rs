@@ -7,7 +7,7 @@
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{ClusterConfig, ClusterSim, FaultConfig};
-use linger_sim_core::{set_default_jobs, SimDuration};
+use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
 use linger_workload::WorkloadRealization;
 use proptest::prelude::*;
@@ -26,7 +26,13 @@ fn config(
         JobFamily::uniform(jobs, SimDuration::from_secs(demand_s), 8 * 1024),
     );
     cfg.nodes = nodes;
-    cfg.trace.duration = SimDuration::from_secs(3600);
+    // A 10-minute trace (300 windows) keeps synthesis cheap at these
+    // node counts, and runs longer than it replay the trace from the
+    // start. The fault schedule is drawn up front for the whole horizon;
+    // these families finish within minutes, so a 2-hour cap (the
+    // default is a day) keeps construction cheap too.
+    cfg.trace.duration = SimDuration::from_secs(600);
+    cfg.max_time = SimTime::from_secs(2 * 3600);
     cfg.seed = seed;
     cfg.faults = FaultConfig {
         crash_rate_per_hour: crash_rate,
@@ -43,9 +49,6 @@ fn run_signature(cfg: ClusterConfig, real: &WorkloadRealization, shards: usize, 
     set_default_jobs(width);
     let mut sim = ClusterSim::with_realization(cfg, real);
     sim.set_shards(shards);
-    // Force the scoped-thread path even on these small clusters, so
-    // width > 1 actually exercises it.
-    sim.set_shard_threading_min(1);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
     sim.run();
     let events = sim
@@ -69,7 +72,8 @@ proptest! {
     #[test]
     fn any_chunk_size_width_and_shards_reproduce_the_monolithic_run(
         policy_idx in 0usize..4,
-        nodes in 8usize..32,
+        // 193–256 nodes (4 bitset words) is where 4 shards exist.
+        nodes in 193usize..257,
         jobs in 4u32..16,
         demand_s in 60u64..240,
         seed in 0u64..10_000,
@@ -86,6 +90,7 @@ proptest! {
                 WorkloadRealization::synthesize_streamed(&cfg.trace, seed, nodes, chunk);
             prop_assert!(streamed.window_table().is_none());
             for shards in [1usize, 4] {
+                prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);
                 for width in [1usize, 4] {
                     let got = run_signature(cfg.clone(), &streamed, shards, width);
                     prop_assert_eq!(

@@ -21,7 +21,8 @@
 //!   threads, with results in index order at any thread count;
 //! * [`ShardPlan`] — word-aligned contiguous partitions of a node-id
 //!   space, letting one window sweep be advanced by cooperating shards
-//!   whose results merge back in index order.
+//!   whose results merge back in index order; [`ShardPlan::run`] is the
+//!   one place that decides whether the shards run on threads.
 //!
 //! ## Example
 //!
@@ -64,6 +65,6 @@ pub use hint::prefetch_read;
 pub use index::NodeIndex;
 pub use par::{default_jobs, par_map_indexed, set_default_jobs, try_par_map_indexed, CellPanic};
 pub use queue::{EventHandle, EventQueue};
-pub use shard::ShardPlan;
+pub use shard::{default_shard_count, ShardPlan, SHARD_MIN_NODES};
 pub use rng::{domains, replication_seed, RngFactory, SimRng, StreamId};
 pub use time::{SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC};

@@ -15,8 +15,26 @@
 //! seeding — so a run is reproducible at any worker count: the merge
 //! order, and therefore every emitted byte, never depends on which
 //! thread ran which shard.
+//!
+//! [`ShardPlan::run`] is the one place that decides whether shards run
+//! on threads; sweeps below [`SHARD_MIN_NODES`] default to one shard.
 
+use crate::par::default_jobs;
 use std::ops::Range;
+use std::panic::resume_unwind;
+
+/// Node count from which a window sweep defaults to several (threaded)
+/// shards. On a 2-core host the in-line sweep beat 8 threaded shards at
+/// 65,536 nodes and lost to 16 at 262,144 (DESIGN.md §5g); no sweep has
+/// a cell in between.
+pub const SHARD_MIN_NODES: usize = 131_072;
+
+/// Default shard count for an `n`-node sweep: one below
+/// [`SHARD_MIN_NODES`], else one per ~8k nodes, capped at 16. Purely an
+/// execution choice — any value produces the same bytes.
+pub fn default_shard_count(n: usize) -> usize {
+    if n < SHARD_MIN_NODES { 1 } else { (n / 8192).clamp(1, 16) }
+}
 
 /// A deterministic split of the id space `0..n` into contiguous,
 /// 64-aligned ranges.
@@ -50,16 +68,6 @@ impl ShardPlan {
             }
         }
         ShardPlan { n, ranges }
-    }
-
-    /// The size of the id space this plan covers.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the id space is empty (no ranges).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// The contiguous id ranges, ascending and non-overlapping; their
@@ -121,6 +129,38 @@ impl ShardPlan {
             consumed = end;
         }
         out
+    }
+
+    /// Call `f(shard_index, part)` for each of `parts` (one per shard,
+    /// in shard order). With more than one shard and a worker budget
+    /// ([`default_jobs`](crate::default_jobs)) above one, each shard gets
+    /// its own scoped thread; otherwise the shards run in-line, in order.
+    /// A shard's panic reaches the caller with its own payload.
+    pub fn run<P: Send>(&self, parts: impl IntoIterator<Item = P>, f: impl Fn(usize, P) + Sync) {
+        // `default_jobs` may query the OS; a one-shard plan never needs it.
+        let workers = if self.shard_count() > 1 { default_jobs() } else { 1 };
+        self.run_with(workers, parts, f);
+    }
+
+    fn run_with<P: Send>(
+        &self,
+        workers: usize,
+        parts: impl IntoIterator<Item = P>,
+        f: impl Fn(usize, P) + Sync,
+    ) {
+        let parts = parts.into_iter().enumerate();
+        if self.shard_count() <= 1 || workers <= 1 {
+            return parts.for_each(|(si, part)| f(si, part));
+        }
+        let f = &f;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = parts.map(|(si, part)| scope.spawn(move || f(si, part))).collect();
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    resume_unwind(payload);
+                }
+            }
+        });
     }
 }
 
@@ -190,6 +230,73 @@ mod tests {
         assert_eq!(parts.len(), plan.shard_count());
         for (i, part) in parts.iter().enumerate() {
             assert_eq!(part.len(), plan.word_range(i).len());
+        }
+    }
+
+    #[test]
+    fn default_shard_count_is_one_below_the_threshold() {
+        assert_eq!(default_shard_count(0), 1);
+        assert_eq!(default_shard_count(65_536), 1);
+        assert_eq!(default_shard_count(SHARD_MIN_NODES - 1), 1);
+        assert_eq!(default_shard_count(SHARD_MIN_NODES), 16);
+        assert_eq!(default_shard_count(1 << 20), 16);
+    }
+
+    /// Run `plan` over its `split_mut` slices under `workers`, each shard
+    /// stamping its index into its slice; return the per-shard visit
+    /// counts and whether every shard ran on a thread other than the
+    /// caller's.
+    fn stamp(n: usize, plan: &ShardPlan, workers: usize) -> (Vec<usize>, Vec<usize>, bool) {
+        use std::sync::Mutex;
+        let mut data = vec![usize::MAX; n];
+        let visits = Mutex::new(vec![0usize; plan.shard_count()]);
+        let caller = std::thread::current().id();
+        let off_caller = Mutex::new(Vec::new());
+        plan.run_with(workers, plan.split_mut(&mut data), |si, part: &mut [usize]| {
+            part.fill(si);
+            visits.lock().unwrap()[si] += 1;
+            off_caller.lock().unwrap().push(std::thread::current().id() != caller);
+        });
+        let off_caller = off_caller.into_inner().unwrap();
+        let threaded = !off_caller.is_empty() && off_caller.iter().all(|&t| t);
+        (data, visits.into_inner().unwrap(), threaded)
+    }
+
+    #[test]
+    fn run_visits_every_part_once_with_its_own_index() {
+        for (n, shards, want) in [(0usize, 4usize, 0usize), (200, 1, 1), (200, 4, 4), (4096, 7, 7)] {
+            let plan = ShardPlan::new(n, shards);
+            assert_eq!(plan.shard_count(), want, "n={n} shards={shards}");
+            for workers in [1usize, 4] {
+                let (data, visits, threaded) = stamp(n, &plan, workers);
+                assert_eq!(visits, vec![1; want], "n={n} workers={workers}");
+                for (si, r) in plan.ranges().iter().enumerate() {
+                    assert!(data[r.clone()].iter().all(|&v| v == si), "shard {si} stamped its range");
+                }
+                assert_eq!(threaded, want > 1 && workers > 1, "n={n} workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shard_panic_reaches_the_caller() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        for shards in [1usize, 4] {
+            let plan = ShardPlan::new(256, shards);
+            let last = plan.shard_count() - 1;
+            for workers in [1usize, 4] {
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    plan.run_with(workers, 0..plan.shard_count(), |si, _| {
+                        assert!(si != last, "shard {si} down");
+                    })
+                }))
+                .expect_err("the panic must propagate");
+                let msg = caught
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert!(msg.contains(&format!("shard {last} down")), "shards={shards}: {msg}");
+            }
         }
     }
 

@@ -42,7 +42,7 @@
 
 use crate::coarse::{CoarseTraceConfig, TraceStream};
 use crate::library::WindowTable;
-use linger_sim_core::{default_jobs, RngFactory, ShardPlan};
+use linger_sim_core::{default_jobs, RngFactory, ShardPlan, SHARD_MIN_NODES};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,10 +51,6 @@ use std::time::Instant;
 /// (≤65,536 nodes, ~1.3 GiB at a 1-hour trace) on the monolithic path
 /// while 262,144 nodes (~5.3 GiB) and up stream.
 pub const DEFAULT_WINDOW_BUDGET_BYTES: usize = 4 << 30;
-
-/// Spawn fill threads only at or above this node count — below it the
-/// per-chunk work is too small to amortize thread startup.
-const FILL_THREAD_MIN_NODES: usize = 4096;
 
 /// The byte ceiling for materialized realizations
 /// (`LINGER_WINDOW_BUDGET_BYTES`, default
@@ -301,8 +297,7 @@ impl ChunkStream {
         assert_eq!(offsets.len(), spec.nodes, "one offset per node");
         let period = spec.period();
         assert!(period > 0, "streamed realization needs a nonzero period");
-        let workers = default_jobs().max(1);
-        let shards = if spec.nodes >= FILL_THREAD_MIN_NODES { workers } else { 1 };
+        let shards = if spec.nodes >= SHARD_MIN_NODES { default_jobs() } else { 1 };
         let plan = ShardPlan::new(spec.nodes, shards);
         ChunkStream {
             spec: spec.clone(),
@@ -401,7 +396,7 @@ impl ChunkStream {
 
         let spec_cfg = &self.spec.cfg;
         let factory = &self.factory;
-        let fill_shard = |shard: ShardFill<'_>| {
+        plan.run(shards, |_, shard: ShardFill<'_>| {
             let ShardFill { start, streams, offsets, mut cpu, mut mem_kb, mut idle } = shard;
             for (j, (stream, &offset)) in streams.iter_mut().zip(offsets).enumerate() {
                 for dw in 0..windows {
@@ -422,17 +417,7 @@ impl ChunkStream {
                     }
                 }
             }
-        };
-        if shards.len() > 1 {
-            let fill_shard = &fill_shard;
-            std::thread::scope(|scope| {
-                for shard in shards {
-                    scope.spawn(move || fill_shard(shard));
-                }
-            });
-        } else {
-            shards.into_iter().for_each(fill_shard);
-        }
+        });
 
         self.build_secs += t0.elapsed().as_secs_f64();
         self.chunks_built += 1;
@@ -503,7 +488,7 @@ mod tests {
     #[test]
     fn sharded_fill_matches_monolithic_table() {
         let c = cfg(40); // period 20
-        let nodes = FILL_THREAD_MIN_NODES + 37;
+        let nodes = SHARD_MIN_NODES + 37;
         linger_sim_core::set_default_jobs(4);
         let mono = WorkloadRealization::synthesize_monolithic(&c, 29, nodes);
         let tbl = mono.window_table().expect("table");
