@@ -105,6 +105,20 @@ fn bench_draws(c: &mut Criterion) {
         let mut stream = TraceStream::new(&CoarseTraceConfig::default(), &f, 0);
         b.iter(|| stream.next_sample())
     });
+    // The streamed path's initial positioning: a fresh stream skipped
+    // half a 1-hour period (900 samples), the mean offset per node.
+    c.bench_function("trace_stream_skip", |b| {
+        let cfg = CoarseTraceConfig {
+            duration: SimDuration::from_secs(3600),
+            ..Default::default()
+        };
+        let fresh = TraceStream::new(&cfg, &f, 0);
+        b.iter(|| {
+            let mut stream = fresh.clone();
+            stream.skip(900);
+            black_box(stream.index())
+        })
+    });
 }
 
 criterion_group!(

@@ -39,7 +39,7 @@ use crate::state::{JobCold, JobRecord, JobSlabs, JobState, NodeId, NodeSlabs, NO
 use crate::stealing::{draw_victim, StealState, StealStats};
 use linger::cost::should_migrate;
 use linger::{JobId, JobSpec, Policy};
-use linger_node::steal_rate;
+use linger_node::steal_rate_with;
 use linger_sim_core::{
     default_shard_count, prefetch_read, NodeIndex, RngFactory, ShardPlan, SimDuration, SimTime,
 };
@@ -2039,11 +2039,13 @@ fn classify_progress_shard(
             // Memory pressure: a partially-resident job pages and slows
             // proportionally.
             let residency = memory[ni].foreign_residency();
-            let rate = steal_rate(&cfg.table, u, cfg.params.context_switch) * residency;
+            // One interpolation serves both the rate and the delay.
+            let burst = cfg.table.interpolate(u);
+            let rate = steal_rate_with(&burst, u, cfg.params.context_switch) * residency;
             let (has_delay, delay_add) = if state == JobState::Lingering {
                 // Added foreground latency: one context switch per local
                 // run burst; expected bursts in the window = u·W / R(u).
-                let run_mean = cfg.table.interpolate(u).run_mean;
+                let run_mean = burst.run_mean;
                 if run_mean > 0.0 {
                     (
                         true,

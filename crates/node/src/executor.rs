@@ -26,7 +26,7 @@
 
 use crate::source::BurstSource;
 use linger_sim_core::SimDuration;
-use linger_workload::{BurstKind, BurstParamTable};
+use linger_workload::{BucketParams, BurstKind, BurstParamTable};
 
 /// Incremental strict-priority execution of a compute-bound foreign job
 /// over a local burst stream.
@@ -276,7 +276,16 @@ impl<S: BurstSource> FineGrainCpu<S> {
 ///
 /// where `R`, `I` are the interpolated burst means. At `u = 0` there are
 /// no switches and the rate is 1; at `u = 1` it is 0.
+#[inline]
 pub fn steal_rate(table: &BurstParamTable, u: f64, context_switch: SimDuration) -> f64 {
+    steal_rate_with(&table.interpolate(u), u, context_switch)
+}
+
+/// [`steal_rate`] from burst parameters `p` already interpolated at `u`
+/// (`p` must equal `table.interpolate(u)`), for callers that need the
+/// parameters as well and should interpolate only once.
+#[inline]
+pub fn steal_rate_with(p: &BucketParams, u: f64, context_switch: SimDuration) -> f64 {
     let u = u.clamp(0.0, 1.0);
     if u <= 0.0 {
         return 1.0;
@@ -284,7 +293,6 @@ pub fn steal_rate(table: &BurstParamTable, u: f64, context_switch: SimDuration) 
     if u >= 1.0 {
         return 0.0;
     }
-    let p = table.interpolate(u);
     let cycle = p.run_mean + p.idle_mean;
     if cycle <= 0.0 {
         return 0.0;
@@ -391,6 +399,70 @@ mod tests {
     fn consume_zero_is_free() {
         let mut c = cpu(0.5, 100);
         assert_eq!(c.consume(SimDuration::ZERO), SimDuration::ZERO);
+    }
+
+    /// `steal_rate` as it was before the libm-free interpolation: the
+    /// oracle the fast version must match bit for bit.
+    fn steal_rate_with_libm(table: &BurstParamTable, u: f64, context_switch: SimDuration) -> f64 {
+        let u = u.clamp(0.0, 1.0);
+        if u <= 0.0 {
+            return 1.0;
+        }
+        if u >= 1.0 {
+            return 0.0;
+        }
+        let pos = u / 0.05;
+        let nearest = pos.round();
+        let pos = if (pos - nearest).abs() < 1e-9 {
+            nearest
+        } else {
+            pos
+        };
+        let lo = pos.floor() as usize;
+        let b = table.buckets();
+        let (run_mean, idle_mean) = if lo >= b.len() - 1 {
+            (b[b.len() - 1].run_mean, b[b.len() - 1].idle_mean)
+        } else {
+            let w = pos - lo as f64;
+            let lerp = |x: f64, y: f64| x + (y - x) * w;
+            (
+                lerp(b[lo].run_mean, b[lo + 1].run_mean),
+                lerp(b[lo].idle_mean, b[lo + 1].idle_mean),
+            )
+        };
+        let cycle = run_mean + idle_mean;
+        if cycle <= 0.0 {
+            return 0.0;
+        }
+        let usable = (idle_mean - 2.0 * context_switch.as_secs_f64()).max(0.0);
+        usable / cycle
+    }
+
+    #[test]
+    fn steal_rate_matches_the_libm_version_bit_for_bit() {
+        let t = BurstParamTable::paper_calibrated();
+        let mut us: Vec<f64> = (0..=102_000).map(|i| -0.01 + i as f64 * 1e-5).collect();
+        for i in 0..=20 {
+            let level = BurstParamTable::bucket_level(i);
+            let (mut up, mut down) = (level, level);
+            us.push(level);
+            for _ in 0..3 {
+                up = up.next_up();
+                down = down.next_down();
+                us.extend([up, down]);
+            }
+        }
+        us.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0]);
+        for cs_us in [0, 100, 500, 20_000] {
+            let cs = SimDuration::from_micros(cs_us);
+            for &u in &us {
+                assert_eq!(
+                    steal_rate(&t, u, cs).to_bits(),
+                    steal_rate_with_libm(&t, u, cs).to_bits(),
+                    "u = {u:e}, cs = {cs_us} us"
+                );
+            }
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod kernel;
 pub mod single;
 pub mod source;
 
-pub use executor::{steal_rate, FineGrainCpu};
+pub use executor::{steal_rate, steal_rate_with, FineGrainCpu};
 pub use kernel::{simulate_kernel, KernelConfig, KernelReport, LocalProcessSpec};
 pub use single::{
     fig5_paper_grid, fig5_sweep, simulate_single_node, simulate_single_node_with_recorder,

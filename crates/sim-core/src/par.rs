@@ -14,6 +14,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Process-wide default worker count; 0 means "auto" (one per core).
 static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -67,10 +68,18 @@ pub fn default_jobs() -> usize {
 fn resolve_jobs(jobs: Option<usize>) -> usize {
     let n = jobs.unwrap_or_else(|| DEFAULT_JOBS.load(Ordering::Relaxed));
     if n == 0 {
-        std::thread::available_parallelism().map_or(1, |p| p.get())
+        available_cores()
     } else {
         n
     }
+}
+
+/// The OS's core count, asked once per process: the query reads
+/// affinity and cgroup files, and auto mode resolves the worker count
+/// several times per simulated window.
+fn available_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
 /// Run `f(i)` for every `i in 0..n` on `jobs` scoped worker threads
@@ -198,11 +207,20 @@ mod tests {
     }
 
     #[test]
+    fn auto_mode_is_the_os_count_and_an_explicit_count_wins() {
+        let os = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(resolve_jobs(Some(0)), os);
+        assert_eq!(resolve_jobs(Some(0)), os, "the cached count is stable");
+        assert_eq!(resolve_jobs(Some(3)), 3);
+        assert_eq!(resolve_jobs(Some(os + 5)), os + 5);
+    }
+
+    #[test]
     fn default_jobs_knob_round_trips() {
         set_default_jobs(3);
         assert_eq!(default_jobs(), 3);
         set_default_jobs(0);
-        assert!(default_jobs() >= 1);
+        assert_eq!(default_jobs(), resolve_jobs(Some(0)));
     }
 
     #[test]

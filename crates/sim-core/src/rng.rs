@@ -18,8 +18,8 @@ use rand_chacha::ChaCha8Rng;
 /// ChaCha8 is counter-based and portable across platforms. Its cost
 /// matters: per-node trace synthesis draws about four `u64` per sample
 /// and dominates the setup of large cluster cells, which is why the
-/// vendored generator refills four blocks at a time (one SSE2 kernel on
-/// `x86_64`).
+/// vendored generator refills four blocks at a time (on `x86_64` one
+/// AVX2 kernel, chosen at run time, with SSE2 as the fallback).
 pub type SimRng = ChaCha8Rng;
 
 /// SplitMix64 step — a strong 64-bit mixer used to derive stream seeds.

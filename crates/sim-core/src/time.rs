@@ -25,6 +25,32 @@ pub const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Nanoseconds in a second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
+/// `x` rounded to the nearest integer, ties away from zero: the value of
+/// [`f64::round`] (a `-0.0` input comes back as `+0.0`).
+///
+/// Without SSE4.1, which the `x86_64` baseline lacks, `f64::round` and
+/// `f64::floor` are libm calls. For the inputs the time conversions and
+/// the burst-table interpolation pass (finite, `0 ≤ x < 2⁵²`) this takes
+/// the integer part by truncation instead; both the truncation and the
+/// fraction `x − t` are exact there, and so is the result. Anything else
+/// (negative, NaN, infinite, or ≥ 2⁵², where every `f64` is already an
+/// integer) goes to `f64::round`.
+#[inline]
+pub fn round_half_away(x: f64) -> f64 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    if (0.0..TWO_52).contains(&x) {
+        // Unchecked because the saturating `as` adds range fix-ups that
+        // measurably slow the per-job-window math.
+        // SAFETY: `0 ≤ x < 2⁵²` is finite and inside `i64`.
+        let t = unsafe { x.to_int_unchecked::<i64>() };
+        // The carry is added as data, not taken as a branch: for the
+        // continuous inputs of the hot loops it is a coin flip.
+        (t + i64::from(x - t as f64 >= 0.5)) as f64
+    } else {
+        x.round()
+    }
+}
+
 impl SimTime {
     /// The start of simulated time.
     pub const ZERO: SimTime = SimTime(0);
@@ -61,7 +87,7 @@ impl SimTime {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0 && s.is_finite(), "invalid time: {s}");
-        SimTime((s * NANOS_PER_SEC as f64).round() as u64)
+        SimTime(round_half_away(s * NANOS_PER_SEC as f64) as u64)
     }
 
     /// Raw nanoseconds since time zero.
@@ -132,7 +158,7 @@ impl SimDuration {
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s >= 0.0 && s.is_finite(), "invalid duration: {s}");
-        SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
+        SimDuration(round_half_away(s * NANOS_PER_SEC as f64) as u64)
     }
 
     /// Raw nanoseconds.
@@ -172,7 +198,7 @@ impl SimDuration {
     #[inline]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k >= 0.0 && k.is_finite(), "invalid scale: {k}");
-        SimDuration((self.0 as f64 * k).round() as u64)
+        SimDuration(round_half_away(self.0 as f64 * k) as u64)
     }
 
     /// The smaller of two spans.
@@ -322,6 +348,52 @@ mod tests {
         assert_eq!(d.mul_f64(0.25).as_nanos(), 3); // 2.5 rounds to 3 (round half away from zero)
         assert_eq!(d.mul_f64(2.0).as_nanos(), 20);
         assert_eq!(SimDuration::from_secs(1).mul_f64(1.0 / 3.0).as_nanos(), 333_333_333);
+        // Ties on both sides of the integer part, and the largest input
+        // below 2⁵² (4,503,599,627,370,495.5) ties up.
+        let ns = |n: u64, k: f64| SimDuration::from_nanos(n).mul_f64(k).as_nanos();
+        assert_eq!(ns(7, 0.5), 4);
+        assert_eq!(ns(9, 0.5), 5);
+        assert_eq!(ns((1 << 53) - 1, 0.5), 1 << 52);
+        // At and above 2⁵² every product is already an integer.
+        assert_eq!(ns(1 << 52, 1.0), 1 << 52);
+        assert_eq!(ns(1 << 52, 3.0), 3 << 52);
+        assert_eq!(ns(1 << 60, 0.75), 3 << 58);
+        assert_eq!(ns(5, 0.0), 0);
+    }
+
+    #[test]
+    fn round_half_away_matches_f64_round() {
+        let two52 = (1u64 << 52) as f64;
+        let mut cases = vec![
+            0.0,
+            0.25,
+            0.5,
+            1.5,
+            2.5,
+            0.5 - f64::EPSILON / 4.0, // largest value below one half
+            0.5 + f64::EPSILON / 2.0,
+            1e9 + 0.5,
+            two52 - 0.5,
+            two52 - 1.0,
+            two52,
+            two52 + 1.0,
+            2.0 * two52,
+            f64::MAX,
+            f64::INFINITY,
+            -0.5,
+            -2.5,
+            f64::MIN_POSITIVE,
+        ];
+        // Every tie and its neighbours a ulp away, up to 2⁵².
+        for e in 0..=52 {
+            let tie = (1u64 << e) as f64 - 0.5;
+            cases.extend([tie, tie.next_down(), tie.next_up()]);
+        }
+        for x in cases {
+            assert_eq!(round_half_away(x).to_bits(), x.round().to_bits(), "{x:e}");
+        }
+        assert!(round_half_away(f64::NAN).is_nan());
+        assert_eq!(round_half_away(-0.0), 0.0);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!   (Fig 4).
 
 use linger_sim_core::{domains, par_map_indexed, RngFactory, SimDuration, SimRng};
-use rand::Rng;
+use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 /// Seconds between trace samples (the Arpaci sampling period).
@@ -27,6 +27,9 @@ pub const SAMPLE_PERIOD_SECS: u64 = 2;
 /// The recruitment threshold: how long CPU and keyboard must stay quiet
 /// before a machine counts as idle (Sec 3.2: one minute).
 pub const RECRUITMENT_SECS: u64 = 60;
+
+/// The recruitment threshold in samples (30).
+const RECRUITMENT_WINDOW: u32 = (RECRUITMENT_SECS / SAMPLE_PERIOD_SECS) as u32;
 
 /// CPU utilization below which a sample is "quiet" for idleness purposes.
 pub const IDLE_CPU_THRESHOLD: f64 = 0.10;
@@ -108,7 +111,7 @@ impl CoarseTrace {
 /// Apply the recruitment rule: sample `i` is idle iff every sample in the
 /// preceding minute (inclusive of `i`) was quiet (CPU < 10%, no keyboard).
 fn derive_idle_flags(samples: &[CoarseSample]) -> Vec<bool> {
-    let window = (RECRUITMENT_SECS / SAMPLE_PERIOD_SECS) as usize;
+    let window = RECRUITMENT_WINDOW as usize;
     let mut quiet_streak = 0usize;
     samples
         .iter()
@@ -241,8 +244,56 @@ impl TraceStream {
 
     /// Generate the next sample and its recruitment (idle) flag.
     pub fn next_sample(&mut self) -> (CoarseSample, bool) {
-        let t_secs = self.next as f64 * SAMPLE_PERIOD_SECS as f64;
+        self.step();
+        let jitter = 1.0 + 0.15 * (self.rng.random::<f64>() - 0.5);
+        let cpu = (self.cpu_level * jitter).clamp(0.0, 1.0);
+        let keyboard =
+            self.state == UserState::Active && self.rng.random::<f64>() < self.cfg.keyboard_prob;
+        let mem_used_kb =
+            ((self.os_base_kb + self.working_set_kb) as u32).min(TOTAL_MEMORY_KB);
+
+        // The flag only asks whether the streak reached the window, so
+        // the streak saturates there: after 30 samples it no longer
+        // depends on anything older, which is what lets `skip` hand only
+        // the last 30 samples to this function.
+        if cpu < IDLE_CPU_THRESHOLD && !keyboard {
+            self.quiet_streak = (self.quiet_streak + 1).min(RECRUITMENT_WINDOW);
+        } else {
+            self.quiet_streak = 0;
+        }
+        (CoarseSample { cpu, mem_used_kb, keyboard }, self.quiet_streak >= RECRUITMENT_WINDOW)
+    }
+
+    /// Advance past `count` samples, discarding them.
+    ///
+    /// All but the last 30 samples (one recruitment minute) only advance
+    /// the state later samples depend on (episodes, the CPU level, the
+    /// memory walk) and consume their jitter and keyboard draws unread;
+    /// those 30 run through [`TraceStream::next_sample`], which rebuilds
+    /// the quiet streak the next idle flag needs. Both streams see the
+    /// same draws in the same order as `count` calls to `next_sample`.
+    pub fn skip(&mut self, count: usize) {
+        let draw_only = count.saturating_sub(RECRUITMENT_WINDOW as usize);
+        for _ in 0..draw_only {
+            self.step();
+            self.rng.next_u64(); // jitter
+            if self.state == UserState::Active {
+                self.rng.next_u64(); // keyboard
+            }
+        }
+        for _ in draw_only..count {
+            self.next_sample();
+        }
+    }
+
+    /// The part of a sample that later samples depend on: the episode
+    /// switch, the CPU level and the memory walk, in the draw order of
+    /// both streams. Leaves the jitter and keyboard draws (the next ones
+    /// on `rng`) to the caller and moves the cursor past the sample.
+    #[inline(always)]
+    fn step(&mut self) {
         if self.remaining <= 0.0 {
+            let t_secs = self.next as f64 * SAMPLE_PERIOD_SECS as f64;
             self.state = match self.state {
                 UserState::Active => UserState::Away,
                 UserState::Away => UserState::Active,
@@ -259,14 +310,11 @@ impl TraceStream {
         if self.rng.random::<f64>() >= self.cfg.cpu_persistence {
             self.cpu_level = self.cfg.draw_cpu(&mut self.rng, self.state);
         }
-        let jitter = 1.0 + 0.15 * (self.rng.random::<f64>() - 0.5);
-        let cpu = (self.cpu_level * jitter).clamp(0.0, 1.0);
-
-        let keyboard =
-            self.state == UserState::Active && self.rng.random::<f64>() < self.cfg.keyboard_prob;
 
         // Memory walk: mean-revert toward the session target (active)
-        // or toward a small residual footprint (away).
+        // or toward a small residual footprint (away). It draws only from
+        // `mem_rng`, so running it before the caller's `rng` draws does
+        // not reorder either stream.
         match self.state {
             UserState::Active => {
                 self.working_set_kb += (self.session_target_kb - self.working_set_kb) * 0.02
@@ -282,24 +330,7 @@ impl TraceStream {
             }
         }
         self.working_set_kb = self.working_set_kb.clamp(2_000.0, 36_000.0);
-        let mem_used_kb =
-            ((self.os_base_kb + self.working_set_kb) as u32).min(TOTAL_MEMORY_KB);
-
-        let window = (RECRUITMENT_SECS / SAMPLE_PERIOD_SECS) as u32;
-        if cpu < IDLE_CPU_THRESHOLD && !keyboard {
-            self.quiet_streak += 1;
-        } else {
-            self.quiet_streak = 0;
-        }
         self.next += 1;
-        (CoarseSample { cpu, mem_used_kb, keyboard }, self.quiet_streak >= window)
-    }
-
-    /// Advance past `count` samples, discarding them.
-    pub fn skip(&mut self, count: usize) {
-        for _ in 0..count {
-            self.next_sample();
-        }
     }
 }
 
@@ -510,6 +541,43 @@ mod tests {
             let (s, idle) = stream.next_sample();
             assert_eq!(&s, trace.sample(i), "sample {i}");
             assert_eq!(idle, trace.is_idle(i), "idle flag {i}");
+        }
+    }
+
+    #[test]
+    fn skip_then_sample_equals_sampling_throughout() {
+        let cfg = CoarseTraceConfig {
+            duration: SimDuration::from_secs(3600),
+            ..Default::default()
+        };
+        let period = cfg.sample_count();
+        let f = RngFactory::new(19);
+        // The first machines that start active and away.
+        let start = |state| {
+            (0u64..)
+                .find(|&m| TraceStream::new(&cfg, &f, m).state == state)
+                .expect("some machine starts in each state")
+        };
+        for machine in [start(UserState::Active), start(UserState::Away)] {
+            for n in [0, 1, 29, 30, 31, 899, period - 1, period] {
+                let mut reference = TraceStream::new(&cfg, &f, machine);
+                for _ in 0..n {
+                    reference.next_sample();
+                }
+                let mut skipped = TraceStream::new(&cfg, &f, machine);
+                skipped.skip(n);
+                assert_eq!(skipped.index(), n);
+                // The saturated streak makes the whole state equal, not
+                // only what the next flags show.
+                assert_eq!(skipped.quiet_streak, reference.quiet_streak, "skip({n})");
+                for k in 0..120 {
+                    assert_eq!(
+                        skipped.next_sample(),
+                        reference.next_sample(),
+                        "machine {machine}: sample {k} after skip({n})"
+                    );
+                }
+            }
         }
     }
 

@@ -20,6 +20,7 @@
 //! 0–30 ms idle panel at very low utilization; the trade-off is recorded
 //! in EXPERIMENTS.md. See DESIGN.md, substitution 1.
 
+use linger_sim_core::round_half_away;
 use serde::{Deserialize, Serialize};
 
 /// Number of utilization buckets (0%, 5%, …, 100%).
@@ -131,15 +132,20 @@ impl BurstParamTable {
     ///
     /// "To generate fine-grained workloads, we use linear interpolation
     /// between the two closest of the 21 levels of utilization" (Sec 3.1).
+    ///
+    /// Called once per busy node-window by the cluster simulator, so it
+    /// avoids libm: `pos ≥ 0` (or NaN), where rounding is exact through
+    /// [`round_half_away`] and `floor` is the integer cast.
+    #[inline]
     pub fn interpolate(&self, u: f64) -> BucketParams {
         let u = u.clamp(0.0, 1.0);
         let pos = u / BUCKET_WIDTH;
         // Snap to the grid when floating-point division lands a hair off a
         // bucket boundary (e.g. 0.15/0.05 = 2.9999…), so exact bucket
         // levels return exact bucket values.
-        let nearest = pos.round();
+        let nearest = round_half_away(pos);
         let pos = if (pos - nearest).abs() < 1e-9 { nearest } else { pos };
-        let lo = pos.floor() as usize;
+        let lo = pos as usize;
         if lo >= NUM_BUCKETS - 1 {
             return self.buckets[NUM_BUCKETS - 1];
         }
@@ -165,6 +171,73 @@ impl Default for BurstParamTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `interpolate` as it was before the libm-free rounding: the oracle
+    /// the fast version must match bit for bit.
+    fn interpolate_with_libm(t: &BurstParamTable, u: f64) -> BucketParams {
+        let u = u.clamp(0.0, 1.0);
+        let pos = u / BUCKET_WIDTH;
+        let nearest = pos.round();
+        let pos = if (pos - nearest).abs() < 1e-9 {
+            nearest
+        } else {
+            pos
+        };
+        let lo = pos.floor() as usize;
+        if lo >= NUM_BUCKETS - 1 {
+            return t.buckets[NUM_BUCKETS - 1];
+        }
+        let w = pos - lo as f64;
+        let a = &t.buckets[lo];
+        let b = &t.buckets[lo + 1];
+        let lerp = |x: f64, y: f64| x + (y - x) * w;
+        BucketParams {
+            run_mean: lerp(a.run_mean, b.run_mean),
+            run_var: lerp(a.run_var, b.run_var),
+            idle_mean: lerp(a.idle_mean, b.idle_mean),
+            idle_var: lerp(a.idle_var, b.idle_var),
+        }
+    }
+
+    /// Utilizations that stress the interpolation: a dense grid over
+    /// [-0.01, 1.01], every bucket level with its neighbours up to three
+    /// ulps away, the edges of the 1e-9 grid snap, and NaN.
+    fn interpolation_probes() -> Vec<f64> {
+        let mut us: Vec<f64> = (0..=102_000).map(|i| -0.01 + i as f64 * 1e-5).collect();
+        for i in 0..NUM_BUCKETS {
+            for level in [BurstParamTable::bucket_level(i), i as f64 / 20.0] {
+                let (mut up, mut down) = (level, level);
+                us.push(level);
+                for _ in 0..3 {
+                    up = up.next_up();
+                    down = down.next_down();
+                    us.extend([up, down]);
+                }
+                for off in [0.9e-9, 1e-9, 1.1e-9] {
+                    let level = i as f64;
+                    us.extend([(level + off) * BUCKET_WIDTH, (level - off) * BUCKET_WIDTH]);
+                }
+            }
+        }
+        us.extend([f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0]);
+        us
+    }
+
+    fn bits(p: &BucketParams) -> [u64; 4] {
+        [p.run_mean, p.run_var, p.idle_mean, p.idle_var].map(f64::to_bits)
+    }
+
+    #[test]
+    fn interpolate_matches_the_libm_version_bit_for_bit() {
+        let t = BurstParamTable::paper_calibrated();
+        for u in interpolation_probes() {
+            assert_eq!(
+                bits(&t.interpolate(u)),
+                bits(&interpolate_with_libm(&t, u)),
+                "u = {u:e}"
+            );
+        }
+    }
 
     #[test]
     fn table_has_consistent_utilization() {

@@ -28,7 +28,11 @@
 //! returns to 0 the node's stream is simply restarted at sample 0, which
 //! costs nothing — only the *initial* positioning pays a skip of
 //! `offset` samples (on average half a period per node, done once,
-//! in parallel, and attributed to setup time by the harness).
+//! in parallel, and attributed to setup time by the harness). The skip
+//! still makes every draw of those samples, but only the last minute's
+//! 30 are built in full; the rest advance the episode, CPU-level and
+//! memory state and consume the jitter and keyboard draws unread
+//! ([`TraceStream::skip`]).
 //!
 //! The same [`WindowCursor`] type also serves a monolithic realization,
 //! straight from its shared table, so every consumer reads window rows
