@@ -302,12 +302,48 @@ fn open_admission_outcomes_are_pinned() {
     });
 }
 
+/// An open cell under randomized single-job stealing. Deadline/LL
+/// reneges from the deques, Block/PM pause-evicts back onto them and
+/// Shed/IE evicts back onto them.
+fn stealing_open_cell(admission: AdmissionPolicy, policy: Policy) -> ClusterConfig {
+    let mut cfg = open_cell(admission, policy);
+    cfg.stealing = StealingConfig::randomized(3, 0.5);
+    cfg
+}
+
 #[test]
 fn stealing_open_outcome_is_pinned() {
-    let pins = vec![("stealing".to_string(), stealing_cell(), 0x69f2_970a_dd5d_56be)];
+    // A central dispatch round trip is documented as meaningless under
+    // stealing, so setting one must not move a byte.
+    let mut ignored_rtt = stealing_cell();
+    ignored_rtt.stealing.central_dispatch_rtt_secs = 4.0;
+    let pins = vec![
+        ("stealing".to_string(), stealing_cell(), 0x69f2_970a_dd5d_56be),
+        ("stealing+central_rtt".to_string(), ignored_rtt, 0x69f2_970a_dd5d_56be),
+        (
+            "stealing deadline/LL".to_string(),
+            stealing_open_cell(AdmissionPolicy::Deadline, Policy::LingerLonger),
+            0xf3d3_c1d0_9ffa_3eb6,
+        ),
+        (
+            "stealing block/PM".to_string(),
+            stealing_open_cell(AdmissionPolicy::Block, Policy::PauseAndMigrate),
+            0x5c25_f605_c18a_5906,
+        ),
+        (
+            "stealing shed/IE".to_string(),
+            stealing_open_cell(AdmissionPolicy::Shed, Policy::ImmediateEviction),
+            0xecf0_5ba4_cbdd_c724,
+        ),
+    ];
     assert_pins(pins, |name, sim| {
         let st = sim.steal_stats();
         assert!(st.hits > 0 && st.probes == st.hits + st.misses, "{name}: {st:?}");
+        assert_eq!(st.central_dispatches, 0, "{name}: stealing never charges the coordinator");
         assert!(sim.archived_jobs() > 0, "{name}: open runs retire jobs");
+        if name.contains("deadline") {
+            let svc = sim.service_stats();
+            assert!(svc.deadline_dropped > 0, "{name}: deques must renege: {svc:?}");
+        }
     });
 }
