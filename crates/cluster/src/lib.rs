@@ -14,7 +14,9 @@
 //!   contention);
 //! * [`stealing`] — the decentralized work-stealing scheduler (per-node
 //!   deques, randomized victims, steal latency as a first-class cost);
-//! * [`sim`] — the window-stepped simulation;
+//! * [`sim`] — the window-stepped simulation; the scheduler (central
+//!   queue or steal deques) sits behind one seam in its private
+//!   `dispatch` submodule;
 //! * [`metrics`] — the Fig 7 metrics and the policy-comparison driver.
 
 //! ## Example

@@ -30,25 +30,37 @@
 //! [`linger_sim_core::SHARD_MIN_NODES`] default to one shard (see
 //! [`ClusterSim::set_shards`]), so they sweep in-line unless a shard
 //! count is set explicitly.
+//!
+//! ## One scheduler seam
+//!
+//! This module is the window loop: refresh, faults, arrivals, transfers,
+//! policy decisions, progress, placement. It never asks which scheduler
+//! runs. Where queued jobs wait and how they reach a free node — the
+//! paper's central coordinator or decentralized work stealing — lives in
+//! the private `dispatch` submodule, behind one `Dispatch` value built
+//! from `cfg.stealing`. A window makes one placement call into it, and
+//! destination queries answer there too.
+
+mod dispatch;
 
 use crate::config::{AdmissionPolicy, ClusterConfig, RunMode};
-use crate::dest::{DestIndex, Pool};
+use crate::dest::Pool;
 use crate::faults::{FaultEventKind, FaultModel, FaultStats};
 use crate::service::{effective_queue_capacity, queue_budget_from_env, ServiceStats};
 use crate::state::{JobCold, JobRecord, JobSlabs, JobState, NodeId, NodeSlabs, NO_JOB, NO_NODE};
-use crate::stealing::{draw_victim, StealState, StealStats};
+use crate::stealing::StealStats;
+use dispatch::Dispatch;
 use linger::cost::should_migrate;
 use linger::{JobId, JobSpec, Policy};
 use linger_node::steal_rate_with;
 use linger_sim_core::{
-    default_shard_count, prefetch_read, NodeIndex, RngFactory, ShardPlan, SimDuration, SimTime,
+    default_shard_count, prefetch_read, NodeIndex, ShardPlan, SimDuration, SimTime,
 };
 use linger_telemetry::{DecisionAction, Event, EventKind, JournalCounts, Recorder};
 use linger_workload::{
     ArrivalGenerator, CoarseTrace, RealizeOrigin, TraceLibrary, TwoPoolMemory, WindowCursor,
     WorkloadRealization, SAMPLE_PERIOD_SECS,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// One simulation window (= the coarse-trace sampling period).
@@ -79,14 +91,12 @@ struct DecideIntent {
 enum DecideKind {
     /// A running job's node turned non-idle: apply the policy reaction.
     NonIdle,
-    /// A lingering job's node turned idle again.
-    ResumeLinger,
+    /// A lingering or paused job's node turned idle again.
+    Resume,
     /// Still lingering on a non-idle node under LL: run the migration
     /// test (destination choice needs the live candidate set, so it
     /// happens in the merge).
     LingerCheck,
-    /// A paused job's node turned idle again.
-    ResumePause,
     /// A paused job's grace period expired.
     PauseEvict,
 }
@@ -105,9 +115,8 @@ struct ProgressIntent {
     gain: SimDuration,
     /// Fraction of the window elapsed at completion (Complete only).
     frac: f64,
-    /// Foreground delay seconds to accumulate (Lingering only).
+    /// Foreground delay seconds to accumulate (zero unless lingering).
     delay_add: f64,
-    has_delay: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -120,20 +129,6 @@ enum ProgressKind {
     Complete,
 }
 
-/// A free node eligible to acquire work this window (stealing mode) —
-/// recorded by the owning shard against window-start state, resolved by
-/// the merge in ascending node order (pops first, then randomized
-/// probes), exactly the classify → ordered-merge discipline of
-/// [`DecideIntent`].
-#[derive(Debug, Clone, Copy)]
-struct StealIntent {
-    ni: u32,
-    /// Window-start advisory: the thief's own deque held work, so the
-    /// merge tries an owner pop before probing. Re-validated against the
-    /// live deques (an earlier thief may have stolen it away).
-    pop: bool,
-}
-
 /// The cluster simulation.
 pub struct ClusterSim {
     cfg: ClusterConfig,
@@ -141,7 +136,8 @@ pub struct ClusterSim {
     nodes: NodeSlabs,
     /// Per-job hot/cold slabs; materialized via [`Self::jobs`].
     jobs: JobSlabs,
-    queue: VecDeque<usize>,
+    /// The scheduler: where queued jobs wait, and how they are placed.
+    dispatch: Dispatch,
     window: usize,
     /// Total foreign CPU delivered (throughput numerator).
     foreign_cpu: SimDuration,
@@ -164,17 +160,12 @@ pub struct ClusterSim {
     /// claim/release, so a saturated cluster answers "no idle node" in
     /// O(1) instead of rescanning all free nodes.
     free_idle: NodeIndex,
-    /// Lazily sorted view of the two central candidate pools
-    /// (`free_idle` and free ∧ non-idle), collected at most once per
-    /// window and shared by every destination query — linger migration,
-    /// eviction, transfer retry and queue placement.
-    dest: DestIndex,
     /// Per-window scratch: the recruitment idle flags of every node at
     /// the current window as packed bit words, and the CPU demands.
     idle_words: Vec<u64>,
     cpu_w: Vec<f64>,
-    /// Scratch for the not-yet-placeable queue tail.
-    place_scratch: VecDeque<usize>,
+    /// Scratch for the jobs one deadline pass drops from the queue.
+    reneged: Vec<u32>,
     /// Superset of the jobs currently in [`JobState::Migrating`] —
     /// appended to on every migration start, compacted each window — so
     /// transfer progress and arrivals never rescan the ever-growing job
@@ -209,20 +200,8 @@ pub struct ClusterSim {
     /// Counters already flushed to the global registry (watermark, so
     /// repeated `run()` calls never double-count).
     telemetry_absorbed: JournalCounts,
-    /// Per-node steal deques, present only when `cfg.stealing.enabled`
-    /// — the queue discipline then routes through them instead of
-    /// `queue`, which stays empty.
-    steal: Option<StealState>,
     /// Exact stealing / central-dispatch counters.
     steal_stats: StealStats,
-    /// Reusable per-shard steal-intent buffers.
-    steal_bufs: Vec<Vec<StealIntent>>,
-    /// When the central coordinator (a single-server dispatch queue
-    /// under `central_dispatch_rtt_secs > 0`) next frees up. Backlog
-    /// carries across windows; stays `ZERO` when the knob is off.
-    central_next_free: SimTime,
-    /// Keyed RNG streams for victim draws ([`crate::stealing`]).
-    rng_factory: RngFactory,
     /// Open-arrivals generator, present only in [`RunMode::Open`].
     arrivals: Option<ArrivalGenerator>,
     /// Service-mode counters and steady-state estimators.
@@ -296,20 +275,6 @@ impl ClusterSim {
         let jobs = JobSlabs::from_specs(cfg.family.jobs());
         let next_job_id = jobs.len() as u32;
         let n = cfg.nodes;
-        // Queue discipline: the central FIFO, or — stealing mode — the
-        // per-node deques, with each family job scattered to its home
-        // deque (`id % nodes`) at its arrival order.
-        let mut steal = cfg.stealing.enabled.then(|| StealState::new(n));
-        let queue: VecDeque<usize> = match steal.as_mut() {
-            Some(st) => {
-                for (ji, spec) in cfg.family.jobs().iter().enumerate() {
-                    let home = st.home_of(spec.id.0 as u64);
-                    st.push_back(home, ji as u32);
-                }
-                VecDeque::new()
-            }
-            None => (0..jobs.len()).collect(),
-        };
         // The fault schedule spans the run's hard horizon; events are a
         // pure function of (faults config, seed, node), so two runs of
         // the same config realize identical failures.
@@ -342,12 +307,12 @@ impl ClusterSim {
             }
             _ => (None, usize::MAX, 0),
         };
-        let rng_factory = RngFactory::new(cfg.seed);
+        let dispatch = Dispatch::new(&cfg, &jobs, shard_count);
         ClusterSim {
             cfg,
             nodes,
             jobs,
-            queue,
+            dispatch,
             window: 0,
             foreign_cpu: SimDuration::ZERO,
             local_busy_secs: 0.0,
@@ -357,10 +322,9 @@ impl ClusterSim {
             free: NodeIndex::full(n),
             busy: NodeIndex::new(n),
             free_idle: NodeIndex::new(n),
-            dest: DestIndex::default(),
             idle_words: vec![0; n.div_ceil(64).max(1)],
             cpu_w: vec![0.0; n],
-            place_scratch: VecDeque::new(),
+            reneged: Vec::new(),
             migrating: Vec::new(),
             windows,
             plan,
@@ -372,11 +336,7 @@ impl ClusterSim {
             fault_stats: FaultStats::default(),
             telemetry: Recorder::from_env(),
             telemetry_absorbed: JournalCounts::default(),
-            steal,
             steal_stats: StealStats::default(),
-            steal_bufs: vec![Vec::new(); shard_count],
-            central_next_free: SimTime::ZERO,
-            rng_factory,
             arrivals,
             service: ServiceStats::new(queue_cap, queue_budget),
             queue_cap,
@@ -397,7 +357,7 @@ impl ClusterSim {
         let shard_count = self.plan.shard_count().max(1);
         self.decide_bufs = vec![Vec::new(); shard_count];
         self.progress_bufs = vec![Vec::new(); shard_count];
-        self.steal_bufs = vec![Vec::new(); shard_count];
+        self.dispatch.set_shards(shard_count);
     }
 
     /// Builder-style [`Self::set_shards`].
@@ -446,18 +406,17 @@ impl ClusterSim {
         // any point of the run. Parked and archived rows are Done, so
         // only live queued slots need it; ids are unique, so each finds
         // its record by binary search.
-        let w = self.window as u32;
         for ji in 0..self.jobs.len() {
             if self.jobs.state[ji] != JobState::Queued {
                 continue;
             }
-            let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-            if w > from {
+            let span = self.queued_span(ji);
+            if span > SimDuration::ZERO {
                 let id = self.jobs.id[ji].0;
                 let at = records
                     .binary_search_by_key(&id, |r| r.spec.id.0)
                     .expect("every live slot has a record");
-                records[at].breakdown.queued += Self::window_span(w - from);
+                records[at].breakdown.queued += span;
             }
         }
         records
@@ -517,27 +476,6 @@ impl ClusterSim {
     /// default central queue with a free coordinator).
     pub fn steal_stats(&self) -> StealStats {
         self.steal_stats
-    }
-
-    /// Jobs waiting for a node, wherever they wait: the central FIFO,
-    /// or the sum of every per-node deque in stealing mode.
-    fn queued_len(&self) -> usize {
-        match &self.steal {
-            Some(st) => st.total(),
-            None => self.queue.len(),
-        }
-    }
-
-    /// Enqueue a job under the active queue discipline: the central
-    /// FIFO, or the job's home deque (`id % nodes`) in stealing mode.
-    fn enqueue_job(&mut self, ji: usize) {
-        match self.steal.as_mut() {
-            Some(st) => {
-                let home = st.home_of(self.jobs.id[ji].0 as u64);
-                st.push_back(home, ji as u32);
-            }
-            None => self.queue.push_back(ji),
-        }
     }
 
     /// Wall-clock seconds spent building streamed window chunks so far
@@ -623,7 +561,8 @@ impl ClusterSim {
         let t = self.now();
         let w = self.window;
         self.telemetry.record(|| {
-            self.event_at(t, EventKind::WindowStart { queue_depth: self.queued_len() as u32 })
+            let queue_depth = self.dispatch.queued_len() as u32;
+            self.event_at(t, EventKind::WindowStart { queue_depth })
         });
         // 0. Per-window node state: copy the window's cpu/idle lanes into
         //    the scratch arrays and refresh every node's memory demand.
@@ -743,16 +682,7 @@ impl ClusterSim {
         //    in one multiply when the job leaves the queue (and patched
         //    for still-queued jobs in `jobs()`), replacing the historic
         //    phase 6 with identical bytes and zero per-window cost.
-        //    Stealing mode replaces the central pass with the deque
-        //    discipline: shards classify which free nodes may acquire
-        //    work; the merge resolves pops and randomized probes in
-        //    ascending node order.
-        if self.steal.is_some() {
-            self.classify_steals();
-            self.apply_steals(t);
-        } else {
-            self.place_queued(t);
-        }
+        self.place(t);
 
         // 6. Service-mode steady-state accounting: per-window completed
         //    deltas feed the throughput batch means; depth/row peaks are
@@ -761,36 +691,25 @@ impl ClusterSim {
             let delta = self.completed - self.last_completed;
             self.last_completed = self.completed;
             self.service.throughput.add(delta as f64);
-            self.service.peak_queue_depth = self.service.peak_queue_depth.max(self.queued_len());
+            let depth = self.dispatch.queued_len();
+            self.service.peak_queue_depth = self.service.peak_queue_depth.max(depth);
             self.service.peak_live_rows = self.service.peak_live_rows.max(self.jobs.len());
         }
 
         self.window += 1;
     }
 
-    /// First window index at which a queued job accrues queue time: the
-    /// first window whose start time is at or past its submission.
-    /// (The historic per-window walk accrued under `t >= arrival`.)
-    fn arrival_window(&self, ji: usize) -> u32 {
-        self.jobs.arrival[ji].as_nanos().div_ceil(WINDOW.as_nanos()) as u32
-    }
-
-    /// Exactly `count` windows of time — integer nanoseconds, equal to
-    /// `count` repeated `WINDOW` additions.
-    fn window_span(count: u32) -> SimDuration {
-        SimDuration::from_nanos(WINDOW.as_nanos() * count as u64)
+    /// How long queued job `ji` has waited: see [`queued_span`].
+    fn queued_span(&self, ji: usize) -> SimDuration {
+        queued_span(&self.jobs, ji, self.window as u32)
     }
 
     /// Credit job `ji`'s queued time for the span it just spent on the
-    /// queue: every window from `max(entry, arrival)` up to (not
-    /// including) the current one — the exact set of windows the historic
-    /// phase-6 walk visited it in.
+    /// queue — the exact set of windows the historic phase-6 walk
+    /// visited it in.
     fn flush_queue_time(&mut self, ji: usize) {
-        let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-        let w = self.window as u32;
-        if w > from {
-            self.jobs.breakdown[ji].queued += Self::window_span(w - from);
-        }
+        let span = self.queued_span(ji);
+        self.jobs.breakdown[ji].queued += span;
     }
 
     /// Phase 1b (serving mode): draw this window's arrivals and run them
@@ -818,7 +737,7 @@ impl ClusterSim {
                 admitted = offered;
             }
             AdmissionPolicy::Shed | AdmissionPolicy::Deadline => {
-                let space = self.queue_cap.saturating_sub(self.queued_len());
+                let space = self.queue_cap.saturating_sub(self.dispatch.queued_len());
                 let take = (offered as usize).min(space) as u32;
                 for _ in 0..take {
                     self.admit_arrival(&mut generator, t);
@@ -841,7 +760,7 @@ impl ClusterSim {
                 // Deficit jobs draw their demands from the window that
                 // admits them, so draining needs this window's stream
                 // (present whenever the window's rate was positive).
-                let mut space = self.queue_cap.saturating_sub(self.queued_len());
+                let mut space = self.queue_cap.saturating_sub(self.dispatch.queued_len());
                 if generator.has_window_stream() {
                     let drain = (self.service.deficit).min(space as u64) as u32;
                     for _ in 0..drain {
@@ -874,7 +793,7 @@ impl ClusterSim {
             self.service.saturated_windows += 1;
         }
         if offered > 0 || admitted > 0 {
-            let depth = self.queued_len() as u32;
+            let depth = self.dispatch.queued_len() as u32;
             self.telemetry.record(|| {
                 self.event_at(t, EventKind::ArrivalBurst { offered, admitted, depth })
             });
@@ -892,85 +811,41 @@ impl ClusterSim {
         let spec = JobSpec { id: JobId(self.next_job_id), cpu_demand, mem_kb, arrival: t };
         self.next_job_id += 1;
         let ji = self.jobs.push(spec, self.window as u32);
-        self.enqueue_job(ji);
+        self.dispatch.enqueue(ji, spec.id);
         self.service.admitted += 1;
     }
 
-    /// Drop queued jobs whose waiting time exceeds the deadline. The
-    /// queue is FIFO and every (re)enqueue stamps the current window, so
-    /// effective entry windows are non-decreasing front to back and the
-    /// scan stops at the first unexpired job.
+    /// Drop every queued job whose wait exceeds the deadline, in the
+    /// order the scheduler finds them (see `Dispatch::take_expired`).
     fn renege_expired(&mut self, t: SimTime) {
-        if self.steal.is_some() {
-            self.renege_expired_deques(t);
-            return;
-        }
         let deadline_secs = self.cfg.service.deadline_secs;
-        let w = self.window as u32;
-        while let Some(&ji) = self.queue.front() {
-            let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-            let waited = if w > from { Self::window_span(w - from) } else { SimDuration::ZERO };
-            if waited.as_secs_f64() <= deadline_secs {
-                break;
-            }
-            self.queue.pop_front();
-            self.flush_queue_time(ji);
-            self.jobs.state[ji] = JobState::Done;
-            self.jobs.node[ji] = NO_NODE;
-            self.service.deadline_dropped += 1;
-            let job = self.jobs.id[ji].0;
-            let waited_secs = waited.as_secs_f64();
-            self.telemetry.record(|| {
-                self.event_at(t, EventKind::DeadlineDrop { waited_secs }).for_job(job)
-            });
-            // Dropped-unserved jobs retire like completions: record to
-            // the cold archive, recycle the slot. They are *not* counted
-            // completed and carry no `completed_at`.
-            self.jobs.retire(ji);
+        let (jobs, w) = (&self.jobs, self.window as u32);
+        let mut expired = std::mem::take(&mut self.reneged);
+        self.dispatch.take_expired(
+            |ji| queued_span(jobs, ji as usize, w).as_secs_f64() > deadline_secs,
+            &mut expired,
+        );
+        for &ji in &expired {
+            self.drop_expired(ji as usize, t);
         }
+        expired.clear();
+        self.reneged = expired;
     }
 
-    /// Deadline reneging over the steal deques. `steal_half` moves old
-    /// jobs onto younger deques, so expiry is *not* front-monotonic per
-    /// deque — every deque is scanned in full, ascending node order,
-    /// front to back (a deterministic order at any shard count).
-    fn renege_expired_deques(&mut self, t: SimTime) {
-        let mut st = self.steal.take().expect("stealing mode");
-        let deadline_secs = self.cfg.service.deadline_secs;
-        let w = self.window as u32;
-        let mut expired: Vec<u32> = Vec::new();
-        for ni in 0..st.nodes() {
-            if st.len(ni) == 0 {
-                continue;
-            }
-            expired.clear();
-            expired.extend(st.iter(ni).filter(|&ji| {
-                let ji = ji as usize;
-                let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-                let waited =
-                    if w > from { Self::window_span(w - from) } else { SimDuration::ZERO };
-                waited.as_secs_f64() > deadline_secs
-            }));
-            if expired.is_empty() {
-                continue;
-            }
-            st.remove(ni, &expired);
-            for &ji32 in &expired {
-                let ji = ji32 as usize;
-                let from = self.jobs.queued_from[ji].max(self.arrival_window(ji));
-                let waited_secs = Self::window_span(w - from).as_secs_f64();
-                self.flush_queue_time(ji);
-                self.jobs.state[ji] = JobState::Done;
-                self.jobs.node[ji] = NO_NODE;
-                self.service.deadline_dropped += 1;
-                let job = self.jobs.id[ji].0;
-                self.telemetry.record(|| {
-                    self.event_at(t, EventKind::DeadlineDrop { waited_secs }).for_job(job)
-                });
-                self.jobs.retire(ji);
-            }
-        }
-        self.steal = Some(st);
+    /// Drop queued job `ji`, already off the queue, as unserved.
+    fn drop_expired(&mut self, ji: usize, t: SimTime) {
+        let waited_secs = self.queued_span(ji).as_secs_f64();
+        self.flush_queue_time(ji);
+        self.jobs.state[ji] = JobState::Done;
+        self.jobs.node[ji] = NO_NODE;
+        self.service.deadline_dropped += 1;
+        let job = self.jobs.id[ji].0;
+        self.telemetry
+            .record(|| self.event_at(t, EventKind::DeadlineDrop { waited_secs }).for_job(job));
+        // Dropped-unserved jobs retire like completions: record to the
+        // cold archive, recycle the slot. They are *not* counted
+        // completed and carry no `completed_at`.
+        self.jobs.retire(ji);
     }
 
     /// Phase 0: refresh the per-window scratch (cpu lane, idle words,
@@ -1003,7 +878,7 @@ impl ClusterSim {
         // set content is identical (`free` already excludes crashed
         // nodes).
         self.free_idle.assign_and_words(&self.idle_words, &self.free);
-        self.dest.invalidate();
+        self.dispatch.new_window();
     }
 
     /// Phase 3 classify: every shard scans its slice of the busy index
@@ -1054,19 +929,15 @@ impl ClusterSim {
                 let ji = intent.ji as usize;
                 match intent.kind {
                     DecideKind::NonIdle => self.on_non_idle(ji, ni, t),
-                    DecideKind::ResumeLinger => {
-                        // Episode over; back to plain running.
-                        self.jobs.state[ji] = JobState::Running;
-                        self.jobs.cold[ji].episode_start = None;
-                        self.record_decision(ji, ni, t, DecisionAction::Resume, None);
-                    }
-                    DecideKind::LingerCheck => self.maybe_migrate_lingering(ji, ni, t),
-                    DecideKind::ResumePause => {
+                    DecideKind::Resume => {
+                        // Episode over; back to plain running. (A
+                        // lingering job has no pause deadline to clear.)
                         self.jobs.state[ji] = JobState::Running;
                         self.jobs.cold[ji].episode_start = None;
                         self.jobs.cold[ji].pause_deadline = None;
                         self.record_decision(ji, ni, t, DecisionAction::Resume, None);
                     }
+                    DecideKind::LingerCheck => self.maybe_migrate_lingering(ji, ni, t),
                     DecideKind::PauseEvict => self.evict(ji, ni, t),
                 }
             }
@@ -1122,6 +993,7 @@ impl ClusterSim {
                 }
                 let p = buf[i];
                 let ji = p.ji as usize;
+                self.local_delay_secs += p.delay_add;
                 match p.kind {
                     ProgressKind::Account => {
                         // Paused/migrating-in jobs make no progress;
@@ -1129,18 +1001,12 @@ impl ClusterSim {
                         self.jobs.breakdown[ji].add(p.state, WINDOW);
                     }
                     ProgressKind::Advance => {
-                        if p.has_delay {
-                            self.local_delay_secs += p.delay_add;
-                        }
                         self.foreign_cpu += p.gain;
                         self.jobs.remaining[ji] =
                             self.jobs.remaining[ji].saturating_sub(p.gain);
                         self.jobs.breakdown[ji].add(p.state, WINDOW);
                     }
                     ProgressKind::Complete => {
-                        if p.has_delay {
-                            self.local_delay_secs += p.delay_add;
-                        }
                         let remaining = self.jobs.remaining[ji];
                         let at = t + WINDOW.mul_f64(p.frac);
                         self.foreign_cpu += remaining;
@@ -1200,75 +1066,69 @@ impl ClusterSim {
     /// The Linger-Longer migration test (paper Sec 2): once the episode
     /// age reaches `T_lingr = (1−l)/(h−l)·T_migr` for the best available
     /// destination, migrate.
+    ///
+    /// Without a central coordinator (stealing) no node knows the best
+    /// destination: nodes acquire work themselves. The test then runs
+    /// against an assumed-idle destination (`l = 0`); past the threshold
+    /// the job returns to its home deque and waits to be popped or
+    /// stolen, paying queue and steal latency where the central policy
+    /// paid a directed move.
     fn maybe_migrate_lingering(&mut self, ji: usize, node: NodeId, t: SimTime) {
         let Some(start) = self.jobs.cold[ji].episode_start else { return };
         let mem_kb = self.jobs.mem_kb[ji];
-        if self.steal.is_some() {
-            // Decentralized mode has no global destination index: nodes
-            // acquire work themselves, so no coordinator knows the best
-            // destination. Apply the linger test against an assumed-idle
-            // destination; past the threshold the job returns to its
-            // home deque and waits to be popped or stolen, paying queue
-            // and steal latency where the central policy paid a
-            // directed move.
-            let h = self.cpu_w[node.0];
-            let t_migr = self.cfg.params.migration.cost(mem_kb);
-            let age = t.saturating_since(start);
-            if should_migrate(age, h, 0.0, t_migr) {
-                self.record_decision(ji, node, t, DecisionAction::Requeue, None);
-                self.release_node(node);
-                self.requeue(ji, t);
-            }
-            return;
-        }
-        let Some(dest) = self.best_destination(Pool::Idle, mem_kb, Some(node)) else {
-            return; // nowhere better to go; keep lingering
+        let dest = if self.dispatch.is_central() {
+            let Some(dest) = self.best_destination(Pool::Idle, mem_kb, Some(node)) else {
+                return; // nowhere better to go; keep lingering
+            };
+            Some(dest)
+        } else {
+            None
         };
         let h = self.cpu_w[node.0];
-        let l = self.cpu_w[dest.0];
+        let l = dest.map_or(0.0, |d| self.cpu_w[d.0]);
         let t_migr = self.cfg.params.migration.cost(mem_kb);
         let age = t.saturating_since(start);
-        if should_migrate(age, h, l, t_migr) {
-            self.telemetry.record(|| {
-                self.event_at(t, EventKind::Decision {
-                    action: DecisionAction::Migrate,
-                    host_cpu: Some(h),
-                    dest_cpu: Some(l),
-                    age_secs: Some(age.as_secs_f64()),
-                    migration_secs: Some(t_migr.as_secs_f64()),
-                    dest: Some(dest.0 as u32),
-                })
-                .on_node(node.0 as u32)
-                .for_job(self.jobs.id[ji].0)
-            });
-            self.migrate(ji, node, dest, t);
+        if !should_migrate(age, h, l, t_migr) {
+            return;
         }
+        let Some(dest) = dest else {
+            self.requeue_from(ji, node, t);
+            return;
+        };
+        self.telemetry.record(|| {
+            self.event_at(t, EventKind::Decision {
+                action: DecisionAction::Migrate,
+                host_cpu: Some(h),
+                dest_cpu: Some(l),
+                age_secs: Some(age.as_secs_f64()),
+                migration_secs: Some(t_migr.as_secs_f64()),
+                dest: Some(dest.0 as u32),
+            })
+            .on_node(node.0 as u32)
+            .for_job(self.jobs.id[ji].0)
+        });
+        self.migrate(ji, node, dest, t);
     }
 
     /// Evict: migrate to the best idle node if one exists, otherwise
     /// return to the queue (the migration cost is then paid when the job
-    /// is re-placed).
+    /// is re-placed). Stealing names no destination, so its evictions
+    /// always return to the home deque.
     fn evict(&mut self, ji: usize, node: NodeId, t: SimTime) {
-        if self.steal.is_some() {
-            // No global index to pick an eviction target from under
-            // stealing: the job returns to its home deque and the next
-            // free node pops or steals it.
-            self.record_decision(ji, node, t, DecisionAction::Requeue, None);
-            self.release_node(node);
-            self.requeue(ji, t);
-            return;
-        }
         match self.best_destination(Pool::Idle, self.jobs.mem_kb[ji], Some(node)) {
             Some(dest) => {
                 self.record_decision(ji, node, t, DecisionAction::Evict, Some(dest));
                 self.migrate(ji, node, dest, t);
             }
-            None => {
-                self.record_decision(ji, node, t, DecisionAction::Requeue, None);
-                self.release_node(node);
-                self.requeue(ji, t);
-            }
+            None => self.requeue_from(ji, node, t),
         }
+    }
+
+    /// Take job `ji` off `node` and back to the waiting pool.
+    fn requeue_from(&mut self, ji: usize, node: NodeId, t: SimTime) {
+        self.record_decision(ji, node, t, DecisionAction::Requeue, None);
+        self.release_node(node);
+        self.requeue(ji, t);
     }
 
     /// Return a job to the waiting pool — the central queue, or its home
@@ -1284,7 +1144,7 @@ impl ClusterSim {
         cold.migration_bits_left = None;
         cold.migration_attempts = 0;
         self.jobs.queued_from[ji] = self.window as u32;
-        self.enqueue_job(ji);
+        self.dispatch.enqueue(ji, self.jobs.id[ji]);
         self.telemetry.record(|| {
             self.event_at(t, EventKind::QueueEnter).for_job(self.jobs.id[ji].0)
         });
@@ -1342,12 +1202,12 @@ impl ClusterSim {
     /// exponential backoff plus checkpoint-restart cost, or abandon the
     /// migration once the attempt budget is spent. The caller has
     /// already released (or lost) the previous destination.
+    ///
+    /// Stealing has no rescue dispatcher: a lost transfer (a failed
+    /// steal delivery included) goes straight back to the job's home
+    /// deque, before any attempt budget is charged.
     fn retry_migration(&mut self, ji: usize, t: SimTime) {
-        if self.steal.is_some() {
-            // No centralized rescue dispatcher exists under stealing:
-            // a lost transfer (failed steal delivery included) goes back
-            // to the job's home deque and waits to be popped or stolen
-            // again.
+        if !self.dispatch.is_central() {
             self.requeue(ji, t);
             return;
         }
@@ -1374,20 +1234,10 @@ impl ClusterSim {
                 .on_node(dest.0 as u32)
                 .for_job(self.jobs.id[ji].0)
         });
-        let start = t + retry.retry_delay(attempt - 1);
-        let (until, bits) = self.migration_terms(mem_kb, start);
-        self.jobs.state[ji] = JobState::Migrating;
-        self.jobs.node[ji] = dest.0 as u32;
-        let cold = &mut self.jobs.cold[ji];
-        cold.migration_until = Some(until);
-        cold.migration_bits_left = bits;
-        cold.migration_attempts = attempt + 1;
-        cold.transfer_seq += 1;
-        self.migrating.push(ji);
-        self.claim_node(dest, ji);
+        self.start_transfer(ji, dest, t + retry.retry_delay(attempt - 1), true, attempt + 1);
     }
 
-    /// Begin a migration from `from` to the reserved `dest`.
+    /// Begin a migration from `from` to the free `dest`.
     fn migrate(&mut self, ji: usize, from: NodeId, dest: NodeId, t: SimTime) {
         self.telemetry.record(|| {
             self.event_at(t, EventKind::MigrationStart { dest: dest.0 as u32, attempt: 1 })
@@ -1395,19 +1245,41 @@ impl ClusterSim {
                 .for_job(self.jobs.id[ji].0)
         });
         self.release_node(from);
-        let (until, bits) = self.migration_terms(self.jobs.mem_kb[ji], t);
+        let cold = &mut self.jobs.cold[ji];
+        cold.episode_start = None;
+        cold.pause_deadline = None;
+        cold.migrations += 1;
+        self.start_transfer(ji, dest, t, true, 1);
+    }
+
+    /// Put job `ji` in flight toward `dest` and reserve the node, as
+    /// transfer attempt `attempt`. With `image`, the job's memory image
+    /// moves at migration cost starting at `start`; without one (a fresh
+    /// job delayed in dispatch) it arrives at `start` itself, with no
+    /// bits on the backbone. Either way the transfer is visible to the
+    /// crash and migration-failure fault model until it lands.
+    fn start_transfer(
+        &mut self,
+        ji: usize,
+        dest: NodeId,
+        start: SimTime,
+        image: bool,
+        attempt: u32,
+    ) {
+        let (until, bits) = if image {
+            self.migration_terms(self.jobs.mem_kb[ji], start)
+        } else {
+            (start, None)
+        };
         self.jobs.state[ji] = JobState::Migrating;
         self.jobs.node[ji] = dest.0 as u32;
         let cold = &mut self.jobs.cold[ji];
         cold.migration_until = Some(until);
         cold.migration_bits_left = bits;
-        cold.episode_start = None;
-        cold.pause_deadline = None;
-        cold.migrations += 1;
-        cold.migration_attempts = 1;
+        cold.migration_attempts = attempt;
         cold.transfer_seq += 1;
         self.migrating.push(ji);
-        self.claim_node(dest, ji); // reserve
+        self.claim_node(dest, ji);
     }
 
     /// Fixed-deadline and transfer terms for a migration starting at `t`.
@@ -1494,7 +1366,7 @@ impl ClusterSim {
                 // simulator's counter, so recycling only changes the slab
                 // index, never the identity.
                 let new_ji = self.jobs.respawn(ji, spec, self.window as u32);
-                self.enqueue_job(new_ji);
+                self.dispatch.enqueue(new_ji, spec.id);
             }
             RunMode::Open { .. } => {
                 // Serving mode: the latency estimator sees every
@@ -1523,7 +1395,7 @@ impl ClusterSim {
 
     /// Node `ni` returns to the free pool mid-window (release or reboot):
     /// into `free`, into `free_idle` if its owner is idle, and into the
-    /// destination index at its sorted position.
+    /// scheduler's destination index.
     fn join_free(&mut self, ni: usize) {
         self.free.insert(ni);
         let pool = if self.idle_at(ni) {
@@ -1532,139 +1404,7 @@ impl ClusterSim {
         } else {
             Pool::NonIdle
         };
-        self.dest.insert(pool, (self.cpu_w[ni], ni as u32));
-    }
-
-    /// The best destination in `pool`: the free node with the lowest
-    /// current utilization (ties to the lowest id) that can hold
-    /// `mem_kb`, other than `exclude`. Answered by the per-window
-    /// [`DestIndex`]; an empty pool answers in O(1).
-    fn best_destination(
-        &mut self,
-        pool: Pool,
-        mem_kb: u32,
-        exclude: Option<NodeId>,
-    ) -> Option<NodeId> {
-        let (cpu_w, memory) = (&self.cpu_w, &self.nodes.memory);
-        let cand = |ni: usize| (cpu_w[ni], ni as u32);
-        let room = |ni: usize| memory[ni].free_kb();
-        let ex = exclude.map(|n| n.0);
-        match pool {
-            Pool::Idle => {
-                let live = &self.free_idle;
-                self.dest.best(pool, live, room, mem_kb, ex, live.iter().map(cand))
-            }
-            Pool::NonIdle => {
-                let idle = &self.idle_words;
-                let members = self
-                    .free
-                    .iter()
-                    .filter(|&ni| idle[ni / 64] & (1u64 << (ni % 64)) == 0)
-                    .map(cand);
-                self.dest.best(pool, &self.free, room, mem_kb, ex, members)
-            }
-        }
-        .map(NodeId)
-    }
-
-    /// FIFO placement of queued jobs: idle nodes first; lingering policies
-    /// may fall back to the least-loaded non-idle node (Sec 4.2: LL "can
-    /// run jobs on any semi-available node").
-    fn place_queued(&mut self, t: SimTime) {
-        // A saturated cluster (every node claimed or crashed) cannot
-        // place anything: the pass below would pop each job and push it
-        // back unchanged. Skip it — queue order, lazy queue-time spans,
-        // and all indexes are untouched, so the bytes are identical.
-        if self.free.is_empty() {
-            return;
-        }
-        // A serialized dispatcher stops placing once its backlog is a
-        // full window deep: at most `WINDOW / rtt_c` placements per
-        // window, the rest wait in the bounded admission queue. This
-        // keeps the in-flight transfer list O(window / rtt_c) under
-        // overload instead of letting it grow without limit. The backlog
-        // only grows during a pass, so once it is full every job still
-        // queued keeps its place — the pass ends there (or never starts).
-        let rtt_c = self.cfg.stealing.central_dispatch_rtt_secs;
-        let backlog_full = |next_free: SimTime| rtt_c > 0.0 && next_free >= t + WINDOW;
-        if backlog_full(self.central_next_free) {
-            return;
-        }
-        let mut unplaced = std::mem::take(&mut self.place_scratch);
-        unplaced.clear();
-        // Smallest memory demand whose query already came up empty this
-        // pass. While placing, both candidate sets only shrink (claims
-        // remove nodes; free nodes' memory never changes mid-pass), so a
-        // failure at `m` KB guarantees failure for any demand ≥ m — the
-        // query can be skipped without changing a single placement. This
-        // keeps the saturated-queue case O(queue).
-        let mut idle_fail_kb = u32::MAX;
-        let mut nonidle_fail_kb = u32::MAX;
-        while let Some(ji) = self.queue.pop_front() {
-            if self.jobs.arrival[ji] > t {
-                unplaced.push_back(ji);
-                continue;
-            }
-            if backlog_full(self.central_next_free) {
-                self.queue.push_front(ji);
-                break;
-            }
-            // Only the dense hot lanes (`mem_kb`, `arrival`) are read on
-            // the skip path — a saturated queue never touches the cold
-            // job slab at all.
-            let mem_kb = self.jobs.mem_kb[ji];
-            let mut target = if mem_kb >= idle_fail_kb {
-                None
-            } else {
-                let d = self.best_destination(Pool::Idle, mem_kb, None);
-                if d.is_none() {
-                    idle_fail_kb = mem_kb;
-                }
-                d
-            };
-            if target.is_none()
-                && self.cfg.params.policy.places_on_non_idle()
-                && mem_kb < nonidle_fail_kb
-            {
-                // Least-loaded non-idle node that can take the job.
-                let d = self.best_destination(Pool::NonIdle, mem_kb, None);
-                if d.is_none() {
-                    nonidle_fail_kb = mem_kb;
-                }
-                target = d;
-            }
-            match target {
-                None => unplaced.push_back(ji),
-                Some(dest) => {
-                    // Central-coordinator serialization: with a positive
-                    // `central_dispatch_rtt_secs`, the dispatcher is a
-                    // single-server queue handling one placement per
-                    // round trip, with backlog carried across windows.
-                    // Zero (the default) keeps the historical free
-                    // coordinator, byte for byte.
-                    let extra = if rtt_c > 0.0 {
-                        let start = self.central_next_free.max(t);
-                        self.central_next_free = start + SimDuration::from_secs_f64(rtt_c);
-                        self.steal_stats.central_dispatches += 1;
-                        self.central_next_free.saturating_since(t)
-                    } else {
-                        SimDuration::ZERO
-                    };
-                    self.dispatch_queued(ji, dest, t, extra);
-                }
-            }
-        }
-        if self.queue.is_empty() {
-            // The drained queue buffer becomes next window's scratch.
-            std::mem::swap(&mut self.queue, &mut unplaced);
-        } else {
-            // Stopped early: the few jobs skipped so far go back in front
-            // of the untouched rest.
-            while let Some(ji) = unplaced.pop_back() {
-                self.queue.push_front(ji);
-            }
-        }
-        self.place_scratch = unplaced;
+        self.dispatch.node_freed(pool, (self.cpu_w[ni], ni as u32));
     }
 
     /// Dispatch a queued job to `dest`, `extra` simulated seconds from
@@ -1676,7 +1416,6 @@ impl ClusterSim {
     /// crash and migration-failure fault model.
     fn dispatch_queued(&mut self, ji: usize, dest: NodeId, t: SimTime, extra: SimDuration) {
         self.flush_queue_time(ji);
-        self.claim_node(dest, ji);
         self.telemetry.record(|| {
             self.event_at(t, EventKind::Decision {
                 action: DecisionAction::Place,
@@ -1688,20 +1427,11 @@ impl ClusterSim {
             })
             .for_job(self.jobs.id[ji].0)
         });
-        let mem_kb = self.jobs.mem_kb[ji];
         if self.jobs.cold[ji].has_run {
             // Re-materializing an evicted job costs a migration (which
             // starts only once the dispatch delay has elapsed).
-            let (until, bits) = self.migration_terms(mem_kb, t + extra);
-            self.jobs.state[ji] = JobState::Migrating;
-            self.jobs.node[ji] = dest.0 as u32;
-            let cold = &mut self.jobs.cold[ji];
-            cold.migration_until = Some(until);
-            cold.migration_bits_left = bits;
-            cold.migrations += 1;
-            cold.migration_attempts = 1;
-            cold.transfer_seq += 1;
-            self.migrating.push(ji);
+            self.jobs.cold[ji].migrations += 1;
+            self.start_transfer(ji, dest, t + extra, true, 1);
             self.telemetry.record(|| {
                 self.event_at(t, EventKind::MigrationStart {
                     dest: dest.0 as u32,
@@ -1710,19 +1440,12 @@ impl ClusterSim {
                 .for_job(self.jobs.id[ji].0)
             });
         } else if extra > SimDuration::ZERO {
-            // A fresh job delayed in flight: no image to move (no
-            // migration count, no bits on the backbone), but it arrives
-            // only at `t + extra` and the transfer can be lost.
-            self.jobs.state[ji] = JobState::Migrating;
-            self.jobs.node[ji] = dest.0 as u32;
-            let cold = &mut self.jobs.cold[ji];
-            cold.migration_until = Some(t + extra);
-            cold.migration_bits_left = None;
-            cold.migration_attempts = 1;
-            cold.transfer_seq += 1;
-            self.migrating.push(ji);
+            // A fresh job delayed in flight: no image to move and no
+            // migration counted, but it arrives only at `t + extra`.
+            self.start_transfer(ji, dest, t + extra, false, 1);
         } else {
-            self.nodes.memory[dest.0].attach_foreign(mem_kb);
+            self.claim_node(dest, ji);
+            self.nodes.memory[dest.0].attach_foreign(self.jobs.mem_kb[ji]);
             let idle = self.idle_at(dest.0);
             self.jobs.node[ji] = dest.0 as u32;
             let cold = &mut self.jobs.cold[ji];
@@ -1737,165 +1460,16 @@ impl ClusterSim {
             }
         }
     }
+}
 
-    /// Stealing-mode phase 5 classify: each shard scans its slice of the
-    /// free index (crashed nodes are already excluded) and records which
-    /// nodes may acquire work this window — idle nodes always, non-idle
-    /// ones when the policy places on semi-available nodes — plus the
-    /// window-start advisory of whether their own deque held work.
-    fn classify_steals(&mut self) {
-        let st = self.steal.take().expect("stealing mode");
-        let mut bufs = std::mem::take(&mut self.steal_bufs);
-        let plan = &self.plan;
-        let free_words = self.free.words();
-        let idle_words = &self.idle_words;
-        let policy = self.cfg.params.policy;
-        let st_ref = &st;
-        plan.run(bufs.iter_mut(), |si, out| {
-            out.clear();
-            let wr = plan.word_range(si);
-            classify_steals_shard(wr.start, &free_words[wr], idle_words, policy, st_ref, out);
-        });
-        self.steal_bufs = bufs;
-        self.steal = Some(st);
-    }
-
-    /// Stealing-mode phase 5 merge: resolve the intents in ascending
-    /// node order. Owners pop LIFO from their own deque at zero latency;
-    /// empty-handed thieves probe randomly drawn victims, each probe a
-    /// round trip in simulated time, and a hit ships the victim's oldest
-    /// job (plus half the deque under `steal_half`) with the accumulated
-    /// probe delay. Probes are only sent while unserved work exists
-    /// (`total() > 0`) — a no-work window costs nothing, and the RNG
-    /// contract is unaffected because victim draws are keyed by
-    /// `(thief, window, attempt)`, not by draw order.
-    fn apply_steals(&mut self, t: SimTime) {
-        let mut st = self.steal.take().expect("stealing mode");
-        let scfg = self.cfg.stealing;
-        let nodes = st.nodes() as u32;
-        let window = self.window as u32;
-        // Effective per-probe round trip: the configured baseline, or
-        // the shared backbone's control-message round trip under the
-        // current bulk-transfer load, whichever is slower.
-        let rtt = match self.cfg.network {
-            Some(net) => scfg.rtt_secs.max(net.steal_round_trip_secs(self.migrating.len())),
-            None => scfg.rtt_secs,
-        };
-        let mut bufs = std::mem::take(&mut self.steal_bufs);
-        'merge: for buf in &bufs {
-            for &intent in buf {
-                if st.total() == 0 {
-                    // Nothing left to pop or steal anywhere; later
-                    // thieves stay silent (no probes against a known-
-                    // empty system).
-                    break 'merge;
-                }
-                let ni = intent.ni as usize;
-                // Owner pop: the newest job on the node's own deque,
-                // LIFO, zero latency.
-                if intent.pop {
-                    if let Some(ji) = st.back(ni) {
-                        let ji = ji as usize;
-                        if self.jobs.arrival[ji] <= t
-                            && self.nodes.memory[ni].fits(self.jobs.mem_kb[ji])
-                        {
-                            st.pop_back(ni);
-                            self.steal_stats.local_pops += 1;
-                            self.dispatch_queued(ji, NodeId(ni), t, SimDuration::ZERO);
-                            continue;
-                        }
-                    }
-                }
-                if nodes < 2 {
-                    continue;
-                }
-                // Probe randomized victims, one round trip each.
-                let mut hit = false;
-                for attempt in 1..=scfg.probe_attempts {
-                    let victim =
-                        draw_victim(&self.rng_factory, ni as u32, window, attempt, nodes)
-                            as usize;
-                    self.steal_stats.probes += 1;
-                    self.telemetry.record(|| {
-                        self.event_at(t, EventKind::StealAttempt {
-                            victim: victim as u32,
-                            attempt,
-                            victim_depth: st.len(victim) as u32,
-                        })
-                        .on_node(ni as u32)
-                    });
-                    // Bitmap first: almost every probe at scale is a
-                    // miss against an empty deque, and `has_work` keeps
-                    // that verdict in L1 instead of paying a cache miss
-                    // on the victim's deque header per probe.
-                    let stealable = st.has_work(victim)
-                        && !self.crashed.contains(victim)
-                        && st.front(victim).is_some_and(|ji| {
-                            let ji = ji as usize;
-                            self.jobs.arrival[ji] <= t
-                                && self.nodes.memory[ni].fits(self.jobs.mem_kb[ji])
-                        });
-                    if !stealable {
-                        self.steal_stats.misses += 1;
-                        self.telemetry.record(|| {
-                            self.event_at(t, EventKind::StealMiss {
-                                victim: victim as u32,
-                                attempt,
-                            })
-                            .on_node(ni as u32)
-                        });
-                        continue;
-                    }
-                    let batch =
-                        if scfg.steal_half { st.len(victim).div_ceil(2) } else { 1 };
-                    let delay_secs = attempt as f64 * rtt;
-                    let first = st.pop_front(victim).expect("validated front") as usize;
-                    self.steal_stats.hits += 1;
-                    self.steal_stats.stolen_jobs += 1;
-                    let job = self.jobs.id[first].0;
-                    self.telemetry.record(|| {
-                        self.event_at(t, EventKind::StealHit {
-                            victim: victim as u32,
-                            attempt,
-                            batch: batch as u32,
-                            delay_secs,
-                        })
-                        .on_node(ni as u32)
-                        .for_job(job)
-                    });
-                    // The rest of the batch rides the same round trip
-                    // onto the thief's deque (oldest first, appended at
-                    // the back — they are the thief's freshest work now).
-                    for _ in 1..batch {
-                        let Some(extra_ji) = st.pop_front(victim) else { break };
-                        st.push_back(ni, extra_ji);
-                        self.steal_stats.stolen_jobs += 1;
-                    }
-                    self.dispatch_queued(
-                        first,
-                        NodeId(ni),
-                        t,
-                        SimDuration::from_secs_f64(delay_secs),
-                    );
-                    hit = true;
-                    break;
-                }
-                if !hit && scfg.probe_attempts > 0 {
-                    self.steal_stats.abandons += 1;
-                    let attempts = scfg.probe_attempts;
-                    self.telemetry.record(|| {
-                        self.event_at(t, EventKind::StealAbandon { attempts })
-                            .on_node(ni as u32)
-                    });
-                }
-            }
-        }
-        for buf in &mut bufs {
-            buf.clear();
-        }
-        self.steal_bufs = bufs;
-        self.steal = Some(st);
-    }
+/// How long queued job `ji` has waited by window `w`: every window from
+/// `max(entry, arrival)` up to (not including) `w`, in exact integer
+/// nanoseconds. A job accrues from the first window whose start is at or
+/// past its submission (the historic walk accrued under `t >= arrival`).
+fn queued_span(jobs: &JobSlabs, ji: usize, w: u32) -> SimDuration {
+    let arrival_window = jobs.arrival[ji].as_nanos().div_ceil(WINDOW.as_nanos()) as u32;
+    let from = jobs.queued_from[ji].max(arrival_window);
+    SimDuration::from_nanos(WINDOW.as_nanos() * w.saturating_sub(from) as u64)
 }
 
 /// One shard's slice of phase 0: copy the window's cpu/idle lanes and
@@ -1972,9 +1546,8 @@ fn classify_decisions_shard(
             let idle = idle_word & (1u64 << bit) != 0;
             let kind = match job_state[ji as usize] {
                 JobState::Running if !idle => DecideKind::NonIdle,
-                JobState::Lingering if idle => DecideKind::ResumeLinger,
+                JobState::Lingering | JobState::Paused if idle => DecideKind::Resume,
                 JobState::Lingering if policy == Policy::LingerLonger => DecideKind::LingerCheck,
-                JobState::Paused if idle => DecideKind::ResumePause,
                 JobState::Paused
                     if cold[ji as usize].pause_deadline.is_some_and(|d| t >= d) =>
                 {
@@ -2031,7 +1604,6 @@ fn classify_progress_shard(
                     gain: SimDuration::ZERO,
                     frac: 0.0,
                     delay_add: 0.0,
-                    has_delay: false,
                 });
                 continue;
             }
@@ -2042,79 +1614,24 @@ fn classify_progress_shard(
             // One interpolation serves both the rate and the delay.
             let burst = cfg.table.interpolate(u);
             let rate = steal_rate_with(&burst, u, cfg.params.context_switch) * residency;
-            let (has_delay, delay_add) = if state == JobState::Lingering {
-                // Added foreground latency: one context switch per local
-                // run burst; expected bursts in the window = u·W / R(u).
-                let run_mean = burst.run_mean;
-                if run_mean > 0.0 {
-                    (
-                        true,
-                        cfg.params.context_switch.as_secs_f64()
-                            * (u * WINDOW.as_secs_f64() / run_mean),
-                    )
-                } else {
-                    (false, 0.0)
-                }
+            // Added foreground latency: one context switch per local run
+            // burst; expected bursts in the window = u·W / R(u). Zero adds
+            // leave the delay sum's bits unchanged.
+            let run_mean = burst.run_mean;
+            let delay_add = if state == JobState::Lingering && run_mean > 0.0 {
+                cfg.params.context_switch.as_secs_f64() * (u * WINDOW.as_secs_f64() / run_mean)
             } else {
-                (false, 0.0)
+                0.0
             };
             let gain = WINDOW.mul_f64(rate);
             let rem = remaining[ji as usize];
-            if rate > 0.0 && rem <= gain {
+            let (kind, frac) = if rate > 0.0 && rem <= gain {
                 // Completes within this window.
-                let frac = rem.as_secs_f64() / gain.as_secs_f64();
-                out.push(ProgressIntent {
-                    ni: ni as u32,
-                    ji,
-                    state,
-                    kind: ProgressKind::Complete,
-                    gain,
-                    frac,
-                    delay_add,
-                    has_delay,
-                });
+                (ProgressKind::Complete, rem.as_secs_f64() / gain.as_secs_f64())
             } else {
-                out.push(ProgressIntent {
-                    ni: ni as u32,
-                    ji,
-                    state,
-                    kind: ProgressKind::Advance,
-                    gain,
-                    frac: 0.0,
-                    delay_add,
-                    has_delay,
-                });
-            }
-        }
-    }
-}
-
-/// One shard's slice of the stealing-mode phase 5 classify: record every
-/// free node in the slice that may acquire work this window (idle, or
-/// any free node when the policy places on semi-available nodes), with
-/// the window-start pop advisory. The free index already excludes
-/// crashed nodes.
-fn classify_steals_shard(
-    word_base: usize,
-    free_words: &[u64],
-    idle_words: &[u64],
-    policy: Policy,
-    st: &StealState,
-    out: &mut Vec<StealIntent>,
-) {
-    let on_non_idle = policy.places_on_non_idle();
-    for (k, &w0) in free_words.iter().enumerate() {
-        let idle_word = idle_words[word_base + k];
-        let mut word = w0;
-        while word != 0 {
-            let bit = word.trailing_zeros() as usize;
-            word &= word - 1;
-            let idle = idle_word & (1u64 << bit) != 0;
-            if !idle && !on_non_idle {
-                continue;
-            }
-            let ni = (word_base + k) * 64 + bit;
-            out.push(StealIntent { ni: ni as u32, pop: st.len(ni) > 0 });
+                (ProgressKind::Advance, 0.0)
+            };
+            out.push(ProgressIntent { ni: ni as u32, ji, state, kind, gain, frac, delay_add });
         }
     }
 }
@@ -2125,7 +1642,7 @@ mod tests {
     use linger::JobFamily;
     use linger_sim_core::SimDuration;
 
-    fn small_cfg(policy: Policy) -> ClusterConfig {
+    pub(super) fn small_cfg(policy: Policy) -> ClusterConfig {
         let mut cfg = ClusterConfig::paper(
             policy,
             JobFamily::uniform(8, SimDuration::from_secs(120), 8 * 1024),
@@ -2246,7 +1763,7 @@ mod tests {
     /// Full observable outcome of a run, for sharding equivalence checks.
     type Outcome = (Vec<(u64, u64, u32)>, u64, u64, u64, FaultStats);
 
-    fn run_outcome(mut sim: ClusterSim) -> Outcome {
+    pub(super) fn run_outcome(mut sim: ClusterSim) -> Outcome {
         sim.run();
         let jobs: Vec<(u64, u64, u32)> = sim
             .jobs()
@@ -2273,7 +1790,7 @@ mod tests {
     static JOBS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     /// Run `f` under a worker budget of `width`, then restore the default.
-    fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
+    pub(super) fn at_width<T>(width: usize, f: impl FnOnce() -> T) -> T {
         let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         linger_sim_core::set_default_jobs(width);
         let out = f();
@@ -2282,7 +1799,7 @@ mod tests {
     }
 
     /// A sim of `cfg` split into exactly `shards` shards.
-    fn sharded(cfg: ClusterConfig, shards: usize) -> ClusterSim {
+    pub(super) fn sharded(cfg: ClusterConfig, shards: usize) -> ClusterSim {
         assert_eq!(ShardPlan::new(cfg.nodes, shards).shard_count(), shards, "shard axis collapsed");
         ClusterSim::new(cfg).with_shards(shards)
     }
@@ -2459,7 +1976,12 @@ mod tests {
 
     /// An 8-node open-arrivals config. `load` is the offered utilization
     /// (arrival rate × mean demand ÷ capacity); above 1.0 oversubscribes.
-    fn open_cfg(admission: AdmissionPolicy, load: f64, cap: usize, horizon_secs: u64) -> ClusterConfig {
+    pub(super) fn open_cfg(
+        admission: AdmissionPolicy,
+        load: f64,
+        cap: usize,
+        horizon_secs: u64,
+    ) -> ClusterConfig {
         use crate::config::ServiceConfig;
         use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
         let mut cfg = ClusterConfig::paper(Policy::LingerLonger, JobFamily::empty());
@@ -2584,7 +2106,7 @@ mod tests {
 
     /// [`open_cfg`] grown to 256 nodes (4 bitset words, so 4 shards
     /// exist) at the same per-node load and queue capacity, with faults.
-    fn open_cfg_256(admission: AdmissionPolicy, load: f64) -> ClusterConfig {
+    pub(super) fn open_cfg_256(admission: AdmissionPolicy, load: f64) -> ClusterConfig {
         let mut cfg = open_cfg(admission, load * 32.0, 3 * 256, 1800);
         cfg.nodes = 256;
         cfg.faults.crash_rate_per_hour = 0.5;
@@ -2631,89 +2153,5 @@ mod tests {
         assert_eq!(s.admitted, 0);
         assert_eq!(s.throughput.batches(), 0);
         assert_eq!(s.peak_queue_depth, 0);
-    }
-
-    #[test]
-    fn stealing_family_completes_and_counters_balance() {
-        use crate::stealing::StealingConfig;
-        let mut cfg = small_cfg(Policy::LingerLonger);
-        cfg.stealing = StealingConfig::randomized(3, 0.05);
-        let mut sim = ClusterSim::new(cfg);
-        assert!(sim.run(), "stealing family must finish");
-        assert_eq!(sim.completed(), 8);
-        let s = sim.steal_stats();
-        assert_eq!(s.probes, s.hits + s.misses, "every probe hits or misses");
-        assert!(
-            s.local_pops + s.stolen_jobs >= 8,
-            "every job reached a node through the deques: {s:?}"
-        );
-        assert_eq!(s.central_dispatches, 0, "stealing mode never uses the coordinator");
-    }
-
-    #[test]
-    fn steal_half_moves_batches_and_still_completes() {
-        use crate::stealing::StealingConfig;
-        let mut cfg = small_cfg(Policy::LingerLonger);
-        cfg.stealing = StealingConfig::randomized(3, 0.05).with_steal_half();
-        let mut sim = ClusterSim::new(cfg);
-        assert!(sim.run());
-        assert_eq!(sim.completed(), 8);
-        let s = sim.steal_stats();
-        assert!(s.stolen_jobs >= s.hits, "a hit moves at least one job");
-    }
-
-    #[test]
-    fn stealing_deterministic_across_shards_and_threads() {
-        use crate::stealing::StealingConfig;
-        let outcome = |shards: usize, width: usize| {
-            let mut cfg = open_cfg_256(AdmissionPolicy::Shed, 2.0);
-            cfg.stealing = StealingConfig::randomized(3, 0.5);
-            at_width(width, || run_outcome(sharded(cfg, shards)))
-        };
-        let base = outcome(1, 1);
-        assert_eq!(base, outcome(4, 1), "shards changed stealing bytes");
-        assert_eq!(base, outcome(4, 4), "threads changed stealing bytes");
-    }
-
-    #[test]
-    fn central_dispatch_serialization_is_opt_in_and_counts() {
-        use crate::stealing::StealingConfig;
-        // Default: the coordinator is free and the counter stays zero.
-        let mut sim = ClusterSim::new(open_cfg(AdmissionPolicy::Shed, 2.0, 24, 1800));
-        sim.run();
-        assert_eq!(sim.steal_stats().central_dispatches, 0);
-        // Opt-in: every placement is charged and delayed.
-        let mut cfg = open_cfg(AdmissionPolicy::Shed, 2.0, 24, 1800);
-        cfg.stealing = StealingConfig {
-            central_dispatch_rtt_secs: 4.0,
-            ..StealingConfig::disabled()
-        };
-        let mut slow = ClusterSim::new(cfg);
-        slow.run();
-        let s = slow.steal_stats();
-        assert!(s.central_dispatches > 0, "placements must be charged");
-        assert_eq!(s.probes, 0, "central mode never probes");
-        assert!(
-            slow.completed() < sim.completed(),
-            "a 4 s/dispatch coordinator must lose throughput: {} vs {}",
-            slow.completed(),
-            sim.completed()
-        );
-    }
-
-    #[test]
-    fn stealing_serves_open_arrivals_with_exact_accounting() {
-        use crate::stealing::StealingConfig;
-        let mut cfg = open_cfg(AdmissionPolicy::Deadline, 2.0, 24, 3600);
-        cfg.service.deadline_secs = 120.0;
-        cfg.stealing = StealingConfig::randomized(3, 0.1).with_steal_half();
-        let mut sim = ClusterSim::new(cfg);
-        assert!(sim.run());
-        let s = sim.service_stats();
-        assert!(s.accounting_holds());
-        assert!(sim.completed() > 0, "stealing must serve arrivals");
-        assert!(s.deadline_dropped > 0, "2× overload against a 120 s deadline drops");
-        let st = sim.steal_stats();
-        assert_eq!(st.probes, st.hits + st.misses);
     }
 }

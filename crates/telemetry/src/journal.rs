@@ -45,7 +45,7 @@ pub struct JournalCounts {
     pub dropped: u64,
     /// Counts by [`EventKind::name`] declaration order.
     pub by_kind: [u64; KIND_SLOTS],
-    /// Counts by [`DecisionAction`] declaration order.
+    /// Counts by [`DecisionAction`](crate::event::DecisionAction) declaration order.
     pub decisions: [u64; ACTION_SLOTS],
 }
 
