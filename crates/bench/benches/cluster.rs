@@ -11,10 +11,8 @@ use linger_workload::BurstParamTable;
 use std::hint::black_box;
 
 fn small_cluster(policy: Policy) -> ClusterConfig {
-    let mut cfg = ClusterConfig::paper(
-        policy,
-        JobFamily::uniform(16, SimDuration::from_secs(120), 8 * 1024),
-    );
+    let mut cfg =
+        ClusterConfig::paper(policy, JobFamily::uniform(16, SimDuration::from_secs(120), 8 * 1024));
     cfg.nodes = 16;
     cfg.trace.duration = SimDuration::from_secs(3600);
     cfg

@@ -8,10 +8,8 @@ use linger_sim_core::SimDuration;
 use std::hint::black_box;
 
 fn cfg(policy: Policy) -> ClusterConfig {
-    let mut cfg = ClusterConfig::paper(
-        policy,
-        JobFamily::uniform(12, SimDuration::from_secs(120), 8 * 1024),
-    );
+    let mut cfg =
+        ClusterConfig::paper(policy, JobFamily::uniform(12, SimDuration::from_secs(120), 8 * 1024));
     cfg.nodes = 12;
     cfg.trace.duration = SimDuration::from_secs(3600);
     cfg

@@ -35,8 +35,7 @@ fn bench_churn(c: &mut Criterion) {
                 for i in 0..50_000u64 {
                     let victim = (next(&mut x) as usize) % handles.len();
                     q.cancel(handles[victim]);
-                    handles[victim] =
-                        q.schedule(SimTime::from_nanos(next(&mut x) % 1_000_000), i);
+                    handles[victim] = q.schedule(SimTime::from_nanos(next(&mut x) % 1_000_000), i);
                     if i % 4 == 0 {
                         black_box(q.pop());
                     }

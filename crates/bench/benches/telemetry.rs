@@ -36,8 +36,8 @@ fn bench_cluster_cell(c: &mut Criterion) {
     });
     c.bench_function("fig07_cell_journaling", |b| {
         b.iter(|| {
-            let mut sim =
-                ClusterSim::new(cell_cfg()).with_recorder(Recorder::with_capacity(DEFAULT_CAPACITY));
+            let mut sim = ClusterSim::new(cell_cfg())
+                .with_recorder(Recorder::with_capacity(DEFAULT_CAPACITY));
             black_box(sim.run())
         })
     });

@@ -17,7 +17,10 @@ use linger_workload::{BurstGenerator, CoarseTraceConfig, TraceLibrary};
 use std::hint::black_box;
 
 fn trace_cfg() -> CoarseTraceConfig {
-    CoarseTraceConfig { duration: SimDuration::from_secs(600), ..Default::default() }
+    CoarseTraceConfig {
+        duration: SimDuration::from_secs(600),
+        ..Default::default()
+    }
 }
 
 fn bench_realize(c: &mut Criterion) {

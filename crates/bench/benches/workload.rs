@@ -70,12 +70,7 @@ fn bench_traces(c: &mut Criterion) {
     let f = RngFactory::new(2);
     c.bench_function("dispatch_trace_60s", |b| {
         b.iter(|| {
-            black_box(DispatchTrace::synthesize_fixed(
-                &f,
-                0,
-                0.5,
-                SimDuration::from_secs(60),
-            ))
+            black_box(DispatchTrace::synthesize_fixed(&f, 0, 0.5, SimDuration::from_secs(60)))
         })
     });
     c.bench_function("coarse_trace_4h", |b| {

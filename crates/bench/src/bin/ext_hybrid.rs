@@ -7,10 +7,19 @@ use linger_bench::{ext_hybrid, write_json, Table};
 
 fn main() {
     let args = HarnessArgs::parse();
-    banner("Extension: hybrid strategy", "predicted width vs oracle (32-node BSP, 20% load)");
+    banner(
+        "Extension: hybrid strategy",
+        "predicted width vs oracle (32-node BSP, 20% load)",
+    );
     let pts = ext_hybrid(args.seed);
     let mut t = Table::new(vec![
-        "idle", "reconfig (s)", "linger-32 (s)", "hybrid k", "hybrid (s)", "oracle k", "oracle (s)",
+        "idle",
+        "reconfig (s)",
+        "linger-32 (s)",
+        "hybrid k",
+        "hybrid (s)",
+        "oracle k",
+        "oracle (s)",
     ]);
     for p in pts.iter().filter(|p| p.idle % 2 == 0) {
         t.row(vec![

@@ -14,9 +14,8 @@ fn main() {
         "mean regret vs a clairvoyant oracle (h=40%, l=2%, 8 MB job)",
     );
     let rows = predictor_study(args.seed, n);
-    let mut t = Table::new(vec![
-        "episodes", "rule", "mean completion (s)", "regret vs oracle", "migrated",
-    ]);
+    let mut t =
+        Table::new(vec!["episodes", "rule", "mean completion (s)", "regret vs oracle", "migrated"]);
     for r in &rows {
         t.row(vec![
             r.episodes.clone(),

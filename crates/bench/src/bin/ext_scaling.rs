@@ -13,15 +13,17 @@
 
 use linger_bench::output::{banner, note_artifact, HarnessArgs};
 use linger_bench::{
-    ext_scaling_at, peak_rss_kb, scaling_ns_per_node_window, write_json, Table,
-    SCALING_NODE_COUNTS,
+    ext_scaling_at, peak_rss_kb, scaling_ns_per_node_window, write_json, Table, SCALING_NODE_COUNTS,
 };
 
 fn main() {
     let args = HarnessArgs::parse();
     let max_nodes = args.max_nodes.unwrap_or(usize::MAX);
-    let counts: Vec<usize> =
-        SCALING_NODE_COUNTS.iter().copied().filter(|&n| n <= max_nodes).collect();
+    let counts: Vec<usize> = SCALING_NODE_COUNTS
+        .iter()
+        .copied()
+        .filter(|&n| n <= max_nodes)
+        .collect();
     banner(
         "Extension: scaling sweep",
         "four policies, 64-1,048,576 nodes, cost per node-window",

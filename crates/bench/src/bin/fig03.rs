@@ -9,7 +9,13 @@ fn main() {
     banner("Fig 3", "Workload Parameters (burst moments vs utilization)");
     let rows = fig03(args.seed, args.fast);
     let mut t = Table::new(vec![
-        "cpu %", "run mean", "run var", "idle mean", "idle var", "model run", "model idle",
+        "cpu %",
+        "run mean",
+        "run var",
+        "idle mean",
+        "idle var",
+        "model run",
+        "model idle",
         "windows",
     ]);
     for r in &rows {

@@ -81,7 +81,8 @@ fn replicated(args: &HarnessArgs) {
         ("Workload-2 (few jobs)", JobFamily::workload_2()),
     ] {
         println!("\n== {name}, {} replications, {nodes} nodes ==", args.reps);
-        let mut t = Table::new(vec!["policy", "avg job (s)", "throughput", "family (s)", "delay %"]);
+        let mut t =
+            Table::new(vec!["policy", "avg job (s)", "throughput", "family (s)", "delay %"]);
         let mut rows = Vec::new();
         for policy in Policy::ALL {
             let r = evaluate_policy_replicated(policy, family.clone(), nodes, args.seed, args.reps);

@@ -13,7 +13,13 @@ fn main() {
     {
         println!("\n== {name} ==");
         let mut t = Table::new(vec![
-            "policy", "in-queue", "run", "linger", "paused", "migrating", "total (s)",
+            "policy",
+            "in-queue",
+            "run",
+            "linger",
+            "paused",
+            "migrating",
+            "total (s)",
         ]);
         for m in metrics.iter() {
             let b = m.avg_breakdown;
@@ -37,9 +43,7 @@ fn main() {
         .chain(r.workload2.iter())
         .map(|m| m.avg_breakdown.total())
         .fold(0.0f64, f64::max);
-    for (name, metrics) in
-        [("workload-1", &r.workload1), ("workload-2", &r.workload2)]
-    {
+    for (name, metrics) in [("workload-1", &r.workload1), ("workload-2", &r.workload2)] {
         println!("  {name}:");
         for m in metrics.iter() {
             let b = m.avg_breakdown;

@@ -17,8 +17,6 @@ fn main() {
         .labels("local CPU utilization (%)", "slowdown")
         .series('o', pts.iter().map(|p| (p.utilization_pct as f64, p.slowdown)).collect());
     println!("\n{}", chart.render());
-    println!(
-        "(paper: slowdown 1.1-1.5 below 40% load; \"so large\" above 50%; ~9 at 90%)"
-    );
+    println!("(paper: slowdown 1.1-1.5 below 40% load; \"so large\" above 50%; ~9 at 90%)");
     note_artifact("fig09", write_json("fig09", &pts));
 }

@@ -39,13 +39,11 @@ fn main() {
     println!("\n{}", chart.render());
     // Crossover: first idle count (descending) where reconfiguration
     // beats LL-32.
-    let cross = (0..=32usize)
-        .rev()
-        .find(|&i| {
-            let ll = pts.iter().find(|p| p.idle == i && p.strategy == "32 nodes").unwrap();
-            let rc = pts.iter().find(|p| p.idle == i && p.strategy == "reconfig").unwrap();
-            rc.completion_secs < ll.completion_secs
-        });
+    let cross = (0..=32usize).rev().find(|&i| {
+        let ll = pts.iter().find(|p| p.idle == i && p.strategy == "32 nodes").unwrap();
+        let rc = pts.iter().find(|p| p.idle == i && p.strategy == "reconfig").unwrap();
+        rc.completion_secs < ll.completion_secs
+    });
     match cross {
         Some(i) => println!(
             "\nreconfiguration first beats LL-32 at {} idle nodes ({} non-idle; paper: 6+ non-idle)",

@@ -10,9 +10,7 @@ fn main() {
     let pts = fig12(args.seed);
     for app in ["sor", "water", "fft"] {
         println!("\n-- {app} --");
-        let mut t = Table::new(vec![
-            "non-idle", "lusg 10%", "lusg 20%", "lusg 30%", "lusg 40%",
-        ]);
+        let mut t = Table::new(vec!["non-idle", "lusg 10%", "lusg 20%", "lusg 30%", "lusg 40%"]);
         for k in 0..=8usize {
             let get = |u: f64| {
                 pts.iter()

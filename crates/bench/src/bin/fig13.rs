@@ -7,11 +7,15 @@ use linger_bench::{fig13, write_json, AsciiChart, Table};
 
 fn main() {
     let args = HarnessArgs::parse();
-    banner("Fig 13", "Linger-Longer vs Reconfiguration for the applications (16-node cluster)");
+    banner(
+        "Fig 13",
+        "Linger-Longer vs Reconfiguration for the applications (16-node cluster)",
+    );
     let pts = fig13(args.seed);
     for app in ["sor", "water", "fft"] {
         println!("\n-- {app} --");
-        let mut t = Table::new(vec!["idle nodes", "reconfiguration", "16 node linger", "8 node linger"]);
+        let mut t =
+            Table::new(vec!["idle nodes", "reconfiguration", "16 node linger", "8 node linger"]);
         for idle in (0..=16usize).rev() {
             let get = |s: &str| {
                 pts.iter()

@@ -44,8 +44,7 @@ fn main() {
         None => checks.push(section_panicked("fig02")),
         Some(f2) => {
             note_artifact("fig02", write_json("fig02", &f2));
-            let ks_worst =
-                f2.iter().map(|b| b.ks_run.max(b.ks_idle)).fold(0.0f64, f64::max);
+            let ks_worst = f2.iter().map(|b| b.ks_run.max(b.ks_idle)).fold(0.0f64, f64::max);
             checks.push(Check {
                 name: "Fig 2: fitted vs empirical burst CDFs",
                 paper: "curves almost exactly match".into(),
@@ -308,12 +307,12 @@ fn main() {
             note_artifact("fig13", write_json("fig13", &f13));
             let ll16_wins = ["sor", "water", "fft"].iter().all(|&app| {
                 [15usize, 13, 12].iter().all(|&i| {
-                    let ll = f13.iter().find(|p| {
-                        p.app == app && p.idle == i && p.strategy == "16 node linger"
-                    });
-                    let rc = f13.iter().find(|p| {
-                        p.app == app && p.idle == i && p.strategy == "reconfiguration"
-                    });
+                    let ll = f13
+                        .iter()
+                        .find(|p| p.app == app && p.idle == i && p.strategy == "16 node linger");
+                    let rc = f13
+                        .iter()
+                        .find(|p| p.app == app && p.idle == i && p.strategy == "reconfiguration");
                     match (ll, rc) {
                         (Some(ll), Some(rc)) => ll.slowdown < rc.slowdown,
                         _ => false,
@@ -334,8 +333,10 @@ fn main() {
         None => checks.push(section_panicked("ext_hybrid")),
         Some(eh) => {
             note_artifact("ext_hybrid", write_json("ext_hybrid", &eh));
-            let worst_regret =
-                eh.iter().map(|p| p.hybrid_secs / p.oracle_secs).fold(0.0f64, f64::max);
+            let worst_regret = eh
+                .iter()
+                .map(|p| p.hybrid_secs / p.oracle_secs)
+                .fold(0.0f64, f64::max);
             checks.push(Check {
                 name: "Ext: hybrid width predictor vs oracle",
                 paper: "Sec 5.2: 'a hybrid strategy … may be the best approach'".into(),
@@ -344,8 +345,7 @@ fn main() {
             });
         }
     }
-    match timings.time_caught("ext_throughput", || ext_parallel_throughput(args.seed, args.fast))
-    {
+    match timings.time_caught("ext_throughput", || ext_parallel_throughput(args.seed, args.fast)) {
         None => checks.push(section_panicked("ext_throughput")),
         Some(et) => {
             note_artifact("ext_throughput", write_json("ext_throughput", &et));
@@ -407,8 +407,7 @@ fn main() {
                     Some((p.to_string(), at(lo_nodes)?, at(hi_nodes)?))
                 })
                 .collect();
-            let worst_ns =
-                per_policy.iter().map(|&(_, _, hi)| hi).fold(0.0f64, f64::max);
+            let worst_ns = per_policy.iter().map(|&(_, _, hi)| hi).fold(0.0f64, f64::max);
             checks.push(Check {
                 name: "Ext: per-policy window-loop cost flat at scale",
                 paper: format!(
@@ -417,7 +416,9 @@ fn main() {
                 ),
                 measured: per_policy
                     .iter()
-                    .map(|(p, lo, hi)| format!("{p} {lo:.0}->{hi:.0}ns ({:.2}x)", hi / lo.max(1e-12)))
+                    .map(|(p, lo, hi)| {
+                        format!("{p} {lo:.0}->{hi:.0}ns ({:.2}x)", hi / lo.max(1e-12))
+                    })
                     .collect::<Vec<_>>()
                     .join(", "),
                 ok: !per_policy.is_empty() && worst_ns <= flat_cap_ns,
@@ -443,13 +444,11 @@ fn main() {
                 (scaling_counts[scaling_counts.len() - 2], 2.0)
             };
             let (setup_mid, setup_hi) = (mean_setup(mid_nodes), mean_setup(hi_nodes));
-            let exponent = (setup_hi / setup_mid.max(1e-12)).ln()
-                / (hi_nodes as f64 / mid_nodes as f64).ln();
+            let exponent =
+                (setup_hi / setup_mid.max(1e-12)).ln() / (hi_nodes as f64 / mid_nodes as f64).ln();
             checks.push(Check {
                 name: "Ext: setup vs run split; setup scales near-linearly",
-                paper: format!(
-                    "setup growth exponent <= {exp_limit} over {mid_nodes}->{hi_nodes}"
-                ),
+                paper: format!("setup growth exponent <= {exp_limit} over {mid_nodes}->{hi_nodes}"),
                 measured: format!(
                     "at {hi_nodes}: setup {setup_hi:.2}s / run {:.2}s; \
                      setup exponent {exponent:.2} over {mid_nodes}->{hi_nodes}",
@@ -463,14 +462,12 @@ fn main() {
                 // chunked window pipeline (a monolithic table alone
                 // would need ~21 GiB).
                 let million: Vec<_> = es.iter().filter(|p| p.nodes == 1_048_576).collect();
-                let all_ran =
-                    million.len() == 4 && million.iter().all(|p| p.completed > 0);
+                let all_ran = million.len() == 4 && million.iter().all(|p| p.completed > 0);
                 let rss_gib = peak_rss_kb().map(|kb| kb as f64 / (1024.0 * 1024.0));
                 let rss_ok = rss_gib.is_none_or(|g| g <= 12.0);
                 checks.push(Check {
                     name: "Ext: million-node row completes within memory budget",
-                    paper: "streamed windows: 1,048,576 nodes in <= 12 GiB peak RSS"
-                        .into(),
+                    paper: "streamed windows: 1,048,576 nodes in <= 12 GiB peak RSS".into(),
                     measured: format!(
                         "{} policies completed; peak RSS {}",
                         million.len(),
@@ -497,8 +494,7 @@ fn main() {
                     p.crashes == 0 && p.migration_failures == 0 && p.migrations_abandoned == 0
                 });
             let (heaviest, _) = FAULT_RATES[FAULT_RATES.len() - 1];
-            let heavy: Vec<_> =
-                ef.iter().filter(|p| p.crash_rate_per_hour == heaviest).collect();
+            let heavy: Vec<_> = ef.iter().filter(|p| p.crash_rate_per_hour == heaviest).collect();
             let heavy_fires =
                 !heavy.is_empty() && heavy.iter().all(|p| p.crashes > 0 && p.completed > 0);
             let ll0 = ef
@@ -524,8 +520,7 @@ fn main() {
     }
 
     println!("running extension open-arrivals service sweep …");
-    match timings.time_caught("ext_service", || ext_service(args.seed, args.fast, args.ci_level))
-    {
+    match timings.time_caught("ext_service", || ext_service(args.seed, args.fast, args.ci_level)) {
         None => checks.push(section_panicked("ext_service")),
         Some(es) => {
             note_artifact("ext_service", write_json("ext_service", &es));
@@ -557,8 +552,7 @@ fn main() {
                 .is_some_and(|p| p.shed > 0 && p.generated == p.admitted + p.shed);
             checks.push(Check {
                 name: "Ext: open service — admission control degrades gracefully",
-                paper: "saturated cells finish with bounded queue + exact loss counts"
-                    .into(),
+                paper: "saturated cells finish with bounded queue + exact loss counts".into(),
                 measured: format!(
                     "light cells clean: {light_ok}; load {heaviest} cells full-horizon: \
                      {heavy_runs}; bounded depth/rows/accounting: {heavy_bounded_ok}; \
@@ -639,9 +633,7 @@ fn main() {
             checks.push(Check {
                 name: "Ext: steal ledger exact; deques move work",
                 paper: "probes == hits + misses; pops and steals both fire".into(),
-                measured: format!(
-                    "ledgers balance: {ledger_ok}; {hits} hits, {pops} owner pops"
-                ),
+                measured: format!("ledgers balance: {ledger_ok}; {hits} hits, {pops} owner pops"),
                 ok: ledger_ok && hits > 0 && pops > 0,
             });
             // Note the benches/stealing.rs comparison in the wall-clock
@@ -666,10 +658,7 @@ fn main() {
     checks.push(Check {
         name: "Perf: realization cache hit rate on the fig07 policy sweeps",
         paper: ">=75% hits (CRN: policies share one realization)".into(),
-        measured: format!(
-            "{f7_hits} hits / {f7_misses} misses ({:.0}%)",
-            f7_hit_rate * 100.0
-        ),
+        measured: format!("{f7_hits} hits / {f7_misses} misses ({:.0}%)", f7_hit_rate * 100.0),
         ok: f7_hit_rate >= 0.75 || cache_after_f7.bypasses > cache_before_f7.bypasses,
     });
 
@@ -784,26 +773,56 @@ fn main() {
     // a historical one.
     let scaling_before_ns: &[(usize, &str, f64)] = if args.fast {
         &[
-            (64, "LL", 57.7), (64, "LF", 53.7), (64, "IE", 29.2), (64, "PM", 30.9),
-            (1024, "LL", 81.1), (1024, "LF", 81.2), (1024, "IE", 44.2), (1024, "PM", 46.3),
-            (4096, "LL", 73.5), (4096, "LF", 69.4), (4096, "IE", 34.6), (4096, "PM", 35.2),
-            (16_384, "LL", 93.5), (16_384, "LF", 77.6), (16_384, "IE", 43.5),
+            (64, "LL", 57.7),
+            (64, "LF", 53.7),
+            (64, "IE", 29.2),
+            (64, "PM", 30.9),
+            (1024, "LL", 81.1),
+            (1024, "LF", 81.2),
+            (1024, "IE", 44.2),
+            (1024, "PM", 46.3),
+            (4096, "LL", 73.5),
+            (4096, "LF", 69.4),
+            (4096, "IE", 34.6),
+            (4096, "PM", 35.2),
+            (16_384, "LL", 93.5),
+            (16_384, "LF", 77.6),
+            (16_384, "IE", 43.5),
             (16_384, "PM", 48.5),
-            (65_536, "LL", 97.5), (65_536, "LF", 85.3), (65_536, "IE", 60.3),
+            (65_536, "LL", 97.5),
+            (65_536, "LF", 85.3),
+            (65_536, "IE", 60.3),
             (65_536, "PM", 58.2),
         ]
     } else {
         &[
-            (64, "LL", 132.1), (64, "LF", 71.8), (64, "IE", 32.2), (64, "PM", 35.6),
-            (1024, "LL", 70.8), (1024, "LF", 70.6), (1024, "IE", 30.2), (1024, "PM", 30.6),
-            (4096, "LL", 88.0), (4096, "LF", 67.8), (4096, "IE", 37.6), (4096, "PM", 30.4),
-            (16_384, "LL", 123.6), (16_384, "LF", 110.5), (16_384, "IE", 52.6),
+            (64, "LL", 132.1),
+            (64, "LF", 71.8),
+            (64, "IE", 32.2),
+            (64, "PM", 35.6),
+            (1024, "LL", 70.8),
+            (1024, "LF", 70.6),
+            (1024, "IE", 30.2),
+            (1024, "PM", 30.6),
+            (4096, "LL", 88.0),
+            (4096, "LF", 67.8),
+            (4096, "IE", 37.6),
+            (4096, "PM", 30.4),
+            (16_384, "LL", 123.6),
+            (16_384, "LF", 110.5),
+            (16_384, "IE", 52.6),
             (16_384, "PM", 53.0),
-            (65_536, "LL", 96.6), (65_536, "LF", 89.1), (65_536, "IE", 50.8),
+            (65_536, "LL", 96.6),
+            (65_536, "LF", 89.1),
+            (65_536, "IE", 50.8),
             (65_536, "PM", 60.6),
-            (262_144, "LL", 160.6), (262_144, "LF", 108.7), (262_144, "IE", 62.4),
+            (262_144, "LL", 160.6),
+            (262_144, "LF", 108.7),
+            (262_144, "IE", 62.4),
             (262_144, "PM", 67.6),
-            (1_048_576, "LL", 247.5), (1_048_576, "LF", 153.0), (1_048_576, "IE", 125.7),
+            (1_048_576, "LL", 247.5),
+            (1_048_576, "LF", 153.0),
+            (1_048_576, "IE", 125.7),
             (1_048_576, "PM", 131.3),
         ]
     };
@@ -866,8 +885,7 @@ fn main() {
         if args.fast { " (fast mode)" } else { "" }
     );
     if !timings.failed_sections.is_empty() {
-        let names: Vec<&str> =
-            timings.failed_sections.iter().map(|f| f.name.as_str()).collect();
+        let names: Vec<&str> = timings.failed_sections.iter().map(|f| f.name.as_str()).collect();
         eprintln!("[warn: {} section(s) panicked: {}]", names.len(), names.join(", "));
     }
     timings.trace_cache = Some(TraceLibrary::global().stats());

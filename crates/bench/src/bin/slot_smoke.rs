@@ -36,17 +36,12 @@ fn throughput_cfg(
 
 fn main() {
     let args = HarnessArgs::parse();
-    banner(
-        "Slot-recycling smoke",
-        "long-horizon turnover bound",
-    );
+    banner("Slot-recycling smoke", "long-horizon turnover bound");
 
     // Turnover bound: short demands against a long horizon cycle
     //    every slot several times; the recycler must keep the hot lanes
     //    at exactly the initial job count the whole way.
-    let nodes = args
-        .max_nodes
-        .unwrap_or(if args.fast { 4096 } else { 65_536 });
+    let nodes = args.max_nodes.unwrap_or(if args.fast { 4096 } else { 65_536 });
     let initial_jobs = 2 * nodes;
     let mut sim = ClusterSim::new(throughput_cfg(Policy::LingerLonger, nodes, 30, 600, args.seed));
     let t0 = std::time::Instant::now();

@@ -60,10 +60,8 @@ pub fn fig02(seed: u64, fast: bool) -> Vec<Fig2Bucket> {
         let idle_ecdf = an.ecdf(bucket, BurstKind::Idle);
         // The paper plots 0–0.1 s.
         let xs: Vec<f64> = (1..=50).map(|i| i as f64 * 0.002).collect();
-        let run_points =
-            xs.iter().map(|&x| (x, run_ecdf.eval(x), run_fit.cdf(x))).collect();
-        let idle_points =
-            xs.iter().map(|&x| (x, idle_ecdf.eval(x), idle_fit.cdf(x))).collect();
+        let run_points = xs.iter().map(|&x| (x, run_ecdf.eval(x), run_fit.cdf(x))).collect();
+        let idle_points = xs.iter().map(|&x| (x, idle_ecdf.eval(x), idle_fit.cdf(x))).collect();
         Fig2Bucket {
             level_pct: pct,
             run_points,
@@ -268,12 +266,7 @@ pub fn fig06(seed: u64, fast: bool) -> Fig6Result {
     }
     let coarse: Vec<f64> = (0..n_windows).map(|w| trace.sample(w).cpu).collect();
     let fine: Vec<f64> = busy.iter().map(|&b| b as f64 / window_ns as f64).collect();
-    let mae = coarse
-        .iter()
-        .zip(&fine)
-        .map(|(c, f)| (c - f).abs())
-        .sum::<f64>()
-        / n_windows as f64;
+    let mae = coarse.iter().zip(&fine).map(|(c, f)| (c - f).abs()).sum::<f64>() / n_windows as f64;
     Fig6Result {
         windows: n_windows,
         mean_abs_error: mae,
@@ -497,19 +490,15 @@ mod tests {
             assert!(p.completed > 0, "{}: nothing finished", p.policy);
         }
         // Direct construction path gives the same numbers.
-        let family =
-            JobFamily::uniform(32, SimDuration::from_secs(300), 8 * 1024);
-        let mut cfg =
-            linger_cluster::ClusterConfig::paper(Policy::LingerLonger, family);
+        let family = JobFamily::uniform(32, SimDuration::from_secs(300), 8 * 1024);
+        let mut cfg = linger_cluster::ClusterConfig::paper(Policy::LingerLonger, family);
         cfg.nodes = 16;
         cfg.seed = SEED;
         cfg.trace = CoarseTraceConfig {
             duration: SimDuration::from_secs(3600),
             ..Default::default()
         };
-        cfg.mode = linger_cluster::RunMode::Throughput {
-            horizon: SimTime::from_secs(600),
-        };
+        cfg.mode = linger_cluster::RunMode::Throughput { horizon: SimTime::from_secs(600) };
         let mut sim = linger_cluster::ClusterSim::new(cfg);
         sim.run();
         let ll = &points[0];
@@ -570,8 +559,7 @@ pub fn ext_parallel_throughput(
     seed: u64,
     fast: bool,
 ) -> Vec<linger_parallel::ThroughputComparison> {
-    let mut base =
-        linger_parallel::ParallelClusterConfig { seed, ..Default::default() };
+    let mut base = linger_parallel::ParallelClusterConfig { seed, ..Default::default() };
     if fast {
         base.nodes = 16;
         base.width = 4;
@@ -711,8 +699,7 @@ pub fn ext_scaling_at(
         let shared_setup = t0.elapsed().as_secs_f64() / Policy::ALL.len() as f64;
         for policy in Policy::ALL {
             let t1 = std::time::Instant::now();
-            let expected_windows =
-                (horizon.as_nanos() / linger_cluster::WINDOW.as_nanos()) as f64;
+            let expected_windows = (horizon.as_nanos() / linger_cluster::WINDOW.as_nanos()) as f64;
             // Enough identical runs to keep each timed region well above
             // clock granularity (a 64-node cell alone finishes in ~2 ms),
             // and never fewer than three so the median below has
@@ -721,8 +708,7 @@ pub fn ext_scaling_at(
             // holding several simulators at once would multiply the
             // peak footprint the streamed pipeline exists to bound.
             let min_reps = if nodes >= 262_144 { 1 } else { 3 };
-            let reps = ((256.0 * 1024.0 / (nodes as f64 * expected_windows)).ceil()
-                as u32)
+            let reps = ((256.0 * 1024.0 / (nodes as f64 * expected_windows)).ceil() as u32)
                 .clamp(1, 16)
                 .max(min_reps);
             let mut sims: Vec<linger_cluster::ClusterSim> = (0..reps)
@@ -767,8 +753,7 @@ pub fn ext_scaling_at(
                 (rep_secs[mid - 1] + rep_secs[mid]) / 2.0
             };
             let sim = &sims[0];
-            let windows =
-                (sim.now().as_nanos() / linger_cluster::WINDOW.as_nanos()) as usize;
+            let windows = (sim.now().as_nanos() / linger_cluster::WINDOW.as_nanos()) as usize;
             let node_windows = nodes as f64 * windows as f64;
             points.push(ScalingPoint {
                 nodes,
@@ -868,8 +853,7 @@ pub fn ext_faults(seed: u64, fast: bool) -> Vec<FaultPoint> {
     par_map_indexed(n_cells, None, |idx| {
         let (crash_rate, mig_prob) = FAULT_RATES[idx / Policy::ALL.len()];
         let policy = Policy::ALL[idx % Policy::ALL.len()];
-        let family =
-            JobFamily::uniform((2 * nodes) as u32, SimDuration::from_secs(300), 8 * 1024);
+        let family = JobFamily::uniform((2 * nodes) as u32, SimDuration::from_secs(300), 8 * 1024);
         let mut cfg = linger_cluster::ClusterConfig::paper(policy, family);
         cfg.nodes = nodes;
         cfg.seed = seed;
@@ -987,7 +971,11 @@ pub fn ext_service(seed: u64, fast: bool, ci_level: f64) -> Vec<ServicePoint> {
     // floats as null).
     let ci = |bm: &linger_stats::BatchMeans| {
         let hw = bm.ci_half_width(ci_level).expect("--ci is validated at parse time");
-        if hw.is_finite() { hw } else { 0.0 }
+        if hw.is_finite() {
+            hw
+        } else {
+            0.0
+        }
     };
     let n_cells = SERVICE_LOADS.len() * AdmissionPolicy::ALL.len();
     par_map_indexed(n_cells, None, |idx| {
@@ -1172,7 +1160,11 @@ pub fn ext_stealing_at(
     }
     let ci = |bm: &linger_stats::BatchMeans| {
         let hw = bm.ci_half_width(ci_level).expect("--ci is validated at parse time");
-        if hw.is_finite() { hw } else { 0.0 }
+        if hw.is_finite() {
+            hw
+        } else {
+            0.0
+        }
     };
     let dists = ["exp", "pareto"];
     let n_cells =
@@ -1185,8 +1177,7 @@ pub fn ext_stealing_at(
         let dist = dists[rest % dists.len()];
         let nodes = node_counts[rest / dists.len()];
 
-        let cfg =
-            stealing_cell_cfg(seed, nodes, dist, (crash_rate, fail_prob), scheduler, horizon);
+        let cfg = stealing_cell_cfg(seed, nodes, dist, (crash_rate, fail_prob), scheduler, horizon);
         let real = TraceLibrary::global().realize(&trace_cfg, seed, nodes);
         let mut sim = linger_cluster::ClusterSim::with_realization(cfg, &real);
         sim.run();
@@ -1268,9 +1259,7 @@ fn stealing_cell_cfg(
     };
     cfg.stealing = match scheduler {
         "steal_low" => StealingConfig::randomized(STEALING_PROBE_ATTEMPTS, STEALING_RTT_LOW_SECS),
-        "steal_high" => {
-            StealingConfig::randomized(STEALING_PROBE_ATTEMPTS, STEALING_RTT_HIGH_SECS)
-        }
+        "steal_high" => StealingConfig::randomized(STEALING_PROBE_ATTEMPTS, STEALING_RTT_HIGH_SECS),
         _ => {
             let mut s = StealingConfig::disabled();
             s.central_dispatch_rtt_secs = STEALING_CENTRAL_RTT_SECS;
@@ -1348,11 +1337,7 @@ fn cluster_point(
     seed: u64,
     mutate: &dyn Fn(&mut linger_cluster::ClusterConfig),
 ) -> PolicyMetrics {
-    let family = JobFamily::uniform(
-        (2 * nodes) as u32,
-        SimDuration::from_secs(300),
-        8 * 1024,
-    );
+    let family = JobFamily::uniform((2 * nodes) as u32, SimDuration::from_secs(300), 8 * 1024);
     let mut cfg = linger_cluster::ClusterConfig::paper(policy, family);
     cfg.nodes = nodes;
     cfg.seed = seed;

@@ -198,8 +198,7 @@ impl HarnessArgs {
                 "--reps" => parsed.reps = int("--reps", value(&mut args, "--reps")?)?,
                 "--jobs" => parsed.jobs = int("--jobs", value(&mut args, "--jobs")?)?,
                 "--max-nodes" => {
-                    parsed.max_nodes =
-                        Some(int("--max-nodes", value(&mut args, "--max-nodes")?)?)
+                    parsed.max_nodes = Some(int("--max-nodes", value(&mut args, "--max-nodes")?)?)
                 }
                 "--ci" => {
                     let v = value(&mut args, "--ci")?;
@@ -377,8 +376,7 @@ mod tests {
         let dir = std::env::temp_dir().join("linger-bench-test");
         std::env::set_var("LINGER_RESULTS", &dir);
         let path = write_json("unit_test", &vec![1, 2, 3]).unwrap();
-        let data: Vec<u32> =
-            serde_json::from_reader(std::fs::File::open(&path).unwrap()).unwrap();
+        let data: Vec<u32> = serde_json::from_reader(std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(data, vec![1, 2, 3]);
         std::env::remove_var("LINGER_RESULTS");
         std::fs::remove_dir_all(&dir).ok();

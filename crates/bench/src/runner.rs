@@ -358,7 +358,8 @@ impl RunTimings {
                     .or_else(|| payload.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "non-string panic payload".to_string());
                 eprintln!("[warn: section {name} panicked: {error}]");
-                self.failed_sections.push(FailedSection { name: name.to_string(), error });
+                self.failed_sections
+                    .push(FailedSection { name: name.to_string(), error });
                 None
             }
         }

@@ -31,9 +31,7 @@ fn json_at<T: serde::Serialize>(jobs: usize, make: impl Fn() -> T) -> String {
 fn replicated_policy_eval_is_identical_serial_and_parallel() {
     let _g = lock();
     let family = JobFamily::uniform(8, SimDuration::from_secs(120), 4 * 1024);
-    let make = || {
-        evaluate_policy_replicated(Policy::LingerLonger, family.clone(), 4, 1998, 4)
-    };
+    let make = || evaluate_policy_replicated(Policy::LingerLonger, family.clone(), 4, 1998, 4);
     let serial = json_at(1, make);
     let parallel = json_at(4, make);
     assert_eq!(serial, parallel, "jobs=1 vs jobs=4 diverged");
@@ -76,11 +74,10 @@ fn service_sweep_is_identical_serial_and_parallel() {
 fn runner_replication_matches_a_hand_rolled_serial_loop() {
     let _g = lock();
     let family = JobFamily::uniform(6, SimDuration::from_secs(90), 4 * 1024);
-    let par: Vec<f64> = Runner::with_jobs(4)
-        .replicate(7, 5, |seed| {
-            linger_cluster::evaluate_policy(Policy::ImmediateEviction, family.clone(), 4, seed)
-                .avg_completion_secs
-        });
+    let par: Vec<f64> = Runner::with_jobs(4).replicate(7, 5, |seed| {
+        linger_cluster::evaluate_policy(Policy::ImmediateEviction, family.clone(), 4, seed)
+            .avg_completion_secs
+    });
     let serial: Vec<f64> = (0..5u64)
         .map(|r| {
             linger_cluster::evaluate_policy(Policy::ImmediateEviction, family.clone(), 4, 7 + r)

@@ -58,9 +58,7 @@ const FIRST_SLICE: usize = 64;
 /// `(cpu, id)` order — the order a `min_by` over ascending ids, keyed
 /// on CPU with an id tiebreak, would pick minima in.
 fn key_cmp(a: &Cand, b: &Cand) -> Ordering {
-    a.0.partial_cmp(&b.0)
-        .expect("finite cpu")
-        .then(a.1.cmp(&b.1))
+    a.0.partial_cmp(&b.0).expect("finite cpu").then(a.1.cmp(&b.1))
 }
 
 /// One pool's lazily sorted candidates and per-demand cursors.
@@ -119,16 +117,12 @@ impl SortedPool {
     }
 
     fn has_entry(&self, ni: usize) -> bool {
-        self.entered
-            .get(ni / 64)
-            .is_some_and(|w| w & (1 << (ni % 64)) != 0)
+        self.entered.get(ni / 64).is_some_and(|w| w & (1 << (ni % 64)) != 0)
     }
 
     /// Sort the next slice of the tail onto the frontier, doubling it.
     fn grow(&mut self) {
-        let end = (2 * self.sorted)
-            .max(self.first_slice)
-            .min(self.cands.len());
+        let end = (2 * self.sorted).max(self.first_slice).min(self.cands.len());
         let tail = &mut self.cands[self.sorted..];
         let k = end - self.sorted;
         if k < tail.len() {
@@ -443,11 +437,7 @@ mod tests {
                         self.join(ni % n);
                     }
                 }
-                Op::Query {
-                    non_idle,
-                    mem_kb,
-                    exclude,
-                } => {
+                Op::Query { non_idle, mem_kb, exclude } => {
                     let exclude = exclude.map(|e| e % n);
                     let (pool, live) = if non_idle {
                         (Pool::NonIdle, &self.free)
@@ -459,9 +449,7 @@ mod tests {
                     let cands: Vec<Cand> = members().map(|ni| self.cand(ni)).collect();
                     let free_kb = &self.free_kb;
                     let room = |ni: usize| free_kb[ni];
-                    let got = self
-                        .index
-                        .best(pool, live, room, mem_kb, exclude, cands.into_iter());
+                    let got = self.index.best(pool, live, room, mem_kb, exclude, cands.into_iter());
                     prop_assert_eq!(got, want, "{:?}", op);
                 }
             }
@@ -555,10 +543,7 @@ mod tests {
         // Node 4 was never in the pool: it inserts fresh, ahead of both.
         live.insert(4);
         idx.insert(Pool::Idle, cand(4));
-        assert_eq!(
-            idx.best(Pool::Idle, &live, room, 4, None, std::iter::empty()),
-            Some(4)
-        );
+        assert_eq!(idx.best(Pool::Idle, &live, room, 4, None, std::iter::empty()), Some(4));
     }
 
     #[test]
@@ -577,31 +562,18 @@ mod tests {
         assert_eq!(got, Some(2));
         assert_eq!(idx.idle.sorted, 2, "a build sorts only the first slice");
         let q = |idx: &mut DestIndex, live: &NodeIndex, kb: &[u32], exclude| {
-            idx.best(
-                Pool::Idle,
-                live,
-                |ni| kb[ni],
-                4,
-                exclude,
-                std::iter::empty(),
-            )
+            idx.best(Pool::Idle, live, |ni| kb[ni], 4, exclude, std::iter::empty())
         };
         // An exclude walk past the frontier doubles it.
         live.remove(2);
         assert_eq!(q(&mut idx, &live, &kb, Some(3)), Some(4));
-        assert_eq!(
-            (idx.idle.sorted, idx.idle.cursors.clone()),
-            (4, vec![(4, 1)])
-        );
+        assert_eq!((idx.idle.sorted, idx.idle.cursors.clone()), (4, vec![(4, 1)]));
         // So does a cursor crossing it.
         for ni in 3..6 {
             live.remove(ni);
         }
         assert_eq!(q(&mut idx, &live, &kb, None), Some(6));
-        assert_eq!(
-            (idx.idle.sorted, idx.idle.cursors.clone()),
-            (8, vec![(4, 4)])
-        );
+        assert_eq!((idx.idle.sorted, idx.idle.cursors.clone()), (8, vec![(4, 4)]));
         // Node 9, the frontier's last key, rejoins: its entry is reused.
         live.remove(9);
         live.insert(9);
@@ -611,10 +583,7 @@ mod tests {
         // is pulled back to it.
         live.insert(1);
         idx.insert(Pool::Idle, cand(1));
-        assert_eq!(
-            (idx.idle.sorted, idx.idle.cursors.clone()),
-            (9, vec![(4, 0)])
-        );
+        assert_eq!((idx.idle.sorted, idx.idle.cursors.clone()), (9, vec![(4, 0)]));
         assert_eq!(q(&mut idx, &live, &kb, None), Some(1));
         // Node 15 joins above it: into the tail. Node 12 (claimed and
         // released) and node 13 (crashed, rebooted with less room)

@@ -50,13 +50,13 @@ pub mod state;
 pub mod stealing;
 
 pub use config::{AdmissionPolicy, ClusterConfig, RunMode, ServiceConfig};
-pub use service::{ServiceStats, DEFAULT_QUEUE_BUDGET_BYTES};
 pub use faults::{FaultConfig, FaultEvent, FaultEventKind, FaultModel, FaultStats};
 pub use metrics::{
     evaluate_policy, evaluate_policy_replicated, policy_comparison, BreakdownSecs, Estimate,
     PolicyMetrics, ReplicatedMetrics,
 };
 pub use network::NetworkModel;
+pub use service::{ServiceStats, DEFAULT_QUEUE_BUDGET_BYTES};
 pub use sim::{ClusterSim, WINDOW};
-pub use stealing::{StealState, StealStats, StealingConfig};
 pub use state::{JobCold, JobRecord, JobSlabs, JobState, NodeId, NodeSlabs, StateBreakdown};
+pub use stealing::{StealState, StealStats, StealingConfig};

@@ -83,7 +83,12 @@ impl BreakdownSecs {
 /// Both runs replay the same owner-workload realization, fetched once
 /// from the shared [`TraceLibrary`] — across a [`policy_comparison`] the
 /// four policies reuse one synthesis (1 miss + 3 hits).
-pub fn evaluate_policy(policy: Policy, family: JobFamily, nodes: usize, seed: u64) -> PolicyMetrics {
+pub fn evaluate_policy(
+    policy: Policy,
+    family: JobFamily,
+    nodes: usize,
+    seed: u64,
+) -> PolicyMetrics {
     let mut cfg = ClusterConfig::paper(policy, family.clone());
     cfg.nodes = nodes;
     cfg.seed = seed;
@@ -119,11 +124,8 @@ pub fn evaluate_policy(policy: Policy, family: JobFamily, nodes: usize, seed: u6
     let mut tp_sim = ClusterSim::with_realization(tp_cfg, &real);
     tp_sim.run();
     let horizon = tp_sim.now().as_secs_f64();
-    let throughput = if horizon > 0.0 {
-        tp_sim.foreign_cpu_delivered().as_secs_f64() / horizon
-    } else {
-        0.0
-    };
+    let throughput =
+        if horizon > 0.0 { tp_sim.foreign_cpu_delivered().as_secs_f64() / horizon } else { 0.0 };
 
     PolicyMetrics {
         policy,
@@ -224,12 +226,7 @@ mod tests {
         // denser than the paper's mix), so allow up to the single-node
         // ~1% bound; the full 64-node Fig 7 run checks the 0.5% headline.
         for m in policy_comparison(heavy(), NODES, SEED) {
-            assert!(
-                m.foreground_delay < 0.01,
-                "{}: delay {}",
-                m.policy,
-                m.foreground_delay
-            );
+            assert!(m.foreground_delay < 0.01, "{}: delay {}", m.policy, m.foreground_delay);
         }
     }
 
@@ -340,9 +337,7 @@ pub struct Estimate {
 
 impl Estimate {
     fn from(o: &Online) -> Self {
-        let ci95 = o
-            .ci_half_width(0.95)
-            .expect("0.95 is a supported confidence level");
+        let ci95 = o.ci_half_width(0.95).expect("0.95 is a supported confidence level");
         Estimate { mean: o.mean(), ci95 }
     }
 }

@@ -30,7 +30,10 @@ impl NetworkModel {
 
     /// An effectively infinite network (isolates policy effects).
     pub fn unconstrained() -> Self {
-        NetworkModel { backbone_bps: f64::INFINITY, per_flow_bps: f64::INFINITY }
+        NetworkModel {
+            backbone_bps: f64::INFINITY,
+            per_flow_bps: f64::INFINITY,
+        }
     }
 
     /// The rate each of `flows` concurrent transfers receives.

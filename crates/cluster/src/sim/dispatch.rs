@@ -126,11 +126,7 @@ impl Dispatch {
             next_free: SimTime::ZERO,
         });
         let queue = (0..jobs.len()).collect();
-        Dispatch::Central(Central {
-            queue,
-            coordinator,
-            ..Central::default()
-        })
+        Dispatch::Central(Central { queue, coordinator, ..Central::default() })
     }
 
     /// Resize the per-shard buffers to `shards`.
@@ -250,8 +246,7 @@ impl ClusterSim {
         match pool {
             Pool::Idle => {
                 let live = &self.free_idle;
-                c.dest
-                    .best(pool, live, room, mem_kb, ex, live.iter().map(cand))
+                c.dest.best(pool, live, room, mem_kb, ex, live.iter().map(cand))
             }
             Pool::NonIdle => {
                 let idle = &self.idle_words;
@@ -430,11 +425,7 @@ impl ClusterSim {
                     self.steal_stats.probes += 1;
                     self.telemetry.record(|| {
                         let victim_depth = st.len(vi) as u32;
-                        let kind = EventKind::StealAttempt {
-                            victim,
-                            attempt,
-                            victim_depth,
-                        };
+                        let kind = EventKind::StealAttempt { victim, attempt, victim_depth };
                         self.event_at(t, kind).on_node(thief)
                     });
                     // Bitmap first: almost every probe at scale is a
@@ -465,12 +456,7 @@ impl ClusterSim {
                     let job = self.jobs.id[first].0;
                     self.telemetry.record(|| {
                         let batch = batch as u32;
-                        let kind = EventKind::StealHit {
-                            victim,
-                            attempt,
-                            batch,
-                            delay_secs,
-                        };
+                        let kind = EventKind::StealHit { victim, attempt, batch, delay_secs };
                         self.event_at(t, kind).on_node(thief).for_job(job)
                     });
                     // The rest of the batch rides the same round trip
@@ -490,8 +476,7 @@ impl ClusterSim {
                     self.steal_stats.abandons += 1;
                     let attempts = scfg.probe_attempts;
                     self.telemetry.record(|| {
-                        self.event_at(t, EventKind::StealAbandon { attempts })
-                            .on_node(thief)
+                        self.event_at(t, EventKind::StealAbandon { attempts }).on_node(thief)
                     });
                 }
             }
@@ -552,10 +537,7 @@ mod tests {
             s.local_pops + s.stolen_jobs >= 8,
             "every job reached a node through the deques: {s:?}"
         );
-        assert_eq!(
-            s.central_dispatches, 0,
-            "stealing mode never uses the coordinator"
-        );
+        assert_eq!(s.central_dispatches, 0, "stealing mode never uses the coordinator");
     }
 
     #[test]
@@ -620,10 +602,7 @@ mod tests {
         let s = sim.service_stats();
         assert!(s.accounting_holds());
         assert!(sim.completed() > 0, "stealing must serve arrivals");
-        assert!(
-            s.deadline_dropped > 0,
-            "2× overload against a 120 s deadline drops"
-        );
+        assert!(s.deadline_dropped > 0, "2× overload against a 120 s deadline drops");
         let st = sim.steal_stats();
         assert_eq!(st.probes, st.hits + st.misses);
     }

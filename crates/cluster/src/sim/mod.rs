@@ -227,11 +227,15 @@ impl ClusterSim {
             TraceLibrary::global().realize_with_origin(&cfg.trace, cfg.seed, cfg.nodes);
         let sim = Self::with_realization(cfg, &real);
         sim.telemetry.record(|| {
-            Event::new(0, 0, match origin {
-                RealizeOrigin::Hit => EventKind::TraceCacheHit,
-                RealizeOrigin::Miss => EventKind::TraceCacheMiss,
-                RealizeOrigin::Bypass => EventKind::TraceCacheBypass,
-            })
+            Event::new(
+                0,
+                0,
+                match origin {
+                    RealizeOrigin::Hit => EventKind::TraceCacheHit,
+                    RealizeOrigin::Miss => EventKind::TraceCacheMiss,
+                    RealizeOrigin::Bypass => EventKind::TraceCacheBypass,
+                },
+            )
         });
         sim
     }
@@ -747,9 +751,8 @@ impl ClusterSim {
                 if dropped > 0 {
                     refused = true;
                     self.service.shed += dropped as u64;
-                    self.telemetry.record(|| {
-                        self.event_at(t, EventKind::AdmissionShed { count: dropped })
-                    });
+                    self.telemetry
+                        .record(|| self.event_at(t, EventKind::AdmissionShed { count: dropped }));
                 }
             }
             AdmissionPolicy::Block => {
@@ -780,8 +783,7 @@ impl ClusterSim {
                     refused = deferred > 0;
                     self.service.deferred += deferred as u64;
                     self.service.deficit += deferred as u64;
-                    self.service.peak_deficit =
-                        self.service.peak_deficit.max(self.service.deficit);
+                    self.service.peak_deficit = self.service.peak_deficit.max(self.service.deficit);
                     let deficit = self.service.deficit;
                     self.telemetry.record(|| {
                         self.event_at(t, EventKind::AdmissionDefer { count: deferred, deficit })
@@ -794,9 +796,8 @@ impl ClusterSim {
         }
         if offered > 0 || admitted > 0 {
             let depth = self.dispatch.queued_len() as u32;
-            self.telemetry.record(|| {
-                self.event_at(t, EventKind::ArrivalBurst { offered, admitted, depth })
-            });
+            self.telemetry
+                .record(|| self.event_at(t, EventKind::ArrivalBurst { offered, admitted, depth }));
         }
         self.arrivals = Some(generator);
     }
@@ -808,7 +809,12 @@ impl ClusterSim {
     /// starts exactly here.
     fn admit_arrival(&mut self, generator: &mut ArrivalGenerator, t: SimTime) {
         let (cpu_demand, mem_kb) = generator.draw_demand();
-        let spec = JobSpec { id: JobId(self.next_job_id), cpu_demand, mem_kb, arrival: t };
+        let spec = JobSpec {
+            id: JobId(self.next_job_id),
+            cpu_demand,
+            mem_kb,
+            arrival: t,
+        };
         self.next_job_id += 1;
         let ji = self.jobs.push(spec, self.window as u32);
         self.dispatch.enqueue(ji, spec.id);
@@ -1002,8 +1008,7 @@ impl ClusterSim {
                     }
                     ProgressKind::Advance => {
                         self.foreign_cpu += p.gain;
-                        self.jobs.remaining[ji] =
-                            self.jobs.remaining[ji].saturating_sub(p.gain);
+                        self.jobs.remaining[ji] = self.jobs.remaining[ji].saturating_sub(p.gain);
                         self.jobs.breakdown[ji].add(p.state, WINDOW);
                     }
                     ProgressKind::Complete => {
@@ -1032,14 +1037,17 @@ impl ClusterSim {
         dest: Option<NodeId>,
     ) {
         self.telemetry.record(|| {
-            self.event_at(t, EventKind::Decision {
-                action,
-                host_cpu: Some(self.cpu_w[node.0]),
-                dest_cpu: dest.map(|d| self.cpu_w[d.0]),
-                age_secs: None,
-                migration_secs: None,
-                dest: dest.map(|d| d.0 as u32),
-            })
+            self.event_at(
+                t,
+                EventKind::Decision {
+                    action,
+                    host_cpu: Some(self.cpu_w[node.0]),
+                    dest_cpu: dest.map(|d| self.cpu_w[d.0]),
+                    age_secs: None,
+                    migration_secs: None,
+                    dest: dest.map(|d| d.0 as u32),
+                },
+            )
             .on_node(node.0 as u32)
             .for_job(self.jobs.id[ji].0)
         });
@@ -1096,14 +1104,17 @@ impl ClusterSim {
             return;
         };
         self.telemetry.record(|| {
-            self.event_at(t, EventKind::Decision {
-                action: DecisionAction::Migrate,
-                host_cpu: Some(h),
-                dest_cpu: Some(l),
-                age_secs: Some(age.as_secs_f64()),
-                migration_secs: Some(t_migr.as_secs_f64()),
-                dest: Some(dest.0 as u32),
-            })
+            self.event_at(
+                t,
+                EventKind::Decision {
+                    action: DecisionAction::Migrate,
+                    host_cpu: Some(h),
+                    dest_cpu: Some(l),
+                    age_secs: Some(age.as_secs_f64()),
+                    migration_secs: Some(t_migr.as_secs_f64()),
+                    dest: Some(dest.0 as u32),
+                },
+            )
             .on_node(node.0 as u32)
             .for_job(self.jobs.id[ji].0)
         });
@@ -1145,9 +1156,8 @@ impl ClusterSim {
         cold.migration_attempts = 0;
         self.jobs.queued_from[ji] = self.window as u32;
         self.dispatch.enqueue(ji, self.jobs.id[ji]);
-        self.telemetry.record(|| {
-            self.event_at(t, EventKind::QueueEnter).for_job(self.jobs.id[ji].0)
-        });
+        self.telemetry
+            .record(|| self.event_at(t, EventKind::QueueEnter).for_job(self.jobs.id[ji].0));
     }
 
     /// A node crashes: it leaves every scheduling set, and the job it
@@ -1164,10 +1174,8 @@ impl ClusterSim {
         self.free_idle.remove(ni);
         let hosted = self.nodes.hosted(ni);
         self.telemetry.record(|| {
-            self.event_at(t, EventKind::NodeCrash {
-                evicted: hosted.map(|ji| self.jobs.id[ji].0),
-            })
-            .on_node(ni as u32)
+            self.event_at(t, EventKind::NodeCrash { evicted: hosted.map(|ji| self.jobs.id[ji].0) })
+                .on_node(ni as u32)
         });
         if let Some(ji) = hosted {
             self.nodes.memory[ni].detach_foreign();
@@ -1216,7 +1224,8 @@ impl ClusterSim {
         if attempt >= retry.max_attempts {
             self.fault_stats.migrations_abandoned += 1;
             self.telemetry.record(|| {
-                self.event_at(t, EventKind::MigrationAbandon).for_job(self.jobs.id[ji].0)
+                self.event_at(t, EventKind::MigrationAbandon)
+                    .for_job(self.jobs.id[ji].0)
             });
             self.requeue(ji, t);
             return;
@@ -1266,11 +1275,8 @@ impl ClusterSim {
         image: bool,
         attempt: u32,
     ) {
-        let (until, bits) = if image {
-            self.migration_terms(self.jobs.mem_kb[ji], start)
-        } else {
-            (start, None)
-        };
+        let (until, bits) =
+            if image { self.migration_terms(self.jobs.mem_kb[ji], start) } else { (start, None) };
         self.jobs.state[ji] = JobState::Migrating;
         self.jobs.node[ji] = dest.0 as u32;
         let cold = &mut self.jobs.cold[ji];
@@ -1339,15 +1345,18 @@ impl ClusterSim {
         let completion_secs = at.saturating_since(self.jobs.arrival[ji]).as_secs_f64();
         let migrations = self.jobs.cold[ji].migrations;
         self.telemetry.record(|| {
-            self.event_at(at, EventKind::Complete {
-                queued_secs: b.queued.as_secs_f64(),
-                running_secs: b.running.as_secs_f64(),
-                lingering_secs: b.lingering.as_secs_f64(),
-                paused_secs: b.paused.as_secs_f64(),
-                migrating_secs: b.migrating.as_secs_f64(),
-                completion_secs,
-                migrations,
-            })
+            self.event_at(
+                at,
+                EventKind::Complete {
+                    queued_secs: b.queued.as_secs_f64(),
+                    running_secs: b.running.as_secs_f64(),
+                    lingering_secs: b.lingering.as_secs_f64(),
+                    paused_secs: b.paused.as_secs_f64(),
+                    migrating_secs: b.migrating.as_secs_f64(),
+                    completion_secs,
+                    migrations,
+                },
+            )
             .on_node(node.0 as u32)
             .for_job(self.jobs.id[ji].0)
         });
@@ -1417,14 +1426,17 @@ impl ClusterSim {
     fn dispatch_queued(&mut self, ji: usize, dest: NodeId, t: SimTime, extra: SimDuration) {
         self.flush_queue_time(ji);
         self.telemetry.record(|| {
-            self.event_at(t, EventKind::Decision {
-                action: DecisionAction::Place,
-                host_cpu: Some(self.cpu_w[dest.0]),
-                dest_cpu: None,
-                age_secs: None,
-                migration_secs: None,
-                dest: Some(dest.0 as u32),
-            })
+            self.event_at(
+                t,
+                EventKind::Decision {
+                    action: DecisionAction::Place,
+                    host_cpu: Some(self.cpu_w[dest.0]),
+                    dest_cpu: None,
+                    age_secs: None,
+                    migration_secs: None,
+                    dest: Some(dest.0 as u32),
+                },
+            )
             .for_job(self.jobs.id[ji].0)
         });
         if self.jobs.cold[ji].has_run {
@@ -1433,11 +1445,8 @@ impl ClusterSim {
             self.jobs.cold[ji].migrations += 1;
             self.start_transfer(ji, dest, t + extra, true, 1);
             self.telemetry.record(|| {
-                self.event_at(t, EventKind::MigrationStart {
-                    dest: dest.0 as u32,
-                    attempt: 1,
-                })
-                .for_job(self.jobs.id[ji].0)
+                self.event_at(t, EventKind::MigrationStart { dest: dest.0 as u32, attempt: 1 })
+                    .for_job(self.jobs.id[ji].0)
             });
         } else if extra > SimDuration::ZERO {
             // A fresh job delayed in flight: no image to move and no
@@ -1548,9 +1557,7 @@ fn classify_decisions_shard(
                 JobState::Running if !idle => DecideKind::NonIdle,
                 JobState::Lingering | JobState::Paused if idle => DecideKind::Resume,
                 JobState::Lingering if policy == Policy::LingerLonger => DecideKind::LingerCheck,
-                JobState::Paused
-                    if cold[ji as usize].pause_deadline.is_some_and(|d| t >= d) =>
-                {
+                JobState::Paused if cold[ji as usize].pause_deadline.is_some_and(|d| t >= d) => {
                     DecideKind::PauseEvict
                 }
                 _ => continue,
@@ -1702,8 +1709,7 @@ mod tests {
         let mut sim = ClusterSim::new(small_cfg(Policy::PauseAndMigrate));
         sim.run();
         let paused: f64 = sim.jobs().iter().map(|j| j.breakdown.paused.as_secs_f64()).sum();
-        let lingered: f64 =
-            sim.jobs().iter().map(|j| j.breakdown.lingering.as_secs_f64()).sum();
+        let lingered: f64 = sim.jobs().iter().map(|j| j.breakdown.lingering.as_secs_f64()).sum();
         assert_eq!(lingered, 0.0, "PM never lingers");
         // With several 2-minute jobs on user workstations, at least one
         // pause episode is overwhelmingly likely.
@@ -1714,8 +1720,7 @@ mod tests {
     fn lingering_policies_linger() {
         let mut sim = ClusterSim::new(small_cfg(Policy::LingerForever));
         sim.run();
-        let lingered: f64 =
-            sim.jobs().iter().map(|j| j.breakdown.lingering.as_secs_f64()).sum();
+        let lingered: f64 = sim.jobs().iter().map(|j| j.breakdown.lingering.as_secs_f64()).sum();
         assert!(lingered > 0.0, "LF on user workstations must linger");
     }
 
@@ -1843,11 +1848,7 @@ mod tests {
                 let free_idle_scan: Vec<usize> = (0..sim.nodes.len())
                     .filter(|&ni| sim.nodes.hosted(ni).is_none() && sim.idle_at(ni))
                     .collect();
-                assert_eq!(
-                    sim.free_idle.iter().collect::<Vec<_>>(),
-                    free_idle_scan,
-                    "{policy}"
-                );
+                assert_eq!(sim.free_idle.iter().collect::<Vec<_>>(), free_idle_scan, "{policy}");
             }
         }
     }

@@ -279,7 +279,6 @@ impl JobCold {
     }
 }
 
-
 /// Per-job state as parallel slabs keyed by job index.
 ///
 /// The hot slabs are exactly what the window sweeps consult: lifecycle

@@ -294,7 +294,8 @@ mod tests {
         assert_eq!(s, back);
         assert!(!back.enabled);
         let r = StealingConfig::randomized(3, 0.25).with_steal_half();
-        let back: StealingConfig = serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
+        let back: StealingConfig =
+            serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
         assert_eq!(r, back);
         assert!(back.enabled && back.steal_half);
     }

@@ -41,23 +41,16 @@ fn cell(policy: Policy) -> ClusterConfig {
     // churning and lingering (or paused) jobs looking for destinations.
     cfg.service = ServiceConfig {
         arrivals: ArrivalConfig {
-            process: ArrivalProcess::Poisson {
-                rate_per_hour: 0.9 * NODES as f64 * 30.0,
-            },
+            process: ArrivalProcess::Poisson { rate_per_hour: 0.9 * NODES as f64 * 30.0 },
             mean_cpu_secs: 120.0,
             mem_kb: 8 * 1024,
-            size_dist: SizeDistribution::BoundedPareto {
-                alpha: 1.5,
-                max_ratio: 100.0,
-            },
+            size_dist: SizeDistribution::BoundedPareto { alpha: 1.5, max_ratio: 100.0 },
         },
         admission: AdmissionPolicy::Shed,
         queue_capacity: 2 * NODES,
         deadline_secs: 300.0,
     };
-    cfg.mode = RunMode::Open {
-        horizon: SimTime::from_secs(1800),
-    };
+    cfg.mode = RunMode::Open { horizon: SimTime::from_secs(1800) };
     cfg.faults = FaultConfig {
         crash_rate_per_hour: 2.0,
         mean_reboot_secs: 60.0,
@@ -116,10 +109,7 @@ fn fault_path_outcomes_are_pinned() {
             let fs = sim.fault_stats();
             // The cell must actually exercise the fault paths it pins.
             assert!(fs.crashes > 0 && fs.crash_evictions > 0, "{policy}: {fs:?}");
-            assert!(
-                fs.migration_failures > 0 && fs.migration_retries > 0,
-                "{policy}: {fs:?}"
-            );
+            assert!(fs.migration_failures > 0 && fs.migration_retries > 0, "{policy}: {fs:?}");
             assert!(sim.steal_stats().central_dispatches > 0, "{policy}");
             assert_eq!(got, want, "{policy} at {shards} shards: digest {got:#018x}");
         }
@@ -184,10 +174,8 @@ const TURNOVER_FAULTS: FaultConfig = FaultConfig {
 /// A throughput cell with a short job demand against a long horizon:
 /// every family slot turns over many times.
 fn turnover_cell(policy: Policy) -> ClusterConfig {
-    let mut cfg = ClusterConfig::paper(
-        policy,
-        JobFamily::uniform(12, SimDuration::from_secs(90), 8 * 1024),
-    );
+    let mut cfg =
+        ClusterConfig::paper(policy, JobFamily::uniform(12, SimDuration::from_secs(90), 8 * 1024));
     cfg.nodes = 24;
     cfg.trace.duration = SimDuration::from_secs(3600);
     cfg.seed = 7;
@@ -223,10 +211,8 @@ fn open_cell(admission: AdmissionPolicy, policy: Policy) -> ClusterConfig {
 /// heavy-tailed sizes.
 fn stealing_cell() -> ClusterConfig {
     let mut cfg = open_cell(AdmissionPolicy::Shed, Policy::LingerLonger);
-    cfg.service.arrivals.size_dist = SizeDistribution::BoundedPareto {
-        alpha: 1.5,
-        max_ratio: 100.0,
-    };
+    cfg.service.arrivals.size_dist =
+        SizeDistribution::BoundedPareto { alpha: 1.5, max_ratio: 100.0 };
     cfg.stealing = StealingConfig::randomized(3, 0.5).with_steal_half();
     cfg
 }
@@ -275,7 +261,10 @@ fn throughput_turnover_outcomes_are_pinned() {
         (Policy::LingerLonger, 0x0590_9ef1_00dd_95fe),
         (Policy::LingerForever, 0xe5d6_a9fb_e3bd_a36d),
     ];
-    let pins = pinned.iter().map(|&(p, want)| (p.to_string(), turnover_cell(p), want)).collect();
+    let pins = pinned
+        .iter()
+        .map(|&(p, want)| (p.to_string(), turnover_cell(p), want))
+        .collect();
     assert_pins(pins, |name, sim| {
         assert!(sim.completed() >= 24, "{name}: horizon must turn slots over");
         assert_eq!(sim.live_job_rows(), 12, "{name}: live rows stay at the family size");

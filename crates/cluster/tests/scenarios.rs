@@ -39,12 +39,7 @@ fn base_cfg(policy: Policy, nodes: usize, jobs: u32, job_secs: u64) -> ClusterCo
     cfg
 }
 
-fn sim(
-    policy: Policy,
-    jobs: u32,
-    job_secs: u64,
-    node_busy: &[&[(usize, usize)]],
-) -> ClusterSim {
+fn sim(policy: Policy, jobs: u32, job_secs: u64, node_busy: &[&[(usize, usize)]]) -> ClusterSim {
     let cfg = base_cfg(policy, node_busy.len(), jobs, job_secs);
     let traces: Vec<Arc<CoarseTrace>> =
         node_busy.iter().map(|ranges| trace(4000, ranges)).collect();
@@ -148,12 +143,7 @@ fn immediate_eviction_bounces_between_alternating_nodes() {
     // Node 0 busy during [60, 120); node 1 busy during [0, 60) and idle
     // afterwards: an IE job placed on node 0 is evicted at 60 and should
     // land on node 1.
-    let mut s = sim(
-        Policy::ImmediateEviction,
-        1,
-        240,
-        &[&[(60, 2000)], &[(0, 55)]],
-    );
+    let mut s = sim(Policy::ImmediateEviction, 1, 240, &[&[(60, 2000)], &[(0, 55)]]);
     assert!(s.run());
     let j = &s.jobs()[0];
     assert!(j.migrations >= 1, "must have evicted at least once");
@@ -204,8 +194,7 @@ fn eviction_storms_contend_for_the_shared_network() {
     let build = |network: Option<NetworkModel>| {
         let mut cfg = base_cfg(Policy::ImmediateEviction, 6, 3, 400);
         cfg.network = network;
-        let traces: Vec<Arc<CoarseTrace>> =
-            ranges.iter().map(|r| trace(4000, r)).collect();
+        let traces: Vec<Arc<CoarseTrace>> = ranges.iter().map(|r| trace(4000, r)).collect();
         ClusterSim::with_traces(cfg, traces, vec![WINDOWS_PER_MIN; 6])
     };
     let mut shared = build(Some(NetworkModel::paper_default()));
@@ -235,8 +224,7 @@ fn shared_network_matches_fixed_cost_for_a_lone_migration() {
     let build = |network: Option<NetworkModel>| {
         let mut cfg = base_cfg(Policy::ImmediateEviction, 2, 1, 300);
         cfg.network = network;
-        let traces: Vec<Arc<CoarseTrace>> =
-            ranges.iter().map(|r| trace(4000, r)).collect();
+        let traces: Vec<Arc<CoarseTrace>> = ranges.iter().map(|r| trace(4000, r)).collect();
         ClusterSim::with_traces(cfg, traces, vec![WINDOWS_PER_MIN; 2])
     };
     let mut fixed = build(None);
@@ -252,12 +240,8 @@ fn shared_network_matches_fixed_cost_for_a_lone_migration() {
 fn staggered_arrivals_are_honored() {
     // Jobs arriving every 100 s must not start before their arrival.
     let mut cfg = base_cfg(Policy::LingerLonger, 2, 3, 60);
-    cfg.family = JobFamily::staggered(
-        3,
-        SimDuration::from_secs(60),
-        8 * 1024,
-        SimDuration::from_secs(100),
-    );
+    cfg.family =
+        JobFamily::staggered(3, SimDuration::from_secs(60), 8 * 1024, SimDuration::from_secs(100));
     let traces = vec![trace(4000, &[]), trace(4000, &[])];
     let mut s = ClusterSim::with_traces(cfg, traces, vec![WINDOWS_PER_MIN; 2]);
     assert!(s.run());

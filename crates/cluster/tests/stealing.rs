@@ -11,8 +11,7 @@
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{
-    AdmissionPolicy, ClusterConfig, ClusterSim, FaultConfig, RunMode, ServiceConfig,
-    StealingConfig,
+    AdmissionPolicy, ClusterConfig, ClusterSim, FaultConfig, RunMode, ServiceConfig, StealingConfig,
 };
 use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
@@ -150,9 +149,8 @@ proptest! {
 #[test]
 fn zero_latency_stealing_tracks_the_central_queue() {
     let run = |stealing: StealingConfig| {
-        let mut sim = build(
-            Policy::LingerLonger, 16, 1.5, 4 * 3600, 1998, 0.0, 0.0, stealing, false,
-        );
+        let mut sim =
+            build(Policy::LingerLonger, 16, 1.5, 4 * 3600, 1998, 0.0, 0.0, stealing, false);
         sim.run();
         (sim.completed(), sim.service_stats().clone(), sim.steal_stats())
     };

@@ -45,7 +45,12 @@ fn config(
 /// The run's complete observable outcome as one string: every job
 /// record, the throughput/delay accumulators at full f64 bit precision,
 /// the fault counters, and the serialized telemetry journal.
-fn run_signature(cfg: ClusterConfig, real: &WorkloadRealization, shards: usize, width: usize) -> String {
+fn run_signature(
+    cfg: ClusterConfig,
+    real: &WorkloadRealization,
+    shards: usize,
+    width: usize,
+) -> String {
     set_default_jobs(width);
     let mut sim = ClusterSim::with_realization(cfg, real);
     sim.set_shards(shards);

@@ -29,8 +29,9 @@ fn legacy_traces(
     nodes: usize,
 ) -> (Vec<Arc<CoarseTrace>>, Vec<usize>) {
     let factory = RngFactory::new(seed);
-    let traces: Vec<Arc<CoarseTrace>> =
-        (0..nodes).map(|n| Arc::new(trace.synthesize(&factory, n as u64))).collect();
+    let traces: Vec<Arc<CoarseTrace>> = (0..nodes)
+        .map(|n| Arc::new(trace.synthesize(&factory, n as u64)))
+        .collect();
     let offsets = traces
         .iter()
         .enumerate()

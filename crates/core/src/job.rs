@@ -146,8 +146,13 @@ mod tests {
 
     #[test]
     fn staggered_arrivals_are_spaced() {
-        let w = JobFamily::staggered(4, SimDuration::from_secs(60), 1024, SimDuration::from_secs(30));
-        let arrivals: Vec<u64> = w.jobs().iter().map(|j| j.arrival.as_nanos() / 1_000_000_000).collect();
+        let w =
+            JobFamily::staggered(4, SimDuration::from_secs(60), 1024, SimDuration::from_secs(30));
+        let arrivals: Vec<u64> = w
+            .jobs()
+            .iter()
+            .map(|j| j.arrival.as_nanos() / 1_000_000_000)
+            .collect();
         assert_eq!(arrivals, vec![0, 30, 60, 90]);
     }
 

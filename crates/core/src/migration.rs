@@ -168,7 +168,10 @@ mod tests {
 
     #[test]
     fn higher_bandwidth_is_cheaper() {
-        let slow = MigrationCostModel { bandwidth_bps: 3.0e6, ..MigrationCostModel::paper_default() };
+        let slow = MigrationCostModel {
+            bandwidth_bps: 3.0e6,
+            ..MigrationCostModel::paper_default()
+        };
         let fast = MigrationCostModel { bandwidth_bps: 100.0e6, ..slow };
         assert!(fast.cost(8192) < slow.cost(8192));
     }

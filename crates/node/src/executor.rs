@@ -337,10 +337,7 @@ mod tests {
             let wall = c.consume(demand);
             let expect = 20.0 / (1.0 - u);
             let got = wall.as_secs_f64();
-            assert!(
-                (got - expect).abs() / expect < 0.10,
-                "u={u}: wall {got} vs expected {expect}"
-            );
+            assert!((got - expect).abs() / expect < 0.10, "u={u}: wall {got} vs expected {expect}");
         }
     }
 
@@ -361,10 +358,7 @@ mod tests {
             let table = BurstParamTable::paper_calibrated();
             let expect = (cs as f64 * 1e-6) / table.interpolate(u).run_mean;
             let got = c.ldr();
-            assert!(
-                (got - expect).abs() / expect < 0.15,
-                "u={u} cs={cs}: ldr {got} vs {expect}"
-            );
+            assert!((got - expect).abs() / expect < 0.15, "u={u} cs={cs}: ldr {got} vs {expect}");
         }
     }
 
@@ -413,11 +407,7 @@ mod tests {
         }
         let pos = u / 0.05;
         let nearest = pos.round();
-        let pos = if (pos - nearest).abs() < 1e-9 {
-            nearest
-        } else {
-            pos
-        };
+        let pos = if (pos - nearest).abs() < 1e-9 { nearest } else { pos };
         let lo = pos.floor() as usize;
         let b = table.buckets();
         let (run_mean, idle_mean) = if lo >= b.len() - 1 {

@@ -378,11 +378,7 @@ mod tests {
     fn utilization_matches_bucket() {
         for u in [0.2, 0.5, 0.8] {
             let r = simulate_kernel(&cfg_one(u, true));
-            assert!(
-                (r.utilization - u).abs() < 0.06,
-                "target {u}, measured {}",
-                r.utilization
-            );
+            assert!((r.utilization - u).abs() < 0.06, "target {u}, measured {}", r.utilization);
         }
     }
 
@@ -391,8 +387,8 @@ mod tests {
         let r = simulate_kernel(&cfg_one(0.3, true));
         // local + foreign + dead ≈ total; dead is only switch overhead.
         let total = 120.0;
-        let sum = r.local_cpu.as_secs_f64() + r.foreign_cpu.as_secs_f64()
-            + r.dead_time.as_secs_f64();
+        let sum =
+            r.local_cpu.as_secs_f64() + r.foreign_cpu.as_secs_f64() + r.dead_time.as_secs_f64();
         assert!((sum - total).abs() < 1e-6);
         assert!(r.fcsr > 0.9, "fcsr {}", r.fcsr);
     }
@@ -464,8 +460,18 @@ mod tests {
         // completes with plenty of switches.
         let cfg = KernelConfig {
             processes: vec![
-                LocalProcessSpec { run_mean: 0.2, run_var: 1e-3, think_mean: 0.2, think_var: 1e-3 },
-                LocalProcessSpec { run_mean: 0.004, run_var: 1e-6, think_mean: 0.02, think_var: 1e-5 },
+                LocalProcessSpec {
+                    run_mean: 0.2,
+                    run_var: 1e-3,
+                    think_mean: 0.2,
+                    think_var: 1e-3,
+                },
+                LocalProcessSpec {
+                    run_mean: 0.004,
+                    run_var: 1e-6,
+                    think_mean: 0.02,
+                    think_var: 1e-5,
+                },
             ],
             quantum: SimDuration::from_millis(5),
             foreign_present: false,

@@ -141,10 +141,8 @@ pub fn fig5_sweep(
 
 /// The paper's Fig 5 grid: 100/300/500 µs × 10%–90% utilization.
 pub fn fig5_paper_grid(duration: SimDuration, seed: u64) -> Vec<SingleNodeReport> {
-    let cs: Vec<SimDuration> = [100u64, 300, 500]
-        .into_iter()
-        .map(SimDuration::from_micros)
-        .collect();
+    let cs: Vec<SimDuration> =
+        [100u64, 300, 500].into_iter().map(SimDuration::from_micros).collect();
     let utils: Vec<f64> = (1..=9).map(|i| i as f64 / 10.0).collect();
     fig5_sweep(&cs, &utils, duration, seed)
 }

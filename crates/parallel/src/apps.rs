@@ -103,9 +103,9 @@ pub struct Fig12Point {
 pub fn fig12(seed: u64) -> Vec<Fig12Point> {
     const UTILS: [f64; 4] = [0.1, 0.2, 0.3, 0.4];
     const NON_IDLE: usize = 9; // 0..=8
-    // Per-app dedicated-cluster baselines, then the 3×4×9 grid; every
-    // point is an independent run, flattened in (app, util, non_idle)
-    // order so the output matches the serial loop nest exactly.
+                               // Per-app dedicated-cluster baselines, then the 3×4×9 grid; every
+                               // point is an independent run, flattened in (app, util, non_idle)
+                               // order so the output matches the serial loop nest exactly.
     let ideals = par_map_indexed(App::ALL.len(), None, |a| {
         let cfg = App::ALL[a].config(8, 8);
         run_bsp(&cfg, &[0.0; 8], seed, 0).completion.as_secs_f64()
@@ -165,11 +165,8 @@ pub fn fig13(seed: u64) -> Vec<Fig13Point> {
             0 => {
                 // Reconfiguration: largest power of two ≤ idle (1 busy
                 // node when none are idle).
-                let (procs, busy) = if idle == 0 {
-                    (1usize, 1usize)
-                } else {
-                    (largest_pow2_at_most(idle), 0)
-                };
+                let (procs, busy) =
+                    if idle == 0 { (1usize, 1usize) } else { (largest_pow2_at_most(idle), 0) };
                 let t_rc = timed(app, procs, busy, CLUSTER, seed, idle as u64);
                 Fig13Point {
                     app: app.name(),
@@ -329,4 +326,3 @@ mod tests {
         }
     }
 }
-

@@ -132,10 +132,7 @@ fn sync_step(
     wait_accum: &mut f64,
     wait_samples: &mut u64,
 ) -> SimTime {
-    let arrivals: Vec<SimTime> = cpus
-        .iter_mut()
-        .map(|c| now + c.consume(demand))
-        .collect();
+    let arrivals: Vec<SimTime> = cpus.iter_mut().map(|c| now + c.consume(demand)).collect();
     let barrier = arrivals.iter().copied().max().expect("at least one process");
     let span = barrier.saturating_since(now).as_secs_f64();
     for (c, &a) in cpus.iter_mut().zip(&arrivals) {
@@ -178,10 +175,7 @@ mod tests {
         let work = cfg.work_per_process().as_secs_f64()
             + cfg.phases as f64 * cfg.round_latency.as_secs_f64();
         let got = r.completion.as_secs_f64();
-        assert!(
-            (got - work).abs() / work < 0.02,
-            "ideal completion {got} vs work {work}"
-        );
+        assert!((got - work).abs() / work < 0.02, "ideal completion {got} vs work {work}");
     }
 
     #[test]
@@ -221,10 +215,7 @@ mod tests {
         };
         let fine = slowdown(&mk(10, 600), &utils(4, 0.2), 9);
         let coarse = slowdown(&mk(1000, 12), &utils(4, 0.2), 9);
-        assert!(
-            fine > coarse + 0.05,
-            "fine {fine} should exceed coarse {coarse}"
-        );
+        assert!(fine > coarse + 0.05, "fine {fine} should exceed coarse {coarse}");
     }
 
     #[test]

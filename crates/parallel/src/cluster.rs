@@ -203,9 +203,8 @@ fn simulate_over(
             let id = next_job_id;
             next_job_id += 1;
             queue.push_back((id, arrivals[next_arrival]));
-            recorder.record(|| {
-                Event::new(w as u32, now.as_nanos(), EventKind::QueueEnter).for_job(id)
-            });
+            recorder
+                .record(|| Event::new(w as u32, now.as_nanos(), EventKind::QueueEnter).for_job(id));
             next_arrival += 1;
         }
 
@@ -351,11 +350,7 @@ fn simulate_over(
             if lingering > 0 {
                 // Extreme-value barrier amplification (same estimator as
                 // the hybrid predictor).
-                let u_typ: f64 = job
-                    .members
-                    .iter()
-                    .map(|&m| cpu_w[m])
-                    .fold(0.0f64, f64::max);
+                let u_typ: f64 = job.members.iter().map(|&m| cpu_w[m]).fold(0.0f64, f64::max);
                 let p = table.interpolate(u_typ);
                 if p.run_mean > 0.0 {
                     let n_bursts = worst_wall * u_typ / p.run_mean;
@@ -429,7 +424,10 @@ pub struct ThroughputComparison {
 
 /// Sweep offered load (via inter-arrival time) and compare the two
 /// policies end-to-end — the extension experiment.
-pub fn throughput_sweep(base: &ParallelClusterConfig, interarrivals_s: &[u64]) -> Vec<ThroughputComparison> {
+pub fn throughput_sweep(
+    base: &ParallelClusterConfig,
+    interarrivals_s: &[u64],
+) -> Vec<ThroughputComparison> {
     interarrivals_s
         .iter()
         .map(|&ia| {
@@ -549,11 +547,7 @@ mod tests {
                 let streamed =
                     WorkloadRealization::synthesize_streamed(&c.trace, c.seed, c.nodes, chunk);
                 let got = simulate_over(&c, policy, &Recorder::disabled(), &streamed);
-                assert_eq!(
-                    format!("{got:?}"),
-                    format!("{want:?}"),
-                    "{policy:?} chunk {chunk}"
-                );
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{policy:?} chunk {chunk}");
             }
         }
     }

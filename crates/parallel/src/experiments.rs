@@ -81,12 +81,7 @@ mod tests {
         // Paper: "slowdown of only 1.1 to 1.5 when the load is less than
         // 40%"; large above 50%.
         for p in &pts[1..=4] {
-            assert!(
-                p.slowdown < 2.0,
-                "{}%: {}",
-                p.utilization_pct,
-                p.slowdown
-            );
+            assert!(p.slowdown < 2.0, "{}%: {}", p.utilization_pct, p.slowdown);
         }
         assert!(pts[9].slowdown > 4.0, "90%: {}", pts[9].slowdown);
         // Monotone within noise.
@@ -126,10 +121,7 @@ mod tests {
             .slowdown;
         assert!(fine > coarse, "fine {fine} vs coarse {coarse}");
         // Paper scale: the worst case (8 nodes, 10 ms) stays under ~2.5.
-        let worst = pts
-            .iter()
-            .map(|p| p.slowdown)
-            .fold(0.0f64, f64::max);
+        let worst = pts.iter().map(|p| p.slowdown).fold(0.0f64, f64::max);
         assert!(worst < 4.0, "worst slowdown {worst}");
     }
 }

@@ -68,19 +68,14 @@ pub fn predict_completion(job: &MalleableJob, k: usize, idle: usize) -> SimDurat
         // variance lifts the expected barrier maximum.
         let p = table.interpolate(job.local_util);
         let mean_wall = wall.as_secs_f64();
-        let n_bursts = if p.run_mean > 0.0 {
-            mean_wall * job.local_util / p.run_mean
-        } else {
-            0.0
-        };
+        let n_bursts = if p.run_mean > 0.0 { mean_wall * job.local_util / p.run_mean } else { 0.0 };
         let sigma = (n_bursts * p.run_var).sqrt();
         let amplification = sigma * (2.0 * (1.0 + lingering as f64).ln()).sqrt();
         SimDuration::from_secs_f64(mean_wall + amplification)
     };
     let comm = if k > 1 {
-        (job.round_latency
-            + job.per_message_cpu.mul_f64(job.pattern.messages_per_round(k) as f64))
-        .mul_f64(job.pattern.rounds(k) as f64)
+        (job.round_latency + job.per_message_cpu.mul_f64(job.pattern.messages_per_round(k) as f64))
+            .mul_f64(job.pattern.rounds(k) as f64)
     } else {
         SimDuration::ZERO
     };
@@ -199,7 +194,9 @@ fn hybrid_points(job: &MalleableJob, seed: u64, reps: u32) -> Vec<HybridPoint> {
     let candidates = candidate_widths(job.cluster);
     let sim_avg = |k: usize, idle: usize| {
         let total: f64 = (0..reps)
-            .map(|r| simulate_width(job, k, idle, seed.wrapping_add(r as u64 * 0x51D)).as_secs_f64())
+            .map(|r| {
+                simulate_width(job, k, idle, seed.wrapping_add(r as u64 * 0x51D)).as_secs_f64()
+            })
             .sum();
         total / reps as f64
     };
@@ -214,7 +211,8 @@ fn hybrid_points(job: &MalleableJob, seed: u64, reps: u32) -> Vec<HybridPoint> {
         // Reconfiguration never lingers: busy procs only when idle=0.
         // (`rc_k ≤ idle`, so the lingering count `rc_k - idle` is zero.)
         let reconfig_secs = if idle == 0 {
-            job.completion_avg(Strategy::Reconfiguration, 0, seed, reps).as_secs_f64()
+            job.completion_avg(Strategy::Reconfiguration, 0, seed, reps)
+                .as_secs_f64()
         } else {
             avg(rc_k)
         };

@@ -160,11 +160,7 @@ impl<S: Simulation> Engine<S> {
             self.now = at;
             self.events_handled += 1;
             budget -= 1;
-            let mut ctx = Context {
-                now: self.now,
-                queue: &mut self.queue,
-                stop: &mut stop,
-            };
+            let mut ctx = Context { now: self.now, queue: &mut self.queue, stop: &mut stop };
             self.sim.handle(event, &mut ctx);
             if stop {
                 return RunOutcome::Stopped;
@@ -261,10 +257,7 @@ mod tests {
     fn budget_guards_against_event_storms() {
         let mut eng = Engine::new(Storm);
         eng.prime(SimTime::ZERO, ());
-        assert_eq!(
-            eng.run_with_budget(SimTime::from_secs(1), 10_000),
-            RunOutcome::Budget
-        );
+        assert_eq!(eng.run_with_budget(SimTime::from_secs(1), 10_000), RunOutcome::Budget);
         assert_eq!(eng.events_handled(), 10_000);
     }
 

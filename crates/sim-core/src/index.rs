@@ -173,7 +173,11 @@ impl NodeIndex {
     /// Iterate the ids in ascending order — the same order a
     /// `(0..n).filter(...)` scan visits them.
     pub fn iter(&self) -> Iter<'_> {
-        Iter { index: self, word_pos: 0, current: self.words.first().copied().unwrap_or(0) }
+        Iter {
+            index: self,
+            word_pos: 0,
+            current: self.words.first().copied().unwrap_or(0),
+        }
     }
 
     /// Iterate ids present in **both** `self` and `other` in ascending
@@ -276,7 +280,8 @@ impl Iterator for Iter<'_> {
                 return Some(self.word_pos * 64 + bit);
             }
             // Skip ahead using the summary level.
-            let next_word = next_occupied_word(&self.index.summary, &self.index.words, self.word_pos + 1)?;
+            let next_word =
+                next_occupied_word(&self.index.summary, &self.index.words, self.word_pos + 1)?;
             self.word_pos = next_word;
             self.current = self.index.words[next_word];
         }

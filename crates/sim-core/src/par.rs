@@ -124,10 +124,8 @@ where
     F: Fn(usize) -> U + Sync,
 {
     let run_unit = |i: usize| -> Result<U, CellPanic> {
-        catch_unwind(AssertUnwindSafe(|| f(i))).map_err(|p| CellPanic {
-            index: i,
-            payload: payload_string(p.as_ref()),
-        })
+        catch_unwind(AssertUnwindSafe(|| f(i)))
+            .map_err(|p| CellPanic { index: i, payload: payload_string(p.as_ref()) })
     };
 
     let workers = resolve_jobs(jobs).clamp(1, n.max(1));

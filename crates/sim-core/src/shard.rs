@@ -33,7 +33,11 @@ pub const SHARD_MIN_NODES: usize = 131_072;
 /// [`SHARD_MIN_NODES`], else one per ~8k nodes, capped at 16. Purely an
 /// execution choice — any value produces the same bytes.
 pub fn default_shard_count(n: usize) -> usize {
-    if n < SHARD_MIN_NODES { 1 } else { (n / 8192).clamp(1, 16) }
+    if n < SHARD_MIN_NODES {
+        1
+    } else {
+        (n / 8192).clamp(1, 16)
+    }
 }
 
 /// A deterministic split of the id space `0..n` into contiguous,
@@ -154,7 +158,8 @@ impl ShardPlan {
         }
         let f = &f;
         std::thread::scope(|scope| {
-            let handles: Vec<_> = parts.map(|(si, part)| scope.spawn(move || f(si, part))).collect();
+            let handles: Vec<_> =
+                parts.map(|(si, part)| scope.spawn(move || f(si, part))).collect();
             for handle in handles {
                 if let Err(payload) = handle.join() {
                     resume_unwind(payload);
@@ -192,10 +197,7 @@ mod tests {
     #[test]
     fn plan_is_pure_in_inputs() {
         assert_eq!(ShardPlan::new(4096, 7), ShardPlan::new(4096, 7));
-        assert_ne!(
-            ShardPlan::new(4096, 7).ranges(),
-            ShardPlan::new(4096, 8).ranges()
-        );
+        assert_ne!(ShardPlan::new(4096, 7).ranges(), ShardPlan::new(4096, 8).ranges());
     }
 
     #[test]
@@ -264,14 +266,18 @@ mod tests {
 
     #[test]
     fn run_visits_every_part_once_with_its_own_index() {
-        for (n, shards, want) in [(0usize, 4usize, 0usize), (200, 1, 1), (200, 4, 4), (4096, 7, 7)] {
+        for (n, shards, want) in [(0usize, 4usize, 0usize), (200, 1, 1), (200, 4, 4), (4096, 7, 7)]
+        {
             let plan = ShardPlan::new(n, shards);
             assert_eq!(plan.shard_count(), want, "n={n} shards={shards}");
             for workers in [1usize, 4] {
                 let (data, visits, threaded) = stamp(n, &plan, workers);
                 assert_eq!(visits, vec![1; want], "n={n} workers={workers}");
                 for (si, r) in plan.ranges().iter().enumerate() {
-                    assert!(data[r.clone()].iter().all(|&v| v == si), "shard {si} stamped its range");
+                    assert!(
+                        data[r.clone()].iter().all(|&v| v == si),
+                        "shard {si} stamped its range"
+                    );
                 }
                 assert_eq!(threaded, want > 1 && workers > 1, "n={n} workers={workers}");
             }
@@ -291,10 +297,7 @@ mod tests {
                     })
                 }))
                 .expect_err("the panic must propagate");
-                let msg = caught
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .unwrap_or_default();
+                let msg = caught.downcast_ref::<String>().cloned().unwrap_or_default();
                 assert!(msg.contains(&format!("shard {last} down")), "shards={shards}: {msg}");
             }
         }

@@ -151,7 +151,10 @@ const EXP_BAND: f64 = 1e-9;
 /// If `mean` is not positive-finite or `variance` is negative.
 pub fn fit_two_moments(mean: f64, variance: f64) -> Fitted {
     assert!(mean > 0.0 && mean.is_finite(), "mean must be positive: {mean}");
-    assert!(variance >= 0.0 && variance.is_finite(), "variance must be non-negative: {variance}");
+    assert!(
+        variance >= 0.0 && variance.is_finite(),
+        "variance must be non-negative: {variance}"
+    );
 
     if variance == 0.0 {
         return Fitted::Point(Deterministic::new(mean));
@@ -179,11 +182,7 @@ pub fn fit_two_moments(mean: f64, variance: f64) -> Fitted {
     let kf = k as f64;
     let p = solve_erlang_mix_p(kf, cv2);
     let mu = (kf + 1.0 - p) / mean;
-    Fitted::ErlangMix {
-        p,
-        a: Erlang::new(k, mu),
-        b: Erlang::new(k + 1, mu),
-    }
+    Fitted::ErlangMix { p, a: Erlang::new(k, mu), b: Erlang::new(k + 1, mu) }
 }
 
 /// Solve for the mixing probability `p` of the Erlang(k)/Erlang(k+1)
@@ -196,8 +195,8 @@ pub fn fit_two_moments(mean: f64, variance: f64) -> Fitted {
 fn solve_erlang_mix_p(k: f64, cv2_target: f64) -> f64 {
     let cv2_of = |p: f64| {
         let m1 = k + 1.0 - p; // mean in units of 1/μ
-        // second moment in units of 1/μ²:
-        //   E[X²] = p·k(k+1) + (1−p)(k+1)(k+2)
+                              // second moment in units of 1/μ²:
+                              //   E[X²] = p·k(k+1) + (1−p)(k+1)(k+2)
         let ex2 = p * k * (k + 1.0) + (1.0 - p) * (k + 1.0) * (k + 2.0);
         (ex2 - m1 * m1) / (m1 * m1)
     };

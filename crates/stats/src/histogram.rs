@@ -203,7 +203,7 @@ mod tests {
         assert_eq!(pts.len(), 5);
         let last = pts.last().unwrap().1;
         assert!((last - 5.0 / 6.0).abs() < 1e-12); // overflow excluded
-        // Monotone.
+                                                   // Monotone.
         for w in pts.windows(2) {
             assert!(w[1].1 >= w[0].1);
         }

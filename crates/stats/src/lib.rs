@@ -32,7 +32,9 @@ pub mod fit;
 pub mod histogram;
 pub mod summary;
 
-pub use distr::{Deterministic, Distribution, Erlang, Exponential, HyperExp2, Pareto, UniformRange};
+pub use distr::{
+    Deterministic, Distribution, Erlang, Exponential, HyperExp2, Pareto, UniformRange,
+};
 pub use fit::{fit_two_moments, Fitted};
 pub use histogram::{Ecdf, Histogram};
 pub use summary::{z_score, BatchMeans, Online, TimeWeighted, UnsupportedConfidence};

@@ -19,11 +19,7 @@ pub struct UnsupportedConfidence(pub f64);
 
 impl std::fmt::Display for UnsupportedConfidence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unsupported confidence level {} (use 0.90/0.95/0.99)",
-            self.0
-        )
+        write!(f, "unsupported confidence level {} (use 0.90/0.95/0.99)", self.0)
     }
 }
 

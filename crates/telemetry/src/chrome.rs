@@ -48,8 +48,14 @@ fn instant(ev: &Event) -> Value {
         args.push(("job", Value::UInt(j as u64)));
     }
     args.push(("window", Value::UInt(ev.window as u64)));
-    if let EventKind::Decision { action, host_cpu, dest_cpu, age_secs, migration_secs, dest } =
-        &ev.kind
+    if let EventKind::Decision {
+        action,
+        host_cpu,
+        dest_cpu,
+        age_secs,
+        migration_secs,
+        dest,
+    } = &ev.kind
     {
         args.push(("action", Value::Str(action.name().to_string())));
         if let Some(h) = host_cpu {
@@ -190,14 +196,18 @@ mod tests {
     use crate::event::{DecisionAction, Event, EventKind};
 
     fn place(w: u32, job: u32, dest: u32) -> Event {
-        Event::new(w, w as u64 * 2_000_000_000, EventKind::Decision {
-            action: DecisionAction::Place,
-            host_cpu: None,
-            dest_cpu: None,
-            age_secs: None,
-            migration_secs: None,
-            dest: Some(dest),
-        })
+        Event::new(
+            w,
+            w as u64 * 2_000_000_000,
+            EventKind::Decision {
+                action: DecisionAction::Place,
+                host_cpu: None,
+                dest_cpu: None,
+                age_secs: None,
+                migration_secs: None,
+                dest: Some(dest),
+            },
+        )
         .for_job(job)
     }
 
@@ -206,32 +216,38 @@ mod tests {
         let events = vec![
             Event::new(0, 0, EventKind::WindowStart { queue_depth: 1 }),
             place(0, 0, 3),
-            Event::new(2, 4_000_000_000, EventKind::Decision {
-                action: DecisionAction::Linger,
-                host_cpu: Some(0.6),
-                dest_cpu: None,
-                age_secs: None,
-                migration_secs: None,
-                dest: None,
-            })
+            Event::new(
+                2,
+                4_000_000_000,
+                EventKind::Decision {
+                    action: DecisionAction::Linger,
+                    host_cpu: Some(0.6),
+                    dest_cpu: None,
+                    age_secs: None,
+                    migration_secs: None,
+                    dest: None,
+                },
+            )
             .on_node(3)
             .for_job(0),
-            Event::new(4, 8_000_000_000, EventKind::Complete {
-                queued_secs: 0.0,
-                running_secs: 4.0,
-                lingering_secs: 4.0,
-                paused_secs: 0.0,
-                migrating_secs: 0.0,
-                completion_secs: 8.0,
-                migrations: 0,
-            })
+            Event::new(
+                4,
+                8_000_000_000,
+                EventKind::Complete {
+                    queued_secs: 0.0,
+                    running_secs: 4.0,
+                    lingering_secs: 4.0,
+                    paused_secs: 0.0,
+                    migrating_secs: 0.0,
+                    completion_secs: 8.0,
+                    migrations: 0,
+                },
+            )
             .on_node(3)
             .for_job(0),
         ];
         let trace = chrome_trace(&events);
-        let Some(Value::Seq(evs)) = trace.get("traceEvents") else {
-            panic!("traceEvents missing")
-        };
+        let Some(Value::Seq(evs)) = trace.get("traceEvents") else { panic!("traceEvents missing") };
         let phases: Vec<&str> = evs
             .iter()
             .filter_map(|e| match e.get("ph") {

@@ -309,14 +309,18 @@ mod tests {
     fn events_round_trip_through_json() {
         let evs = vec![
             Event::new(0, 0, EventKind::WindowStart { queue_depth: 3 }),
-            Event::new(1, 2_000_000_000, EventKind::Decision {
-                action: DecisionAction::Migrate,
-                host_cpu: Some(0.75),
-                dest_cpu: Some(0.0),
-                age_secs: Some(6.0),
-                migration_secs: Some(1.85),
-                dest: Some(4),
-            })
+            Event::new(
+                1,
+                2_000_000_000,
+                EventKind::Decision {
+                    action: DecisionAction::Migrate,
+                    host_cpu: Some(0.75),
+                    dest_cpu: Some(0.0),
+                    age_secs: Some(6.0),
+                    migration_secs: Some(1.85),
+                    dest: Some(4),
+                },
+            )
             .on_node(2)
             .for_job(7),
             Event::new(2, 4_000_000_000, EventKind::MigrationAbandon).for_job(7),

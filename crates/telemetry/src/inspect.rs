@@ -21,14 +21,21 @@ pub struct JournalSummary {
 
 /// Summarize a journal snapshot.
 pub fn summarize(events: &[Event]) -> JournalSummary {
-    JournalSummary { events: events.len(), metrics: MetricsRegistry::from_events(events) }
+    JournalSummary {
+        events: events.len(),
+        metrics: MetricsRegistry::from_events(events),
+    }
 }
 
 /// Render a summary as a terminal-friendly report.
 pub fn render_summary(s: &JournalSummary) -> String {
     let m = &s.metrics;
     let mut out = String::new();
-    let _ = writeln!(out, "events: {} over {} windows (max window {})", s.events, m.windows, m.max_window);
+    let _ = writeln!(
+        out,
+        "events: {} over {} windows (max window {})",
+        s.events, m.windows, m.max_window
+    );
     if !m.counters.is_empty() {
         let _ = writeln!(out, "by kind:");
         for (k, n) in &m.counters {
@@ -52,7 +59,8 @@ pub fn render_summary(s: &JournalSummary) -> String {
         let _ = writeln!(out, "  offered            {}", a.offered);
         let _ = writeln!(out, "  admitted           {}", a.admitted);
         let _ = writeln!(out, "  shed               {}", a.shed);
-        let _ = writeln!(out, "  deferred           {} (peak deficit {})", a.deferred, a.peak_deficit);
+        let _ =
+            writeln!(out, "  deferred           {} (peak deficit {})", a.deferred, a.peak_deficit);
         if a.deadline_drops > 0 {
             let _ = writeln!(
                 out,
@@ -67,7 +75,11 @@ pub fn render_summary(s: &JournalSummary) -> String {
     if !m.stealing.is_empty() {
         let st = &m.stealing;
         let _ = writeln!(out, "stealing:");
-        let _ = writeln!(out, "  probes             {} ({} hit, {} miss)", st.attempts, st.hits, st.misses);
+        let _ = writeln!(
+            out,
+            "  probes             {} ({} hit, {} miss)",
+            st.attempts, st.hits, st.misses
+        );
         let _ = writeln!(out, "  abandons           {}", st.abandons);
         if st.hits > 0 {
             let _ = writeln!(
@@ -155,7 +167,9 @@ pub fn diff(a: &[Event], b: &[Event]) -> DiffReport {
     let all_a: Vec<&Event> = a.iter().collect();
     let all_b: Vec<&Event> = b.iter().collect();
     fn dec(evs: &[Event]) -> Vec<&Event> {
-        evs.iter().filter(|e| matches!(e.kind, EventKind::Decision { .. })).collect()
+        evs.iter()
+            .filter(|e| matches!(e.kind, EventKind::Decision { .. }))
+            .collect()
     }
     let da = dec(a);
     let db = dec(b);
@@ -184,8 +198,14 @@ fn describe(ev: &Option<Event>) -> String {
             if let Some(j) = e.job {
                 let _ = write!(s, " job={j}");
             }
-            if let EventKind::Decision { action, host_cpu, dest_cpu, age_secs, migration_secs, dest } =
-                &e.kind
+            if let EventKind::Decision {
+                action,
+                host_cpu,
+                dest_cpu,
+                age_secs,
+                migration_secs,
+                dest,
+            } = &e.kind
             {
                 let _ = write!(s, " action={}", action.name());
                 if let Some(h) = host_cpu {
@@ -257,24 +277,32 @@ mod tests {
     fn stream(h: f64) -> Vec<Event> {
         vec![
             Event::new(0, 0, EventKind::WindowStart { queue_depth: 0 }),
-            Event::new(1, 2_000_000_000, EventKind::Decision {
-                action: DecisionAction::Linger,
-                host_cpu: Some(0.3),
-                dest_cpu: None,
-                age_secs: None,
-                migration_secs: None,
-                dest: None,
-            })
+            Event::new(
+                1,
+                2_000_000_000,
+                EventKind::Decision {
+                    action: DecisionAction::Linger,
+                    host_cpu: Some(0.3),
+                    dest_cpu: None,
+                    age_secs: None,
+                    migration_secs: None,
+                    dest: None,
+                },
+            )
             .on_node(0)
             .for_job(0),
-            Event::new(2, 4_000_000_000, EventKind::Decision {
-                action: DecisionAction::Migrate,
-                host_cpu: Some(h),
-                dest_cpu: Some(0.0),
-                age_secs: Some(4.0),
-                migration_secs: Some(1.8),
-                dest: Some(1),
-            })
+            Event::new(
+                2,
+                4_000_000_000,
+                EventKind::Decision {
+                    action: DecisionAction::Migrate,
+                    host_cpu: Some(h),
+                    dest_cpu: Some(0.0),
+                    age_secs: Some(4.0),
+                    migration_secs: Some(1.8),
+                    dest: Some(1),
+                },
+            )
             .on_node(0)
             .for_job(0),
         ]
@@ -288,9 +316,13 @@ mod tests {
             Event::new(0, 0, EventKind::AdmissionShed { count: 1 }),
             Event::new(1, 0, EventKind::StealAttempt { victim: 3, attempt: 1, victim_depth: 2 })
                 .on_node(0),
-            Event::new(1, 0, EventKind::StealHit { victim: 3, attempt: 1, batch: 1, delay_secs: 0.2 })
-                .on_node(0)
-                .for_job(5),
+            Event::new(
+                1,
+                0,
+                EventKind::StealHit { victim: 3, attempt: 1, batch: 1, delay_secs: 0.2 },
+            )
+            .on_node(0)
+            .for_job(5),
         ];
         let text = render_summary(&summarize(&events));
         assert!(text.contains("admission:"), "{text}");

@@ -365,14 +365,18 @@ mod tests {
         let j = Journal::with_capacity(2);
         for i in 0..5 {
             j.push(ev(i));
-            j.push(Event::new(i, 0, EventKind::Decision {
-                action: DecisionAction::Evict,
-                host_cpu: Some(0.5),
-                dest_cpu: None,
-                age_secs: None,
-                migration_secs: None,
-                dest: None,
-            }));
+            j.push(Event::new(
+                i,
+                0,
+                EventKind::Decision {
+                    action: DecisionAction::Evict,
+                    host_cpu: Some(0.5),
+                    dest_cpu: None,
+                    age_secs: None,
+                    migration_secs: None,
+                    dest: None,
+                },
+            ));
         }
         let c = j.counts();
         assert_eq!(c.by_kind[kind_slot(&ev(0).kind)], 5);

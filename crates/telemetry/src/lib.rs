@@ -36,7 +36,9 @@ pub mod metrics;
 
 pub use chrome::chrome_trace;
 pub use event::{DecisionAction, Event, EventKind};
-pub use inspect::{diff, render_diff, render_summary, summarize, DiffReport, Divergence, JournalSummary};
+pub use inspect::{
+    diff, render_diff, render_summary, summarize, DiffReport, Divergence, JournalSummary,
+};
 pub use journal::{
     read_events_jsonl, write_events_jsonl, Journal, JournalCounts, NullSink, Recorder, Sink,
     DEFAULT_CAPACITY,

@@ -429,14 +429,18 @@ mod tests {
     use crate::event::Event;
 
     fn decision(action: DecisionAction, h: f64, age: Option<f64>) -> Event {
-        Event::new(0, 0, EventKind::Decision {
-            action,
-            host_cpu: Some(h),
-            dest_cpu: None,
-            age_secs: age,
-            migration_secs: None,
-            dest: None,
-        })
+        Event::new(
+            0,
+            0,
+            EventKind::Decision {
+                action,
+                host_cpu: Some(h),
+                dest_cpu: None,
+                age_secs: age,
+                migration_secs: None,
+                dest: None,
+            },
+        )
     }
 
     #[test]
@@ -444,17 +448,23 @@ mod tests {
         let events = vec![
             Event::new(0, 0, EventKind::WindowStart { queue_depth: 2 }),
             decision(DecisionAction::Linger, 0.4, None).on_node(1).for_job(0),
-            decision(DecisionAction::Migrate, 0.8, Some(6.0)).on_node(1).for_job(0),
+            decision(DecisionAction::Migrate, 0.8, Some(6.0))
+                .on_node(1)
+                .for_job(0),
             Event::new(1, 2_000_000_000, EventKind::WindowStart { queue_depth: 5 }),
-            Event::new(1, 2_000_000_000, EventKind::Complete {
-                queued_secs: 2.0,
-                running_secs: 10.0,
-                lingering_secs: 4.0,
-                paused_secs: 0.0,
-                migrating_secs: 1.0,
-                completion_secs: 17.0,
-                migrations: 1,
-            })
+            Event::new(
+                1,
+                2_000_000_000,
+                EventKind::Complete {
+                    queued_secs: 2.0,
+                    running_secs: 10.0,
+                    lingering_secs: 4.0,
+                    paused_secs: 0.0,
+                    migrating_secs: 1.0,
+                    completion_secs: 17.0,
+                    migrations: 1,
+                },
+            )
             .for_job(0),
         ];
         let m = MetricsRegistry::from_events(&events);
@@ -483,12 +493,11 @@ mod tests {
             Event::new(2, 0, EventKind::StealMiss { victim: 4, attempt: 1 }).on_node(2),
             Event::new(2, 0, EventKind::StealAttempt { victim: 6, attempt: 2, victim_depth: 3 })
                 .on_node(2),
-            Event::new(2, 0, EventKind::StealHit {
-                victim: 6,
-                attempt: 2,
-                batch: 2,
-                delay_secs: 0.5,
-            })
+            Event::new(
+                2,
+                0,
+                EventKind::StealHit { victim: 6, attempt: 2, batch: 2, delay_secs: 0.5 },
+            )
             .on_node(2)
             .for_job(9),
             Event::new(3, 0, EventKind::StealAttempt { victim: 1, attempt: 1, victim_depth: 0 })

@@ -134,8 +134,12 @@ impl FineGrainAnalysis {
     /// Measured moments as a parameter table (the Fig 3 output). Buckets
     /// with no observations inherit zeros.
     pub fn to_param_table(&self) -> BurstParamTable {
-        let mut out = [BucketParams { run_mean: 0.0, run_var: 0.0, idle_mean: 0.0, idle_var: 0.0 };
-            NUM_BUCKETS];
+        let mut out = [BucketParams {
+            run_mean: 0.0,
+            run_var: 0.0,
+            idle_mean: 0.0,
+            idle_var: 0.0,
+        }; NUM_BUCKETS];
         for (i, acc) in self.buckets.iter().enumerate() {
             out[i] = BucketParams {
                 run_mean: acc.run.mean(),
@@ -274,8 +278,7 @@ mod tests {
     #[test]
     fn fixed_trace_lands_in_right_bucket() {
         let f = RngFactory::new(50);
-        let trace =
-            DispatchTrace::synthesize_fixed(&f, 0, 0.50, SimDuration::from_secs(1200));
+        let trace = DispatchTrace::synthesize_fixed(&f, 0, 0.50, SimDuration::from_secs(1200));
         let mut an = FineGrainAnalysis::new(false);
         an.ingest(&trace);
         // Windows should concentrate around bucket 10 (50%). The heavy

@@ -114,8 +114,7 @@ impl SizeDistribution {
                     h.ln() / (1.0 - 1.0 / h)
                 } else {
                     // E[Y] = α (1 − H^(1−α)) / ((α − 1)(1 − H^(−α))).
-                    alpha * (1.0 - h.powf(1.0 - alpha))
-                        / ((alpha - 1.0) * (1.0 - h.powf(-alpha)))
+                    alpha * (1.0 - h.powf(1.0 - alpha)) / ((alpha - 1.0) * (1.0 - h.powf(-alpha)))
                 }
             }
         }
@@ -199,9 +198,7 @@ impl ArrivalGenerator {
         let mut phase_rng = factory.stream_for(domains::ARRIVALS, 0);
         let (phase, dwell_left) = match cfg.process {
             ArrivalProcess::Poisson { .. } => (Phase::Slow, f64::INFINITY),
-            ArrivalProcess::Mmpp {
-                slow_dwell_secs, ..
-            } => {
+            ArrivalProcess::Mmpp { slow_dwell_secs, .. } => {
                 let d = draw_exp(&mut phase_rng, slow_dwell_secs);
                 (Phase::Slow, d)
             }
@@ -221,11 +218,8 @@ impl ArrivalGenerator {
     fn current_rate(&self) -> f64 {
         match self.cfg.process {
             ArrivalProcess::Poisson { rate_per_hour } => rate_per_hour,
-            ArrivalProcess::Mmpp {
-                slow_rate_per_hour,
-                fast_rate_per_hour,
-                ..
-            } => match self.phase {
+            ArrivalProcess::Mmpp { slow_rate_per_hour, fast_rate_per_hour, .. } => match self.phase
+            {
                 Phase::Slow => slow_rate_per_hour,
                 Phase::Fast => fast_rate_per_hour,
             },
@@ -234,12 +228,7 @@ impl ArrivalGenerator {
 
     /// Advance the MMPP phase chain by one window.
     fn step_phase(&mut self) {
-        if let ArrivalProcess::Mmpp {
-            slow_dwell_secs,
-            fast_dwell_secs,
-            ..
-        } = self.cfg.process
-        {
+        if let ArrivalProcess::Mmpp { slow_dwell_secs, fast_dwell_secs, .. } = self.cfg.process {
             self.dwell_left -= SAMPLE_PERIOD_SECS as f64;
             while self.dwell_left <= 0.0 {
                 let (next, mean_dwell) = match self.phase {
@@ -267,9 +256,7 @@ impl ArrivalGenerator {
             self.window_rng = None;
             return 0;
         }
-        let mut rng = self
-            .factory
-            .stream_for(domains::ARRIVALS, w + 1);
+        let mut rng = self.factory.stream_for(domains::ARRIVALS, w + 1);
         let count = draw_poisson(&mut rng, lambda);
         self.window_rng = Some(rng);
         count
@@ -407,10 +394,7 @@ mod tests {
             total += g.begin_window() as u64;
         }
         let mean = total as f64 / windows as f64;
-        assert!(
-            (mean - 1.0).abs() < 0.05,
-            "poisson mean {mean} off from λ=1"
-        );
+        assert!((mean - 1.0).abs() < 0.05, "poisson mean {mean} off from λ=1");
     }
 
     #[test]
@@ -428,10 +412,7 @@ mod tests {
             }
         }
         let mean = sum / n as f64;
-        assert!(
-            (mean - 120.0).abs() / 120.0 < 0.05,
-            "cpu mean {mean} off from 120"
-        );
+        assert!((mean - 120.0).abs() / 120.0 < 0.05, "cpu mean {mean} off from 120");
     }
 
     #[test]
@@ -456,10 +437,7 @@ mod tests {
             total += g.begin_window() as u64;
         }
         let mean = total as f64 / windows as f64;
-        assert!(
-            (mean - 0.65).abs() / 0.65 < 0.08,
-            "mmpp mean {mean} off from 0.65"
-        );
+        assert!((mean - 0.65).abs() / 0.65 < 0.08, "mmpp mean {mean} off from 0.65");
     }
 
     #[test]
@@ -477,9 +455,7 @@ mod tests {
         };
         let mean_rate = mmpp.process.mean_rate_per_hour();
         let pois = ArrivalConfig {
-            process: ArrivalProcess::Poisson {
-                rate_per_hour: mean_rate,
-            },
+            process: ArrivalProcess::Poisson { rate_per_hour: mean_rate },
             mean_cpu_secs: 60.0,
             mem_kb: 1024,
             size_dist: SizeDistribution::Exponential,
@@ -499,10 +475,7 @@ mod tests {
         };
         let d_mmpp = var_ratio(&mmpp);
         let d_pois = var_ratio(&pois);
-        assert!(
-            d_mmpp > d_pois * 1.5,
-            "mmpp dispersion {d_mmpp} not above poisson {d_pois}"
-        );
+        assert!(d_mmpp > d_pois * 1.5, "mmpp dispersion {d_mmpp} not above poisson {d_pois}");
     }
 
     #[test]

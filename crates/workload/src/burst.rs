@@ -288,10 +288,7 @@ mod tests {
     fn long_run_utilization_matches_target() {
         for target in [0.1, 0.2, 0.5, 0.8] {
             let got = measure_utilization(target, 200_000);
-            assert!(
-                (got - target).abs() < 0.02,
-                "target {target}, measured {got}"
-            );
+            assert!((got - target).abs() < 0.02, "target {target}, measured {got}");
         }
     }
 

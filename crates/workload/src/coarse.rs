@@ -249,8 +249,7 @@ impl TraceStream {
         let cpu = (self.cpu_level * jitter).clamp(0.0, 1.0);
         let keyboard =
             self.state == UserState::Active && self.rng.random::<f64>() < self.cfg.keyboard_prob;
-        let mem_used_kb =
-            ((self.os_base_kb + self.working_set_kb) as u32).min(TOTAL_MEMORY_KB);
+        let mem_used_kb = ((self.os_base_kb + self.working_set_kb) as u32).min(TOTAL_MEMORY_KB);
 
         // The flag only asks whether the streak reached the window, so
         // the streak saturates there: after 30 samples it no longer
@@ -261,7 +260,10 @@ impl TraceStream {
         } else {
             self.quiet_streak = 0;
         }
-        (CoarseSample { cpu, mem_used_kb, keyboard }, self.quiet_streak >= RECRUITMENT_WINDOW)
+        (
+            CoarseSample { cpu, mem_used_kb, keyboard },
+            self.quiet_streak >= RECRUITMENT_WINDOW,
+        )
     }
 
     /// Advance past `count` samples, discarding them.
@@ -461,8 +463,7 @@ mod tests {
     #[test]
     fn keyboard_resets_recruitment() {
         let window = (RECRUITMENT_SECS / SAMPLE_PERIOD_SECS) as usize;
-        let mut samples =
-            std::iter::repeat_with(quiet).take(2 * window + 5).collect::<Vec<_>>();
+        let mut samples = std::iter::repeat_with(quiet).take(2 * window + 5).collect::<Vec<_>>();
         samples[window + 3] = CoarseSample { keyboard: true, ..quiet() };
         let t = CoarseTrace::from_samples(samples);
         assert!(t.idle_flags()[window]);
@@ -619,10 +620,7 @@ mod tests {
         let traces = cfg.synthesize_library(&f, 12);
         let avg: f64 =
             traces.iter().map(|t| t.non_idle_fraction()).sum::<f64>() / traces.len() as f64;
-        assert!(
-            (avg - 0.46).abs() < 0.06,
-            "non-idle fraction {avg} not near paper's 0.46"
-        );
+        assert!((avg - 0.46).abs() < 0.06, "non-idle fraction {avg} not near paper's 0.46");
     }
 
     #[test]
@@ -699,7 +697,10 @@ mod tests {
 
     #[test]
     fn diurnal_traces_differ_from_flat() {
-        let flat = CoarseTraceConfig { duration: SimDuration::from_secs(3600), ..Default::default() };
+        let flat = CoarseTraceConfig {
+            duration: SimDuration::from_secs(3600),
+            ..Default::default()
+        };
         let diurnal = CoarseTraceConfig { diurnal: true, ..flat.clone() };
         let f = RngFactory::new(5);
         let a = flat.synthesize(&f, 0);

@@ -41,13 +41,8 @@ pub struct BurstFitTable {
 impl BurstFitTable {
     /// Precompute all 21 bucket fits for `params`.
     pub fn new(params: BurstParamTable) -> Self {
-        let bucket_fits =
-            std::array::from_fn(|i| fit_pair(&params.buckets()[i]));
-        BurstFitTable {
-            params,
-            bucket_fits,
-            cache: RwLock::new(HashMap::new()),
-        }
+        let bucket_fits = std::array::from_fn(|i| fit_pair(&params.buckets()[i]));
+        BurstFitTable { params, bucket_fits, cache: RwLock::new(HashMap::new()) }
     }
 
     /// The process-wide shared table for the paper-calibrated parameters.
@@ -109,10 +104,7 @@ impl BurstFitTable {
 /// Fit both phases of one parameter set; degenerate (zero-mean) phases
 /// fit to `None`.
 fn fit_pair(p: &BucketParams) -> FitPair {
-    (
-        fit_or_none(p.run_mean, p.run_var),
-        fit_or_none(p.idle_mean, p.idle_var),
-    )
+    (fit_or_none(p.run_mean, p.run_var), fit_or_none(p.idle_mean, p.idle_var))
 }
 
 pub(crate) fn fit_or_none(mean: f64, var: f64) -> Option<Fitted> {

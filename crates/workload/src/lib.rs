@@ -80,10 +80,8 @@ pub use coarse::{
 pub use dispatch::DispatchTrace;
 pub use fit_table::{BurstFitTable, FitPair};
 pub use generator::LocalWorkload;
-pub use library::{
-    RealizeOrigin, TraceCacheStats, TraceLibrary, WindowTable, WorkloadRealization,
-};
+pub use library::{RealizeOrigin, TraceCacheStats, TraceLibrary, WindowTable, WorkloadRealization};
 pub use memory::{TwoPoolMemory, PAGE_KB};
-pub use stream::{StreamSpec, WindowCursor, WindowRows, DEFAULT_WINDOW_BUDGET_BYTES};
 pub use paging::{Owner, PagingConfig, PagingSim, PagingStats};
 pub use params::{BucketParams, BurstParamTable, NUM_BUCKETS, WINDOW_SECS};
+pub use stream::{StreamSpec, WindowCursor, WindowRows, DEFAULT_WINDOW_BUDGET_BYTES};

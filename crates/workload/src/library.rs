@@ -551,12 +551,7 @@ impl TraceLibrary {
     /// the estimated resident size exceeds `max_bytes`.
     pub fn with_max_bytes(max_bytes: usize) -> TraceLibrary {
         TraceLibrary {
-            state: Mutex::new(LibState {
-                entries: HashMap::new(),
-                clock: 0,
-                bytes: 0,
-                max_bytes,
-            }),
+            state: Mutex::new(LibState { entries: HashMap::new(), clock: 0, bytes: 0, max_bytes }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
@@ -571,9 +566,7 @@ impl TraceLibrary {
     /// with it: the state is a plain map plus counters, and every
     /// mutation leaves it consistent, so recovering the guard is safe.
     fn state(&self) -> std::sync::MutexGuard<'_, LibState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The process-wide shared library.
@@ -753,11 +746,7 @@ mod tests {
         assert_eq!(got.words_per_row(), want.words_per_row(), "{what}: words");
         let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
         for w in 0..want.period() {
-            assert_eq!(
-                bits(got.cpu_row(w)),
-                bits(want.cpu_row(w)),
-                "{what}: cpu row {w}"
-            );
+            assert_eq!(bits(got.cpu_row(w)), bits(want.cpu_row(w)), "{what}: cpu row {w}");
             assert_eq!(got.mem_row(w), want.mem_row(w), "{what}: mem row {w}");
             assert_eq!(got.idle_row(w), want.idle_row(w), "{what}: idle row {w}");
             let tail = got.nodes() % 64;

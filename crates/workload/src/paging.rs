@@ -56,7 +56,7 @@ impl Default for PagingConfig {
             // 64 MB of 4 KB frames.
             frames: 16_384,
             local_pages: 8_000,
-            foreign_pages: 2_048, // 8 MB
+            foreign_pages: 2_048,   // 8 MB
             fault_cost_us: 8_000.0, // ~8 ms disk service, 1998 hardware
             foreign_ref_interval_us: 20.0,
             seed: 0,

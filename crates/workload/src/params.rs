@@ -76,27 +76,132 @@ pub struct BurstParamTable {
 /// degenerate 0% bucket has no run bursts and long (300 ms) idle
 /// stretches; the 100% bucket has no idle bursts.
 const PAPER_TABLE: [BucketParams; NUM_BUCKETS] = [
-    BucketParams { run_mean: 0.0, run_var: 0.000000e+00, idle_mean: 0.3, idle_var: 1.080000e-01 }, // 0%
-    BucketParams { run_mean: 0.008034, run_var: 1.239267e-03, idle_mean: 0.152646, idle_var: 2.796096e-02 }, // 5%
-    BucketParams { run_mean: 0.008272, run_var: 1.259038e-03, idle_mean: 0.074448, idle_var: 6.651006e-03 }, // 10%
-    BucketParams { run_mean: 0.008918, run_var: 1.399741e-03, idle_mean: 0.0505353, idle_var: 3.064584e-03 }, // 15%
-    BucketParams { run_mean: 0.010176, run_var: 1.739656e-03, idle_mean: 0.040704, idle_var: 1.988179e-03 }, // 20%
-    BucketParams { run_mean: 0.01225, run_var: 2.401000e-03, idle_mean: 0.03675, idle_var: 1.620675e-03 }, // 25%
-    BucketParams { run_mean: 0.015344, run_var: 3.578663e-03, idle_mean: 0.0358027, idle_var: 1.538197e-03 }, // 30%
-    BucketParams { run_mean: 0.019662, run_var: 5.566957e-03, idle_mean: 0.0365151, idle_var: 1.600027e-03 }, // 35%
-    BucketParams { run_mean: 0.025408, run_var: 8.779704e-03, idle_mean: 0.038112, idle_var: 1.743029e-03 }, // 40%
-    BucketParams { run_mean: 0.032786, run_var: 1.375900e-02, idle_mean: 0.0400718, idle_var: 1.926897e-03 }, // 45%
-    BucketParams { run_mean: 0.042, run_var: 2.116800e-02, idle_mean: 0.042, idle_var: 2.116800e-03 }, // 50%
-    BucketParams { run_mean: 0.053254, run_var: 3.176307e-02, idle_mean: 0.0435715, idle_var: 2.278166e-03 }, // 55%
-    BucketParams { run_mean: 0.066752, run_var: 4.634063e-02, idle_mean: 0.0445013, idle_var: 2.376442e-03 }, // 60%
-    BucketParams { run_mean: 0.082698, run_var: 6.565401e-02, idle_mean: 0.0445297, idle_var: 2.379472e-03 }, // 65%
-    BucketParams { run_mean: 0.101296, run_var: 9.029574e-02, idle_mean: 0.0434126, idle_var: 2.261582e-03 }, // 70%
-    BucketParams { run_mean: 0.12275, run_var: 9.400000e-02, idle_mean: 0.0409167, idle_var: 2.009008e-03 }, // 75%
-    BucketParams { run_mean: 0.147264, run_var: 9.400000e-02, idle_mean: 0.036816, idle_var: 1.626501e-03 }, // 80%
-    BucketParams { run_mean: 0.175042, run_var: 9.400000e-02, idle_mean: 0.0308898, idle_var: 1.145013e-03 }, // 85%
-    BucketParams { run_mean: 0.206288, run_var: 9.400000e-02, idle_mean: 0.0229209, idle_var: 6.304406e-04 }, // 90%
-    BucketParams { run_mean: 0.241206, run_var: 9.400000e-02, idle_mean: 0.0126951, idle_var: 1.933972e-04 }, // 95%
-    BucketParams { run_mean: 0.28, run_var: 9.400000e-02, idle_mean: 0.0, idle_var: 0.000000e+00 }, // 100%
+    BucketParams {
+        run_mean: 0.0,
+        run_var: 0.000000e+00,
+        idle_mean: 0.3,
+        idle_var: 1.080000e-01,
+    }, // 0%
+    BucketParams {
+        run_mean: 0.008034,
+        run_var: 1.239267e-03,
+        idle_mean: 0.152646,
+        idle_var: 2.796096e-02,
+    }, // 5%
+    BucketParams {
+        run_mean: 0.008272,
+        run_var: 1.259038e-03,
+        idle_mean: 0.074448,
+        idle_var: 6.651006e-03,
+    }, // 10%
+    BucketParams {
+        run_mean: 0.008918,
+        run_var: 1.399741e-03,
+        idle_mean: 0.0505353,
+        idle_var: 3.064584e-03,
+    }, // 15%
+    BucketParams {
+        run_mean: 0.010176,
+        run_var: 1.739656e-03,
+        idle_mean: 0.040704,
+        idle_var: 1.988179e-03,
+    }, // 20%
+    BucketParams {
+        run_mean: 0.01225,
+        run_var: 2.401000e-03,
+        idle_mean: 0.03675,
+        idle_var: 1.620675e-03,
+    }, // 25%
+    BucketParams {
+        run_mean: 0.015344,
+        run_var: 3.578663e-03,
+        idle_mean: 0.0358027,
+        idle_var: 1.538197e-03,
+    }, // 30%
+    BucketParams {
+        run_mean: 0.019662,
+        run_var: 5.566957e-03,
+        idle_mean: 0.0365151,
+        idle_var: 1.600027e-03,
+    }, // 35%
+    BucketParams {
+        run_mean: 0.025408,
+        run_var: 8.779704e-03,
+        idle_mean: 0.038112,
+        idle_var: 1.743029e-03,
+    }, // 40%
+    BucketParams {
+        run_mean: 0.032786,
+        run_var: 1.375900e-02,
+        idle_mean: 0.0400718,
+        idle_var: 1.926897e-03,
+    }, // 45%
+    BucketParams {
+        run_mean: 0.042,
+        run_var: 2.116800e-02,
+        idle_mean: 0.042,
+        idle_var: 2.116800e-03,
+    }, // 50%
+    BucketParams {
+        run_mean: 0.053254,
+        run_var: 3.176307e-02,
+        idle_mean: 0.0435715,
+        idle_var: 2.278166e-03,
+    }, // 55%
+    BucketParams {
+        run_mean: 0.066752,
+        run_var: 4.634063e-02,
+        idle_mean: 0.0445013,
+        idle_var: 2.376442e-03,
+    }, // 60%
+    BucketParams {
+        run_mean: 0.082698,
+        run_var: 6.565401e-02,
+        idle_mean: 0.0445297,
+        idle_var: 2.379472e-03,
+    }, // 65%
+    BucketParams {
+        run_mean: 0.101296,
+        run_var: 9.029574e-02,
+        idle_mean: 0.0434126,
+        idle_var: 2.261582e-03,
+    }, // 70%
+    BucketParams {
+        run_mean: 0.12275,
+        run_var: 9.400000e-02,
+        idle_mean: 0.0409167,
+        idle_var: 2.009008e-03,
+    }, // 75%
+    BucketParams {
+        run_mean: 0.147264,
+        run_var: 9.400000e-02,
+        idle_mean: 0.036816,
+        idle_var: 1.626501e-03,
+    }, // 80%
+    BucketParams {
+        run_mean: 0.175042,
+        run_var: 9.400000e-02,
+        idle_mean: 0.0308898,
+        idle_var: 1.145013e-03,
+    }, // 85%
+    BucketParams {
+        run_mean: 0.206288,
+        run_var: 9.400000e-02,
+        idle_mean: 0.0229209,
+        idle_var: 6.304406e-04,
+    }, // 90%
+    BucketParams {
+        run_mean: 0.241206,
+        run_var: 9.400000e-02,
+        idle_mean: 0.0126951,
+        idle_var: 1.933972e-04,
+    }, // 95%
+    BucketParams {
+        run_mean: 0.28,
+        run_var: 9.400000e-02,
+        idle_mean: 0.0,
+        idle_var: 0.000000e+00,
+    }, // 100%
 ];
 
 impl BurstParamTable {
@@ -178,11 +283,7 @@ mod tests {
         let u = u.clamp(0.0, 1.0);
         let pos = u / BUCKET_WIDTH;
         let nearest = pos.round();
-        let pos = if (pos - nearest).abs() < 1e-9 {
-            nearest
-        } else {
-            pos
-        };
+        let pos = if (pos - nearest).abs() < 1e-9 { nearest } else { pos };
         let lo = pos.floor() as usize;
         if lo >= NUM_BUCKETS - 1 {
             return t.buckets[NUM_BUCKETS - 1];
@@ -231,11 +332,7 @@ mod tests {
     fn interpolate_matches_the_libm_version_bit_for_bit() {
         let t = BurstParamTable::paper_calibrated();
         for u in interpolation_probes() {
-            assert_eq!(
-                bits(&t.interpolate(u)),
-                bits(&interpolate_with_libm(&t, u)),
-                "u = {u:e}"
-            );
+            assert_eq!(bits(&t.interpolate(u)), bits(&interpolate_with_libm(&t, u)), "u = {u:e}");
         }
     }
 

@@ -233,7 +233,9 @@ impl WindowCursor {
     /// A streaming cursor at window 0 for `spec`, with per-node phase
     /// `offsets` (the `TRACE_OFFSET`-stream draws).
     pub(crate) fn streamed(spec: &StreamSpec, offsets: &[usize]) -> WindowCursor {
-        WindowCursor { source: RowSource::Stream(Box::new(ChunkStream::new(spec, offsets))) }
+        WindowCursor {
+            source: RowSource::Stream(Box::new(ChunkStream::new(spec, offsets))),
+        }
     }
 
     /// The rows of absolute window `w`, first realizing the chunk that
@@ -447,7 +449,10 @@ mod tests {
     use linger_sim_core::SimDuration;
 
     fn cfg(secs: u64) -> CoarseTraceConfig {
-        CoarseTraceConfig { duration: SimDuration::from_secs(secs), ..Default::default() }
+        CoarseTraceConfig {
+            duration: SimDuration::from_secs(secs),
+            ..Default::default()
+        }
     }
 
     /// Every chunk size must reproduce the monolithic table bit-for-bit,

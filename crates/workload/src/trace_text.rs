@@ -44,13 +44,7 @@ pub fn to_text(trace: &CoarseTrace) -> String {
     out.push_str("# linger-trace v1\n");
     out.push_str("# columns: cpu mem_used_kb keyboard\n");
     for s in trace.samples() {
-        let _ = writeln!(
-            out,
-            "{:.4} {} {}",
-            s.cpu,
-            s.mem_used_kb,
-            if s.keyboard { 1 } else { 0 }
-        );
+        let _ = writeln!(out, "{:.4} {} {}", s.cpu, s.mem_used_kb, if s.keyboard { 1 } else { 0 });
     }
     out
 }
@@ -107,10 +101,9 @@ fn next_field<T: std::str::FromStr>(
     name: &str,
     line: usize,
 ) -> Result<T, ParseError> {
-    let raw = fields.next().ok_or_else(|| ParseError {
-        line,
-        message: format!("missing field '{name}'"),
-    })?;
+    let raw = fields
+        .next()
+        .ok_or_else(|| ParseError { line, message: format!("missing field '{name}'") })?;
     raw.parse().map_err(|_| ParseError {
         line,
         message: format!("could not parse {name} from '{raw}'"),

@@ -19,15 +19,10 @@ fn main() {
     // -- 1. Predictor quality --------------------------------------------
     let t_migr = MigrationCostModel::paper_default().cost(8 * 1024);
     println!("episode predictor study (40%-busy host, idle destination):");
-    let rules = [
-        LingerRule::MedianRemainingLife,
-        LingerRule::Immediate,
-        LingerRule::Never,
-    ];
-    for model in [
-        EpisodeModel::Pareto { xm: 15.0, alpha: 1.0 },
-        EpisodeModel::Exponential { mean: 120.0 },
-    ] {
+    let rules = [LingerRule::MedianRemainingLife, LingerRule::Immediate, LingerRule::Never];
+    for model in
+        [EpisodeModel::Pareto { xm: 15.0, alpha: 1.0 }, EpisodeModel::Exponential { mean: 120.0 }]
+    {
         println!("  episodes ~ {}:", model.label());
         let scenario = Scenario { h: 0.4, l: 0.02, t_migr, work: 600.0 };
         for row in evaluate(model, &rules, scenario, 20_000, 11) {

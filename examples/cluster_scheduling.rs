@@ -36,13 +36,10 @@ fn main() {
             .filter_map(|j| j.completed_at)
             .max()
             .unwrap_or(SimTime::ZERO);
-        let avg_migrations: f64 = sim.jobs().iter().map(|j| j.migrations as f64).sum::<f64>()
-            / sim.jobs().len() as f64;
-        let total_linger: f64 = sim
-            .jobs()
-            .iter()
-            .map(|j| j.breakdown.lingering.as_secs_f64())
-            .sum();
+        let avg_migrations: f64 =
+            sim.jobs().iter().map(|j| j.migrations as f64).sum::<f64>() / sim.jobs().len() as f64;
+        let total_linger: f64 =
+            sim.jobs().iter().map(|j| j.breakdown.lingering.as_secs_f64()).sum();
         println!(
             "{:<20} sweep done in {:>5.0} s | {:.2} migrations/job | {:>6.0} s lingered | owner delay {:.2}%",
             policy.to_string(),

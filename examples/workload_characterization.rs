@@ -64,7 +64,11 @@ fn main() {
     println!("\n== two-pool priority memory (Sec 3.2) ==");
     let mut mem = TwoPoolMemory::new(64 * 1024, 30 * 1024);
     let resident = mem.attach_foreign(8 * 1024);
-    println!("foreign job attached: {} KB resident, {} KB still free", resident, mem.free_kb());
+    println!(
+        "foreign job attached: {} KB resident, {} KB still free",
+        resident,
+        mem.free_kb()
+    );
     mem.set_local_kb(58 * 1024); // the owner opens a big build
     println!(
         "owner grows to 58 MB: foreign shrinks to {} KB resident ({} pages reclaimed), \

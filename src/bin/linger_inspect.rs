@@ -66,7 +66,8 @@ fn record(args: &[String]) {
     let jobs: u32 = flag_value(args, "--jobs").map_or(24, |s| parse(&s, "--jobs"));
     let policy: Policy =
         flag_value(args, "--policy").map_or(Policy::LingerLonger, |s| parse(&s, "--policy"));
-    let crash_rate: f64 = flag_value(args, "--crash-rate").map_or(0.0, |s| parse(&s, "--crash-rate"));
+    let crash_rate: f64 =
+        flag_value(args, "--crash-rate").map_or(0.0, |s| parse(&s, "--crash-rate"));
     let mig_prob: f64 = flag_value(args, "--mig-prob").map_or(0.0, |s| parse(&s, "--mig-prob"));
     let horizon: u64 = flag_value(args, "--horizon").map_or(4 * 3600, |s| parse(&s, "--horizon"));
 
@@ -119,8 +120,7 @@ fn main() {
         }
         "chrome" => {
             let path = rest.first().unwrap_or_else(|| fail("chrome needs a journal FILE"));
-            let out =
-                flag_value(rest, "--out").unwrap_or_else(|| fail("chrome needs --out FILE"));
+            let out = flag_value(rest, "--out").unwrap_or_else(|| fail("chrome needs --out FILE"));
             let events = load(path);
             let json = serde_json::to_string_pretty(&chrome_trace(&events))
                 .unwrap_or_else(|e| fail(&format!("cannot serialize trace: {e}")));

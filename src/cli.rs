@@ -84,9 +84,7 @@ pub fn parse(args: &[String]) -> Result<Cli, CliError> {
     let command = it.next().ok_or(CliError::MissingCommand)?.clone();
     let mut options = BTreeMap::new();
     while let Some(k) = it.next() {
-        let key = k
-            .strip_prefix("--")
-            .ok_or_else(|| CliError::BadOption(k.clone()))?;
+        let key = k.strip_prefix("--").ok_or_else(|| CliError::BadOption(k.clone()))?;
         let v = it.next().ok_or_else(|| CliError::BadOption(k.clone()))?;
         options.insert(key.to_string(), v.clone());
     }
@@ -96,9 +94,7 @@ pub fn parse(args: &[String]) -> Result<Cli, CliError> {
 fn opt<T: std::str::FromStr>(cli: &Cli, key: &str, default: T) -> Result<T, CliError> {
     match cli.options.get(key) {
         None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::BadValue(key.to_string(), v.clone())),
+        Some(v) => v.parse().map_err(|_| CliError::BadValue(key.to_string(), v.clone())),
     }
 }
 
@@ -107,8 +103,7 @@ fn req<T: std::str::FromStr>(cli: &Cli, key: &str) -> Result<T, CliError> {
         .options
         .get(key)
         .ok_or_else(|| CliError::BadOption(format!("--{key} (required)")))?;
-    v.parse()
-        .map_err(|_| CliError::BadValue(key.to_string(), v.clone()))
+    v.parse().map_err(|_| CliError::BadValue(key.to_string(), v.clone()))
 }
 
 /// Execute a parsed invocation, returning the report text.
@@ -135,11 +130,7 @@ fn cmd_linger_time(cli: &Cli) -> Result<String, CliError> {
     let size_kb: u32 = opt(cli, "size-kb", 8 * 1024)?;
     let t_migr = MigrationCostModel::paper_default().cost(size_kb);
     let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "migration of a {size_kb} KB process: {:.1} s",
-        t_migr.as_secs_f64()
-    );
+    let _ = writeln!(out, "migration of a {size_kb} KB process: {:.1} s", t_migr.as_secs_f64());
     match linger_duration(h, l, t_migr) {
         Some(t) => {
             let _ = writeln!(
@@ -172,9 +163,23 @@ fn cmd_node(cli: &Cli) -> Result<String, CliError> {
         seed,
     });
     let mut out = String::new();
-    let _ = writeln!(out, "workstation at {:.0}% local load, {cs_us} µs switches, {secs} s:", util * 100.0);
-    let _ = writeln!(out, "  foreign job harvested {:.1} cpu-s ({:.1}% of idle cycles)", r.foreign_cpu.as_secs_f64(), r.fcsr * 100.0);
-    let _ = writeln!(out, "  owner delay ratio {:.3}% over {} preemptions", r.ldr * 100.0, r.preemptions);
+    let _ = writeln!(
+        out,
+        "workstation at {:.0}% local load, {cs_us} µs switches, {secs} s:",
+        util * 100.0
+    );
+    let _ = writeln!(
+        out,
+        "  foreign job harvested {:.1} cpu-s ({:.1}% of idle cycles)",
+        r.foreign_cpu.as_secs_f64(),
+        r.fcsr * 100.0
+    );
+    let _ = writeln!(
+        out,
+        "  owner delay ratio {:.3}% over {} preemptions",
+        r.ldr * 100.0,
+        r.preemptions
+    );
     Ok(out)
 }
 
@@ -297,14 +302,8 @@ mod tests {
     #[test]
     fn parse_errors() {
         assert_eq!(parse(&[]).unwrap_err(), CliError::MissingCommand);
-        assert!(matches!(
-            parse(&args("node util 0.3")).unwrap_err(),
-            CliError::BadOption(_)
-        ));
-        assert!(matches!(
-            parse(&args("node --util")).unwrap_err(),
-            CliError::BadOption(_)
-        ));
+        assert!(matches!(parse(&args("node util 0.3")).unwrap_err(), CliError::BadOption(_)));
+        assert!(matches!(parse(&args("node --util")).unwrap_err(), CliError::BadOption(_)));
     }
 
     #[test]

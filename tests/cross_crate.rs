@@ -7,14 +7,14 @@ use linger::{JobFamily, MigrationCostModel, Policy};
 use linger_cluster::{ClusterConfig, ClusterSim, JobState};
 use linger_node::{steal_rate, FineGrainCpu};
 use linger_sim_core::{domains, RngFactory, SimDuration, SimTime};
-use linger_workload::{BurstFitTable, BurstKind, BurstParamTable, CoarseTraceConfig, LocalWorkload};
+use linger_workload::{
+    BurstFitTable, BurstKind, BurstParamTable, CoarseTraceConfig, LocalWorkload,
+};
 use std::sync::Arc;
 
 fn small_cfg(policy: Policy, seed: u64) -> ClusterConfig {
-    let mut cfg = ClusterConfig::paper(
-        policy,
-        JobFamily::uniform(10, SimDuration::from_secs(150), 8 * 1024),
-    );
+    let mut cfg =
+        ClusterConfig::paper(policy, JobFamily::uniform(10, SimDuration::from_secs(150), 8 * 1024));
     cfg.nodes = 10;
     cfg.trace.duration = SimDuration::from_secs(3600);
     cfg.seed = seed;
@@ -136,8 +136,7 @@ fn trace_driven_executor_matches_trace_utilization() {
     let earned = cpu.foreign_cpu().as_secs_f64() / wall.as_secs_f64();
     // Average trace utilization over the same span.
     let windows = (wall.as_secs_f64() / 2.0) as usize;
-    let avg_u: f64 =
-        (0..windows).map(|w| trace.sample(w).cpu).sum::<f64>() / windows as f64;
+    let avg_u: f64 = (0..windows).map(|w| trace.sample(w).cpu).sum::<f64>() / windows as f64;
     assert!(
         (earned - (1.0 - avg_u)).abs() < 0.05,
         "earned {earned} vs available {}",
@@ -169,12 +168,7 @@ fn two_level_stream_is_deterministic_across_crates() {
             ..Default::default()
         };
         let trace = Arc::new(cfg.synthesize(&f, 0));
-        let mut wl = LocalWorkload::with_random_offset(
-            trace,
-            &f,
-            0,
-            BurstFitTable::paper_shared(),
-        );
+        let mut wl = LocalWorkload::with_random_offset(trace, &f, 0, BurstFitTable::paper_shared());
         (0..500)
             .map(|_| {
                 let b = wl.next_burst();

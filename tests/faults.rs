@@ -148,14 +148,10 @@ fn ext_faults_rate_zero_rows_match_the_direct_simulation() {
         1998,
         16,
     );
-    let mut sim =
-        ClusterSim::with_realization(faulted_cfg(1998, FaultConfig::disabled()), &real);
+    let mut sim = ClusterSim::with_realization(faulted_cfg(1998, FaultConfig::disabled()), &real);
     sim.run();
     assert_eq!(ll0.completed, sim.completed());
-    assert_eq!(
-        ll0.foreign_cpu_secs,
-        sim.foreign_cpu_delivered().as_secs_f64()
-    );
+    assert_eq!(ll0.foreign_cpu_secs, sim.foreign_cpu_delivered().as_secs_f64());
 }
 
 #[test]
@@ -178,8 +174,7 @@ fn panicking_cell_yields_structured_error_and_survivors_reach_disk() {
     let path = dir.join("partial.json");
     let json = serde_json::to_string_pretty(&survivors).unwrap();
     linger_sim_core::write_atomic(&path, json.as_bytes()).unwrap();
-    let back: Vec<usize> =
-        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let back: Vec<usize> = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
     assert_eq!(back, survivors);
     let names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()

@@ -49,9 +49,8 @@ fn golden_fig07_headline_row() {
 fn golden_fig05_peaks() {
     // EXPERIMENTS.md Fig 5: peaks 1.22% / 3.67% / 6.11%, min FCSR 95.7%.
     let grid = bench::fig05(SEED, false);
-    let peak = |range: std::ops::Range<usize>| {
-        grid[range].iter().map(|r| r.ldr).fold(0.0f64, f64::max)
-    };
+    let peak =
+        |range: std::ops::Range<usize>| grid[range].iter().map(|r| r.ldr).fold(0.0f64, f64::max);
     near(peak(0..9), 0.0122, "LDR peak @100us");
     near(peak(9..18), 0.0367, "LDR peak @300us");
     near(peak(18..27), 0.0611, "LDR peak @500us");

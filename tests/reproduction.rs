@@ -107,12 +107,7 @@ fn fig9_parallel_slowdown_curve() {
     let pts = bench::fig09(SEED, true);
     // "slowdown of only 1.1 to 1.5 when the load is less than 40%".
     for p in &pts[1..4] {
-        assert!(
-            (1.0..2.0).contains(&p.slowdown),
-            "{}%: {}",
-            p.utilization_pct,
-            p.slowdown
-        );
+        assert!((1.0..2.0).contains(&p.slowdown), "{}%: {}", p.utilization_pct, p.slowdown);
     }
     // Large at 90% (paper ~9).
     assert!(pts[9].slowdown > 4.0);
@@ -138,10 +133,7 @@ fn fig11_reconfiguration_tradeoff() {
     assert!(crossover, "no LL-32/reconfiguration crossover found");
     // LL-16 never loses to reconfiguration while ≥ 16 idle remain.
     for idle in 16..=31 {
-        assert!(
-            get("16 nodes", idle) <= get("reconfig", idle) * 1.05,
-            "idle={idle}"
-        );
+        assert!(get("16 nodes", idle) <= get("reconfig", idle) * 1.05, "idle={idle}");
     }
 }
 

@@ -66,9 +66,8 @@ fn journal_stays_within_its_ring_cap_at_figure_scale() {
     assert_eq!(counts.dropped, counts.events - journal.len() as u64);
     // Exact counters survive the wraparound: every window recorded one
     // WindowStart even though most were dropped from the ring.
-    let windows = counts.by_kind[linger_telemetry::journal::kind_slot(&EventKind::WindowStart {
-        queue_depth: 0,
-    })];
+    let windows = counts.by_kind
+        [linger_telemetry::journal::kind_slot(&EventKind::WindowStart { queue_depth: 0 })];
     assert!(windows > 256, "window counter lost to ring wraparound: {windows}");
 }
 
@@ -77,10 +76,7 @@ fn identical_seeds_produce_identical_journals() {
     let (a, b) = (Recorder::with_capacity(1 << 16), Recorder::with_capacity(1 << 16));
     ClusterSim::new(cell(SEED)).with_recorder(a.clone()).run();
     ClusterSim::new(cell(SEED)).with_recorder(b.clone()).run();
-    let report = diff(
-        &a.journal().unwrap().snapshot(),
-        &b.journal().unwrap().snapshot(),
-    );
+    let report = diff(&a.journal().unwrap().snapshot(), &b.journal().unwrap().snapshot());
     assert!(report.identical(), "same seed diverged: {:?}", report.first_divergence);
 }
 
@@ -89,10 +85,7 @@ fn different_seeds_diverge_at_a_specific_decision() {
     let (a, b) = (Recorder::with_capacity(1 << 16), Recorder::with_capacity(1 << 16));
     ClusterSim::new(cell(SEED)).with_recorder(a.clone()).run();
     ClusterSim::new(cell(SEED + 1)).with_recorder(b.clone()).run();
-    let report = diff(
-        &a.journal().unwrap().snapshot(),
-        &b.journal().unwrap().snapshot(),
-    );
+    let report = diff(&a.journal().unwrap().snapshot(), &b.journal().unwrap().snapshot());
     assert!(!report.identical(), "different seeds cannot journal identically");
     let dec = report
         .first_decision_divergence
