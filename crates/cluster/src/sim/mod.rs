@@ -2147,12 +2147,22 @@ mod tests {
 
     #[test]
     fn service_stats_inert_in_closed_modes() {
-        let mut sim = ClusterSim::new(small_cfg(Policy::LingerLonger));
-        sim.run();
-        let s = sim.service_stats();
-        assert_eq!(s.generated, 0);
-        assert_eq!(s.admitted, 0);
-        assert_eq!(s.throughput.batches(), 0);
-        assert_eq!(s.peak_queue_depth, 0);
+        // The turnover pins digest these stats' `Debug` text, so closed
+        // runs must report exactly the fresh unbounded set.
+        let inert = format!("{:?}", ServiceStats::new(usize::MAX, 0));
+        let family = small_cfg(Policy::LingerLonger);
+        let throughput = small_cfg(Policy::LingerLonger).with_throughput_mode();
+        for cfg in [family, throughput] {
+            let mode = cfg.mode;
+            let mut sim = ClusterSim::new(cfg);
+            sim.run();
+            assert!(sim.completed() > 0, "{mode:?}");
+            let s = sim.service_stats();
+            assert_eq!(s.generated, 0);
+            assert_eq!(s.admitted, 0);
+            assert_eq!(s.throughput.batches(), 0);
+            assert_eq!(s.peak_queue_depth, 0);
+            assert_eq!(format!("{s:?}"), inert, "{mode:?}");
+        }
     }
 }

@@ -26,7 +26,7 @@ use linger_cluster::{
     AdmissionPolicy, ClusterConfig, ClusterSim, FaultConfig, JobState, RunMode, ServiceConfig,
     StealingConfig,
 };
-use linger_sim_core::{set_default_jobs, SimDuration, SimTime};
+use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
 use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
 
@@ -219,20 +219,26 @@ fn stealing_cell() -> ClusterConfig {
 
 /// Run `cfg` at `shards` shards and worker width `width` (threaded
 /// classify whenever both exceed 1) with a journal attached; returns the
-/// digest of the outcome and the journal, and the finished sim.
+/// digest of the outcome and the journal, and the finished sim. A family
+/// run can end two ways, so its digest also covers `run()`'s verdict
+/// (throughput and open runs always end at their horizon).
 fn run_journaled(cfg: ClusterConfig, shards: usize, width: usize) -> (u64, ClusterSim) {
+    let family = cfg.mode == RunMode::Family;
     set_default_jobs(width);
     let mut sim = ClusterSim::new(cfg);
     sim.set_shards(shards);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
-    sim.run();
+    let done = sim.run();
     set_default_jobs(0);
     let events = sim
         .recorder()
         .journal()
         .map(|j| serde_json::to_string(&j.snapshot()).unwrap())
         .unwrap_or_default();
-    let digest = fnv1a(&format!("{:016x}|{}", outcome_digest(&sim), events));
+    let mut digest = fnv1a(&format!("{:016x}|{}", outcome_digest(&sim), events));
+    if family {
+        digest = fnv1a(&format!("{digest:016x}|{done}"));
+    }
     (digest, sim)
 }
 
@@ -333,6 +339,86 @@ fn stealing_open_outcome_is_pinned() {
         if name.contains("deadline") {
             let svc = sim.service_stats();
             assert!(svc.deadline_dropped > 0, "{name}: deques must renege: {svc:?}");
+        }
+    });
+}
+
+/// `cfg` grown to [`NODES`] nodes: eight bitset words, so the pins' four
+/// shards really exist and width 4 threads them.
+fn multi_shard(mut cfg: ClusterConfig) -> ClusterConfig {
+    cfg.nodes = NODES;
+    assert_eq!(ShardPlan::new(cfg.nodes, 4).shard_count(), 4, "shard axis collapsed");
+    cfg
+}
+
+/// Two 90 s jobs per node under the turnover faults: a family that
+/// finishes within a few hundred windows.
+fn wide_family_cell(policy: Policy) -> ClusterConfig {
+    let family = JobFamily::uniform(2 * NODES as u32, SimDuration::from_secs(90), 8 * 1024);
+    let mut cfg = ClusterConfig::paper(policy, family);
+    cfg.trace.duration = SimDuration::from_secs(3600);
+    cfg.seed = 1998;
+    cfg.faults = TURNOVER_FAULTS;
+    multi_shard(cfg)
+}
+
+/// The wide family as a constant population over a 600 s horizon.
+fn wide_throughput_cell(policy: Policy) -> ClusterConfig {
+    let mut cfg = wide_family_cell(policy);
+    cfg.mode = RunMode::Throughput { horizon: SimTime::from_secs(600) };
+    cfg
+}
+
+/// The deadline open cell at twice the service capacity of [`NODES`]
+/// nodes over a 600 s horizon: queued jobs renege, served ones retire.
+fn wide_open_cell(policy: Policy) -> ClusterConfig {
+    let mut cfg = open_cell(AdmissionPolicy::Deadline, policy);
+    cfg.service.arrivals.process =
+        ArrivalProcess::Poisson { rate_per_hour: 2.0 * NODES as f64 * 30.0 };
+    cfg.service.queue_capacity = 2 * NODES;
+    cfg.mode = RunMode::Open { horizon: SimTime::from_secs(600) };
+    multi_shard(cfg)
+}
+
+#[test]
+fn multi_shard_source_outcomes_are_pinned() {
+    // Recorded before the run modes moved behind one job-source seam.
+    let mut cut_family = wide_family_cell(Policy::ImmediateEviction);
+    cut_family.max_time = SimTime::from_secs(240);
+    let pins = vec![
+        (
+            "family/LL".to_string(),
+            wide_family_cell(Policy::LingerLonger),
+            0x6af8_785a_79fa_27a4,
+        ),
+        ("family/IE at max_time".to_string(), cut_family, 0x262f_5262_69f4_9428),
+        (
+            "throughput/PM".to_string(),
+            wide_throughput_cell(Policy::PauseAndMigrate),
+            0xd06d_2b5a_0e96_c68a,
+        ),
+        (
+            "open deadline/LL".to_string(),
+            wide_open_cell(Policy::LingerLonger),
+            0x3c8b_eb3e_11d2_6b64,
+        ),
+    ];
+    assert_pins(pins, |name, sim| {
+        let total = 2 * NODES;
+        assert!(sim.fault_stats().crashes > 0, "{name}: {:?}", sim.fault_stats());
+        if name == "family/LL" {
+            assert_eq!(sim.completed(), total, "{name}: the family must finish");
+        } else if name.starts_with("family") {
+            assert!(sim.completed() < total, "{name}: max_time must cut the family");
+        } else if name.starts_with("throughput") {
+            assert!(sim.completed() > total, "{name}: horizon must turn slots over");
+            assert_eq!(sim.live_job_rows(), total, "{name}: live rows stay at the family size");
+            assert_eq!(sim.archived_jobs(), sim.completed(), "{name}: completions retire");
+        } else {
+            let svc = sim.service_stats();
+            assert!(svc.deadline_dropped > 0, "{name}: queued jobs must renege: {svc:?}");
+            assert!(sim.archived_jobs() > 0, "{name}: open runs retire jobs");
+            assert!(svc.accounting_holds(), "{name}");
         }
     });
 }
