@@ -111,7 +111,8 @@ pub struct ClusterConfig {
     pub params: PolicyParams,
     /// The foreign jobs to run.
     pub family: JobFamily,
-    /// Family or constant-load throughput mode.
+    /// Where jobs come from: the fixed family, the family held as a
+    /// constant-load population (throughput), or open arrivals.
     pub mode: RunMode,
     /// Coarse-trace synthesis configuration (one trace per node, replayed
     /// from a random offset).

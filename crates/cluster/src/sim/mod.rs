@@ -40,27 +40,42 @@
 //! the private `dispatch` submodule, behind one `Dispatch` value built
 //! from `cfg.stealing`. A window makes one placement call into it, and
 //! destination queries answer there too.
+//!
+//! ## One job-source seam
+//!
+//! Nor does the loop ask which run mode it is in. Where jobs come from
+//! and where finished ones go — the paper's fixed family, the same family
+//! held as a constant population (throughput), or open arrivals through
+//! admission control — lives in the private `source` submodule, behind
+//! one `Source` value built from the config's run mode. The loop calls it
+//! unconditionally: for the window's new jobs (phase 1b), at every
+//! completion, for the window-end accounting, and for `run`'s
+//! termination test. Only open arrivals keep service counters, so the
+//! loss identity `generated == admitted + shed + deficit` lives in one
+//! place, checked after every window in debug builds.
 
 mod dispatch;
+mod source;
 
-use crate::config::{AdmissionPolicy, ClusterConfig, RunMode};
+use crate::config::ClusterConfig;
 use crate::dest::Pool;
 use crate::faults::{FaultEventKind, FaultModel, FaultStats};
-use crate::service::{effective_queue_capacity, queue_budget_from_env, ServiceStats};
+use crate::service::ServiceStats;
 use crate::state::{JobCold, JobRecord, JobSlabs, JobState, NodeId, NodeSlabs, NO_JOB, NO_NODE};
 use crate::stealing::StealStats;
 use dispatch::Dispatch;
 use linger::cost::should_migrate;
-use linger::{JobId, JobSpec, Policy};
+use linger::Policy;
 use linger_node::steal_rate_with;
 use linger_sim_core::{
     default_shard_count, prefetch_read, NodeIndex, ShardPlan, SimDuration, SimTime,
 };
 use linger_telemetry::{DecisionAction, Event, EventKind, JournalCounts, Recorder};
 use linger_workload::{
-    ArrivalGenerator, CoarseTrace, RealizeOrigin, TraceLibrary, TwoPoolMemory, WindowCursor,
-    WorkloadRealization, SAMPLE_PERIOD_SECS,
+    CoarseTrace, RealizeOrigin, TraceLibrary, TwoPoolMemory, WindowCursor, WorkloadRealization,
+    SAMPLE_PERIOD_SECS,
 };
+use source::Source;
 use std::sync::Arc;
 
 /// One simulation window (= the coarse-trace sampling period).
@@ -136,6 +151,8 @@ pub struct ClusterSim {
     nodes: NodeSlabs,
     /// Per-job hot/cold slabs; materialized via [`Self::jobs`].
     jobs: JobSlabs,
+    /// The job source: where jobs come from, and where finished ones go.
+    source: Source,
     /// The scheduler: where queued jobs wait, and how they are placed.
     dispatch: Dispatch,
     window: usize,
@@ -145,8 +162,6 @@ pub struct ClusterSim {
     local_busy_secs: f64,
     /// Added foreground latency seconds (delay-ratio numerator).
     local_delay_secs: f64,
-    /// Next id for respawned jobs in throughput mode.
-    next_job_id: u32,
     /// Completed job count.
     completed: usize,
     /// Nodes with no hosted foreign job, maintained incrementally at
@@ -164,8 +179,6 @@ pub struct ClusterSim {
     /// the current window as packed bit words, and the CPU demands.
     idle_words: Vec<u64>,
     cpu_w: Vec<f64>,
-    /// Scratch for the jobs one deadline pass drops from the queue.
-    reneged: Vec<u32>,
     /// Superset of the jobs currently in [`JobState::Migrating`] —
     /// appended to on every migration start, compacted each window — so
     /// transfer progress and arrivals never rescan the ever-growing job
@@ -202,16 +215,6 @@ pub struct ClusterSim {
     telemetry_absorbed: JournalCounts,
     /// Exact stealing / central-dispatch counters.
     steal_stats: StealStats,
-    /// Open-arrivals generator, present only in [`RunMode::Open`].
-    arrivals: Option<ArrivalGenerator>,
-    /// Service-mode counters and steady-state estimators.
-    service: ServiceStats,
-    /// Effective admission-queue capacity, entries (`usize::MAX` when
-    /// admission is open/unbounded or the run is closed).
-    queue_cap: usize,
-    /// Completion count at the previous window boundary (per-window
-    /// throughput deltas for the batch-means estimator).
-    last_completed: usize,
 }
 
 impl ClusterSim {
@@ -277,16 +280,12 @@ impl ClusterSim {
         let mut windows = real.cursor();
         let nodes = NodeSlabs::new(windows.rows(0).mem_kb, cfg.node_memory_kb);
         let jobs = JobSlabs::from_specs(cfg.family.jobs());
-        let next_job_id = jobs.len() as u32;
+        let source = Source::new(&cfg, jobs.len());
         let n = cfg.nodes;
         // The fault schedule spans the run's hard horizon; events are a
         // pure function of (faults config, seed, node), so two runs of
         // the same config realize identical failures.
-        let horizon = match cfg.mode {
-            RunMode::Family => cfg.max_time,
-            RunMode::Throughput { horizon } | RunMode::Open { horizon } => horizon,
-        };
-        let max_windows = (horizon.as_nanos() / WINDOW.as_nanos()) as usize + 1;
+        let max_windows = (source.horizon().as_nanos() / WINDOW.as_nanos()) as usize + 1;
         let faults = FaultModel::new(cfg.faults, cfg.seed, n, max_windows);
         let shards = std::env::var("LINGER_SHARDS")
             .ok()
@@ -294,41 +293,23 @@ impl ClusterSim {
             .unwrap_or_else(|| default_shard_count(n));
         let plan = ShardPlan::new(n, shards.max(1));
         let shard_count = plan.shard_count().max(1);
-        // Open-arrivals wiring: the generator exists only in Open mode,
-        // and the admission queue is bounded only when a bounded policy
-        // asks for it — the capacity is the configured entry count
-        // clamped by the `LINGER_QUEUE_BUDGET` byte budget.
-        let (arrivals, queue_cap, queue_budget) = match cfg.mode {
-            RunMode::Open { .. } => {
-                let generator = ArrivalGenerator::new(&cfg.service.arrivals, cfg.seed);
-                let budget = queue_budget_from_env();
-                let cap = if cfg.service.admission == AdmissionPolicy::Open {
-                    usize::MAX
-                } else {
-                    effective_queue_capacity(cfg.service.queue_capacity, budget)
-                };
-                (Some(generator), cap, budget)
-            }
-            _ => (None, usize::MAX, 0),
-        };
         let dispatch = Dispatch::new(&cfg, &jobs, shard_count);
         ClusterSim {
             cfg,
             nodes,
             jobs,
+            source,
             dispatch,
             window: 0,
             foreign_cpu: SimDuration::ZERO,
             local_busy_secs: 0.0,
             local_delay_secs: 0.0,
-            next_job_id,
             completed: 0,
             free: NodeIndex::full(n),
             busy: NodeIndex::new(n),
             free_idle: NodeIndex::new(n),
             idle_words: vec![0; n.div_ceil(64).max(1)],
             cpu_w: vec![0.0; n],
-            reneged: Vec::new(),
             migrating: Vec::new(),
             windows,
             plan,
@@ -341,10 +322,6 @@ impl ClusterSim {
             telemetry: Recorder::from_env(),
             telemetry_absorbed: JournalCounts::default(),
             steal_stats: StealStats::default(),
-            arrivals,
-            service: ServiceStats::new(queue_cap, queue_budget),
-            queue_cap,
-            last_completed: 0,
         }
     }
 
@@ -414,7 +391,7 @@ impl ClusterSim {
             if self.jobs.state[ji] != JobState::Queued {
                 continue;
             }
-            let span = self.queued_span(ji);
+            let span = queued_span(&self.jobs, ji, self.window as u32);
             if span > SimDuration::ZERO {
                 let id = self.jobs.id[ji].0;
                 let at = records
@@ -471,9 +448,9 @@ impl ClusterSim {
     }
 
     /// Service-mode counters and steady-state estimators (inert zeros
-    /// unless the run mode is [`RunMode::Open`]).
+    /// unless jobs come from open arrivals).
     pub fn service_stats(&self) -> &ServiceStats {
-        &self.service
+        self.source.stats()
     }
 
     /// Stealing and central-dispatch counters (all zero under the
@@ -511,20 +488,8 @@ impl ClusterSim {
     /// normal completion, `false` if the family-mode safety horizon hit.
     pub fn run(&mut self) -> bool {
         let done = loop {
-            match self.cfg.mode {
-                RunMode::Family => {
-                    if self.completed == self.jobs.total_jobs() {
-                        break true;
-                    }
-                    if self.now() >= self.cfg.max_time {
-                        break false;
-                    }
-                }
-                RunMode::Throughput { horizon } | RunMode::Open { horizon } => {
-                    if self.now() >= horizon {
-                        break true;
-                    }
-                }
+            if let Some(done) = self.finished() {
+                break done;
             }
             self.step();
         };
@@ -588,14 +553,13 @@ impl ClusterSim {
             }
         }
 
-        // 1b. Open arrivals and admission control (serving mode only).
-        //     Injection precedes migration arrivals and placement, so an
-        //     arrival admitted this window is placeable this window —
-        //     matching the closed family, whose time-zero jobs are
-        //     placeable in window 0.
-        if self.arrivals.is_some() {
-            self.inject_arrivals(t);
-        }
+        // 1b. New jobs from the source: open arrivals pass admission
+        //     control (a closed source submits nothing here). Injection
+        //     precedes migration arrivals and placement, so an arrival
+        //     admitted this window is placeable this window — matching
+        //     the closed family, whose time-zero jobs are placeable in
+        //     window 0.
+        self.inject_arrivals(t);
 
         // 2. Shared-network transfer progress, then migration arrivals.
         //    `migrating` is a superset of the in-flight jobs, so working
@@ -688,170 +652,11 @@ impl ClusterSim {
         //    phase 6 with identical bytes and zero per-window cost.
         self.place(t);
 
-        // 6. Service-mode steady-state accounting: per-window completed
-        //    deltas feed the throughput batch means; depth/row peaks are
-        //    the bounded-state witnesses the scorecard checks.
-        if self.arrivals.is_some() {
-            let delta = self.completed - self.last_completed;
-            self.last_completed = self.completed;
-            self.service.throughput.add(delta as f64);
-            let depth = self.dispatch.queued_len();
-            self.service.peak_queue_depth = self.service.peak_queue_depth.max(depth);
-            self.service.peak_live_rows = self.service.peak_live_rows.max(self.jobs.len());
-        }
+        // 6. The source's window-end accounting (open arrivals' service
+        //    estimators and bounded-state witnesses).
+        self.account_window();
 
         self.window += 1;
-    }
-
-    /// How long queued job `ji` has waited: see [`queued_span`].
-    fn queued_span(&self, ji: usize) -> SimDuration {
-        queued_span(&self.jobs, ji, self.window as u32)
-    }
-
-    /// Credit job `ji`'s queued time for the span it just spent on the
-    /// queue — the exact set of windows the historic phase-6 walk
-    /// visited it in.
-    fn flush_queue_time(&mut self, ji: usize) {
-        let span = self.queued_span(ji);
-        self.jobs.breakdown[ji].queued += span;
-    }
-
-    /// Phase 1b (serving mode): draw this window's arrivals and run them
-    /// through admission control. All counters are exact; the identity
-    /// `generated == admitted + shed + deficit` holds after every window.
-    fn inject_arrivals(&mut self, t: SimTime) {
-        let mut generator = self.arrivals.take().expect("open mode has a generator");
-        let offered = generator.begin_window();
-        let policy = self.cfg.service.admission;
-
-        // Deadline policy: renege over-age jobs from the queue head
-        // before admitting, so freshly freed capacity is usable at once.
-        if policy == AdmissionPolicy::Deadline {
-            self.renege_expired(t);
-        }
-
-        self.service.generated += offered as u64;
-        let mut admitted = 0u32;
-        let mut refused = false;
-        match policy {
-            AdmissionPolicy::Open => {
-                for _ in 0..offered {
-                    self.admit_arrival(&mut generator, t);
-                }
-                admitted = offered;
-            }
-            AdmissionPolicy::Shed | AdmissionPolicy::Deadline => {
-                let space = self.queue_cap.saturating_sub(self.dispatch.queued_len());
-                let take = (offered as usize).min(space) as u32;
-                for _ in 0..take {
-                    self.admit_arrival(&mut generator, t);
-                }
-                admitted = take;
-                let dropped = offered - take;
-                if dropped > 0 {
-                    refused = true;
-                    self.service.shed += dropped as u64;
-                    self.telemetry
-                        .record(|| self.event_at(t, EventKind::AdmissionShed { count: dropped }));
-                }
-            }
-            AdmissionPolicy::Block => {
-                // Backpressure: the blocked source re-offers its deficit
-                // (FIFO upstream) before this window's new arrivals;
-                // whatever still does not fit stays upstream as O(1)
-                // counter state — nothing is lost, nothing unbounded.
-                // Deficit jobs draw their demands from the window that
-                // admits them, so draining needs this window's stream
-                // (present whenever the window's rate was positive).
-                let mut space = self.queue_cap.saturating_sub(self.dispatch.queued_len());
-                if generator.has_window_stream() {
-                    let drain = (self.service.deficit).min(space as u64) as u32;
-                    for _ in 0..drain {
-                        self.admit_arrival(&mut generator, t);
-                    }
-                    admitted += drain;
-                    self.service.deficit -= drain as u64;
-                    space -= drain as usize;
-                }
-                let take = (offered as usize).min(space) as u32;
-                for _ in 0..take {
-                    self.admit_arrival(&mut generator, t);
-                }
-                admitted += take;
-                let deferred = offered - take;
-                if deferred > 0 || self.service.deficit > 0 {
-                    refused = deferred > 0;
-                    self.service.deferred += deferred as u64;
-                    self.service.deficit += deferred as u64;
-                    self.service.peak_deficit = self.service.peak_deficit.max(self.service.deficit);
-                    let deficit = self.service.deficit;
-                    self.telemetry.record(|| {
-                        self.event_at(t, EventKind::AdmissionDefer { count: deferred, deficit })
-                    });
-                }
-            }
-        }
-        if refused {
-            self.service.saturated_windows += 1;
-        }
-        if offered > 0 || admitted > 0 {
-            let depth = self.dispatch.queued_len() as u32;
-            self.telemetry
-                .record(|| self.event_at(t, EventKind::ArrivalBurst { offered, admitted, depth }));
-        }
-        self.arrivals = Some(generator);
-    }
-
-    /// Admit one arrival: draw its demand, mint the next job id, push a
-    /// live slab row (reusing a retired slot when one is free), and join
-    /// the FIFO queue. Arrival time is the current window start, so the
-    /// job is placeable this very window and its lazy queue-time span
-    /// starts exactly here.
-    fn admit_arrival(&mut self, generator: &mut ArrivalGenerator, t: SimTime) {
-        let (cpu_demand, mem_kb) = generator.draw_demand();
-        let spec = JobSpec {
-            id: JobId(self.next_job_id),
-            cpu_demand,
-            mem_kb,
-            arrival: t,
-        };
-        self.next_job_id += 1;
-        let ji = self.jobs.push(spec, self.window as u32);
-        self.dispatch.enqueue(ji, spec.id);
-        self.service.admitted += 1;
-    }
-
-    /// Drop every queued job whose wait exceeds the deadline, in the
-    /// order the scheduler finds them (see `Dispatch::take_expired`).
-    fn renege_expired(&mut self, t: SimTime) {
-        let deadline_secs = self.cfg.service.deadline_secs;
-        let (jobs, w) = (&self.jobs, self.window as u32);
-        let mut expired = std::mem::take(&mut self.reneged);
-        self.dispatch.take_expired(
-            |ji| queued_span(jobs, ji as usize, w).as_secs_f64() > deadline_secs,
-            &mut expired,
-        );
-        for &ji in &expired {
-            self.drop_expired(ji as usize, t);
-        }
-        expired.clear();
-        self.reneged = expired;
-    }
-
-    /// Drop queued job `ji`, already off the queue, as unserved.
-    fn drop_expired(&mut self, ji: usize, t: SimTime) {
-        let waited_secs = self.queued_span(ji).as_secs_f64();
-        self.flush_queue_time(ji);
-        self.jobs.state[ji] = JobState::Done;
-        self.jobs.node[ji] = NO_NODE;
-        self.service.deadline_dropped += 1;
-        let job = self.jobs.id[ji].0;
-        self.telemetry
-            .record(|| self.event_at(t, EventKind::DeadlineDrop { waited_secs }).for_job(job));
-        // Dropped-unserved jobs retire like completions: record to the
-        // cold archive, recycle the slot. They are *not* counted
-        // completed and carry no `completed_at`.
-        self.jobs.retire(ji);
     }
 
     /// Phase 0: refresh the per-window scratch (cpu lane, idle words,
@@ -1334,7 +1139,8 @@ impl ClusterSim {
         }
     }
 
-    /// Job finished: free the node, record, respawn in throughput mode.
+    /// Job finished: free the node, record, and hand the slot to the
+    /// source (respawn, retire, or keep).
     fn complete(&mut self, ji: usize, node: NodeId, at: SimTime) {
         self.release_node(node);
         self.jobs.state[ji] = JobState::Done;
@@ -1360,32 +1166,7 @@ impl ClusterSim {
             .on_node(node.0 as u32)
             .for_job(self.jobs.id[ji].0)
         });
-        match self.cfg.mode {
-            RunMode::Throughput { .. } => {
-                // Hold the number of jobs in the system constant.
-                let spec = JobSpec {
-                    id: JobId(self.next_job_id),
-                    arrival: at,
-                    cpu_demand: self.jobs.cold[ji].cpu_demand,
-                    mem_kb: self.jobs.mem_kb[ji],
-                };
-                self.next_job_id += 1;
-                // Retire the finished record into the archive and respawn
-                // in the freed slot: the id above comes from the
-                // simulator's counter, so recycling only changes the slab
-                // index, never the identity.
-                let new_ji = self.jobs.respawn(ji, spec, self.window as u32);
-                self.dispatch.enqueue(new_ji, spec.id);
-            }
-            RunMode::Open { .. } => {
-                // Serving mode: the latency estimator sees every
-                // completion, and the finished row retires so live state
-                // tracks the active population, not the total flow.
-                self.service.latency.add(completion_secs);
-                self.jobs.retire(ji);
-            }
-            RunMode::Family => {}
-        }
+        self.on_completion(ji, at, completion_secs);
     }
 
     fn claim_node(&mut self, node: NodeId, ji: usize) {
@@ -1424,7 +1205,10 @@ impl ClusterSim {
     /// jobs — the transfer is in flight for that long, visible to the
     /// crash and migration-failure fault model.
     fn dispatch_queued(&mut self, ji: usize, dest: NodeId, t: SimTime, extra: SimDuration) {
-        self.flush_queue_time(ji);
+        // Credit the span the job just spent on the queue: the exact set
+        // of windows the historic phase-6 walk visited it in.
+        let span = queued_span(&self.jobs, ji, self.window as u32);
+        self.jobs.breakdown[ji].queued += span;
         self.telemetry.record(|| {
             self.event_at(
                 t,
@@ -1646,6 +1430,7 @@ fn classify_progress_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{AdmissionPolicy, RunMode};
     use linger::JobFamily;
     use linger_sim_core::SimDuration;
 
