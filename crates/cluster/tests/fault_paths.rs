@@ -20,6 +20,12 @@
 //! reproduced every pinned outcome except the `peak_live_rows` witness
 //! of the open cells — so the pins stand in for the retired layout
 //! equivalence proof.
+//!
+//! The multi-shard source pins run one 512-node cell per job source — a
+//! family that finishes, one cut at `max_time`, a throughput cell and a
+//! deadline open cell — through the same shard × width grid. At 512
+//! nodes the four-shard plan really has four shards, which the 16- and
+//! 24-node cells above cannot reach.
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{
