@@ -23,9 +23,11 @@
 //!
 //! The multi-shard source pins run one 512-node cell per job source — a
 //! family that finishes, one cut at `max_time`, a throughput cell and a
-//! deadline open cell — through the same shard × width grid. At 512
-//! nodes the four-shard plan really has four shards, which the 16- and
-//! 24-node cells above cannot reach.
+//! deadline open cell — plus a batch-stealing open cell through the same
+//! shard × width grid. At 512 nodes the four-shard plan really has four
+//! shards, which the 16- and 24-node cells above cannot reach. The
+//! stealing cell's journal overflows the ring, so its digest covers the
+//! full outcome and the journal's last 65,536 events.
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{
@@ -386,6 +388,18 @@ fn wide_open_cell(policy: Policy) -> ClusterConfig {
     multi_shard(cfg)
 }
 
+/// The batch-stealing cell at 0.9 of the service capacity of [`NODES`]
+/// nodes over a 300 s horizon: deques fill and drain, so idle nodes
+/// probe and steal across shard boundaries.
+fn wide_stealing_cell() -> ClusterConfig {
+    let mut cfg = stealing_cell();
+    cfg.service.arrivals.process =
+        ArrivalProcess::Poisson { rate_per_hour: 0.9 * NODES as f64 * 30.0 };
+    cfg.service.queue_capacity = 2 * NODES;
+    cfg.mode = RunMode::Open { horizon: SimTime::from_secs(300) };
+    multi_shard(cfg)
+}
+
 #[test]
 fn multi_shard_source_outcomes_are_pinned() {
     // Recorded before the run modes moved behind one job-source seam.
@@ -408,6 +422,7 @@ fn multi_shard_source_outcomes_are_pinned() {
             wide_open_cell(Policy::LingerLonger),
             0x3c8b_eb3e_11d2_6b64,
         ),
+        ("stealing shed/LL".to_string(), wide_stealing_cell(), 0xabf8_577e_f4f0_9f38),
     ];
     assert_pins(pins, |name, sim| {
         let total = 2 * NODES;
@@ -420,6 +435,11 @@ fn multi_shard_source_outcomes_are_pinned() {
             assert!(sim.completed() > total, "{name}: horizon must turn slots over");
             assert_eq!(sim.live_job_rows(), total, "{name}: live rows stay at the family size");
             assert_eq!(sim.archived_jobs(), sim.completed(), "{name}: completions retire");
+        } else if name.starts_with("stealing") {
+            let st = sim.steal_stats();
+            assert!(st.hits > 0 && st.probes == st.hits + st.misses, "{name}: {st:?}");
+            assert_eq!(st.central_dispatches, 0, "{name}: stealing never charges the coordinator");
+            assert!(sim.archived_jobs() > 0, "{name}: open runs retire jobs");
         } else {
             let svc = sim.service_stats();
             assert!(svc.deadline_dropped > 0, "{name}: queued jobs must renege: {svc:?}");
