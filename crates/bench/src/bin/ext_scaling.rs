@@ -4,8 +4,8 @@
 //! sweep shows the struct-of-arrays window loop holds its
 //! per-node-window cost out to a million machines, switching to the
 //! memory-bounded streamed window pipeline once a monolithic table would
-//! blow the byte budget (`LINGER_WINDOW_BUDGET_BYTES`, default 4 GiB;
-//! `LINGER_WINDOW_CHUNK` forces chunked streaming at any size).
+//! blow the 4 GiB byte budget (`LINGER_WINDOW_CHUNK` forces chunked
+//! streaming at any size).
 //!
 //! Beyond the shared harness flags, `--max-nodes <n>` truncates the
 //! sweep (e.g. `--max-nodes 16384` for a CI smoke run that skips the

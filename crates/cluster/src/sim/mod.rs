@@ -68,7 +68,7 @@ use linger::cost::should_migrate;
 use linger::Policy;
 use linger_node::steal_rate_with;
 use linger_sim_core::{
-    default_shard_count, prefetch_read, NodeIndex, ShardPlan, SimDuration, SimTime,
+    default_shard_count, env_count, prefetch_read, NodeIndex, ShardPlan, SimDuration, SimTime,
 };
 use linger_telemetry::{DecisionAction, Event, EventKind, JournalCounts, Recorder};
 use linger_workload::{
@@ -287,11 +287,8 @@ impl ClusterSim {
         // the same config realize identical failures.
         let max_windows = (source.horizon().as_nanos() / WINDOW.as_nanos()) as usize + 1;
         let faults = FaultModel::new(cfg.faults, cfg.seed, n, max_windows);
-        let shards = std::env::var("LINGER_SHARDS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .unwrap_or_else(|| default_shard_count(n));
-        let plan = ShardPlan::new(n, shards.max(1));
+        let shards = env_count("LINGER_SHARDS").unwrap_or_else(|| default_shard_count(n));
+        let plan = ShardPlan::new(n, shards);
         let shard_count = plan.shard_count().max(1);
         let dispatch = Dispatch::new(&cfg, &jobs, shard_count);
         ClusterSim {

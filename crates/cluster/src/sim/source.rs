@@ -23,7 +23,7 @@
 
 use super::{queued_span, ClusterSim};
 use crate::config::{AdmissionPolicy, ClusterConfig, RunMode, ServiceConfig};
-use crate::service::{effective_queue_capacity, queue_budget_from_env, ServiceStats};
+use crate::service::{effective_queue_capacity, ServiceStats, DEFAULT_QUEUE_BUDGET_BYTES};
 use crate::state::{JobState, NO_NODE};
 use linger::{JobId, JobSpec};
 use linger_sim_core::SimTime;
@@ -68,19 +68,17 @@ impl Source {
             RunMode::Open { horizon } => horizon,
         };
         // The admission queue is bounded only when a bounded policy asks
-        // for it: the configured entry count clamped by the
-        // `LINGER_QUEUE_BUDGET` byte budget.
-        let budget = queue_budget_from_env();
+        // for it: the configured entry count clamped by the byte budget.
         let cap = match cfg.service.admission {
             AdmissionPolicy::Open => usize::MAX,
-            _ => effective_queue_capacity(cfg.service.queue_capacity, budget),
+            _ => effective_queue_capacity(cfg.service.queue_capacity, DEFAULT_QUEUE_BUDGET_BYTES),
         };
         Source::Open(Box::new(Open {
             horizon,
             next_id,
             generator: ArrivalGenerator::new(&cfg.service.arrivals, cfg.seed),
             cfg: cfg.service,
-            stats: ServiceStats::new(cap, budget),
+            stats: ServiceStats::new(cap, DEFAULT_QUEUE_BUDGET_BYTES),
             last_completed: 0,
             expired: Vec::new(),
         }))

@@ -440,7 +440,7 @@ impl JobSlabs {
 
     /// Resident cost of one live job row across every per-slot lane
     /// (hot lanes plus the cold slab) — the unit the admission queue's
-    /// `LINGER_QUEUE_BUDGET` byte budget divides by.
+    /// byte budget ([`crate::DEFAULT_QUEUE_BUDGET_BYTES`]) divides by.
     pub fn job_row_bytes() -> usize {
         use std::mem::size_of;
         size_of::<JobState>()

@@ -9,13 +9,13 @@
 //! so attaching a recorder cannot perturb a simulation.
 
 use crate::event::{Event, EventKind};
-use linger_sim_core::write_atomic;
+use linger_sim_core::{env_flag, write_atomic};
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Default ring capacity (events) when `LINGER_TELEMETRY_CAP` is unset.
+/// Ring capacity (events) of a [`Recorder::from_env`] journal.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Anything that accepts a stream of events.
@@ -277,22 +277,15 @@ impl Recorder {
         Recorder { journal: Some(journal) }
     }
 
-    /// Build from the environment: enabled iff `LINGER_TELEMETRY` is
-    /// `1`/`true`/`on`, with ring capacity `LINGER_TELEMETRY_CAP`
-    /// (default [`DEFAULT_CAPACITY`]). Read per call, not cached, so
-    /// tests and harness phases can toggle it.
+    /// Build from the environment: enabled iff the `LINGER_TELEMETRY`
+    /// flag is on ([`env_flag`]), with a [`DEFAULT_CAPACITY`] ring. Read
+    /// per call, not cached, so tests and harness phases can toggle it.
     pub fn from_env() -> Recorder {
-        let on = std::env::var("LINGER_TELEMETRY")
-            .map(|v| matches!(v.as_str(), "1" | "true" | "on"))
-            .unwrap_or(false);
-        if !on {
-            return Recorder::disabled();
+        if env_flag("LINGER_TELEMETRY") {
+            Recorder::with_capacity(DEFAULT_CAPACITY)
+        } else {
+            Recorder::disabled()
         }
-        let cap = std::env::var("LINGER_TELEMETRY_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(DEFAULT_CAPACITY);
-        Recorder::with_capacity(cap)
     }
 
     /// Whether events are being kept.

@@ -21,10 +21,10 @@
 //! * [`inspect`] — run summaries and decision-level diffs between two
 //!   journals.
 //!
-//! Environment: `LINGER_TELEMETRY=1` enables recording,
-//! `LINGER_TELEMETRY_CAP` sets the per-journal ring capacity (default
-//! 65536 events), and `LINGER_TELEMETRY_DIR` makes the cluster
-//! simulator spill each run's journal there as JSON lines.
+//! Environment: `LINGER_TELEMETRY=1` enables recording into a
+//! [`DEFAULT_CAPACITY`]-event ring per journal, and
+//! `LINGER_TELEMETRY_DIR` makes the cluster simulator spill each run's
+//! journal there as JSON lines.
 
 #![warn(missing_docs)]
 

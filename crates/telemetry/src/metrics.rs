@@ -213,15 +213,6 @@ pub const DEFAULT_METRICS_BUDGET_BYTES: usize = 16 << 20;
 /// guarantee against unbounded growth, not an exact allocator model.
 const MAP_ENTRY_BYTES: usize = 48;
 
-/// The `MetricsRegistry` byte budget from the environment
-/// (`LINGER_METRICS_BUDGET`, bytes), or the default.
-pub fn metrics_budget_from_env() -> usize {
-    std::env::var("LINGER_METRICS_BUDGET")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(DEFAULT_METRICS_BUDGET_BYTES)
-}
-
 /// Offline aggregation of one journal: counters per kind and per node,
 /// per-window activity, queue-depth gauge, and fixed-bucket histograms
 /// of the quantities that drive the figures.
@@ -231,9 +222,8 @@ pub fn metrics_budget_from_env() -> usize {
 /// event vocabulary, so they carry an explicit byte budget mirroring the
 /// telemetry ring contract: once `budget_bytes` of entries are resident,
 /// *new* keys are dropped (and counted exactly in `dropped_keys`) while
-/// already-tracked keys keep counting. Set `LINGER_METRICS_BUDGET`
-/// (bytes) to tune; the histograms, kind/action counters, and scalar
-/// totals are vocabulary-bounded and always exact.
+/// already-tracked keys keep counting. The histograms, kind/action
+/// counters, and scalar totals are vocabulary-bounded and always exact.
 pub struct MetricsRegistry {
     /// Event totals by kind name (resident events only).
     pub counters: BTreeMap<String, u64>,
@@ -276,10 +266,10 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// Aggregate a (snapshot of a) journal under the environment budget
-    /// (`LINGER_METRICS_BUDGET` bytes, default 16 MiB).
+    /// Aggregate a (snapshot of a) journal under the default budget
+    /// ([`DEFAULT_METRICS_BUDGET_BYTES`]).
     pub fn from_events(events: &[Event]) -> MetricsRegistry {
-        Self::from_events_with_budget(events, metrics_budget_from_env())
+        Self::from_events_with_budget(events, DEFAULT_METRICS_BUDGET_BYTES)
     }
 
     /// Aggregate under an explicit keyed-map byte budget.

@@ -18,17 +18,17 @@
 //! deterministically; hits are pure reads.
 //!
 //! Memory is bounded: each entry's resident bytes are estimated at
-//! insertion and least-recently-used entries are dropped once the budget
-//! (`LINGER_TRACE_CACHE_BYTES`, default 1 GiB) is exceeded. Eviction is
-//! safe by construction — holders keep their `Arc`s alive, and a re-miss
-//! re-synthesizes the identical realization.
+//! insertion and least-recently-used entries are dropped once the 1 GiB
+//! budget is exceeded. Eviction is safe by construction — holders keep
+//! their `Arc`s alive, and a re-miss re-synthesizes the identical
+//! realization.
 
 use crate::coarse::{CoarseTrace, CoarseTraceConfig, TraceStream};
 use crate::generator::LocalWorkload;
 use crate::stream::{
-    forced_chunk_windows, streamed_chunk_windows, window_budget_bytes, StreamSpec, WindowCursor,
+    streamed_chunk_windows, StreamSpec, WindowCursor, DEFAULT_WINDOW_BUDGET_BYTES,
 };
-use linger_sim_core::{par_map_indexed, RngFactory};
+use linger_sim_core::{env_count, env_flag, par_map_indexed, RngFactory};
 use serde::Serialize;
 use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -293,16 +293,17 @@ impl WorkloadRealization {
     /// bytes produced.
     ///
     /// When the window table would not fit the window byte budget
-    /// (`LINGER_WINDOW_BUDGET_BYTES`, default 4 GiB) — or
-    /// `LINGER_WINDOW_CHUNK` forces it — this returns a *streamed*
-    /// realization instead (see [`streamed_chunk_windows`]): only the
-    /// offsets are computed up front and windows are realized on demand
-    /// in chunks, byte-identical to the monolithic table at any chunk
-    /// size.
+    /// ([`DEFAULT_WINDOW_BUDGET_BYTES`], 4 GiB) — or
+    /// `LINGER_WINDOW_CHUNK=<windows>` forces it at any node count, as
+    /// the chunked-vs-monolithic determinism checks do — this returns a
+    /// *streamed* realization instead (see [`streamed_chunk_windows`]):
+    /// only the offsets are computed up front and windows are realized on
+    /// demand in chunks, byte-identical to the monolithic table at any
+    /// chunk size.
     pub fn synthesize(cfg: &CoarseTraceConfig, seed: u64, nodes: usize) -> WorkloadRealization {
         let period = cfg.sample_count();
-        let forced = forced_chunk_windows();
-        match streamed_chunk_windows(nodes, period, window_budget_bytes(), forced) {
+        let forced = env_count("LINGER_WINDOW_CHUNK");
+        match streamed_chunk_windows(nodes, period, DEFAULT_WINDOW_BUDGET_BYTES, forced) {
             Some(chunk) => Self::synthesize_streamed(cfg, seed, nodes, chunk),
             None => Self::synthesize_monolithic(cfg, seed, nodes),
         }
@@ -569,19 +570,10 @@ impl TraceLibrary {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The process-wide shared library.
-    ///
-    /// The byte budget is `LINGER_TRACE_CACHE_BYTES` (read once, at first
-    /// use), defaulting to 1 GiB.
+    /// The process-wide shared library, with the default byte budget.
     pub fn global() -> &'static TraceLibrary {
         static GLOBAL: OnceLock<TraceLibrary> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            let budget = std::env::var("LINGER_TRACE_CACHE_BYTES")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(DEFAULT_MAX_BYTES);
-            TraceLibrary::with_max_bytes(budget)
-        })
+        GLOBAL.get_or_init(TraceLibrary::new)
     }
 
     /// The realization for `(cfg, seed, nodes)` — synthesized on first
@@ -609,7 +601,7 @@ impl TraceLibrary {
         seed: u64,
         nodes: usize,
     ) -> (Arc<WorkloadRealization>, RealizeOrigin) {
-        if cache_disabled() {
+        if env_flag("LINGER_NO_TRACE_CACHE") {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             let real = Arc::new(WorkloadRealization::synthesize(cfg, seed, nodes));
             return (real, RealizeOrigin::Bypass);
@@ -693,16 +685,6 @@ impl TraceLibrary {
         let mut st = self.state();
         st.entries.clear();
         st.bytes = 0;
-    }
-}
-
-/// Whether `LINGER_NO_TRACE_CACHE` requests cache bypass (any non-empty
-/// value other than `0`). Read per lookup so a harness can toggle it
-/// between sections.
-fn cache_disabled() -> bool {
-    match std::env::var("LINGER_NO_TRACE_CACHE") {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
     }
 }
 

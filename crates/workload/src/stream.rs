@@ -38,11 +38,11 @@
 //! straight from its shared table, so every consumer reads window rows
 //! through one interface whichever representation it was handed.
 //!
-//! Knobs: `LINGER_WINDOW_CHUNK` forces streaming with an explicit chunk
-//! size (in windows); `LINGER_WINDOW_BUDGET_BYTES` (default 4 GiB) is the
-//! ceiling above which a monolithic realization would not fit and the
-//! library switches to streaming on its own, sizing chunks to a quarter
-//! of the budget.
+//! `LINGER_WINDOW_CHUNK` forces streaming with an explicit chunk size
+//! (in windows); [`DEFAULT_WINDOW_BUDGET_BYTES`] (4 GiB) is the ceiling
+//! above which a monolithic realization would not fit and the library
+//! switches to streaming on its own, sizing chunks to a quarter of the
+//! budget.
 
 use crate::coarse::{CoarseTraceConfig, TraceStream};
 use crate::library::WindowTable;
@@ -55,28 +55,6 @@ use std::time::Instant;
 /// (≤65,536 nodes, ~1.3 GiB at a 1-hour trace) on the monolithic path
 /// while 262,144 nodes (~5.3 GiB) and up stream.
 pub const DEFAULT_WINDOW_BUDGET_BYTES: usize = 4 << 30;
-
-/// The byte ceiling for materialized realizations
-/// (`LINGER_WINDOW_BUDGET_BYTES`, default
-/// [`DEFAULT_WINDOW_BUDGET_BYTES`]). Read per call so harnesses can
-/// retune between sections.
-pub fn window_budget_bytes() -> usize {
-    std::env::var("LINGER_WINDOW_BUDGET_BYTES")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&b| b > 0)
-        .unwrap_or(DEFAULT_WINDOW_BUDGET_BYTES)
-}
-
-/// Chunk size override: `LINGER_WINDOW_CHUNK` windows per chunk, which
-/// also *forces* the streamed path at any node count (the
-/// chunked-vs-monolithic determinism checks rely on this).
-pub fn forced_chunk_windows() -> Option<usize> {
-    std::env::var("LINGER_WINDOW_CHUNK")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&w| w > 0)
-}
 
 /// Estimated resident bytes of a *monolithic* realization: the
 /// window-major table plus the per-node offsets.

@@ -1,19 +1,20 @@
 //! The telemetry no-interference contract, enforced end to end: figure
 //! results are byte-identical with telemetry off or on, at any worker
-//! count; journals stay within their ring cap at figure scale; and the
+//! count; journals stay within their ring cap at figure scale; a run
+//! spills its journal where `LINGER_TELEMETRY_DIR` points; and the
 //! decision-level diff pinpoints where two runs part ways.
 
 use linger::{JobFamily, Policy};
 use linger_bench as bench;
 use linger_cluster::{ClusterConfig, ClusterSim};
 use linger_sim_core::{set_default_jobs, SimDuration};
-use linger_telemetry::{diff, EventKind, Recorder};
+use linger_telemetry::{diff, read_events_jsonl, EventKind, Recorder};
 use std::sync::Mutex;
 
 const SEED: u64 = 1998;
 
-/// Serializes the tests that touch process-wide state (`LINGER_TELEMETRY`
-/// and the default job count).
+/// Serializes the tests that touch process-wide state (`LINGER_TELEMETRY`,
+/// `LINGER_TELEMETRY_DIR` and the default job count).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 fn fig07_json(fast: bool) -> String {
@@ -95,4 +96,42 @@ fn different_seeds_diverge_at_a_specific_decision() {
         dec.a.is_some() || dec.b.is_some(),
         "divergence must carry at least one side's event"
     );
+}
+
+/// The spill file name `ClusterSim` derives from a config: the policy
+/// abbreviation and a 64-bit FNV-1a of the config's JSON.
+fn spill_name(cfg: &ClusterConfig) -> String {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in serde_json::to_string(cfg).unwrap().bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("journal-{}-{h:016x}.jsonl", cfg.params.policy.abbrev())
+}
+
+#[test]
+fn telemetry_dir_receives_each_runs_journal() {
+    // A config no other test runs, so a concurrent run spilling into the
+    // same directory cannot write this file.
+    let mut cfg = cell(SEED + 7);
+    cfg.nodes = 16;
+    let dir = std::env::temp_dir().join(format!("linger-telemetry-dir-{}", std::process::id()));
+    let path = dir.join(spill_name(&cfg));
+    let run = || {
+        let recorder = Recorder::with_capacity(1 << 16);
+        ClusterSim::new(cfg.clone()).with_recorder(recorder.clone()).run();
+        let bytes = std::fs::read(&path).expect("journal spilled under its config name");
+        (recorder.journal().unwrap().snapshot(), bytes)
+    };
+    let _guard = ENV_LOCK.lock().unwrap();
+    std::env::set_var("LINGER_TELEMETRY_DIR", &dir);
+    let (events, first) = run();
+    std::fs::remove_file(&path).unwrap();
+    let (_, second) = run();
+    std::env::remove_var("LINGER_TELEMETRY_DIR");
+    assert!(!events.is_empty());
+    assert_eq!(read_events_jsonl(&path).unwrap(), events, "the spill is the journal");
+    assert_eq!(first, second, "an identical run must rewrite identical bytes");
+    // Best effort: a concurrent test may still be spilling here.
+    let _ = std::fs::remove_dir_all(&dir);
 }
