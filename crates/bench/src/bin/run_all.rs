@@ -636,15 +636,6 @@ fn main() {
                 measured: format!("ledgers balance: {ledger_ok}; {hits} hits, {pops} owner pops"),
                 ok: ledger_ok && hits > 0 && pops > 0,
             });
-            // Note the benches/stealing.rs comparison in the wall-clock
-            // ledger: steal-path cost vs central dispatch, per machine.
-            timings.steal_path = steal_path_timings(args.seed, &[1024, 16_384]);
-            for p in &timings.steal_path {
-                println!(
-                    "  steal path {}n {}: {:.0} ns/node-window",
-                    p.nodes, p.scheduler, p.ns_per_node_window
-                );
-            }
         }
     }
 
@@ -677,14 +668,20 @@ fn main() {
             cfg.seed = args.seed;
             cfg
         };
-        let run = |recorder: Recorder| {
+        // Build both sims before either clock starts: construction
+        // realizes the trace, and by now earlier sections have evicted
+        // this cell's realization from the cache, so whichever side
+        // built first would pay the synthesis the other side hits.
+        let mut disabled = ClusterSim::new(mk()).with_recorder(Recorder::disabled());
+        let mut journaling = ClusterSim::new(mk())
+            .with_recorder(Recorder::with_capacity(linger_telemetry::DEFAULT_CAPACITY));
+        let time_run = |sim: &mut ClusterSim| {
             let t = std::time::Instant::now();
-            let mut sim = ClusterSim::new(mk()).with_recorder(recorder);
             sim.run();
             t.elapsed().as_secs_f64()
         };
-        let disabled_secs = run(Recorder::disabled());
-        let journaling_secs = run(Recorder::with_capacity(linger_telemetry::DEFAULT_CAPACITY));
+        let disabled_secs = time_run(&mut disabled);
+        let journaling_secs = time_run(&mut journaling);
         TelemetryOverhead {
             disabled_secs,
             journaling_secs,
@@ -710,7 +707,7 @@ fn main() {
     // fig07 wall-clock against the pre-telemetry reference measurement
     // (seed 1998, --jobs default, telemetry disabled): the disabled path
     // must stay within 3% plus a small absolute noise guard. Machine-
-    // dependent — informational, like the baselines above.
+    // dependent.
     let fig07_pre_telemetry = if args.fast { 0.0199 } else { 0.0902 };
     if let Some(f7_secs) = timings.sections.iter().find(|s| s.name == "fig07").map(|s| s.secs) {
         checks.push(Check {
@@ -743,26 +740,6 @@ fn main() {
         }
     }
 
-    // Pre-cache wall-clock of fig07, the section the realization cache
-    // targets, recorded on the reference machine immediately before the
-    // change (seed 1998, --jobs default). Machine-dependent —
-    // informational. `ext_scaling` has no row: its sweep has grown since
-    // any section-level recording, so `scaling_baselines` compares it
-    // cell by cell instead.
-    let fig07_before = if args.fast { 0.1304 } else { 0.5604 };
-    // `ext_stealing` fast-mode wall-clock before the per-window
-    // destination index, timed back to back with the after-run on the
-    // same 2-core machine over the same 36 cells (seed 1998, --jobs
-    // default). No full-mode recording exists, so full mode has no row.
-    let stealing_before = args.fast.then_some(295.54);
-    timings.baselines = [
-        SectionBaseline::compare("fig07", &timings.sections, fig07_before),
-        stealing_before
-            .and_then(|b| SectionBaseline::compare("ext_stealing", &timings.sections, b)),
-    ]
-    .into_iter()
-    .flatten()
-    .collect();
     // Per-cell window-loop costs (ns per node-window) measured on the
     // reference machine immediately after the job-slot-recycling change
     // (seed 1998, --jobs default, timing_reps as recorded: 1 at

@@ -370,11 +370,6 @@ pub fn fig13(seed: u64) -> Vec<linger_parallel::Fig13Point> {
     linger_parallel::fig13(seed)
 }
 
-/// Convenience: all policies' abbreviations in table order.
-pub fn policy_headers() -> Vec<&'static str> {
-    Policy::ALL.iter().map(|p| p.abbrev()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1267,51 +1262,6 @@ fn stealing_cell_cfg(
         }
     };
     cfg
-}
-
-/// One steal-path wall-clock probe for `BENCH_runall.json`: the
-/// `benches/stealing.rs` comparison re-measured in-run, so the ledger
-/// records what the steal path costs against central dispatch on the
-/// same machine as the rest of the sections (machine-dependent;
-/// informational).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct StealPathTiming {
-    /// Cluster size of the probe cell.
-    pub nodes: usize,
-    /// `"central"`, `"steal_low"` or `"steal_high"`.
-    pub scheduler: String,
-    /// Wall-clock of the probe run.
-    pub secs: f64,
-    /// `secs` scaled per node-window.
-    pub ns_per_node_window: f64,
-}
-
-/// Time the fault-free exponential `ext_stealing` cell under central
-/// dispatch and both stealing variants over a 10-minute horizon (the
-/// `benches/stealing.rs` cells) at each node count.
-pub fn steal_path_timings(seed: u64, node_counts: &[usize]) -> Vec<StealPathTiming> {
-    const PROBE_HORIZON_SECS: u64 = 600;
-    let horizon = SimTime::from_secs(PROBE_HORIZON_SECS);
-    let windows = PROBE_HORIZON_SECS as f64 / linger_cluster::WINDOW.as_secs_f64();
-    let mut out = Vec::new();
-    for &nodes in node_counts {
-        for scheduler in STEALING_SCHEDULERS {
-            let cfg = stealing_cell_cfg(seed, nodes, "exp", (0.0, 0.0), scheduler, horizon);
-            let trace_cfg = cfg.trace.clone();
-            let real = TraceLibrary::global().realize(&trace_cfg, seed, nodes);
-            let mut sim = linger_cluster::ClusterSim::with_realization(cfg, &real);
-            let t0 = std::time::Instant::now();
-            sim.run();
-            let secs = t0.elapsed().as_secs_f64();
-            out.push(StealPathTiming {
-                nodes,
-                scheduler: scheduler.to_string(),
-                secs,
-                ns_per_node_window: secs * 1e9 / (nodes as f64 * windows),
-            });
-        }
-    }
-    out
 }
 
 // -------------------------------------------------------- ablations

@@ -1,4 +1,4 @@
-//! The parallel runner's headline guarantee: experiment output is
+//! The parallel fan-out's headline guarantee: experiment output is
 //! **byte-identical** at any worker count, and across repeated runs.
 //!
 //! Each check serializes the result with the exact JSON emitter the
@@ -6,9 +6,10 @@
 //! because the contract is bytes, not approximation.
 
 use linger::{JobFamily, Policy};
-use linger_bench::{ext_service, fig03, fig05, fig10, Runner};
-use linger_cluster::evaluate_policy_replicated;
-use linger_sim_core::{set_default_jobs, SimDuration};
+use linger_bench::{ext_service, fig03, fig05, fig10};
+use linger_cluster::{evaluate_policy, evaluate_policy_replicated};
+use linger_sim_core::{replication_seed, set_default_jobs, SimDuration};
+use linger_stats::Online;
 use std::sync::{Mutex, MutexGuard};
 
 /// `set_default_jobs` is process-global; serialize the tests that flip it
@@ -70,19 +71,27 @@ fn service_sweep_is_identical_serial_and_parallel() {
     assert_eq!(serial, json_at(4, || ext_service(1998, true, 0.95)), "ext_service diverged");
 }
 
+/// `fig07 --reps` goes through `evaluate_policy_replicated`; its
+/// fan-out must be invisible: the same JSON at any width, and a mean
+/// bit-equal to a serial loop over the same replication seeds.
 #[test]
-fn runner_replication_matches_a_hand_rolled_serial_loop() {
+fn replicated_evaluation_matches_a_hand_rolled_serial_loop() {
     let _g = lock();
     let family = JobFamily::uniform(6, SimDuration::from_secs(90), 4 * 1024);
-    let par: Vec<f64> = Runner::with_jobs(4).replicate(7, 5, |seed| {
-        linger_cluster::evaluate_policy(Policy::ImmediateEviction, family.clone(), 4, seed)
-            .avg_completion_secs
-    });
-    let serial: Vec<f64> = (0..5u64)
-        .map(|r| {
-            linger_cluster::evaluate_policy(Policy::ImmediateEviction, family.clone(), 4, 7 + r)
-                .avg_completion_secs
-        })
-        .collect();
-    assert_eq!(par, serial);
+    let make = || evaluate_policy_replicated(Policy::ImmediateEviction, family.clone(), 4, 7, 5);
+    let serial_json = json_at(1, make);
+    assert_eq!(serial_json, json_at(4, make), "jobs=1 vs jobs=4 diverged");
+    let mut serial = Online::new();
+    for r in 0..5u64 {
+        let m =
+            evaluate_policy(Policy::ImmediateEviction, family.clone(), 4, replication_seed(7, r));
+        serial.add(m.avg_completion_secs);
+    }
+    let replicated = make().avg_completion_secs.mean;
+    assert_eq!(
+        replicated.to_bits(),
+        serial.mean().to_bits(),
+        "{replicated} vs {}",
+        serial.mean()
+    );
 }

@@ -111,13 +111,38 @@ proptest! {
 
 /// Deterministic (non-proptest) turnover check: a long-horizon run
 /// keeps the hot lanes pinned at the initial job count while the archive
-/// absorbs every completion.
+/// absorbs every completion. Two inputs: a small faulty cell, and the
+/// large fault-free cell of 30 s demands against a 600 s horizon
+/// (2 jobs per node, ≥4× turnover) — 65,536 nodes in an optimized
+/// build, 4,096 in a debug one.
 #[test]
 fn recycling_pins_live_rows_under_turnover() {
-    let mut sim = build(Policy::LingerLonger, 24, 12, 90, 1800, 7, 2.0, 0.1);
-    sim.run();
-    assert!(sim.completed() >= 24, "horizon must produce real turnover");
-    assert_eq!(sim.live_job_rows(), 12, "live rows stay at the family size");
-    assert_eq!(sim.archived_jobs(), sim.completed());
-    assert_eq!(sim.jobs().len(), 12 + sim.completed(), "one record per job ever submitted");
+    let large = if cfg!(debug_assertions) { 4096 } else { 65_536 };
+    let cells = [
+        (build(Policy::LingerLonger, 24, 12, 90, 1800, 7, 2.0, 0.1), 12, 2.0),
+        (
+            build(Policy::LingerLonger, large, 2 * large as u32, 30, 600, 1998, 0.0, 0.0),
+            2 * large,
+            4.0,
+        ),
+    ];
+    for (mut sim, initial_jobs, min_turnover) in cells {
+        sim.run();
+        let turnover = sim.completed() as f64 / initial_jobs as f64;
+        assert!(
+            turnover >= min_turnover,
+            "horizon must produce {min_turnover}x turnover (got {turnover:.2}x)"
+        );
+        assert_eq!(sim.live_job_rows(), initial_jobs, "live rows stay at the family size");
+        assert_eq!(
+            sim.archived_jobs(),
+            sim.completed(),
+            "every completion retires into the archive"
+        );
+        assert_eq!(
+            sim.jobs().len(),
+            initial_jobs + sim.completed(),
+            "one record per job ever submitted"
+        );
+    }
 }

@@ -121,8 +121,8 @@ pub mod domains {
 /// space is a ring, and the mixer treats wrapped values like any
 /// others), rather than panicking in debug builds.
 ///
-/// All replicated drivers (`evaluate_policy_replicated`, the bench
-/// `Runner::replicate`) must derive seeds through this function so the
+/// Every replicated driver (`evaluate_policy_replicated`, behind
+/// `fig07 --reps`) must derive seeds through this function so the
 /// realization cache can key replication `r` by its logical seed alone.
 pub const fn replication_seed(base: u64, r: u64) -> u64 {
     base.wrapping_add(r)
