@@ -1,6 +1,10 @@
 //! Micro-benchmarks of the workload substrate: burst generation,
 //! moment fitting, dispatch-trace synthesis, coarse-trace synthesis and
 //! the per-draw cost of the streams trace synthesis runs on.
+//!
+//! `bursts_*` compare a per-draw `next_burst` loop with one batched
+//! `next_bursts_into` call for the same burst count, quantifying the
+//! slab-sampling win inside trace synthesis itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use linger_sim_core::{domains, RngFactory, SimDuration};
@@ -46,6 +50,31 @@ fn bench_bursts_changing_utilization(c: &mut Criterion) {
                 }
             }
             black_box(acc)
+        })
+    });
+}
+
+fn bench_burst_sampling(c: &mut Criterion) {
+    const N: usize = 4096;
+    let factory = RngFactory::new(1998);
+    c.bench_function("bursts_per_draw_4096", |b| {
+        b.iter(|| {
+            let mut generator = BurstGenerator::paper(0.5);
+            let mut rng = factory.stream_for(domains::FINE_BURSTS, 0);
+            let mut out = Vec::with_capacity(N);
+            for _ in 0..N {
+                out.push(generator.next_burst(&mut rng));
+            }
+            black_box(out)
+        })
+    });
+    c.bench_function("bursts_batched_4096", |b| {
+        b.iter(|| {
+            let mut generator = BurstGenerator::paper(0.5);
+            let mut rng = factory.stream_for(domains::FINE_BURSTS, 0);
+            let mut out = Vec::with_capacity(N);
+            generator.next_bursts_into(&mut rng, N, &mut out);
+            black_box(out)
         })
     });
 }
@@ -120,6 +149,7 @@ criterion_group!(
     benches,
     bench_bursts,
     bench_bursts_changing_utilization,
+    bench_burst_sampling,
     bench_fit,
     bench_traces,
     bench_draws

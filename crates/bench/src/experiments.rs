@@ -6,14 +6,14 @@
 //! integration tests assert their shape.
 
 use linger::{JobFamily, Policy};
-use linger_cluster::{policy_comparison, PolicyMetrics};
+use linger_cluster::{paper_realization, policy_comparison, PolicyMetrics};
 use linger_node::{fig5_paper_grid, SingleNodeReport};
 use linger_sim_core::{domains, par_map_indexed, RngFactory, SimDuration, SimTime};
 use linger_stats::Distribution;
 use linger_workload::{
     analysis::{CoarseAggregates, FineGrainAnalysis},
     BurstFitTable, BurstKind, BurstParamTable, CoarseTraceConfig, DispatchTrace, LocalWorkload,
-    TraceLibrary,
+    WorkloadRealization,
 };
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -307,7 +307,8 @@ pub struct Fig7Result {
 }
 
 /// Figs 7 and 8: the 64-node cluster policy comparison on both paper
-/// workloads.
+/// workloads. Both workloads' four policies replay one owner-workload
+/// realization, synthesized once here.
 pub fn fig07(seed: u64, fast: bool) -> Fig7Result {
     let nodes = if fast { 16 } else { 64 };
     let (w1, w2) = if fast {
@@ -318,10 +319,11 @@ pub fn fig07(seed: u64, fast: bool) -> Fig7Result {
     } else {
         (JobFamily::workload_1(), JobFamily::workload_2())
     };
+    let real = paper_realization(nodes, seed);
     Fig7Result {
         nodes,
-        workload1: policy_comparison(w1, nodes, seed),
-        workload2: policy_comparison(w2, nodes, seed),
+        workload1: policy_comparison(w1, &real, seed),
+        workload2: policy_comparison(w2, &real, seed),
     }
 }
 
@@ -672,8 +674,8 @@ pub fn scaling_ns_per_node_window(timings: &[ScalingTiming], nodes: usize) -> f6
 /// trace synthesis fans out deterministically. Traces, offsets, and the
 /// window table depend only on `(trace config, seed, nodes)`, exactly as
 /// [`linger_cluster::ClusterSim::new`] derives them, so each node count
-/// fetches one shared realization from the [`TraceLibrary`] and the four
-/// policies (and every timing replicate) reuse it.
+/// synthesizes one realization and the four policies (and every timing
+/// replicate) reuse it.
 pub fn ext_scaling_at(
     seed: u64,
     node_counts: &[usize],
@@ -687,10 +689,8 @@ pub fn ext_scaling_at(
         let t0 = std::time::Instant::now();
         // One realization (offsets + window table, or a stream spec at
         // the top counts) per node count, shared across all four
-        // policies and every timing replicate below — and with every
-        // other driver that asks for the same `(trace_cfg, seed, nodes)`
-        // key.
-        let real = TraceLibrary::global().realize(&trace_cfg, seed, nodes);
+        // policies and every timing replicate below.
+        let real = WorkloadRealization::synthesize(&trace_cfg, seed, nodes);
         let shared_setup = t0.elapsed().as_secs_f64() / Policy::ALL.len() as f64;
         for policy in Policy::ALL {
             let t1 = std::time::Instant::now();
@@ -843,7 +843,7 @@ pub fn ext_faults(seed: u64, fast: bool) -> Vec<FaultPoint> {
     };
     // One realization (offsets + window table) shared by every
     // cell of the grid.
-    let real = TraceLibrary::global().realize(&trace_cfg, seed, nodes);
+    let real = WorkloadRealization::synthesize(&trace_cfg, seed, nodes);
     let n_cells = FAULT_RATES.len() * Policy::ALL.len();
     par_map_indexed(n_cells, None, |idx| {
         let (crash_rate, mig_prob) = FAULT_RATES[idx / Policy::ALL.len()];
@@ -960,7 +960,7 @@ pub fn ext_service(seed: u64, fast: bool, ci_level: f64) -> Vec<ServicePoint> {
         duration: SimDuration::from_secs(3600),
         ..Default::default()
     };
-    let real = TraceLibrary::global().realize(&trace_cfg, seed, nodes);
+    let real = WorkloadRealization::synthesize(&trace_cfg, seed, nodes);
     // CI half-widths collapse to 0 until two batches exist so the JSON
     // stays plain numbers (the vendored serializer writes non-finite
     // floats as null).
@@ -1122,9 +1122,9 @@ pub struct StealingPoint {
 /// trip per probe, `steal_high` a punitive one, and `central` pays a
 /// per-placement serialization through one coordinator.
 ///
-/// Cells fan out via [`par_map_indexed`]; realizations are shared per
-/// node count through the global trace cache, so results are
-/// byte-identical at any thread count.
+/// Cells fan out via [`par_map_indexed`] and share one workload
+/// realization per node count; results are byte-identical at any thread
+/// count.
 pub fn ext_stealing(seed: u64, fast: bool, ci_level: f64) -> Vec<StealingPoint> {
     let node_counts: Vec<usize> = if fast {
         vec![STEALING_NODE_COUNTS[0], STEALING_NODE_COUNTS[2]]
@@ -1148,11 +1148,12 @@ pub fn ext_stealing_at(
         duration: SimDuration::from_secs(3600),
         ..Default::default()
     };
-    // Warm the realization cache serially (one synthesis per node
-    // count); the parallel cells below then hit the cache.
-    for &nodes in node_counts {
-        let _ = TraceLibrary::global().realize(&trace_cfg, seed, nodes);
-    }
+    // One realization per node count, synthesized serially before the
+    // cells fan out and shared by every cell at that count.
+    let reals: Vec<WorkloadRealization> = node_counts
+        .iter()
+        .map(|&nodes| WorkloadRealization::synthesize(&trace_cfg, seed, nodes))
+        .collect();
     let ci = |bm: &linger_stats::BatchMeans| {
         let hw = bm.ci_half_width(ci_level).expect("--ci is validated at parse time");
         if hw.is_finite() {
@@ -1170,11 +1171,11 @@ pub fn ext_stealing_at(
         let (crash_rate, fail_prob) = STEALING_FAULTS[rest % STEALING_FAULTS.len()];
         let rest = rest / STEALING_FAULTS.len();
         let dist = dists[rest % dists.len()];
-        let nodes = node_counts[rest / dists.len()];
+        let at = rest / dists.len();
+        let nodes = node_counts[at];
 
         let cfg = stealing_cell_cfg(seed, nodes, dist, (crash_rate, fail_prob), scheduler, horizon);
-        let real = TraceLibrary::global().realize(&trace_cfg, seed, nodes);
-        let mut sim = linger_cluster::ClusterSim::with_realization(cfg, &real);
+        let mut sim = linger_cluster::ClusterSim::with_realization(cfg, &reals[at]);
         sim.run();
         let s = sim.service_stats();
         assert!(s.accounting_holds(), "loss accounting must balance in every cell");
@@ -1209,9 +1210,7 @@ pub fn ext_stealing_at(
     })
 }
 
-/// The `ClusterConfig` for one `ext_stealing` grid cell (also reused by
-/// the in-run steal-path timing probes, so the timed cells are exactly
-/// the swept cells).
+/// The `ClusterConfig` for one `ext_stealing` grid cell.
 fn stealing_cell_cfg(
     seed: u64,
     nodes: usize,
@@ -1292,7 +1291,9 @@ fn cluster_point(
     cfg.nodes = nodes;
     cfg.seed = seed;
     mutate(&mut cfg);
-    let mut fam = linger_cluster::ClusterSim::new(cfg.clone());
+    // The family and throughput runs replay one realization.
+    let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
+    let mut fam = linger_cluster::ClusterSim::with_realization(cfg.clone(), &real);
     fam.run();
     let mut completion = linger_stats::Online::new();
     for j in fam.jobs() {
@@ -1300,7 +1301,7 @@ fn cluster_point(
             completion.add(c.as_secs_f64());
         }
     }
-    let mut tp = linger_cluster::ClusterSim::new(cfg.with_throughput_mode());
+    let mut tp = linger_cluster::ClusterSim::with_realization(cfg.with_throughput_mode(), &real);
     tp.run();
     PolicyMetrics {
         policy,

@@ -9,7 +9,6 @@
 //! telemetry A/B ([`TelemetryOverhead`]), peak RSS and CPU seconds.
 
 use linger_sim_core::write_atomic;
-use linger_workload::TraceCacheStats;
 use serde::Serialize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -59,9 +58,6 @@ pub struct RunTimings {
     /// including nanoseconds per node-window; empty when the sweep did
     /// not run.
     pub scaling: Vec<crate::experiments::ScalingTiming>,
-    /// End-of-run snapshot of the shared workload-realization cache
-    /// (hits, misses, bytes resident); `None` until recorded.
-    pub trace_cache: Option<TraceCacheStats>,
     /// End-of-run snapshot of the process-wide telemetry registry
     /// (events, drops, per-policy decision counts); `None` when
     /// telemetry was disabled for the run.
@@ -98,14 +94,20 @@ pub struct FailedSection {
 
 /// `run()` wall-clock of the same cluster cell with telemetry disabled
 /// versus journaling into a ring — the number behind the
-/// "compile-time-cheap when disabled" contract. Both sims are built
-/// before either clock starts, so trace synthesis and cache lookups
-/// stay out of both sides (machine-dependent; informational).
+/// "compile-time-cheap when disabled" contract. Each side sums `runs`
+/// runs, timed in alternating pairs; every sim is built over one shared
+/// realization before any clock starts, so trace synthesis and
+/// construction stay out of both sides (machine-dependent).
 #[derive(Debug, Clone, Serialize)]
 pub struct TelemetryOverhead {
-    /// Seconds with a disabled recorder (`Recorder::disabled()`).
+    /// Runs timed per side: whole batches, until the disabled side has
+    /// run for at least 0.1 s.
+    pub runs: usize,
+    /// Seconds over `runs` runs with a disabled recorder
+    /// (`Recorder::disabled()`).
     pub disabled_secs: f64,
-    /// Seconds journaling into a default-capacity ring.
+    /// Seconds over `runs` runs, each journaling into its own
+    /// default-capacity ring.
     pub journaling_secs: f64,
     /// `journaling_secs / disabled_secs` (1.0 = free).
     pub ratio: f64,

@@ -7,7 +7,7 @@
 
 use linger::{JobFamily, Policy};
 use linger_bench::{ext_service, fig03, fig05, fig10};
-use linger_cluster::{evaluate_policy, evaluate_policy_replicated};
+use linger_cluster::{evaluate_policy, evaluate_policy_replicated, paper_realization};
 use linger_sim_core::{replication_seed, set_default_jobs, SimDuration};
 use linger_stats::Online;
 use std::sync::{Mutex, MutexGuard};
@@ -83,8 +83,9 @@ fn replicated_evaluation_matches_a_hand_rolled_serial_loop() {
     assert_eq!(serial_json, json_at(4, make), "jobs=1 vs jobs=4 diverged");
     let mut serial = Online::new();
     for r in 0..5u64 {
-        let m =
-            evaluate_policy(Policy::ImmediateEviction, family.clone(), 4, replication_seed(7, r));
+        let seed = replication_seed(7, r);
+        let real = paper_realization(4, seed);
+        let m = evaluate_policy(Policy::ImmediateEviction, family.clone(), &real, seed);
         serial.add(m.avg_completion_secs);
     }
     let replicated = make().avg_completion_secs.mean;

@@ -52,8 +52,8 @@ pub mod stealing;
 pub use config::{AdmissionPolicy, ClusterConfig, RunMode, ServiceConfig};
 pub use faults::{FaultConfig, FaultEvent, FaultEventKind, FaultModel, FaultStats};
 pub use metrics::{
-    evaluate_policy, evaluate_policy_replicated, policy_comparison, BreakdownSecs, Estimate,
-    PolicyMetrics, ReplicatedMetrics,
+    evaluate_policy, evaluate_policy_replicated, paper_realization, policy_comparison,
+    BreakdownSecs, Estimate, PolicyMetrics, ReplicatedMetrics,
 };
 pub use network::NetworkModel;
 pub use service::{ServiceStats, DEFAULT_QUEUE_BUDGET_BYTES};

@@ -18,7 +18,7 @@ use crate::state::StateBreakdown;
 use linger::{JobFamily, Policy};
 use linger_sim_core::{par_map_indexed, replication_seed, SimTime};
 use linger_stats::Online;
-use linger_workload::TraceLibrary;
+use linger_workload::WorkloadRealization;
 
 use serde::{Deserialize, Serialize};
 
@@ -77,24 +77,31 @@ impl BreakdownSecs {
     }
 }
 
+/// The owner workload every [`ClusterConfig::paper`] run on `nodes`
+/// machines at `seed` replays, whatever its policy or job family — the
+/// realization [`evaluate_policy`] and [`policy_comparison`] expect.
+pub fn paper_realization(nodes: usize, seed: u64) -> WorkloadRealization {
+    let trace = ClusterConfig::paper(Policy::LingerLonger, JobFamily::empty()).trace;
+    WorkloadRealization::synthesize(&trace, seed, nodes)
+}
+
 /// Evaluate one policy on one workload: a family run (completion metrics)
-/// plus a constant-load run (throughput).
+/// plus a constant-load run (throughput), on `real.nodes()` machines.
 ///
-/// Both runs replay the same owner-workload realization, fetched once
-/// from the shared [`TraceLibrary`] — across a [`policy_comparison`] the
-/// four policies reuse one synthesis (1 miss + 3 hits).
+/// Both runs replay `real`, which must be [`paper_realization`] at the
+/// same node count and `seed`; a [`policy_comparison`] passes one
+/// realization to all four policies.
 pub fn evaluate_policy(
     policy: Policy,
     family: JobFamily,
-    nodes: usize,
+    real: &WorkloadRealization,
     seed: u64,
 ) -> PolicyMetrics {
-    let mut cfg = ClusterConfig::paper(policy, family.clone());
-    cfg.nodes = nodes;
+    let mut cfg = ClusterConfig::paper(policy, family);
+    cfg.nodes = real.nodes();
     cfg.seed = seed;
-    let real = TraceLibrary::global().realize(&cfg.trace, cfg.seed, cfg.nodes);
 
-    let mut fam_sim = ClusterSim::with_realization(cfg.clone(), &real);
+    let mut fam_sim = ClusterSim::with_realization(cfg.clone(), real);
     let finished = fam_sim.run();
 
     let mut completion = Online::new();
@@ -121,7 +128,7 @@ pub fn evaluate_policy(
     // The throughput run varies only the termination mode — same trace
     // config, seed, and node count, hence the same realization.
     let tp_cfg = cfg.with_throughput_mode();
-    let mut tp_sim = ClusterSim::with_realization(tp_cfg, &real);
+    let mut tp_sim = ClusterSim::with_realization(tp_cfg, real);
     tp_sim.run();
     let horizon = tp_sim.now().as_secs_f64();
     let throughput =
@@ -141,16 +148,20 @@ pub fn evaluate_policy(
 }
 
 /// The full Fig 7 table (and Fig 8 data) for one workload: all four
-/// policies on identical workload realizations (common random numbers —
-/// every policy sees the same traces and offsets because they derive from
-/// the same master seed).
+/// policies on one workload realization `real` (common random numbers —
+/// every policy sees the same traces and offsets), which must be
+/// [`paper_realization`] at `seed`.
 ///
 /// The four policy runs are independent simulations and fan out across
 /// worker threads; results come back in `Policy::ALL` order regardless
 /// of thread count.
-pub fn policy_comparison(family: JobFamily, nodes: usize, seed: u64) -> Vec<PolicyMetrics> {
+pub fn policy_comparison(
+    family: JobFamily,
+    real: &WorkloadRealization,
+    seed: u64,
+) -> Vec<PolicyMetrics> {
     par_map_indexed(Policy::ALL.len(), None, |i| {
-        evaluate_policy(Policy::ALL[i], family.clone(), nodes, seed)
+        evaluate_policy(Policy::ALL[i], family.clone(), real, seed)
     })
 }
 
@@ -172,12 +183,16 @@ mod tests {
     const NODES: usize = 12;
     const SEED: u64 = 42;
 
+    fn compare(family: JobFamily) -> Vec<PolicyMetrics> {
+        policy_comparison(family, &paper_realization(NODES, SEED), SEED)
+    }
+
     #[test]
     fn heavy_load_lingering_beats_eviction() {
         // The paper's central cluster result (Fig 7, workload-1): LL/LF
         // improve average completion time and throughput substantially
         // over IE/PM.
-        let m = policy_comparison(heavy(), NODES, SEED);
+        let m = compare(heavy());
         let (ll, lf, ie, pm) = (&m[0], &m[1], &m[2], &m[3]);
         assert!(ll.finished && lf.finished && ie.finished && pm.finished);
         assert!(
@@ -205,7 +220,7 @@ mod tests {
     fn light_load_policies_are_similar() {
         // Fig 7, workload-2: "the average job completion time of all four
         // policies is almost identical" because idle capacity suffices.
-        let m = policy_comparison(light(), NODES, SEED);
+        let m = compare(light());
         let base = m[0].avg_completion_secs;
         for pm in &m {
             assert!(
@@ -225,7 +240,7 @@ mod tests {
         // every node saturated with a lingering job (2 jobs per node,
         // denser than the paper's mix), so allow up to the single-node
         // ~1% bound; the full 64-node Fig 7 run checks the 0.5% headline.
-        for m in policy_comparison(heavy(), NODES, SEED) {
+        for m in compare(heavy()) {
             assert!(m.foreground_delay < 0.01, "{}: delay {}", m.policy, m.foreground_delay);
         }
     }
@@ -234,7 +249,7 @@ mod tests {
     fn queue_time_dominates_eviction_policies_under_load() {
         // Fig 8(a): "The major difference between the linger and
         // non-linger policies is due to the reduced queue time."
-        let m = policy_comparison(heavy(), NODES, SEED);
+        let m = compare(heavy());
         let (ll, ie) = (&m[0], &m[2]);
         assert!(
             ie.avg_breakdown.queued > 1.5 * ll.avg_breakdown.queued,
@@ -313,7 +328,7 @@ mod tests {
 
     #[test]
     fn breakdown_totals_approximate_completion() {
-        for m in policy_comparison(light(), NODES, SEED) {
+        for m in compare(light()) {
             let total = m.avg_breakdown.total();
             assert!(
                 (total - m.avg_completion_secs).abs() <= 10.0,
@@ -379,7 +394,8 @@ pub fn evaluate_policy_replicated(
 ) -> ReplicatedMetrics {
     assert!(reps >= 2, "need at least two replications for an interval");
     let runs = par_map_indexed(reps as usize, None, |r| {
-        evaluate_policy(policy, family.clone(), nodes, replication_seed(base_seed, r as u64))
+        let seed = replication_seed(base_seed, r as u64);
+        evaluate_policy(policy, family.clone(), &paper_realization(nodes, seed), seed)
     });
     let mut avg = Online::new();
     let mut tput = Online::new();

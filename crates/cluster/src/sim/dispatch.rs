@@ -521,7 +521,9 @@ fn classify_steals_shard(
 mod tests {
     use super::*;
     use crate::config::AdmissionPolicy;
-    use crate::sim::tests::{at_width, open_cfg, open_cfg_256, run_outcome, sharded, small_cfg};
+    use crate::sim::tests::{
+        at_width, open_cfg, open_cfg_256, realize, run_outcome, sharded, small_cfg,
+    };
 
     #[test]
     fn stealing_family_completes_and_counters_balance() {
@@ -555,10 +557,11 @@ mod tests {
     #[test]
     fn stealing_deterministic_across_shards_and_threads() {
         use crate::stealing::StealingConfig;
+        let mut cfg = open_cfg_256(AdmissionPolicy::Shed, 2.0);
+        cfg.stealing = StealingConfig::randomized(3, 0.5);
+        let real = realize(&cfg);
         let outcome = |shards: usize, width: usize| {
-            let mut cfg = open_cfg_256(AdmissionPolicy::Shed, 2.0);
-            cfg.stealing = StealingConfig::randomized(3, 0.5);
-            at_width(width, || run_outcome(sharded(cfg, shards)))
+            at_width(width, || run_outcome(sharded(cfg.clone(), &real, shards)))
         };
         let base = outcome(1, 1);
         assert_eq!(base, outcome(4, 1), "shards changed stealing bytes");

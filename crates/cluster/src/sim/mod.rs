@@ -72,8 +72,7 @@ use linger_sim_core::{
 };
 use linger_telemetry::{DecisionAction, Event, EventKind, JournalCounts, Recorder};
 use linger_workload::{
-    CoarseTrace, RealizeOrigin, TraceLibrary, TwoPoolMemory, WindowCursor, WorkloadRealization,
-    SAMPLE_PERIOD_SECS,
+    CoarseTrace, TwoPoolMemory, WindowCursor, WorkloadRealization, SAMPLE_PERIOD_SECS,
 };
 use source::Source;
 use std::sync::Arc;
@@ -218,29 +217,17 @@ pub struct ClusterSim {
 }
 
 impl ClusterSim {
-    /// Build the simulation: fetch (or synthesize) the owner-workload
-    /// realization for `(cfg.trace, cfg.seed, cfg.nodes)` from the shared
-    /// [`TraceLibrary`] and queue the whole family at its arrival times.
+    /// Build the simulation: synthesize the owner-workload realization
+    /// for `(cfg.trace, cfg.seed, cfg.nodes)` and queue the whole family
+    /// at its arrival times.
     ///
     /// Common random numbers make the realization independent of policy
-    /// and cost parameters, so repeated constructions across a sweep
-    /// reuse one synthesis; results are identical either way.
+    /// and cost parameters, so a sweep that builds several simulations
+    /// over one key synthesizes once and calls [`Self::with_realization`]
+    /// for each; results are identical either way.
     pub fn new(cfg: ClusterConfig) -> Self {
-        let (real, origin) =
-            TraceLibrary::global().realize_with_origin(&cfg.trace, cfg.seed, cfg.nodes);
-        let sim = Self::with_realization(cfg, &real);
-        sim.telemetry.record(|| {
-            Event::new(
-                0,
-                0,
-                match origin {
-                    RealizeOrigin::Hit => EventKind::TraceCacheHit,
-                    RealizeOrigin::Miss => EventKind::TraceCacheMiss,
-                    RealizeOrigin::Bypass => EventKind::TraceCacheBypass,
-                },
-            )
-        });
-        sim
+        let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
+        Self::with_realization(cfg, &real)
     }
 
     /// Build the simulation over explicit per-node traces and start
@@ -265,8 +252,8 @@ impl ClusterSim {
         Self::with_realization(cfg, &real)
     }
 
-    /// Build the simulation over a shared workload realization (cached or
-    /// freshly synthesized) and queue the whole family at its arrival
+    /// Build the simulation over a workload realization (shared across a
+    /// sweep or freshly synthesized) and queue the whole family at its arrival
     /// times — every constructor ends here. The realization's window
     /// table is shared by `Arc`, never copied per policy; a streamed
     /// realization gets a fresh cursor.
@@ -1585,20 +1572,31 @@ mod tests {
         out
     }
 
-    /// A sim of `cfg` split into exactly `shards` shards.
-    pub(super) fn sharded(cfg: ClusterConfig, shards: usize) -> ClusterSim {
+    /// The owner workload `cfg` replays, for tests that build several
+    /// sims over one `(trace, seed, nodes)` key.
+    pub(super) fn realize(cfg: &ClusterConfig) -> WorkloadRealization {
+        WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes)
+    }
+
+    /// A sim of `cfg` over `real`, split into exactly `shards` shards.
+    pub(super) fn sharded(
+        cfg: ClusterConfig,
+        real: &WorkloadRealization,
+        shards: usize,
+    ) -> ClusterSim {
         assert_eq!(ShardPlan::new(cfg.nodes, shards).shard_count(), shards, "shard axis collapsed");
-        ClusterSim::new(cfg).with_shards(shards)
+        ClusterSim::with_realization(cfg, real).with_shards(shards)
     }
 
     #[test]
     fn shard_count_never_changes_results() {
         // 2,048 nodes (32 bitset words): every shard count below exists.
         let cfg = |policy| ClusterConfig { nodes: 2048, ..small_cfg(policy) };
+        let real = realize(&cfg(Policy::LingerLonger));
         for policy in Policy::ALL {
-            let baseline = run_outcome(sharded(cfg(policy), 1));
+            let baseline = run_outcome(sharded(cfg(policy), &real, 1));
             for shards in [2, 3, 7, 16] {
-                let got = run_outcome(sharded(cfg(policy), shards));
+                let got = run_outcome(sharded(cfg(policy), &real, shards));
                 assert_eq!(baseline, got, "{policy} diverged at {shards} shards");
             }
         }
@@ -1607,8 +1605,9 @@ mod tests {
     #[test]
     fn threaded_shards_never_change_results() {
         let cfg = || ClusterConfig { nodes: 256, ..small_cfg(Policy::LingerLonger) };
-        let baseline = at_width(1, || run_outcome(sharded(cfg(), 1)));
-        assert_eq!(baseline, at_width(4, || run_outcome(sharded(cfg(), 4))));
+        let real = realize(&cfg());
+        let baseline = at_width(1, || run_outcome(sharded(cfg(), &real, 1)));
+        assert_eq!(baseline, at_width(4, || run_outcome(sharded(cfg(), &real, 4))));
     }
 
     #[test]
@@ -1899,8 +1898,10 @@ mod tests {
 
     #[test]
     fn open_mode_deterministic_across_shards() {
+        let real = realize(&open_cfg_256(AdmissionPolicy::Open, 2.0));
         for admission in AdmissionPolicy::ALL {
-            let outcome = |shards| run_outcome(sharded(open_cfg_256(admission, 2.0), shards));
+            let outcome =
+                |shards| run_outcome(sharded(open_cfg_256(admission, 2.0), &real, shards));
             assert_eq!(outcome(1), outcome(4), "{admission:?}: shards changed bytes");
         }
     }

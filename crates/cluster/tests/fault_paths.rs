@@ -36,7 +36,7 @@ use linger_cluster::{
 };
 use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
-use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
+use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution, WorkloadRealization};
 
 const NODES: usize = 512;
 
@@ -96,8 +96,14 @@ fn fnv1a(text: &str) -> u64 {
     h
 }
 
-fn run(cfg: ClusterConfig, shards: usize) -> (u64, ClusterSim) {
-    let mut sim = ClusterSim::new(cfg);
+/// The owner workload `cfg` replays, synthesized once per test and
+/// shared by every run of every pin on the same `(trace, seed, nodes)`.
+fn realize(cfg: &ClusterConfig) -> WorkloadRealization {
+    WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes)
+}
+
+fn run(cfg: &ClusterConfig, real: &WorkloadRealization, shards: usize) -> (u64, ClusterSim) {
+    let mut sim = ClusterSim::with_realization(cfg.clone(), real);
     sim.set_shards(shards);
     sim.run();
     (outcome_digest(&sim), sim)
@@ -111,9 +117,10 @@ fn fault_path_outcomes_are_pinned() {
         (Policy::ImmediateEviction, 0x41f4_41b8_5dca_a708),
         (Policy::PauseAndMigrate, 0xa45d_9064_9116_27de),
     ];
+    let real = realize(&cell(Policy::LingerLonger));
     for (policy, want) in pinned {
         for shards in [1, 4] {
-            let (got, sim) = run(cell(policy), shards);
+            let (got, sim) = run(&cell(policy), &real, shards);
             let fs = sim.fault_stats();
             // The cell must actually exercise the fault paths it pins.
             assert!(fs.crashes > 0 && fs.crash_evictions > 0, "{policy}: {fs:?}");
@@ -148,9 +155,10 @@ fn saturated_dispatcher_outcomes_are_pinned() {
     ];
     let windows = 1800 / 2;
     let mut wrong = Vec::new();
+    let real = realize(&saturated_cell(Policy::LingerLonger));
     for (policy, want) in pinned {
         for shards in [1, 4] {
-            let (got, sim) = run(saturated_cell(policy), shards);
+            let (got, sim) = run(&saturated_cell(policy), &real, shards);
             let svc = sim.service_stats();
             assert!(svc.saturated_windows > windows / 2, "{policy}: {svc:?}");
             // Nodes hosting or receiving a job at the end; the rest are
@@ -230,10 +238,15 @@ fn stealing_cell() -> ClusterConfig {
 /// digest of the outcome and the journal, and the finished sim. A family
 /// run can end two ways, so its digest also covers `run()`'s verdict
 /// (throughput and open runs always end at their horizon).
-fn run_journaled(cfg: ClusterConfig, shards: usize, width: usize) -> (u64, ClusterSim) {
+fn run_journaled(
+    cfg: &ClusterConfig,
+    real: &WorkloadRealization,
+    shards: usize,
+    width: usize,
+) -> (u64, ClusterSim) {
     let family = cfg.mode == RunMode::Family;
     set_default_jobs(width);
-    let mut sim = ClusterSim::new(cfg);
+    let mut sim = ClusterSim::with_realization(cfg.clone(), real);
     sim.set_shards(shards);
     sim.set_recorder(Recorder::with_capacity(1 << 16));
     let done = sim.run();
@@ -250,14 +263,17 @@ fn run_journaled(cfg: ClusterConfig, shards: usize, width: usize) -> (u64, Clust
     (digest, sim)
 }
 
-/// Check each `(name, cfg, want)` pin at shards {1, 4} × widths {1, 4},
-/// reporting every mismatch at once; `check` asserts the cell really
-/// exercised slot turnover.
-fn assert_pins(pins: Vec<(String, ClusterConfig, u64)>, check: impl Fn(&str, &ClusterSim)) {
+/// One pinned cell: name, config, the realization it replays, digest.
+type Pin<'a> = (String, ClusterConfig, &'a WorkloadRealization, u64);
+
+/// Check each pin at shards {1, 4} × widths {1, 4}, reporting every
+/// mismatch at once; `check` asserts the cell really exercised slot
+/// turnover.
+fn assert_pins(pins: Vec<Pin<'_>>, check: impl Fn(&str, &ClusterSim)) {
     let mut wrong = Vec::new();
-    for (name, cfg, want) in pins {
+    for (name, cfg, real, want) in pins {
         for (shards, width) in [(1, 1), (4, 1), (4, 4)] {
-            let (got, sim) = run_journaled(cfg.clone(), shards, width);
+            let (got, sim) = run_journaled(&cfg, real, shards, width);
             check(&name, &sim);
             if got != want {
                 wrong.push(format!("{name} shards={shards} width={width}: {got:#018x}"));
@@ -275,9 +291,10 @@ fn throughput_turnover_outcomes_are_pinned() {
         (Policy::LingerLonger, 0x0590_9ef1_00dd_95fe),
         (Policy::LingerForever, 0xe5d6_a9fb_e3bd_a36d),
     ];
+    let real = realize(&turnover_cell(Policy::LingerLonger));
     let pins = pinned
         .iter()
-        .map(|&(p, want)| (p.to_string(), turnover_cell(p), want))
+        .map(|&(p, want)| (p.to_string(), turnover_cell(p), &real, want))
         .collect();
     assert_pins(pins, |name, sim| {
         assert!(sim.completed() >= 24, "{name}: horizon must turn slots over");
@@ -295,9 +312,10 @@ fn open_admission_outcomes_are_pinned() {
         (AdmissionPolicy::Block, Policy::LingerLonger, 0xc9d8_8594_b33a_e003),
         (AdmissionPolicy::Deadline, Policy::LingerForever, 0x3894_4849_9ed6_91cf),
     ];
+    let real = realize(&open_cell(AdmissionPolicy::Open, Policy::LingerLonger));
     let pins = pinned
         .iter()
-        .map(|&(a, p, want)| (format!("{}/{p}", a.name()), open_cell(a, p), want))
+        .map(|&(a, p, want)| (format!("{}/{p}", a.name()), open_cell(a, p), &real, want))
         .collect();
     assert_pins(pins, |name, sim| {
         assert!(sim.archived_jobs() > 0, "{name}: open runs retire jobs");
@@ -320,22 +338,26 @@ fn stealing_open_outcome_is_pinned() {
     // stealing, so setting one must not move a byte.
     let mut ignored_rtt = stealing_cell();
     ignored_rtt.stealing.central_dispatch_rtt_secs = 4.0;
+    let real = realize(&stealing_cell());
     let pins = vec![
-        ("stealing".to_string(), stealing_cell(), 0x69f2_970a_dd5d_56be),
-        ("stealing+central_rtt".to_string(), ignored_rtt, 0x69f2_970a_dd5d_56be),
+        ("stealing".to_string(), stealing_cell(), &real, 0x69f2_970a_dd5d_56be),
+        ("stealing+central_rtt".to_string(), ignored_rtt, &real, 0x69f2_970a_dd5d_56be),
         (
             "stealing deadline/LL".to_string(),
             stealing_open_cell(AdmissionPolicy::Deadline, Policy::LingerLonger),
+            &real,
             0xf3d3_c1d0_9ffa_3eb6,
         ),
         (
             "stealing block/PM".to_string(),
             stealing_open_cell(AdmissionPolicy::Block, Policy::PauseAndMigrate),
+            &real,
             0x5c25_f605_c18a_5906,
         ),
         (
             "stealing shed/IE".to_string(),
             stealing_open_cell(AdmissionPolicy::Shed, Policy::ImmediateEviction),
+            &real,
             0xecf0_5ba4_cbdd_c724,
         ),
     ];
@@ -405,24 +427,34 @@ fn multi_shard_source_outcomes_are_pinned() {
     // Recorded before the run modes moved behind one job-source seam.
     let mut cut_family = wide_family_cell(Policy::ImmediateEviction);
     cut_family.max_time = SimTime::from_secs(240);
+    let wide = realize(&wide_family_cell(Policy::LingerLonger));
+    let wide_open = realize(&wide_open_cell(Policy::LingerLonger));
     let pins = vec![
         (
             "family/LL".to_string(),
             wide_family_cell(Policy::LingerLonger),
+            &wide,
             0x6af8_785a_79fa_27a4,
         ),
-        ("family/IE at max_time".to_string(), cut_family, 0x262f_5262_69f4_9428),
+        ("family/IE at max_time".to_string(), cut_family, &wide, 0x262f_5262_69f4_9428),
         (
             "throughput/PM".to_string(),
             wide_throughput_cell(Policy::PauseAndMigrate),
+            &wide,
             0xd06d_2b5a_0e96_c68a,
         ),
         (
             "open deadline/LL".to_string(),
             wide_open_cell(Policy::LingerLonger),
+            &wide_open,
             0x3c8b_eb3e_11d2_6b64,
         ),
-        ("stealing shed/LL".to_string(), wide_stealing_cell(), 0xabf8_577e_f4f0_9f38),
+        (
+            "stealing shed/LL".to_string(),
+            wide_stealing_cell(),
+            &wide_open,
+            0xabf8_577e_f4f0_9f38,
+        ),
     ];
     assert_pins(pins, |name, sim| {
         let total = 2 * NODES;

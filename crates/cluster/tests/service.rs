@@ -13,11 +13,11 @@ use linger_cluster::{
 };
 use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
-use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
+use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution, WorkloadRealization};
 use proptest::prelude::*;
 
 #[allow(clippy::too_many_arguments)]
-fn build(
+fn config(
     admission: AdmissionPolicy,
     policy: Policy,
     nodes: usize,
@@ -27,7 +27,7 @@ fn build(
     seed: u64,
     crash_rate: f64,
     fail_prob: f64,
-) -> ClusterSim {
+) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper(policy, JobFamily::empty());
     cfg.nodes = nodes;
     cfg.trace.duration = SimDuration::from_secs(2 * 3600);
@@ -50,7 +50,7 @@ fn build(
         mean_reboot_secs: 120.0,
         migration_failure_prob: fail_prob,
     };
-    ClusterSim::new(cfg)
+    cfg
 }
 
 /// The run's complete observable outcome as one string: population,
@@ -99,7 +99,10 @@ proptest! {
         let policy = Policy::ALL[policy_idx];
         let load = load_milli as f64 / 1000.0;
         let cap = 2 * nodes;
-        let mk = || build(admission, policy, nodes, load, cap, 1800, seed, crash_rate, fail_prob);
+        let cfg = config(admission, policy, nodes, load, cap, 1800, seed, crash_rate, fail_prob);
+        // One synthesis serves all four runs of this case.
+        let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
+        let mk = || ClusterSim::with_realization(cfg.clone(), &real);
         let baseline = run_signature(mk(), 1, 1);
         for shards in [1usize, 4] {
             prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);

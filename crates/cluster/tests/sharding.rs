@@ -8,10 +8,10 @@ use linger::{JobFamily, Policy};
 use linger_cluster::{ClusterConfig, ClusterSim, FaultConfig};
 use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
+use linger_workload::WorkloadRealization;
 use proptest::prelude::*;
 
-#[allow(clippy::too_many_arguments)]
-fn build(
+fn config(
     policy: Policy,
     nodes: usize,
     jobs: u32,
@@ -19,7 +19,7 @@ fn build(
     seed: u64,
     crash_rate: f64,
     fail_prob: f64,
-) -> ClusterSim {
+) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper(
         policy,
         JobFamily::uniform(jobs, SimDuration::from_secs(demand_s), 8 * 1024),
@@ -38,7 +38,7 @@ fn build(
         mean_reboot_secs: 120.0,
         migration_failure_prob: fail_prob,
     };
-    ClusterSim::new(cfg)
+    cfg
 }
 
 /// The run's complete observable outcome as one string: every job
@@ -80,7 +80,10 @@ proptest! {
         fail_prob in 0.05f64..0.5,
     ) {
         let policy = Policy::ALL[policy_idx];
-        let mk = || build(policy, nodes, jobs, demand_s, seed, crash_rate, fail_prob);
+        let cfg = config(policy, nodes, jobs, demand_s, seed, crash_rate, fail_prob);
+        // One synthesis serves all nine runs of this case.
+        let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
+        let mk = || ClusterSim::with_realization(cfg.clone(), &real);
         let baseline = run_signature(mk(), 1, 1);
         for shards in [1usize, 2, 7, 16] {
             prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);

@@ -11,10 +11,11 @@ use linger::{JobFamily, Policy};
 use linger_cluster::{ClusterConfig, ClusterSim, FaultConfig, RunMode};
 use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
+use linger_workload::WorkloadRealization;
 use proptest::prelude::*;
 
 #[allow(clippy::too_many_arguments)]
-fn build(
+fn config(
     policy: Policy,
     nodes: usize,
     jobs: u32,
@@ -23,7 +24,7 @@ fn build(
     seed: u64,
     crash_rate: f64,
     fail_prob: f64,
-) -> ClusterSim {
+) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper(
         policy,
         JobFamily::uniform(jobs, SimDuration::from_secs(demand_s), 8 * 1024),
@@ -37,7 +38,7 @@ fn build(
         mean_reboot_secs: 120.0,
         migration_failure_prob: fail_prob,
     };
-    ClusterSim::new(cfg)
+    cfg
 }
 
 /// The run's complete observable outcome as one string (same shape as
@@ -89,7 +90,10 @@ proptest! {
         // A horizon several demand-lengths long so completed jobs
         // respawn repeatedly and recycled slots actually get reused.
         let horizon_s = demand_s * 8;
-        let mk = || build(policy, nodes, jobs, demand_s, horizon_s, seed, crash_rate, fail_prob);
+        let cfg = config(policy, nodes, jobs, demand_s, horizon_s, seed, crash_rate, fail_prob);
+        // One synthesis serves all four runs of this case.
+        let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
+        let mk = || ClusterSim::with_realization(cfg.clone(), &real);
         let baseline = run_signature(mk(), 1, 1);
         for shards in [1usize, 4] {
             prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);
@@ -119,14 +123,15 @@ proptest! {
 fn recycling_pins_live_rows_under_turnover() {
     let large = if cfg!(debug_assertions) { 4096 } else { 65_536 };
     let cells = [
-        (build(Policy::LingerLonger, 24, 12, 90, 1800, 7, 2.0, 0.1), 12, 2.0),
+        (config(Policy::LingerLonger, 24, 12, 90, 1800, 7, 2.0, 0.1), 12, 2.0),
         (
-            build(Policy::LingerLonger, large, 2 * large as u32, 30, 600, 1998, 0.0, 0.0),
+            config(Policy::LingerLonger, large, 2 * large as u32, 30, 600, 1998, 0.0, 0.0),
             2 * large,
             4.0,
         ),
     ];
-    for (mut sim, initial_jobs, min_turnover) in cells {
+    for (cfg, initial_jobs, min_turnover) in cells {
+        let mut sim = ClusterSim::new(cfg);
         sim.run();
         let turnover = sim.completed() as f64 / initial_jobs as f64;
         assert!(

@@ -15,11 +15,11 @@ use linger_cluster::{
 };
 use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
-use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
+use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution, WorkloadRealization};
 use proptest::prelude::*;
 
 #[allow(clippy::too_many_arguments)]
-fn build(
+fn config(
     policy: Policy,
     nodes: usize,
     load: f64,
@@ -29,7 +29,7 @@ fn build(
     fail_prob: f64,
     stealing: StealingConfig,
     pareto: bool,
-) -> ClusterSim {
+) -> ClusterConfig {
     let mut cfg = ClusterConfig::paper(policy, JobFamily::empty());
     cfg.nodes = nodes;
     cfg.trace.duration = SimDuration::from_secs(2 * 3600);
@@ -57,7 +57,7 @@ fn build(
         migration_failure_prob: fail_prob,
     };
     cfg.stealing = stealing;
-    ClusterSim::new(cfg)
+    cfg
 }
 
 /// The run's complete observable outcome as one string: population,
@@ -117,9 +117,10 @@ proptest! {
         if steal_half {
             stealing = stealing.with_steal_half();
         }
-        let mk = || build(
-            policy, nodes, load, 1800, seed, crash_rate, fail_prob, stealing, pareto,
-        );
+        let cfg = config(policy, nodes, load, 1800, seed, crash_rate, fail_prob, stealing, pareto);
+        // One synthesis serves all four runs of this case.
+        let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
+        let mk = || ClusterSim::with_realization(cfg.clone(), &real);
         let baseline = run_signature(mk(), 1, 1);
         for shards in [1usize, 4] {
             prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);
@@ -148,9 +149,14 @@ proptest! {
 /// a signature diff.
 #[test]
 fn zero_latency_stealing_tracks_the_central_queue() {
+    let cfg =
+        |stealing| config(Policy::LingerLonger, 16, 1.5, 4 * 3600, 1998, 0.0, 0.0, stealing, false);
+    let real = {
+        let c = cfg(StealingConfig::disabled());
+        WorkloadRealization::synthesize(&c.trace, c.seed, c.nodes)
+    };
     let run = |stealing: StealingConfig| {
-        let mut sim =
-            build(Policy::LingerLonger, 16, 1.5, 4 * 3600, 1998, 0.0, 0.0, stealing, false);
+        let mut sim = ClusterSim::with_realization(cfg(stealing), &real);
         sim.run();
         (sim.completed(), sim.service_stats().clone(), sim.steal_stats())
     };

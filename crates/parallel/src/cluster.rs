@@ -26,7 +26,7 @@ use linger_node::steal_rate;
 use linger_sim_core::{NodeIndex, RngFactory, SimDuration, SimTime};
 use linger_telemetry::{DecisionAction, Event, EventKind, Recorder};
 use linger_workload::{
-    BurstParamTable, CoarseTraceConfig, TraceLibrary, WorkloadRealization, SAMPLE_PERIOD_SECS,
+    BurstParamTable, CoarseTraceConfig, WorkloadRealization, SAMPLE_PERIOD_SECS,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -133,10 +133,7 @@ pub fn simulate_parallel_cluster_with_recorder(
     policy: ParallelPolicy,
     recorder: &Recorder,
 ) -> ParallelClusterReport {
-    // Offsets and window rows come from the shared realization cache —
-    // the same streams this code used to draw by hand, so the sweep's
-    // repeated calls reuse one synthesis.
-    let real = TraceLibrary::global().realize(&cfg.trace, cfg.seed, cfg.nodes);
+    let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
     simulate_over(cfg, policy, recorder, &real)
 }
 
@@ -423,11 +420,14 @@ pub struct ThroughputComparison {
 }
 
 /// Sweep offered load (via inter-arrival time) and compare the two
-/// policies end-to-end — the extension experiment.
+/// policies end-to-end — the extension experiment. Every point varies
+/// only the arrivals, so all of them replay one realization of `base`'s
+/// workload, synthesized once.
 pub fn throughput_sweep(
     base: &ParallelClusterConfig,
     interarrivals_s: &[u64],
 ) -> Vec<ThroughputComparison> {
+    let real = WorkloadRealization::synthesize(&base.trace, base.seed, base.nodes);
     interarrivals_s
         .iter()
         .map(|&ia| {
@@ -435,10 +435,11 @@ pub fn throughput_sweep(
                 interarrival_mean: SimDuration::from_secs(ia),
                 ..base.clone()
             };
+            let run = |policy| simulate_over(&cfg, policy, &Recorder::from_env(), &real);
             ThroughputComparison {
                 interarrival_secs: ia as f64,
-                rigid: simulate_parallel_cluster(&cfg, ParallelPolicy::RigidIdle),
-                linger: simulate_parallel_cluster(&cfg, ParallelPolicy::Linger),
+                rigid: run(ParallelPolicy::RigidIdle),
+                linger: run(ParallelPolicy::Linger),
             }
         })
         .collect()

@@ -116,8 +116,8 @@ where
 /// vector is identical at any thread count. `f` runs under
 /// [`std::panic::catch_unwind`]; units are independent by contract, so a
 /// panicking unit cannot leave state behind that other units observe
-/// (shared caches consumed through `Arc` snapshots stay consistent —
-/// holders of locks must be poison-tolerant, see `workload::library`).
+/// (state shared between units, such as a workload realization, is
+/// read-only).
 pub fn try_par_map_indexed<U, F>(n: usize, jobs: Option<usize>, f: F) -> Vec<Result<U, CellPanic>>
 where
     U: Send,

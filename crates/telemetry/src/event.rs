@@ -141,12 +141,6 @@ pub enum EventKind {
         /// Migrations the job performed.
         migrations: u32,
     },
-    /// The shared workload-realization cache served this run's traces.
-    TraceCacheHit,
-    /// The cache synthesized this run's traces afresh.
-    TraceCacheMiss,
-    /// The cache was bypassed (`LINGER_NO_TRACE_CACHE=1`).
-    TraceCacheBypass,
     /// Summary of one single-node impact study run (`node::single`).
     NodeStudy {
         /// Configured local (foreground) utilization.
@@ -237,9 +231,6 @@ impl EventKind {
             EventKind::NodeReboot => "node_reboot",
             EventKind::QueueEnter => "queue_enter",
             EventKind::Complete { .. } => "complete",
-            EventKind::TraceCacheHit => "trace_cache_hit",
-            EventKind::TraceCacheMiss => "trace_cache_miss",
-            EventKind::TraceCacheBypass => "trace_cache_bypass",
             EventKind::NodeStudy { .. } => "node_study",
             EventKind::ArrivalBurst { .. } => "arrival_burst",
             EventKind::AdmissionShed { .. } => "admission_shed",

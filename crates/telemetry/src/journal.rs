@@ -69,7 +69,7 @@ impl JournalCounts {
 }
 
 /// Number of `EventKind` variants (see [`kind_slot`]).
-pub const KIND_SLOTS: usize = 23;
+pub const KIND_SLOTS: usize = 20;
 /// Number of `DecisionAction` variants.
 pub const ACTION_SLOTS: usize = 9;
 
@@ -88,18 +88,15 @@ pub fn kind_slot(kind: &EventKind) -> usize {
         EventKind::NodeReboot => 8,
         EventKind::QueueEnter => 9,
         EventKind::Complete { .. } => 10,
-        EventKind::TraceCacheHit => 11,
-        EventKind::TraceCacheMiss => 12,
-        EventKind::TraceCacheBypass => 13,
-        EventKind::NodeStudy { .. } => 14,
-        EventKind::ArrivalBurst { .. } => 15,
-        EventKind::AdmissionShed { .. } => 16,
-        EventKind::AdmissionDefer { .. } => 17,
-        EventKind::DeadlineDrop { .. } => 18,
-        EventKind::StealAttempt { .. } => 19,
-        EventKind::StealHit { .. } => 20,
-        EventKind::StealMiss { .. } => 21,
-        EventKind::StealAbandon { .. } => 22,
+        EventKind::NodeStudy { .. } => 11,
+        EventKind::ArrivalBurst { .. } => 12,
+        EventKind::AdmissionShed { .. } => 13,
+        EventKind::AdmissionDefer { .. } => 14,
+        EventKind::DeadlineDrop { .. } => 15,
+        EventKind::StealAttempt { .. } => 16,
+        EventKind::StealHit { .. } => 17,
+        EventKind::StealMiss { .. } => 18,
+        EventKind::StealAbandon { .. } => 19,
     }
 }
 
@@ -116,9 +113,6 @@ pub const KIND_NAMES: [&str; KIND_SLOTS] = [
     "node_reboot",
     "queue_enter",
     "complete",
-    "trace_cache_hit",
-    "trace_cache_miss",
-    "trace_cache_bypass",
     "node_study",
     "arrival_burst",
     "admission_shed",
@@ -433,9 +427,6 @@ mod tests {
                 completion_secs: 0.0,
                 migrations: 0,
             },
-            EventKind::TraceCacheHit,
-            EventKind::TraceCacheMiss,
-            EventKind::TraceCacheBypass,
             EventKind::NodeStudy { utilization: 0.0, ldr: 0.0, fcsr: 0.0, preemptions: 0 },
             EventKind::ArrivalBurst { offered: 0, admitted: 0, depth: 0 },
             EventKind::AdmissionShed { count: 0 },

@@ -18,9 +18,9 @@
 //!   two-phase MMPP) for the serving mode, seeded per window;
 //! * [`generator`] — the two-level generator wiring coarse traces to the
 //!   burst process (Fig 6);
-//! * [`library`] — the shared workload-realization cache: one synthesis
-//!   of offsets + window table (or stream spec) per `(config, seed,
-//!   nodes)` key, reused across policies, sweep points, and replications;
+//! * [`realization`] — one cluster's owner workload: per-node offsets
+//!   plus the window table (or stream spec), synthesized once per
+//!   `(config, seed, nodes)` and passed to every run that replays it;
 //! * [`stream`] — the memory-bounded streaming realization: resumable
 //!   per-node trace streams feeding a chunked window cursor, for node
 //!   counts whose monolithic table would not fit the byte budget;
@@ -63,10 +63,10 @@ pub mod dispatch;
 pub mod fit_table;
 pub mod generator;
 pub mod io;
-pub mod library;
 pub mod memory;
 pub mod paging;
 pub mod params;
+pub mod realization;
 pub mod stream;
 pub mod trace_text;
 
@@ -80,8 +80,8 @@ pub use coarse::{
 pub use dispatch::DispatchTrace;
 pub use fit_table::{BurstFitTable, FitPair};
 pub use generator::LocalWorkload;
-pub use library::{RealizeOrigin, TraceCacheStats, TraceLibrary, WindowTable, WorkloadRealization};
 pub use memory::{TwoPoolMemory, PAGE_KB};
 pub use paging::{Owner, PagingConfig, PagingSim, PagingStats};
 pub use params::{BucketParams, BurstParamTable, NUM_BUCKETS, WINDOW_SECS};
+pub use realization::{WindowTable, WorkloadRealization};
 pub use stream::{StreamSpec, WindowCursor, WindowRows, DEFAULT_WINDOW_BUDGET_BYTES};

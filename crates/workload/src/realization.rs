@@ -1,4 +1,4 @@
-//! Shared workload-realization cache.
+//! One cluster's owner workload, synthesized once and shared.
 //!
 //! Every policy evaluation under common random numbers deliberately
 //! replays the *same* owner-workload realization: the per-node phase
@@ -7,32 +7,17 @@
 //! domain, node id)` — never from the policy, the cost parameters, or
 //! the thread that happens to run the simulation. Re-synthesizing them
 //! for each of the four policies at every sweep point is therefore pure
-//! redundant work: the bytes are provably identical.
-//!
-//! [`TraceLibrary`] is a content-keyed store of those realizations. The
-//! key is `(CoarseTraceConfig, seed, node count)` — the *logical* inputs
-//! of synthesis, bit-exact on the float fields — so a cache hit returns
-//! exactly the `Arc` a miss would have built, and results are
-//! byte-identical whether the cache is cold, warm, bypassed
-//! (`LINGER_NO_TRACE_CACHE=1`), or evicted mid-sweep. Misses synthesize
-//! deterministically; hits are pure reads.
-//!
-//! Memory is bounded: each entry's resident bytes are estimated at
-//! insertion and least-recently-used entries are dropped once the 1 GiB
-//! budget is exceeded. Eviction is safe by construction — holders keep
-//! their `Arc`s alive, and a re-miss re-synthesizes the identical
-//! realization.
+//! redundant work: the bytes are provably identical. A sweep calls
+//! [`WorkloadRealization::synthesize`] once per `(trace config, seed,
+//! node count)` and hands the realization to every cell that shares it.
 
 use crate::coarse::{CoarseTrace, CoarseTraceConfig, TraceStream};
 use crate::generator::LocalWorkload;
 use crate::stream::{
     streamed_chunk_windows, StreamSpec, WindowCursor, DEFAULT_WINDOW_BUDGET_BYTES,
 };
-use linger_sim_core::{env_count, env_flag, par_map_indexed, RngFactory};
-use serde::Serialize;
-use std::collections::{hash_map, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use linger_sim_core::{env_count, par_map_indexed, RngFactory};
+use std::sync::{Arc, Mutex};
 
 /// Window-major struct-of-arrays matrix of every node's `(cpu, mem,
 /// idle)` per window.
@@ -287,10 +272,10 @@ impl WorkloadRealization {
     ///
     /// Node `n`'s samples come from its `COARSE_TRACE`/`MEMORY` streams
     /// and its offset from its `TRACE_OFFSET` stream — exactly the
-    /// streams `ClusterSim::new` historically drew, so cached and
-    /// uncached construction are bit-identical. Synthesis is index-keyed,
-    /// so it fans out over the process worker pool without affecting the
-    /// bytes produced.
+    /// streams `ClusterSim::new` historically drew, so a realization
+    /// shared across runs and a fresh one per run are bit-identical.
+    /// Synthesis is index-keyed, so it fans out over the process worker
+    /// pool without affecting the bytes produced.
     ///
     /// When the window table would not fit the window byte budget
     /// ([`DEFAULT_WINDOW_BUDGET_BYTES`], 4 GiB) — or
@@ -401,8 +386,8 @@ impl WorkloadRealization {
     }
 
     /// Estimated resident bytes: the window table plus the offsets (just
-    /// the offsets for a streamed realization — cursors own the chunk
-    /// arena and are not cached).
+    /// the offsets for a streamed realization — each cursor owns its
+    /// chunk arena).
     pub fn approx_bytes(&self) -> usize {
         let table = self.window_table().map_or(0, |t| t.approx_bytes());
         table + self.offsets.len() * std::mem::size_of::<usize>()
@@ -415,277 +400,6 @@ fn draw_offsets(period: usize, factory: &RngFactory, nodes: usize) -> Vec<usize>
     (0..nodes)
         .map(|n| LocalWorkload::random_offset_for_len(period, factory, n as u64))
         .collect()
-}
-
-/// Cache key: the logical inputs of synthesis, bit-exact.
-///
-/// Float fields are keyed by `to_bits`, so two configs compare equal iff
-/// synthesis would walk identical sample paths. Thread identity, policy,
-/// and cost parameters are deliberately absent: they cannot influence the
-/// realization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct RealizationKey {
-    duration_ns: u64,
-    active_bits: u64,
-    away_bits: u64,
-    keyboard_bits: u64,
-    persistence_bits: u64,
-    diurnal: bool,
-    weekly: bool,
-    seed: u64,
-    nodes: usize,
-}
-
-impl RealizationKey {
-    fn new(cfg: &CoarseTraceConfig, seed: u64, nodes: usize) -> RealizationKey {
-        RealizationKey {
-            duration_ns: cfg.duration.as_nanos(),
-            active_bits: cfg.active_episode_mean_secs.to_bits(),
-            away_bits: cfg.away_episode_mean_secs.to_bits(),
-            keyboard_bits: cfg.keyboard_prob.to_bits(),
-            persistence_bits: cfg.cpu_persistence.to_bits(),
-            diurnal: cfg.diurnal,
-            weekly: cfg.weekly,
-            seed,
-            nodes,
-        }
-    }
-}
-
-struct Entry {
-    slot: Arc<OnceLock<Arc<WorkloadRealization>>>,
-    last_used: u64,
-    /// 0 until the realization is synthesized and its size recorded.
-    bytes: usize,
-}
-
-struct LibState {
-    entries: HashMap<RealizationKey, Entry>,
-    clock: u64,
-    bytes: usize,
-    max_bytes: usize,
-}
-
-/// How a [`TraceLibrary::realize_with_origin`] lookup was served.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RealizeOrigin {
-    /// Served from an existing cache entry.
-    Hit,
-    /// Synthesized afresh and cached.
-    Miss,
-    /// Synthesized afresh, cache disabled (`LINGER_NO_TRACE_CACHE=1`).
-    Bypass,
-}
-
-/// Counter snapshot of a [`TraceLibrary`], serialized into
-/// `BENCH_runall.json`.
-#[derive(Debug, Clone, Serialize)]
-pub struct TraceCacheStats {
-    /// Lookups served from an existing entry.
-    pub hits: u64,
-    /// Lookups that had to synthesize.
-    pub misses: u64,
-    /// Lookups that skipped the cache (`LINGER_NO_TRACE_CACHE=1`).
-    pub bypasses: u64,
-    /// Entries dropped to stay under the byte budget.
-    pub evictions: u64,
-    /// Realizations currently resident.
-    pub entries: usize,
-    /// Estimated bytes currently resident.
-    pub bytes_resident: usize,
-    /// Byte budget evictions enforce.
-    pub max_bytes: usize,
-}
-
-impl TraceCacheStats {
-    /// Fraction of cached lookups that hit, in `[0, 1]` (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Default byte budget: 1 GiB. A realization costs ~21.8 KB per node at
-/// a 1-hour trace (window table + offset), so the 64–16,384-node scaling
-/// points fit together (~477 MB) with headroom; a 65,536-node table
-/// (~1.43 GB) exceeds the budget on its own, so it evicts every other
-/// entry and is itself evicted by the next miss.
-const DEFAULT_MAX_BYTES: usize = 1 << 30;
-
-/// Content-keyed store of [`WorkloadRealization`]s.
-///
-/// Concurrent misses on the same key synthesize once: the map holds an
-/// `Arc<OnceLock<..>>` per key, claimed under the lock but initialized
-/// outside it, so latecomers block on `get_or_init` instead of
-/// duplicating work — and the lock is never held across synthesis.
-pub struct TraceLibrary {
-    state: Mutex<LibState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
-    evictions: AtomicU64,
-}
-
-impl std::fmt::Debug for TraceLibrary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TraceLibrary").field("stats", &self.stats()).finish()
-    }
-}
-
-impl Default for TraceLibrary {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TraceLibrary {
-    /// An empty library with the default byte budget.
-    pub fn new() -> TraceLibrary {
-        TraceLibrary::with_max_bytes(DEFAULT_MAX_BYTES)
-    }
-
-    /// An empty library that evicts least-recently-used realizations once
-    /// the estimated resident size exceeds `max_bytes`.
-    pub fn with_max_bytes(max_bytes: usize) -> TraceLibrary {
-        TraceLibrary {
-            state: Mutex::new(LibState { entries: HashMap::new(), clock: 0, bytes: 0, max_bytes }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
-    }
-
-    /// Lock the cache state, tolerating poison.
-    ///
-    /// A cell that panics mid-`realize` (the harness isolates such
-    /// panics and keeps running) must not take the shared cache down
-    /// with it: the state is a plain map plus counters, and every
-    /// mutation leaves it consistent, so recovering the guard is safe.
-    fn state(&self) -> std::sync::MutexGuard<'_, LibState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// The process-wide shared library, with the default byte budget.
-    pub fn global() -> &'static TraceLibrary {
-        static GLOBAL: OnceLock<TraceLibrary> = OnceLock::new();
-        GLOBAL.get_or_init(TraceLibrary::new)
-    }
-
-    /// The realization for `(cfg, seed, nodes)` — synthesized on first
-    /// sight, shared thereafter.
-    ///
-    /// Setting `LINGER_NO_TRACE_CACHE=1` makes every call synthesize
-    /// afresh (counted as a bypass); because hits return exactly what a
-    /// miss would build, this changes wall-clock only, never results.
-    pub fn realize(
-        &self,
-        cfg: &CoarseTraceConfig,
-        seed: u64,
-        nodes: usize,
-    ) -> Arc<WorkloadRealization> {
-        self.realize_with_origin(cfg, seed, nodes).0
-    }
-
-    /// Like [`Self::realize`], also reporting how the lookup was served
-    /// — so callers (the cluster simulator's telemetry) can attribute a
-    /// hit/miss/bypass to *this* realization without racing on the
-    /// shared counters.
-    pub fn realize_with_origin(
-        &self,
-        cfg: &CoarseTraceConfig,
-        seed: u64,
-        nodes: usize,
-    ) -> (Arc<WorkloadRealization>, RealizeOrigin) {
-        if env_flag("LINGER_NO_TRACE_CACHE") {
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
-            let real = Arc::new(WorkloadRealization::synthesize(cfg, seed, nodes));
-            return (real, RealizeOrigin::Bypass);
-        }
-        let key = RealizationKey::new(cfg, seed, nodes);
-        let (slot, origin) = {
-            let mut st = self.state();
-            st.clock += 1;
-            let now = st.clock;
-            match st.entries.entry(key) {
-                hash_map::Entry::Occupied(mut e) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    e.get_mut().last_used = now;
-                    (e.get().slot.clone(), RealizeOrigin::Hit)
-                }
-                hash_map::Entry::Vacant(v) => {
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    let slot = v
-                        .insert(Entry {
-                            slot: Arc::new(OnceLock::new()),
-                            last_used: now,
-                            bytes: 0,
-                        })
-                        .slot
-                        .clone();
-                    (slot, RealizeOrigin::Miss)
-                }
-            }
-        };
-        let real = slot
-            .get_or_init(|| Arc::new(WorkloadRealization::synthesize(cfg, seed, nodes)))
-            .clone();
-        let mut st = self.state();
-        if let Some(e) = st.entries.get_mut(&key) {
-            // Record the size once the slot backing this entry is filled
-            // (the entry may have been evicted and re-created meanwhile —
-            // only account for the slot we actually hold).
-            if e.bytes == 0 && Arc::ptr_eq(&e.slot, &slot) {
-                e.bytes = real.approx_bytes().max(1);
-                st.bytes += e.bytes;
-            }
-        }
-        self.evict_over_budget(&mut st, &key);
-        (real, origin)
-    }
-
-    /// Drop LRU-initialized entries (never `keep`) until under budget.
-    fn evict_over_budget(&self, st: &mut LibState, keep: &RealizationKey) {
-        while st.bytes > st.max_bytes {
-            let victim = st
-                .entries
-                .iter()
-                .filter(|(k, e)| e.bytes > 0 && *k != keep)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| *k);
-            let Some(k) = victim else { break };
-            let e = st.entries.remove(&k).expect("victim chosen from map");
-            st.bytes -= e.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Current counter snapshot.
-    pub fn stats(&self) -> TraceCacheStats {
-        let st = self.state();
-        TraceCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: st.entries.len(),
-            bytes_resident: st.bytes,
-            max_bytes: st.max_bytes,
-        }
-    }
-
-    /// Drop every resident realization (counters are kept).
-    ///
-    /// Outstanding `Arc`s stay valid; the next lookup per key is a miss.
-    pub fn clear(&self) {
-        let mut st = self.state();
-        st.entries.clear();
-        st.bytes = 0;
-    }
 }
 
 #[cfg(test)]
@@ -843,80 +557,5 @@ mod tests {
         let a = Arc::new(c.synthesize(&f, 0));
         let b = Arc::new(cfg(1200).synthesize(&f, 1));
         assert!(WindowTable::build(&[a, b], &[0, 0]).is_none());
-    }
-
-    #[test]
-    fn hits_share_the_synthesized_arc() {
-        let lib = TraceLibrary::new();
-        let c = cfg(600);
-        let a = lib.realize(&c, 1, 3);
-        let b = lib.realize(&c, 1, 3);
-        assert!(Arc::ptr_eq(&a, &b));
-        let s = lib.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert_eq!(s.bytes_resident, a.approx_bytes());
-        // A different seed is a different realization.
-        let other = lib.realize(&c, 2, 3);
-        assert!(!Arc::ptr_eq(&a, &other));
-        assert_eq!(lib.stats().misses, 2);
-    }
-
-    #[test]
-    fn key_is_bit_exact_on_the_config() {
-        let lib = TraceLibrary::new();
-        let c = cfg(600);
-        let _ = lib.realize(&c, 1, 3);
-        let mut tweaked = c.clone();
-        tweaked.keyboard_prob += 1e-12;
-        let _ = lib.realize(&tweaked, 1, 3);
-        assert_eq!(lib.stats().misses, 2, "any float perturbation must re-key");
-    }
-
-    #[test]
-    fn eviction_keeps_results_identical_and_respects_the_budget() {
-        let c = cfg(600);
-        let probe = WorkloadRealization::synthesize(&c, 1, 2);
-        // Budget fits one entry but not two.
-        let lib = TraceLibrary::with_max_bytes(probe.approx_bytes() + probe.approx_bytes() / 2);
-        let a1 = lib.realize(&c, 1, 2);
-        let _b = lib.realize(&c, 2, 2); // evicts seed 1
-        let s = lib.stats();
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.entries, 1);
-        assert!(s.bytes_resident <= s.max_bytes);
-        // The evicted Arc is still usable, and a re-miss resynthesizes
-        // the identical realization.
-        let a2 = lib.realize(&c, 1, 2);
-        assert!(!Arc::ptr_eq(&a1, &a2));
-        assert_eq!(a1.offsets(), a2.offsets());
-        let table = |r: &WorkloadRealization| r.window_table().expect("monolithic").clone();
-        assert_same_rows(&table(&a2), &table(&a1), "re-synthesized after eviction");
-        assert_eq!(lib.stats().misses, 3);
-    }
-
-    #[test]
-    fn clear_forces_fresh_misses_but_not_fresh_bytes() {
-        let lib = TraceLibrary::new();
-        let c = cfg(600);
-        let a = lib.realize(&c, 9, 2);
-        lib.clear();
-        assert_eq!(lib.stats().bytes_resident, 0);
-        let b = lib.realize(&c, 9, 2);
-        assert!(!Arc::ptr_eq(&a, &b));
-        assert_eq!(a.offsets(), b.offsets());
-        assert_eq!(lib.stats().misses, 2);
-    }
-
-    #[test]
-    fn stats_hit_rate() {
-        let lib = TraceLibrary::new();
-        assert_eq!(lib.stats().hit_rate(), 0.0);
-        let c = cfg(600);
-        for _ in 0..4 {
-            let _ = lib.realize(&c, 5, 2);
-        }
-        let s = lib.stats();
-        assert_eq!((s.hits, s.misses), (3, 1));
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
     }
 }

@@ -40,12 +40,12 @@
 //!
 //! `LINGER_WINDOW_CHUNK` forces streaming with an explicit chunk size
 //! (in windows); [`DEFAULT_WINDOW_BUDGET_BYTES`] (4 GiB) is the ceiling
-//! above which a monolithic realization would not fit and the library
+//! above which a monolithic realization would not fit and synthesis
 //! switches to streaming on its own, sizing chunks to a quarter of the
 //! budget.
 
 use crate::coarse::{CoarseTraceConfig, TraceStream};
-use crate::library::WindowTable;
+use crate::realization::WindowTable;
 use linger_sim_core::{default_jobs, RngFactory, ShardPlan, SHARD_MIN_NODES};
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,7 +78,7 @@ fn window_row_bytes(nodes: usize) -> usize {
 /// its arguments, so the choice for every sweep point is testable
 /// without synthesizing anything.
 ///
-/// [`WorkloadRealization::synthesize`]: crate::library::WorkloadRealization::synthesize
+/// [`WorkloadRealization::synthesize`]: crate::realization::WorkloadRealization::synthesize
 pub fn streamed_chunk_windows(
     nodes: usize,
     period: usize,
@@ -102,8 +102,8 @@ pub fn auto_chunk_windows(nodes: usize, period: usize, budget_bytes: usize) -> u
 
 /// The immutable recipe for a streamed realization: everything a
 /// [`WindowCursor`] needs to realize any window of any node, and nothing
-/// mutable — so it can live in the shared trace cache and serve any
-/// number of concurrent simulations, each with its own cursor.
+/// mutable — so one realization can serve any number of concurrent
+/// simulations, each with its own cursor.
 #[derive(Debug, Clone)]
 pub struct StreamSpec {
     /// Trace generator configuration (fixes the period).
@@ -188,9 +188,9 @@ pub struct WindowRows<'a> {
 /// [`WindowCursor::rows`] returns the identical bytes for every window.
 ///
 /// One cursor belongs to exactly one simulation run (the per-node
-/// streams are mutable); the realization is the cacheable part.
+/// streams are mutable); the realization is the shareable part.
 ///
-/// [`WorkloadRealization::cursor`]: crate::library::WorkloadRealization::cursor
+/// [`WorkloadRealization::cursor`]: crate::realization::WorkloadRealization::cursor
 pub struct WindowCursor {
     source: RowSource,
 }
@@ -423,7 +423,7 @@ struct ShardFill<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::library::WorkloadRealization;
+    use crate::realization::WorkloadRealization;
     use linger_sim_core::SimDuration;
 
     fn cfg(secs: u64) -> CoarseTraceConfig {

@@ -10,7 +10,7 @@
 
 use linger::cost::linger_duration;
 use linger::{JobFamily, MigrationCostModel, Policy};
-use linger_cluster::policy_comparison;
+use linger_cluster::{paper_realization, policy_comparison};
 use linger_node::{simulate_single_node, SingleNodeConfig};
 use linger_sim_core::SimDuration;
 
@@ -46,7 +46,7 @@ fn main() {
     // -- 3. Policies on a shared cluster (Sec 4.2) ---------------------
     println!("\n16-node cluster, 32 jobs x 5 CPU-minutes:");
     let family = JobFamily::uniform(32, SimDuration::from_secs(300), 8 * 1024);
-    for m in policy_comparison(family, 16, 7) {
+    for m in policy_comparison(family, &paper_realization(16, 7), 7) {
         println!(
             "  {:<18} avg completion {:>5.0} s, throughput {:>4.1} cpu-s/s",
             m.policy.to_string(),

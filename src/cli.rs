@@ -199,8 +199,9 @@ fn cmd_cluster(cli: &Cli) -> Result<String, CliError> {
     };
     let mut out = String::new();
     let _ = writeln!(out, "{nodes}-node cluster, {jobs} jobs x {job_secs} cpu-s (seed {seed}):");
+    let real = linger_cluster::paper_realization(nodes, seed);
     for p in policies {
-        let m = linger_cluster::evaluate_policy(p, family.clone(), nodes, seed);
+        let m = linger_cluster::evaluate_policy(p, family.clone(), &real, seed);
         let _ = writeln!(
             out,
             "  {:<4} avg {:>6.0} s | family {:>6.0} s | tput {:>5.1} cpu-s/s | delay {:.2}%",

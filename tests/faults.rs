@@ -15,7 +15,7 @@
 use linger::{JobFamily, Policy};
 use linger_cluster::{ClusterConfig, ClusterSim, FaultConfig, FaultModel, RunMode};
 use linger_sim_core::{par_map_indexed, try_par_map_indexed, SimDuration, SimTime};
-use linger_workload::{CoarseTraceConfig, TraceLibrary};
+use linger_workload::CoarseTraceConfig;
 use proptest::prelude::*;
 
 proptest! {
@@ -88,8 +88,7 @@ fn faulted_cfg(seed: u64, faults: FaultConfig) -> ClusterConfig {
 /// Serialize the figure-level observables of one run as pretty JSON —
 /// the same fields `ext_faults` writes per grid point.
 fn figure_json(cfg: ClusterConfig) -> String {
-    let real = TraceLibrary::global().realize(&cfg.trace, cfg.seed, cfg.nodes);
-    let mut sim = ClusterSim::with_realization(cfg, &real);
+    let mut sim = ClusterSim::new(cfg);
     sim.run();
     let summary = (
         sim.completed(),
@@ -140,15 +139,7 @@ fn ext_faults_rate_zero_rows_match_the_direct_simulation() {
         "rate-0 row recorded fault activity"
     );
     // The rate-0 grid point is the plain fault-free simulation.
-    let real = TraceLibrary::global().realize(
-        &CoarseTraceConfig {
-            duration: SimDuration::from_secs(3600),
-            ..Default::default()
-        },
-        1998,
-        16,
-    );
-    let mut sim = ClusterSim::with_realization(faulted_cfg(1998, FaultConfig::disabled()), &real);
+    let mut sim = ClusterSim::new(faulted_cfg(1998, FaultConfig::disabled()));
     sim.run();
     assert_eq!(ll0.completed, sim.completed());
     assert_eq!(ll0.foreign_cpu_secs, sim.foreign_cpu_delivered().as_secs_f64());

@@ -1,12 +1,11 @@
 //! Knob inventory guard: the `LINGER_*` environment variables the code
-//! reads are exactly the six README's "Knobs" table documents, so adding
+//! reads are exactly the five README's "Knobs" table documents, so adding
 //! or dropping one fails here instead of slipping through review.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-const KNOBS: [&str; 6] = [
-    "LINGER_NO_TRACE_CACHE",
+const KNOBS: [&str; 5] = [
     "LINGER_RESULTS",
     "LINGER_SHARDS",
     "LINGER_TELEMETRY",
