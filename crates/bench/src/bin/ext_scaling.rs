@@ -39,6 +39,7 @@ fn main() {
         "chunk build (s)",
         "window loop (s)",
         "ns/node-window",
+        "B/node-window",
         "live rows",
     ]);
     for (p, tm) in points.iter().zip(&timings) {
@@ -52,6 +53,7 @@ fn main() {
             format!("{:.3}", tm.stream_build_secs),
             format!("{:.3}", tm.run_secs),
             format!("{:.1}", tm.ns_per_node_window),
+            format!("{:.3}", tm.bytes_per_node_window),
             format!("{}", tm.live_job_rows),
         ]);
     }

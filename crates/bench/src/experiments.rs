@@ -636,6 +636,14 @@ pub struct ScalingTiming {
     pub node_windows: f64,
     /// Window-loop nanoseconds per node-window.
     pub ns_per_node_window: f64,
+    /// Resident bytes of the cell's shared workload realization
+    /// ([`WorkloadRealization::approx_bytes`]): the window table plus
+    /// offsets, or just the offsets when the cell streams its windows
+    /// (each run's chunk arena is not counted).
+    pub realization_bytes: usize,
+    /// `realization_bytes` per node-window of the realization's replay
+    /// period — the memory counterpart of `ns_per_node_window`.
+    pub bytes_per_node_window: f64,
     /// Live hot-lane rows in the job slabs after the run — with slot
     /// recycling this stays at the initial job count (`O(active jobs)`)
     /// no matter how many respawns the horizon produced.
@@ -692,6 +700,8 @@ pub fn ext_scaling_at(
         // policies and every timing replicate below.
         let real = WorkloadRealization::synthesize(&trace_cfg, seed, nodes);
         let shared_setup = t0.elapsed().as_secs_f64() / Policy::ALL.len() as f64;
+        let realization_bytes = real.approx_bytes();
+        let period_node_windows = (nodes * trace_cfg.sample_count()) as f64;
         for policy in Policy::ALL {
             let t1 = std::time::Instant::now();
             let expected_windows = (horizon.as_nanos() / linger_cluster::WINDOW.as_nanos()) as f64;
@@ -767,6 +777,8 @@ pub fn ext_scaling_at(
                 timing_reps: reps,
                 node_windows,
                 ns_per_node_window: run_secs * 1e9 / node_windows.max(1.0),
+                realization_bytes,
+                bytes_per_node_window: realization_bytes as f64 / period_node_windows.max(1.0),
                 live_job_rows: sim.live_job_rows(),
                 archived_jobs: sim.archived_jobs(),
             });

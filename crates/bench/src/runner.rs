@@ -226,6 +226,8 @@ mod tests {
             timing_reps: 3,
             node_windows: 0.0,
             ns_per_node_window,
+            realization_bytes: 0,
+            bytes_per_node_window: 0.0,
             live_job_rows: 0,
             archived_jobs: 0,
         }

@@ -209,6 +209,12 @@ pub struct ClusterSim {
     /// *reads* simulation state and simulated time, never RNG streams,
     /// so attaching a recorder cannot change any result.
     telemetry: Recorder,
+    /// Whether `telemetry` is the recorder built from `LINGER_TELEMETRY`
+    /// at construction — the only one whose counts feed the process-wide
+    /// registry. A recorder attached by [`Self::set_recorder`] belongs to
+    /// its caller's own measurement, not to the figure runs the registry
+    /// summarizes.
+    telemetry_from_env: bool,
     /// Counters already flushed to the global registry (watermark, so
     /// repeated `run()` calls never double-count).
     telemetry_absorbed: JournalCounts,
@@ -237,9 +243,10 @@ impl ClusterSim {
     /// over it like any other realization.
     ///
     /// # Panics
-    /// If the number of traces or offsets differs from `cfg.nodes`, or
-    /// the traces do not all share one period (mixed-period traces have
-    /// no window-major form).
+    /// If the number of traces or offsets differs from `cfg.nodes`, the
+    /// traces do not all share one period, or a sample's owner memory
+    /// exceeds `u16::MAX` pages (262,143 KB): such traces have no
+    /// window-major form.
     pub fn with_traces(
         cfg: ClusterConfig,
         traces: Vec<Arc<CoarseTrace>>,
@@ -248,7 +255,7 @@ impl ClusterSim {
         assert_eq!(traces.len(), cfg.nodes, "one trace per node");
         assert_eq!(offsets.len(), cfg.nodes, "one offset per node");
         let real = WorkloadRealization::from_traces(&traces, offsets)
-            .expect("with_traces needs at least one trace, all of one period");
+            .expect("with_traces needs at least one trace, all of one period, memory ≤ 262,143 KB");
         Self::with_realization(cfg, &real)
     }
 
@@ -265,7 +272,7 @@ impl ClusterSim {
         // Node state comes from the window rows; initial memory demand is
         // the window-0 row.
         let mut windows = real.cursor();
-        let nodes = NodeSlabs::new(windows.rows(0).mem_kb, cfg.node_memory_kb);
+        let nodes = NodeSlabs::new(windows.rows(0).mem_pages, cfg.node_memory_kb);
         let jobs = JobSlabs::from_specs(cfg.family.jobs());
         let source = Source::new(&cfg, jobs.len());
         let n = cfg.nodes;
@@ -304,6 +311,7 @@ impl ClusterSim {
             fault_cursor: 0,
             fault_stats: FaultStats::default(),
             telemetry: Recorder::from_env(),
+            telemetry_from_env: true,
             telemetry_absorbed: JournalCounts::default(),
             steal_stats: StealStats::default(),
         }
@@ -332,14 +340,17 @@ impl ClusterSim {
     }
 
     /// Attach (or detach) an event recorder, replacing the one built
-    /// from `LINGER_TELEMETRY` at construction.
+    /// from `LINGER_TELEMETRY` at construction. The attached journal is
+    /// the caller's: it still spills to `LINGER_TELEMETRY_DIR`, but its
+    /// counts stay out of the process-wide registry.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.telemetry = recorder;
+        self.telemetry_from_env = false;
     }
 
     /// Builder-style [`Self::set_recorder`].
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.telemetry = recorder;
+        self.set_recorder(recorder);
         self
     }
 
@@ -482,8 +493,9 @@ impl ClusterSim {
     }
 
     /// Merge this run's counters into the process-wide registry (once —
-    /// a watermark guards repeated calls) and spill the journal as JSON
-    /// lines when `LINGER_TELEMETRY_DIR` is set. The spill file name is
+    /// a watermark guards repeated calls — and only for the recorder
+    /// built from the environment) and spill the journal as JSON lines
+    /// when `LINGER_TELEMETRY_DIR` is set. The spill file name is
     /// a digest of the serialized configuration, so identical configs
     /// overwrite each other with identical bytes and a sweep stays
     /// race-free at any `--jobs`.
@@ -491,7 +503,7 @@ impl ClusterSim {
         let Some(journal) = self.telemetry.journal() else { return };
         let counts = journal.counts();
         let delta = counts.since(&self.telemetry_absorbed);
-        if delta.events > 0 {
+        if self.telemetry_from_env && delta.events > 0 {
             linger_telemetry::metrics::global()
                 .absorb_counts(self.cfg.params.policy.abbrev(), delta);
         }
@@ -656,7 +668,7 @@ impl ClusterSim {
         // A streamed cursor builds (or reuses) the chunk covering `w`
         // here, recycling its arena in place.
         let rows = self.windows.rows(w);
-        let (cpu_row, mem_row, idle_row) = (rows.cpu, rows.mem_kb, rows.idle);
+        let (cpu_row, mem_row, idle_row) = (rows.cpu, rows.mem_pages, rows.idle);
         let plan = &self.plan;
         let busy_words = self.busy.words();
         let parts = plan
@@ -1260,7 +1272,7 @@ fn refresh_shard(
     mem: &mut [TwoPoolMemory],
     busy_words: &[u64],
     cpu_row: &[f64],
-    mem_row: &[u32],
+    mem_row: &[u16],
     idle_row: &[u64],
 ) {
     let base = range.start;
@@ -1274,13 +1286,13 @@ fn refresh_shard(
         while word != 0 {
             let ni = (word_base + k) * 64 + word.trailing_zeros() as usize;
             word &= word - 1;
-            mem[ni - base].set_local_kb(mem_row[ni]);
+            mem[ni - base].set_local_pages(u32::from(mem_row[ni]));
         }
     }
     // ...then a branch-free bulk store refreshes every node — a value-
     // level no-op on the busy nodes just updated.
-    for (m, &kb) in mem.iter_mut().zip(&mem_row[range]) {
-        m.store_local_kb_unattached(kb);
+    for (m, &pages) in mem.iter_mut().zip(&mem_row[range]) {
+        m.store_local_pages_unattached(u32::from(pages));
     }
 }
 

@@ -186,14 +186,14 @@ pub struct NodeSlabs {
 
 impl NodeSlabs {
     /// Assemble the slabs with every node free and its memory pool
-    /// initialised from `initial_mem_kb`, the realization's window-0
-    /// memory row (node `n`'s trace sample at its start offset).
-    pub fn new(initial_mem_kb: &[u32], node_memory_kb: u32) -> Self {
-        let memory = initial_mem_kb
+    /// initialised from `initial_mem_pages`, the realization's window-0
+    /// page row (node `n`'s trace sample at its start offset).
+    pub fn new(initial_mem_pages: &[u16], node_memory_kb: u32) -> Self {
+        let memory = initial_mem_pages
             .iter()
-            .map(|&kb| TwoPoolMemory::new(node_memory_kb, kb))
+            .map(|&pages| TwoPoolMemory::new(node_memory_kb, u32::from(pages)))
             .collect();
-        let hosted = vec![NO_JOB; initial_mem_kb.len()];
+        let hosted = vec![NO_JOB; initial_mem_pages.len()];
         NodeSlabs { hosted, memory }
     }
 

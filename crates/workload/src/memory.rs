@@ -41,11 +41,12 @@ pub struct TwoPoolMemory {
 }
 
 impl TwoPoolMemory {
-    /// A node with `total_kb` of physical memory and `local_kb` initially
-    /// used by the OS and local processes.
-    pub fn new(total_kb: u32, local_kb: u32) -> Self {
+    /// A node with `total_kb` of physical memory and `local_pages`
+    /// initially used by the OS and local processes (clamped to the
+    /// node's pages).
+    pub fn new(total_kb: u32, local_pages: u32) -> Self {
         let total_pages = total_kb / PAGE_KB;
-        let local_pages = (local_kb / PAGE_KB).min(total_pages);
+        let local_pages = local_pages.min(total_pages);
         TwoPoolMemory {
             total_pages,
             local_pages,
@@ -120,14 +121,15 @@ impl TwoPoolMemory {
         }
     }
 
-    /// Update local memory demand to `local_kb` (from the coarse trace).
+    /// Update local memory demand to `local_pages` (from the coarse
+    /// trace's page lane).
     ///
     /// Growth reclaims foreign pages first (invariant 3), then counts
     /// local page-outs if demand still exceeds physical memory. Shrink
     /// releases pages to the free list, where the foreign job may re-grow
     /// toward its demand (invariant 1 of the free-list rule).
-    pub fn set_local_kb(&mut self, local_kb: u32) {
-        let want = (local_kb / PAGE_KB).min(self.total_pages);
+    pub fn set_local_pages(&mut self, local_pages: u32) {
+        let want = local_pages.min(self.total_pages);
         if want > self.local_pages {
             let mut need = want - self.local_pages;
             // Take free pages first.
@@ -155,36 +157,36 @@ impl TwoPoolMemory {
         );
     }
 
-    /// [`set_local_kb`](Self::set_local_kb) specialised to a node with no
-    /// foreign job attached.
+    /// [`set_local_pages`](Self::set_local_pages) specialised to a node
+    /// with no foreign job attached.
     ///
     /// With `foreign_demand_pages == 0` (hence `foreign_resident_pages ==
     /// 0`), the growth branch reclaims nothing and counts no page-outs
     /// (demand is clamped to `total_pages` first), and the shrink branch
     /// regrows nothing — both reduce to the clamped store below. Also a
     /// value-level no-op when the full path already ran for this window:
-    /// every `set_local_kb` ends with `local_pages == want`. The
+    /// every `set_local_pages` ends with `local_pages == want`. The
     /// per-window memory refresh exploits both properties to stream the
     /// whole cluster's trace row branch-free, after busy nodes took the
     /// full accounting path.
     #[inline]
-    pub fn store_local_kb_unattached(&mut self, local_kb: u32) {
+    pub fn store_local_pages_unattached(&mut self, local_pages: u32) {
         debug_assert!(
-            self.foreign_demand_pages == 0
-                || self.local_pages == (local_kb / PAGE_KB).min(self.total_pages),
+            self.foreign_demand_pages == 0 || self.local_pages == local_pages.min(self.total_pages),
             "fast path requires no foreign job or an already-applied update"
         );
-        self.local_pages = (local_kb / PAGE_KB).min(self.total_pages);
+        self.local_pages = local_pages.min(self.total_pages);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn mem() -> TwoPoolMemory {
         // 64 MB node, 30 MB local.
-        TwoPoolMemory::new(64 * 1024, 30 * 1024)
+        TwoPoolMemory::new(64 * 1024, 30 * 1024 / PAGE_KB)
     }
 
     #[test]
@@ -219,7 +221,7 @@ mod tests {
         m.attach_foreign(8 * 1024);
         assert_eq!(m.free_kb(), 26 * 1024);
         // Local grows by 30 MB: 26 MB from free, 4 MB reclaimed.
-        m.set_local_kb(60 * 1024);
+        m.set_local_pages(60 * 1024 / PAGE_KB);
         assert_eq!(m.local_kb(), 60 * 1024);
         assert_eq!(m.foreign_resident_kb(), 4 * 1024);
         assert_eq!(m.reclaimed_pages(), (4 * 1024 / PAGE_KB) as u64);
@@ -230,14 +232,14 @@ mod tests {
     fn local_pageouts_only_after_foreign_is_empty() {
         let mut m = mem();
         m.attach_foreign(8 * 1024);
-        m.set_local_kb(64 * 1024); // consumes everything
+        m.set_local_pages(64 * 1024 / PAGE_KB); // consumes everything
         assert_eq!(m.foreign_resident_kb(), 0);
         assert_eq!(m.local_pageouts(), 0); // exactly fits
-        m.set_local_kb(64 * 1024); // no-op
+        m.set_local_pages(64 * 1024 / PAGE_KB); // no-op
         assert_eq!(m.local_pageouts(), 0);
         // Demand beyond physical memory is clamped, not counted against
         // the foreign job.
-        m.set_local_kb(80 * 1024);
+        m.set_local_pages(80 * 1024 / PAGE_KB);
         assert_eq!(m.local_kb(), 64 * 1024);
     }
 
@@ -245,9 +247,9 @@ mod tests {
     fn foreign_regrows_when_local_shrinks() {
         let mut m = mem();
         m.attach_foreign(8 * 1024);
-        m.set_local_kb(60 * 1024);
+        m.set_local_pages(60 * 1024 / PAGE_KB);
         assert_eq!(m.foreign_resident_kb(), 4 * 1024);
-        m.set_local_kb(30 * 1024);
+        m.set_local_pages(30 * 1024 / PAGE_KB);
         assert_eq!(m.foreign_resident_kb(), 8 * 1024, "free pages flow back");
         assert_eq!(m.free_kb(), 26 * 1024);
     }
@@ -270,7 +272,7 @@ mod tests {
         for _ in 0..10_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let kb = (x >> 33) as u32 % (80 * 1024);
-            m.set_local_kb(kb);
+            m.set_local_pages(kb / PAGE_KB);
             assert!(m.local_kb() + m.foreign_resident_kb() <= m.total_kb());
         }
     }
@@ -283,24 +285,99 @@ mod tests {
         for _ in 0..10_000 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             let kb = (x >> 33) as u32 % (80 * 1024);
-            full.set_local_kb(kb);
-            fast.store_local_kb_unattached(kb);
+            full.set_local_pages(kb / PAGE_KB);
+            fast.store_local_pages_unattached(kb / PAGE_KB);
             assert_eq!(full, fast);
         }
         // And re-storing after the full path ran is a no-op even with a
         // foreign job attached.
         full.attach_foreign(8 * 1024);
-        full.set_local_kb(40 * 1024);
+        full.set_local_pages(40 * 1024 / PAGE_KB);
         let snapshot = full.clone();
-        full.store_local_kb_unattached(40 * 1024);
+        full.store_local_pages_unattached(40 * 1024 / PAGE_KB);
         assert_eq!(full, snapshot);
     }
 
     #[test]
     fn page_rounding() {
-        let mut m = TwoPoolMemory::new(100 * PAGE_KB, 10 * PAGE_KB);
+        let mut m = TwoPoolMemory::new(100 * PAGE_KB, 10);
         // 5 KB demand rounds up to 2 pages.
         let resident = m.attach_foreign(5);
         assert_eq!(resident, 2 * PAGE_KB);
+    }
+
+    /// The KB-argument constructor and setter this model had while the
+    /// owner-memory lane held KB, copied verbatim (modulo `self` → `m`)
+    /// as the reference the page API must reproduce on `kb / PAGE_KB`.
+    fn reference_new(total_kb: u32, local_kb: u32) -> TwoPoolMemory {
+        let total_pages = total_kb / PAGE_KB;
+        let local_pages = (local_kb / PAGE_KB).min(total_pages);
+        TwoPoolMemory {
+            total_pages,
+            local_pages,
+            foreign_resident_pages: 0,
+            foreign_demand_pages: 0,
+            reclaimed_pages: 0,
+            local_pageouts: 0,
+        }
+    }
+
+    fn reference_set_local_kb(m: &mut TwoPoolMemory, local_kb: u32) {
+        let want = (local_kb / PAGE_KB).min(m.total_pages);
+        if want > m.local_pages {
+            let mut need = want - m.local_pages;
+            let free = m.total_pages - m.local_pages - m.foreign_resident_pages;
+            let from_free = need.min(free);
+            need -= from_free;
+            let from_foreign = need.min(m.foreign_resident_pages);
+            m.foreign_resident_pages -= from_foreign;
+            m.reclaimed_pages += from_foreign as u64;
+            need -= from_foreign;
+            m.local_pageouts += need as u64;
+            m.local_pages = want;
+        } else {
+            m.local_pages = want;
+            let free = m.total_pages - m.local_pages - m.foreign_resident_pages;
+            let regrow = (m.foreign_demand_pages - m.foreign_resident_pages).min(free);
+            m.foreign_resident_pages += regrow;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The page constructor and setters leave every counter exactly
+        /// where the KB formula left it, with and without a foreign job,
+        /// across demands that straddle physical memory and odd KB
+        /// values that are not whole pages.
+        #[test]
+        fn page_setters_match_the_kb_formula(
+            total_kb in 1u32..=128 * 1024,
+            local_kb in 0u32..=160 * 1024,
+            job_kb in 0u32..=48 * 1024,
+            walk in prop::collection::vec(0u32..=160 * 1024, 1..64),
+        ) {
+            let mut got = TwoPoolMemory::new(total_kb, local_kb / PAGE_KB);
+            let mut want = reference_new(total_kb, local_kb);
+            prop_assert_eq!(&got, &want);
+            // Driven by the unattached store alone (meaningful only
+            // while no foreign job is attached).
+            let mut fast = got.clone();
+            // A zero-KB job stands for none attached.
+            let attached = job_kb > 0;
+            if attached {
+                got.attach_foreign(job_kb);
+                want.attach_foreign(job_kb);
+            }
+            for kb in walk {
+                got.set_local_pages(kb / PAGE_KB);
+                reference_set_local_kb(&mut want, kb);
+                prop_assert_eq!(&got, &want);
+                if !attached {
+                    fast.store_local_pages_unattached(kb / PAGE_KB);
+                    prop_assert_eq!(&fast, &want);
+                }
+            }
+        }
     }
 }

@@ -11,8 +11,9 @@
 //! [`WorkloadRealization::synthesize`] once per `(trace config, seed,
 //! node count)` and hands the realization to every cell that shares it.
 
-use crate::coarse::{CoarseTrace, CoarseTraceConfig, TraceStream};
+use crate::coarse::{CoarseTrace, CoarseTraceConfig, TraceStream, TOTAL_MEMORY_KB};
 use crate::generator::LocalWorkload;
+use crate::memory::PAGE_KB;
 use crate::stream::{
     streamed_chunk_windows, StreamSpec, WindowCursor, DEFAULT_WINDOW_BUDGET_BYTES,
 };
@@ -25,9 +26,14 @@ use std::sync::{Arc, Mutex};
 /// Each per-window row is stored as three parallel dense arrays rather
 /// than one array of 16-byte cells: the CPU sweep of the cluster
 /// simulators touches only the `f64` lane, the memory refresh only the
-/// `u32` lane, and the recruitment scan reads the idle flags 64 nodes at
-/// a time as packed bit words — so each pass streams the minimum number
-/// of cache lines for the field it actually consumes.
+/// `u16` page lane, and the recruitment scan reads the idle flags 64
+/// nodes at a time as packed bit words — so each pass streams the
+/// minimum number of cache lines for the field it actually consumes.
+///
+/// Owner memory is stored as whole 4 KB pages ([`PAGE_KB`]), converted
+/// once here: the two-pool model is the only reader, and it works in
+/// pages, so KB below a page never reached any result. At 2 bytes the
+/// lane costs 10.125 bytes per node-window with the other two.
 ///
 /// Row `w` holds all nodes for window `w % period()`, in node order:
 /// node `n`'s entry is sample `(offset_n + w) % period` of its trace.
@@ -49,8 +55,21 @@ pub struct WindowTable {
     /// of 64-bit words so rows start word-aligned.
     words_per_row: usize,
     cpu: Vec<f64>,
-    mem_kb: Vec<u32>,
+    mem_pages: Vec<u16>,
     idle: Vec<u64>,
+}
+
+/// Every synthesized sample holds at most [`TOTAL_MEMORY_KB`], so its
+/// page count always fits the `u16` lane.
+const _: () = assert!(TOTAL_MEMORY_KB / PAGE_KB <= u16::MAX as u32);
+
+/// A synthesized sample's owner memory in lane pages. Never truncates:
+/// synthesis caps samples at [`TOTAL_MEMORY_KB`] (see the assertion
+/// above).
+#[inline]
+pub(crate) fn synthesized_pages(mem_used_kb: u32) -> u16 {
+    debug_assert!(mem_used_kb <= TOTAL_MEMORY_KB);
+    (mem_used_kb / PAGE_KB) as u16
 }
 
 /// Nodes per column block of [`WindowTable::synthesize`]: one packed
@@ -63,7 +82,7 @@ const BLOCK_NODES: usize = 64;
 /// block after another in the same buffers.
 struct ColumnBlock {
     cpu: Vec<f64>,
-    mem_kb: Vec<u32>,
+    mem_pages: Vec<u16>,
     /// One word per window; bit `j` ⇔ node `first + j` is idle.
     idle: Vec<u64>,
 }
@@ -72,7 +91,7 @@ impl ColumnBlock {
     fn new(period: usize) -> ColumnBlock {
         ColumnBlock {
             cpu: vec![0.0; period * BLOCK_NODES],
-            mem_kb: vec![0; period * BLOCK_NODES],
+            mem_pages: vec![0; period * BLOCK_NODES],
             idle: vec![0; period],
         }
     }
@@ -97,7 +116,7 @@ impl ColumnBlock {
             for _ in 0..period {
                 let (s, is_idle) = stream.next_sample();
                 self.cpu[w * width + j] = s.cpu;
-                self.mem_kb[w * width + j] = s.mem_used_kb;
+                self.mem_pages[w * width + j] = synthesized_pages(s.mem_used_kb);
                 self.idle[w] |= u64::from(is_idle) << j;
                 w += 1;
                 if w == period {
@@ -137,7 +156,7 @@ impl WindowTable {
             nodes,
             words_per_row,
             cpu: vec![0.0; period * nodes],
-            mem_kb: vec![0; period * nodes],
+            mem_pages: vec![0; period * nodes],
             idle: vec![0u64; period * words_per_row],
         });
         // Idle block buffers: one per worker once every worker has run.
@@ -160,7 +179,7 @@ impl WindowTable {
                 let col = w * nodes + first;
                 let src = w * width..(w + 1) * width;
                 t.cpu[col..col + width].copy_from_slice(&block.cpu[src.clone()]);
-                t.mem_kb[col..col + width].copy_from_slice(&block.mem_kb[src]);
+                t.mem_pages[col..col + width].copy_from_slice(&block.mem_pages[src]);
                 t.idle[w * words_per_row + b] = block.idle[w];
             }
             drop(t);
@@ -172,8 +191,10 @@ impl WindowTable {
     /// Gather `traces` (with per-node phase `offsets`) into a window-major
     /// table.
     ///
-    /// Returns `None` when the node set is empty or the traces do not all
-    /// share one period: such a set has no window-major form.
+    /// Returns `None` when the node set is empty, the traces do not all
+    /// share one period, or a sample's owner memory exceeds the page
+    /// lane (`u16::MAX` pages, 262,143 KB): such a set has no
+    /// window-major form.
     pub(crate) fn build(traces: &[Arc<CoarseTrace>], offsets: &[usize]) -> Option<WindowTable> {
         let period = traces.first()?.len();
         if period == 0 || traces.iter().any(|t| t.len() != period) {
@@ -182,20 +203,20 @@ impl WindowTable {
         let nodes = traces.len();
         let words_per_row = nodes.div_ceil(64);
         let mut cpu = Vec::with_capacity(period * nodes);
-        let mut mem_kb = Vec::with_capacity(period * nodes);
+        let mut mem_pages = Vec::with_capacity(period * nodes);
         let mut idle = vec![0u64; period * words_per_row];
         for w in 0..period {
             for (n, (trace, &offset)) in traces.iter().zip(offsets).enumerate() {
                 let i = offset + w;
                 let s = trace.sample(i);
                 cpu.push(s.cpu);
-                mem_kb.push(s.mem_used_kb);
+                mem_pages.push(u16::try_from(s.mem_used_kb / PAGE_KB).ok()?);
                 if trace.is_idle(i) {
                     idle[w * words_per_row + n / 64] |= 1u64 << (n % 64);
                 }
             }
         }
-        Some(WindowTable { period, nodes, words_per_row, cpu, mem_kb, idle })
+        Some(WindowTable { period, nodes, words_per_row, cpu, mem_pages, idle })
     }
 
     /// Number of windows before the table wraps (the shared trace length).
@@ -220,11 +241,11 @@ impl WindowTable {
         &self.cpu[start..start + self.nodes]
     }
 
-    /// Owner-resident memory (KB) of every node for window `w` (wraps
-    /// modulo the period).
-    pub fn mem_row(&self, w: usize) -> &[u32] {
+    /// Owner-resident memory (whole [`PAGE_KB`] pages) of every node for
+    /// window `w` (wraps modulo the period).
+    pub fn mem_row(&self, w: usize) -> &[u16] {
         let start = (w % self.period) * self.nodes;
-        &self.mem_kb[start..start + self.nodes]
+        &self.mem_pages[start..start + self.nodes]
     }
 
     /// Recruitment idle flags for window `w` as packed bit words: bit
@@ -237,7 +258,7 @@ impl WindowTable {
 
     fn approx_bytes(&self) -> usize {
         self.cpu.len() * std::mem::size_of::<f64>()
-            + self.mem_kb.len() * std::mem::size_of::<u32>()
+            + self.mem_pages.len() * std::mem::size_of::<u16>()
             + self.idle.len() * std::mem::size_of::<u64>()
     }
 }
@@ -339,8 +360,9 @@ impl WorkloadRealization {
     /// or hand-built) and their phase offsets: the traces are transposed
     /// into a window table once and not kept.
     ///
-    /// Returns `None` when `traces` is empty or the traces do not all
-    /// share one period.
+    /// Returns `None` when `traces` is empty, the traces do not all share
+    /// one period, or a sample's owner memory exceeds `u16::MAX` pages
+    /// (262,143 KB).
     ///
     /// # Panics
     /// If the number of offsets differs from the number of traces.
@@ -405,6 +427,7 @@ fn draw_offsets(period: usize, factory: &RngFactory, nodes: usize) -> Vec<usize>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarse::CoarseSample;
     use linger_sim_core::SimDuration;
     use proptest::prelude::*;
 
@@ -434,7 +457,7 @@ mod tests {
         (traces, offsets)
     }
 
-    /// Assert two tables hold bit-identical rows (cpu bits, memory,
+    /// Assert two tables hold bit-identical rows (cpu bits, memory pages,
     /// idle words) and that padding bits past the node count are zero.
     fn assert_same_rows(got: &WindowTable, want: &WindowTable, what: &str) {
         assert_eq!(got.period(), want.period(), "{what}: period");
@@ -453,12 +476,22 @@ mod tests {
     }
 
     /// The fused builder against the legacy derivation: whole traces,
-    /// then [`WindowTable::build`].
+    /// then [`WindowTable::build`] — and its page lane against each
+    /// trace's KB samples directly, so a KB-to-page error the two
+    /// builders shared would still show.
     fn assert_fused_matches_legacy(c: &CoarseTraceConfig, seed: u64, nodes: usize, jobs: usize) {
         let (traces, offsets) = legacy_synthesize(c, seed, nodes);
         let legacy = WindowTable::build(&traces, &offsets).expect("uniform traces");
         let fused = WindowTable::synthesize(c, &RngFactory::new(seed), &offsets, Some(jobs));
-        assert_same_rows(&fused, &legacy, &format!("{nodes} nodes, jobs {jobs}, seed {seed}"));
+        let what = format!("{nodes} nodes, jobs {jobs}, seed {seed}");
+        assert_same_rows(&fused, &legacy, &what);
+        for w in 0..fused.period() {
+            let want: Vec<u32> = (traces.iter().zip(&offsets))
+                .map(|(t, &o)| t.sample(o + w).mem_used_kb / PAGE_KB)
+                .collect();
+            let got: Vec<u32> = fused.mem_row(w).iter().map(|&p| u32::from(p)).collect();
+            assert_eq!(got, want, "{what}: page row {w}");
+        }
     }
 
     #[test]
@@ -537,7 +570,7 @@ mod tests {
                 let i = real.offsets()[n] + w;
                 let s = traces[n].sample(i);
                 assert_eq!(cpu[n].to_bits(), s.cpu.to_bits());
-                assert_eq!(mem[n], s.mem_used_kb);
+                assert_eq!(u32::from(mem[n]), s.mem_used_kb / PAGE_KB);
                 let bit = idle[n / 64] & (1u64 << (n % 64)) != 0;
                 assert_eq!(bit, traces[n].is_idle(i));
             }
@@ -557,5 +590,37 @@ mod tests {
         let a = Arc::new(c.synthesize(&f, 0));
         let b = Arc::new(cfg(1200).synthesize(&f, 1));
         assert!(WindowTable::build(&[a, b], &[0, 0]).is_none());
+    }
+
+    /// A two-node realization whose second node's memory peaks at
+    /// `peak_kb` in its last sample.
+    fn peaking_at(peak_kb: u32) -> Option<WorkloadRealization> {
+        let sample = |mem_used_kb| CoarseSample { cpu: 0.1, mem_used_kb, keyboard: false };
+        let flat = Arc::new(CoarseTrace::from_samples(vec![sample(30_000); 3]));
+        let peak =
+            Arc::new(CoarseTrace::from_samples(vec![sample(30_000), sample(1), sample(peak_kb)]));
+        WorkloadRealization::from_traces(&[flat, peak], vec![0, 1])
+    }
+
+    #[test]
+    fn from_traces_takes_memory_up_to_the_page_lane_limit() {
+        // u16::MAX pages is 262,140..=262,143 KB; one KB more is a page
+        // the lane cannot hold, so the set has no window-major form.
+        let real = peaking_at(262_143).expect("65,535 pages fit the lane");
+        let tbl = real.window_table().expect("monolithic realization");
+        // Node 1 starts at offset 1: window 1 reads its last sample.
+        assert_eq!(tbl.mem_row(1), &[30_000 / 4, u16::MAX]);
+        assert_eq!(tbl.mem_row(0), &[30_000 / 4, 0], "1 KB is no whole page");
+        assert!(peaking_at(262_144).is_none(), "65,536 pages overflow the lane");
+    }
+
+    #[test]
+    fn approx_bytes_pins_the_table_layout() {
+        // 130 nodes × 300 windows: an 8-byte cpu cell and a 2-byte page
+        // cell per node-window, 3 idle words per row and one offset per
+        // node — 312,000 + 78,000 + 7,200 + 1,040 bytes.
+        let real = WorkloadRealization::synthesize_monolithic(&cfg(600), 3, 130);
+        assert_eq!(real.window_table().expect("table").period(), 300);
+        assert_eq!(real.approx_bytes(), 398_240);
     }
 }

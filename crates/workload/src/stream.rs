@@ -1,8 +1,9 @@
 //! Memory-bounded streaming realization of the window table.
 //!
-//! The monolithic [`WindowTable`] costs `O(nodes × period)` bytes — ~12 B
-//! per node-window (no per-node traces stay resident behind it). At
-//! 1,048,576 nodes and a 3600-second trace that is ~21 GiB: the memory
+//! The monolithic [`WindowTable`] costs `O(nodes × period)` bytes —
+//! 10.125 B per node-window: an 8-byte CPU lane, a 2-byte page lane and
+//! one idle bit (no per-node traces stay resident behind it). At
+//! 1,048,576 nodes and a 3600-second trace that is ~17.8 GiB: the memory
 //! wall, not the sweep loop, is what used to cap the scaling experiments.
 //!
 //! This module replaces the build-everything-up-front step with a
@@ -45,15 +46,15 @@
 //! budget.
 
 use crate::coarse::{CoarseTraceConfig, TraceStream};
-use crate::realization::WindowTable;
+use crate::realization::{synthesized_pages, WindowTable};
 use linger_sim_core::{default_jobs, RngFactory, ShardPlan, SHARD_MIN_NODES};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Default byte ceiling for a fully materialized realization
 /// (window table + offsets): 4 GiB keeps every historical sweep point
-/// (≤65,536 nodes, ~1.3 GiB at a 1-hour trace) on the monolithic path
-/// while 262,144 nodes (~5.3 GiB) and up stream.
+/// (≤65,536 nodes, ~1.1 GiB at a 1-hour trace) on the monolithic path
+/// while 262,144 nodes (~4.45 GiB) and up stream.
 pub const DEFAULT_WINDOW_BUDGET_BYTES: usize = 4 << 30;
 
 /// Estimated resident bytes of a *monolithic* realization: the
@@ -62,10 +63,10 @@ pub fn monolithic_bytes_estimate(nodes: usize, period: usize) -> usize {
     period * window_row_bytes(nodes) + nodes * std::mem::size_of::<usize>()
 }
 
-/// Bytes of one window row over `nodes` nodes (cpu + memory lanes plus
+/// Bytes of one window row over `nodes` nodes (cpu + page lanes plus
 /// the packed idle words).
 fn window_row_bytes(nodes: usize) -> usize {
-    nodes * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
+    nodes * (std::mem::size_of::<f64>() + std::mem::size_of::<u16>())
         + nodes.div_ceil(64) * std::mem::size_of::<u64>()
 }
 
@@ -134,7 +135,7 @@ struct WindowChunk {
     nodes: usize,
     words_per_row: usize,
     cpu: Vec<f64>,
-    mem_kb: Vec<u32>,
+    mem_pages: Vec<u16>,
     idle: Vec<u64>,
 }
 
@@ -151,7 +152,7 @@ impl WindowChunk {
         let words = (w - self.base) * self.words_per_row;
         WindowRows {
             cpu: &self.cpu[cells..cells + self.nodes],
-            mem_kb: &self.mem_kb[cells..cells + self.nodes],
+            mem_pages: &self.mem_pages[cells..cells + self.nodes],
             idle: &self.idle[words..words + self.words_per_row],
         }
     }
@@ -159,21 +160,24 @@ impl WindowChunk {
     /// Resident bytes of the chunk arena.
     fn approx_bytes(&self) -> usize {
         self.cpu.capacity() * std::mem::size_of::<f64>()
-            + self.mem_kb.capacity() * std::mem::size_of::<u32>()
+            + self.mem_pages.capacity() * std::mem::size_of::<u16>()
             + self.idle.capacity() * std::mem::size_of::<u64>()
     }
 }
 
 /// One window's rows over every node, in node order: owner CPU demand
-/// (in `[0, 1]`), owner-resident memory (KB), and the recruitment idle
-/// flags as packed bit words (bit `n % 64` of word `n / 64` ⇔ node `n`
-/// is idle; bits at or past the node count are zero).
+/// (in `[0, 1]`), owner-resident memory (whole 4 KB pages), and the
+/// recruitment idle flags as packed bit words (bit `n % 64` of word
+/// `n / 64` ⇔ node `n` is idle; bits at or past the node count are
+/// zero).
 #[derive(Debug, Clone, Copy)]
 pub struct WindowRows<'a> {
     /// Owner CPU demand per node.
     pub cpu: &'a [f64],
-    /// Owner-resident memory per node, KB.
-    pub mem_kb: &'a [u32],
+    /// Owner-resident memory per node, in [`PAGE_KB`] pages.
+    ///
+    /// [`PAGE_KB`]: crate::PAGE_KB
+    pub mem_pages: &'a [u16],
     /// Packed idle flags.
     pub idle: &'a [u64],
 }
@@ -223,7 +227,7 @@ impl WindowCursor {
         match &mut self.source {
             RowSource::Table(table) => WindowRows {
                 cpu: table.cpu_row(w),
-                mem_kb: table.mem_row(w),
+                mem_pages: table.mem_row(w),
                 idle: table.idle_row(w),
             },
             RowSource::Stream(stream) => stream.rows(w),
@@ -339,7 +343,7 @@ impl ChunkStream {
         // Every cpu and memory cell is overwritten below; only the idle
         // bits accumulate, so only they are cleared.
         chunk.cpu.resize(windows * nodes, 0.0);
-        chunk.mem_kb.resize(windows * nodes, 0);
+        chunk.mem_pages.resize(windows * nodes, 0);
         chunk.idle.clear();
         chunk.idle.resize(windows * words_per_row, 0);
 
@@ -356,24 +360,24 @@ impl ChunkStream {
                 streams,
                 offsets: &self.offsets[range.clone()],
                 cpu: Vec::with_capacity(windows),
-                mem_kb: Vec::with_capacity(windows),
+                mem_pages: Vec::with_capacity(windows),
                 idle: Vec::with_capacity(windows),
             })
             .collect();
-        for ((cpu, mem_kb), idle) in chunk
+        for ((cpu, mem_pages), idle) in chunk
             .cpu
             .chunks_exact_mut(nodes.max(1))
-            .zip(chunk.mem_kb.chunks_exact_mut(nodes.max(1)))
+            .zip(chunk.mem_pages.chunks_exact_mut(nodes.max(1)))
             .zip(chunk.idle.chunks_exact_mut(words_per_row.max(1)))
         {
-            for (((shard, cpu), mem_kb), idle) in shards
+            for (((shard, cpu), mem_pages), idle) in shards
                 .iter_mut()
                 .zip(plan.split_mut(cpu))
-                .zip(plan.split_mut(mem_kb))
+                .zip(plan.split_mut(mem_pages))
                 .zip(plan.split_words_mut(idle))
             {
                 shard.cpu.push(cpu);
-                shard.mem_kb.push(mem_kb);
+                shard.mem_pages.push(mem_pages);
                 shard.idle.push(idle);
             }
         }
@@ -381,21 +385,40 @@ impl ChunkStream {
         let spec_cfg = &self.spec.cfg;
         let factory = &self.factory;
         plan.run(shards, |_, shard: ShardFill<'_>| {
-            let ShardFill { start, streams, offsets, mut cpu, mut mem_kb, mut idle } = shard;
+            let ShardFill {
+                start,
+                streams,
+                offsets,
+                mut cpu,
+                mut mem_pages,
+                mut idle,
+            } = shard;
             for (j, (stream, &offset)) in streams.iter_mut().zip(offsets).enumerate() {
+                // A fresh stream *is* sample 0, so replaying from the
+                // start of the trace is a restart.
+                let restart = || TraceStream::new(spec_cfg, factory, (start + j) as u64);
+                // Position once per chunk at the node's first sample,
+                // `(offset + base) % period`. A sweep's stream usually
+                // sits there already; it lies behind after a forward
+                // jump and past it after a wrap or an earlier window.
+                let mut pos = (offset + base) % period;
+                if stream.index() > pos {
+                    *stream = restart();
+                }
+                if stream.index() < pos {
+                    stream.skip(pos - stream.index());
+                }
+                // Consecutive windows read consecutive samples; a chunk
+                // spans at most one period, so it wraps at most once.
                 for dw in 0..windows {
-                    let target = (offset + base + dw) % period;
-                    if stream.index() > target {
-                        // Wrapped past the end of the trace: replay from
-                        // sample 0 (a fresh stream *is* sample 0).
-                        *stream = TraceStream::new(spec_cfg, factory, (start + j) as u64);
-                    }
-                    if stream.index() < target {
-                        stream.skip(target - stream.index());
+                    if pos == period {
+                        *stream = restart();
+                        pos = 0;
                     }
                     let (s, is_idle) = stream.next_sample();
+                    pos += 1;
                     cpu[dw][j] = s.cpu;
-                    mem_kb[dw][j] = s.mem_used_kb;
+                    mem_pages[dw][j] = synthesized_pages(s.mem_used_kb);
                     if is_idle {
                         idle[dw][j / 64] |= 1u64 << (j % 64);
                     }
@@ -416,7 +439,7 @@ struct ShardFill<'a> {
     streams: &'a mut [TraceStream],
     offsets: &'a [usize],
     cpu: Vec<&'a mut [f64]>,
-    mem_kb: Vec<&'a mut [u32]>,
+    mem_pages: Vec<&'a mut [u16]>,
     idle: Vec<&'a mut [u64]>,
 }
 
@@ -453,12 +476,12 @@ mod tests {
                     tbl.cpu_row(w).iter().map(|c| c.to_bits()).collect::<Vec<_>>(),
                     "cpu row {w} chunk {chunk_windows}"
                 );
-                assert_eq!(rows.mem_kb, tbl.mem_row(w), "mem row {w}");
+                assert_eq!(rows.mem_pages, tbl.mem_row(w), "mem row {w}");
                 assert_eq!(rows.idle, tbl.idle_row(w), "idle row {w}");
                 // The table-backed cursor serves the same bytes.
                 let t = table_cur.rows(w);
                 assert_eq!(t.cpu.as_ptr(), tbl.cpu_row(w).as_ptr(), "no copy of the table");
-                assert_eq!(t.mem_kb, rows.mem_kb);
+                assert_eq!(t.mem_pages, rows.mem_pages);
                 assert_eq!(t.idle, rows.idle);
             }
             assert!(cur.build_secs() > 0.0);
@@ -492,11 +515,32 @@ mod tests {
                 let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
                 let (cpu, expect) = (bits(rows.cpu), bits(tbl.cpu_row(w)));
                 assert_eq!(cpu, expect, "cpu row {w} chunk {chunk_windows}");
-                assert_eq!(rows.mem_kb, tbl.mem_row(w), "mem row {w} chunk {chunk_windows}");
+                assert_eq!(rows.mem_pages, tbl.mem_row(w), "mem row {w} chunk {chunk_windows}");
                 assert_eq!(rows.idle, tbl.idle_row(w), "idle row {w} chunk {chunk_windows}");
             }
         }
         linger_sim_core::set_default_jobs(0);
+    }
+
+    /// The streamed page lane against each node's whole trace, derived
+    /// the legacy way (one materialized trace per node), at node counts
+    /// straddling the 64-node idle word and across the wrap.
+    #[test]
+    fn streamed_page_lane_matches_trace_samples() {
+        let c = cfg(194); // period 97, not a multiple of any chunk below
+        let factory = RngFactory::new(17);
+        for nodes in [1, 63, 64, 65, 130] {
+            let streamed = WorkloadRealization::synthesize_streamed(&c, 17, nodes, 40);
+            let traces: Vec<_> = (0..nodes).map(|n| c.synthesize(&factory, n as u64)).collect();
+            let mut cur = streamed.cursor();
+            for w in 0..2 * c.sample_count() + 3 {
+                let want: Vec<u32> = (traces.iter().zip(streamed.offsets()))
+                    .map(|(t, &o)| t.sample(o + w).mem_used_kb / crate::PAGE_KB)
+                    .collect();
+                let got: Vec<u32> = cur.rows(w).mem_pages.iter().map(|&p| u32::from(p)).collect();
+                assert_eq!(got, want, "{nodes} nodes, window {w}");
+            }
+        }
     }
 
     #[test]
@@ -508,7 +552,7 @@ mod tests {
         // A quarter of the budget, not all of it.
         let nodes = 1 << 20;
         let w = auto_chunk_windows(nodes, 1800, 4 << 30);
-        let per_window = nodes * 12 + nodes / 64 * 8;
+        let per_window = nodes * 10 + nodes / 64 * 8;
         assert!(w * per_window <= 1 << 30);
         assert!(w >= 64, "got {w}");
     }
@@ -519,8 +563,11 @@ mod tests {
         let real = WorkloadRealization::synthesize_monolithic(&c, 5, 40);
         let est = monolithic_bytes_estimate(40, c.sample_count());
         let actual = real.approx_bytes();
-        assert!(est >= actual, "estimate {est} must not undershoot {actual}");
-        assert!(est <= actual * 2, "estimate {est} way above {actual}");
+        assert_eq!(est, actual, "the estimate counts exactly the realized lanes");
+        // 16,384 nodes × 1,800 windows (a 1-hour trace): 10 bytes of
+        // cpu and page lanes plus 1/8 byte of idle bit per node-window,
+        // and an 8-byte offset per node.
+        assert_eq!(monolithic_bytes_estimate(16_384, 1_800), 298_729_472);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use linger_sim_core::{domains, RngFactory, SimDuration};
 use linger_workload::{
     BurstGenerator, BurstKind, BurstParamTable, CoarseSample, CoarseTrace, CoarseTraceConfig,
-    DispatchTrace, TwoPoolMemory, MIN_BURST, TOTAL_MEMORY_KB,
+    DispatchTrace, TwoPoolMemory, MIN_BURST, PAGE_KB, TOTAL_MEMORY_KB,
 };
 use proptest::prelude::*;
 
@@ -111,7 +111,7 @@ proptest! {
         local_seq in prop::collection::vec(0u32..=80_000, 1..80),
         job_kb in 1u32..=40_000,
     ) {
-        let mut m = TwoPoolMemory::new(64 * 1024, 24 * 1024);
+        let mut m = TwoPoolMemory::new(64 * 1024, 24 * 1024 / PAGE_KB);
         let could_fit = m.fits(job_kb);
         let resident = m.attach_foreign(job_kb);
         if could_fit {
@@ -119,7 +119,7 @@ proptest! {
         }
         let mut reclaimed_prev = 0;
         for kb in local_seq {
-            m.set_local_kb(kb);
+            m.set_local_pages(kb / PAGE_KB);
             prop_assert!(m.local_kb() + m.foreign_resident_kb() <= m.total_kb());
             // Reclaim counter is monotone.
             prop_assert!(m.reclaimed_pages() >= reclaimed_prev);

@@ -13,6 +13,7 @@ use linger_stats::Distribution;
 use linger_workload::{
     analysis::{CoarseAggregates, FineGrainAnalysis},
     BurstFitTable, BurstKind, CoarseTraceConfig, DispatchTrace, LocalWorkload, TwoPoolMemory,
+    PAGE_KB,
 };
 use std::sync::Arc;
 
@@ -62,14 +63,14 @@ fn main() {
 
     // -- 3. The two-pool memory contract -------------------------------
     println!("\n== two-pool priority memory (Sec 3.2) ==");
-    let mut mem = TwoPoolMemory::new(64 * 1024, 30 * 1024);
+    let mut mem = TwoPoolMemory::new(64 * 1024, 30 * 1024 / PAGE_KB);
     let resident = mem.attach_foreign(8 * 1024);
     println!(
         "foreign job attached: {} KB resident, {} KB still free",
         resident,
         mem.free_kb()
     );
-    mem.set_local_kb(58 * 1024); // the owner opens a big build
+    mem.set_local_pages(58 * 1024 / PAGE_KB); // the owner opens a big build
     println!(
         "owner grows to 58 MB: foreign shrinks to {} KB resident ({} pages reclaimed), \
          zero local page-outs: {}",

@@ -6,7 +6,7 @@ use linger::cost::{break_even_factor, linger_duration, migration_beneficial, sho
 use linger::MigrationCostModel;
 use linger_sim_core::{EventQueue, SimDuration, SimTime};
 use linger_stats::{fit_two_moments, Distribution};
-use linger_workload::TwoPoolMemory;
+use linger_workload::{TwoPoolMemory, PAGE_KB};
 use proptest::prelude::*;
 
 proptest! {
@@ -120,10 +120,10 @@ proptest! {
         demands in prop::collection::vec(0u32..=140_000, 1..60),
     ) {
         let total_kb = total_mb * 1024;
-        let mut m = TwoPoolMemory::new(total_kb, 20 * 1024.min(total_kb / 2));
+        let mut m = TwoPoolMemory::new(total_kb, 20 * 1024.min(total_kb / 2) / PAGE_KB);
         m.attach_foreign(job_mb * 1024);
         for kb in demands {
-            m.set_local_kb(kb);
+            m.set_local_pages(kb / PAGE_KB);
             // Pools never exceed physical memory.
             prop_assert!(m.local_kb() + m.foreign_resident_kb() <= m.total_kb());
             // The foreign job never grows beyond its demand.

@@ -1,8 +1,9 @@
 //! The telemetry no-interference contract, enforced end to end: figure
 //! results are byte-identical with telemetry off or on, at any worker
 //! count; journals stay within their ring cap at figure scale; a run
-//! spills its journal where `LINGER_TELEMETRY_DIR` points; and the
-//! decision-level diff pinpoints where two runs part ways.
+//! spills its journal where `LINGER_TELEMETRY_DIR` points; only the
+//! recorder built from the environment feeds the process-wide registry;
+//! and the decision-level diff pinpoints where two runs part ways.
 
 use linger::{JobFamily, Policy};
 use linger_bench as bench;
@@ -96,6 +97,31 @@ fn different_seeds_diverge_at_a_specific_decision() {
         dec.a.is_some() || dec.b.is_some(),
         "divergence must carry at least one side's event"
     );
+}
+
+/// The process-wide registry as comparable text.
+fn registry_json() -> String {
+    serde_json::to_string(&linger_telemetry::metrics::global().summary()).unwrap()
+}
+
+#[test]
+fn attached_recorders_stay_out_of_the_global_registry() {
+    let _guard = ENV_LOCK.lock().unwrap();
+    std::env::set_var("LINGER_TELEMETRY", "1");
+    let before = registry_json();
+    // A harness's own journaling run, even with telemetry on: its
+    // journal fills, the registry does not move.
+    let recorder = Recorder::with_capacity(1 << 10);
+    ClusterSim::new(cell(SEED)).with_recorder(recorder.clone()).run();
+    assert!(recorder.journal().unwrap().counts().events > 0, "the attached journal records");
+    let after_attached = registry_json();
+    // The recorder a sim builds from the environment is still absorbed.
+    let journals = linger_telemetry::metrics::global().summary().journals;
+    ClusterSim::new(cell(SEED)).run();
+    let absorbed = linger_telemetry::metrics::global().summary().journals;
+    std::env::remove_var("LINGER_TELEMETRY");
+    assert_eq!(after_attached, before, "an attached recorder must not feed the registry");
+    assert_eq!(absorbed, journals + 1, "the environment's recorder feeds the registry");
 }
 
 /// The spill file name `ClusterSim` derives from a config: the policy
