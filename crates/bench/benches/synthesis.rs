@@ -43,7 +43,7 @@ fn bench_chunk_build(c: &mut Criterion) {
         let name = format!("chunk_build_{nodes}n_64w");
         c.bench_function(&name, |b| {
             b.iter(|| {
-                let mut cursor = real.cursor();
+                let mut cursor = real.cursor(usize::MAX);
                 for w in (0..256).step_by(64) {
                     black_box(cursor.rows(w).cpu.len());
                 }

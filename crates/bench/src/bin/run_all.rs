@@ -711,15 +711,34 @@ fn main() {
     }
     // fig07 wall-clock against the pre-telemetry reference measurement
     // (seed 1998, --jobs default, telemetry disabled): the disabled path
-    // must stay within 3% plus a small absolute noise guard. Machine-
-    // dependent.
-    let fig07_pre_telemetry = if args.fast { 0.0199 } else { 0.0902 };
-    if let Some(f7_secs) = timings.sections.iter().find(|s| s.name == "fig07").map(|s| s.secs) {
+    // must stay within 3% plus the noise of a batched per-run mean.
+    // One fast-mode run takes ~0.02 s, near scheduler noise, so fig07
+    // reruns until its summed time reaches `MIN_SECS` (after the timed
+    // section above, so caches are warm) and the check reads the mean.
+    // `noise` is about the spread of that mean on a quiet 2-core host
+    // (fast 0.015–0.022 s over 60 batches, full 0.061–0.078 s over 12),
+    // so a slowdown of ~1.3x warns where the old 0.05 s guard let 3.5x
+    // pass. Machine-dependent: a contended host (0.025–0.044 s per fast
+    // run) warns too.
+    if timings.sections.iter().any(|s| s.name == "fig07") {
+        const MIN_SECS: f64 = 0.1;
+        let (reference, noise) = if args.fast { (0.0199, 0.004) } else { (0.0902, 0.017) };
+        let (mut runs, mut secs) = (0u32, 0.0);
+        while secs < MIN_SECS {
+            let t = std::time::Instant::now();
+            let f7 = fig07(args.seed, args.fast);
+            secs += t.elapsed().as_secs_f64();
+            drop(f7);
+            runs += 1;
+        }
+        let per_run = secs / f64::from(runs);
         checks.push(Check {
             name: "Perf: telemetry disabled-path fig07 wall-clock",
-            paper: "<= pre-telemetry baseline x 1.03 (+50ms noise guard)".into(),
-            measured: format!("{f7_secs:.4}s vs {fig07_pre_telemetry:.4}s reference"),
-            ok: f7_secs <= fig07_pre_telemetry * 1.03 + 0.05,
+            paper: format!("<= pre-telemetry baseline x 1.03 (+{noise}s batch noise)"),
+            measured: format!(
+                "{per_run:.4}s per run over {runs} runs vs {reference:.4}s reference"
+            ),
+            ok: per_run <= reference * 1.03 + noise,
         });
     }
 

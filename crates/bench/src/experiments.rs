@@ -613,7 +613,8 @@ pub struct ScalingTiming {
     /// Policy abbreviation.
     pub policy: String,
     /// Seconds building the simulator (per-cell share of the trace
-    /// synthesis, which runs once per node count, plus construction).
+    /// synthesis and table build, which run once per node count, plus
+    /// construction).
     pub setup_secs: f64,
     /// Seconds inside the window loop — the **median** of the
     /// individually-timed replicates, robust against a scheduler blip
@@ -637,12 +638,16 @@ pub struct ScalingTiming {
     /// Window-loop nanoseconds per node-window.
     pub ns_per_node_window: f64,
     /// Resident bytes of the cell's shared workload realization
-    /// ([`WorkloadRealization::approx_bytes`]): the window table plus
-    /// offsets, or just the offsets when the cell streams its windows
-    /// (each run's chunk arena is not counted).
+    /// ([`WorkloadRealization::approx_bytes`]), read once the cell's
+    /// simulators are built: the offsets plus the window-table rows the
+    /// horizon reads (its windows plus one, built once per node count
+    /// and capped at the replay period), or just the offsets when the
+    /// cell streams its windows (each run's chunk arena is not counted).
     pub realization_bytes: usize,
-    /// `realization_bytes` per node-window of the realization's replay
-    /// period — the memory counterpart of `ns_per_node_window`.
+    /// `realization_bytes` per node-window of the table rows built (of
+    /// the replay period when the cell streams) — the memory counterpart
+    /// of `ns_per_node_window`, 10.125 B plus the offsets' share for a
+    /// table.
     pub bytes_per_node_window: f64,
     /// Live hot-lane rows in the job slabs after the run — with slot
     /// recycling this stays at the initial job count (`O(active jobs)`)
@@ -694,17 +699,20 @@ pub fn ext_scaling_at(
     let mut points = Vec::new();
     let mut timings = Vec::new();
     for &nodes in node_counts {
+        let expected_windows = (horizon.as_nanos() / linger_cluster::WINDOW.as_nanos()) as usize;
         let t0 = std::time::Instant::now();
         // One realization (offsets + window table, or a stream spec at
         // the top counts) per node count, shared across all four
-        // policies and every timing replicate below.
+        // policies and every timing replicate below. Its table rows —
+        // the horizon's windows plus one, as each simulator asks — are
+        // built here, so the shared setup carries them rather than the
+        // first policy's construction.
         let real = WorkloadRealization::synthesize(&trace_cfg, seed, nodes);
+        real.table(expected_windows + 1);
         let shared_setup = t0.elapsed().as_secs_f64() / Policy::ALL.len() as f64;
-        let realization_bytes = real.approx_bytes();
-        let period_node_windows = (nodes * trace_cfg.sample_count()) as f64;
         for policy in Policy::ALL {
             let t1 = std::time::Instant::now();
-            let expected_windows = (horizon.as_nanos() / linger_cluster::WINDOW.as_nanos()) as f64;
+            let expected_windows = expected_windows as f64;
             // Enough identical runs to keep each timed region well above
             // clock granularity (a 64-node cell alone finishes in ~2 ms),
             // and never fewer than three so the median below has
@@ -757,6 +765,11 @@ pub fn ext_scaling_at(
             } else {
                 (rep_secs[mid - 1] + rep_secs[mid]) / 2.0
             };
+            // Read after the simulators exist: the table holds the rows
+            // they can read (a streamed realization holds none and is
+            // reported per node-window of its period).
+            let realization_bytes = real.approx_bytes();
+            let rows = real.table(1).map_or(trace_cfg.sample_count(), |t| t.rows());
             let sim = &sims[0];
             let windows = (sim.now().as_nanos() / linger_cluster::WINDOW.as_nanos()) as usize;
             let node_windows = nodes as f64 * windows as f64;
@@ -778,7 +791,7 @@ pub fn ext_scaling_at(
                 node_windows,
                 ns_per_node_window: run_secs * 1e9 / node_windows.max(1.0),
                 realization_bytes,
-                bytes_per_node_window: realization_bytes as f64 / period_node_windows.max(1.0),
+                bytes_per_node_window: realization_bytes as f64 / (rows * nodes).max(1) as f64,
                 live_job_rows: sim.live_job_rows(),
                 archived_jobs: sim.archived_jobs(),
             });

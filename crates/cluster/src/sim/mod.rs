@@ -262,24 +262,27 @@ impl ClusterSim {
     /// Build the simulation over a workload realization (shared across a
     /// sweep or freshly synthesized) and queue the whole family at its arrival
     /// times — every constructor ends here. The realization's window
-    /// table is shared by `Arc`, never copied per policy; a streamed
-    /// realization gets a fresh cursor.
+    /// table is shared by `Arc`, never copied per policy; this builds it
+    /// (or grows it) first if it does not yet hold every window the
+    /// run's hard horizon can reach. A streamed realization gets a fresh
+    /// cursor.
     ///
     /// # Panics
     /// If the realization's node count differs from `cfg.nodes`.
     pub fn with_realization(cfg: ClusterConfig, real: &WorkloadRealization) -> Self {
         assert_eq!(real.nodes(), cfg.nodes, "realization must cover cfg.nodes");
-        // Node state comes from the window rows; initial memory demand is
-        // the window-0 row.
-        let mut windows = real.cursor();
-        let nodes = NodeSlabs::new(windows.rows(0).mem_pages, cfg.node_memory_kb);
         let jobs = JobSlabs::from_specs(cfg.family.jobs());
         let source = Source::new(&cfg, jobs.len());
+        // Windows the run can reach before its hard horizon stops it.
+        let max_windows = (source.horizon().as_nanos() / WINDOW.as_nanos()) as usize + 1;
+        // Node state comes from the window rows; initial memory demand is
+        // the window-0 row.
+        let mut windows = real.cursor(max_windows);
+        let nodes = NodeSlabs::new(windows.rows(0).mem_pages, cfg.node_memory_kb);
         let n = cfg.nodes;
         // The fault schedule spans the run's hard horizon; events are a
         // pure function of (faults config, seed, node), so two runs of
         // the same config realize identical failures.
-        let max_windows = (source.horizon().as_nanos() / WINDOW.as_nanos()) as usize + 1;
         let faults = FaultModel::new(cfg.faults, cfg.seed, n, max_windows);
         let shards = env_count("LINGER_SHARDS").unwrap_or_else(|| default_shard_count(n));
         let plan = ShardPlan::new(n, shards);

@@ -2,11 +2,13 @@
 //! be indistinguishable from one synthesized afresh per run. A run built
 //! by `ClusterSim::new` (its own synthesis), one over legacy whole
 //! traces, and runs that reuse one monolithic or one streamed
-//! realization must all finish identically.
+//! realization must all finish identically — including runs whose
+//! horizons need different numbers of window-table rows, in either
+//! order and racing on two threads.
 
 use linger::{JobFamily, Policy};
-use linger_cluster::{ClusterConfig, ClusterSim};
-use linger_sim_core::{RngFactory, SimDuration};
+use linger_cluster::{ClusterConfig, ClusterSim, RunMode};
+use linger_sim_core::{par_map_indexed, RngFactory, SimDuration, SimTime};
 use linger_workload::{CoarseTrace, CoarseTraceConfig, LocalWorkload, WorkloadRealization};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -86,6 +88,54 @@ proptest! {
                 let got = run(ClusterSim::with_realization(c.clone(), real));
                 prop_assert_eq!(&got, &want, "{} realization, pass {}", what, pass);
             }
+        }
+    }
+}
+
+/// A 70-node throughput cell (two 64-node idle words) over a 1,800 s
+/// trace (900 windows) cut at `horizon_s`.
+fn throughput_cell(policy: Policy, horizon_s: u64) -> ClusterConfig {
+    let mut c = cfg(policy, 70, 140, 120, 1998);
+    c.mode = RunMode::Throughput { horizon: SimTime::from_secs(horizon_s) };
+    c
+}
+
+/// A run that reads 301 rows and one that reads every row of the period
+/// (its 3,600 s horizon wraps the trace), over one shared table in both
+/// orders and racing on two workers, each finish as over a realization
+/// of its own.
+#[test]
+fn runs_of_different_horizons_share_one_table() {
+    let period = cfg(Policy::LingerLonger, 70, 1, 1, 1998).trace.sample_count();
+    for policy in [Policy::LingerLonger, Policy::ImmediateEviction] {
+        let cells = [throughput_cell(policy, 600), throughput_cell(policy, 3600)];
+        let fresh_real = |c: &ClusterConfig| {
+            WorkloadRealization::synthesize_monolithic(&c.trace, c.seed, c.nodes)
+        };
+        let run = |c: &ClusterConfig, real: &WorkloadRealization| {
+            let mut sim = ClusterSim::with_realization(c.clone(), real);
+            assert!(sim.run(), "throughput runs end at their horizon");
+            fingerprint(&sim)
+        };
+        let want: Vec<_> = cells.iter().map(|c| run(c, &fresh_real(c))).collect();
+        assert_ne!(want[0], want[1], "the horizons must differ in outcome");
+
+        // Rows each cell's construction asks for: its horizon's 300 or
+        // 1,800 windows plus one, up to the period.
+        let reach = [301, period];
+        for order in [[0, 1], [1, 0]] {
+            let shared = fresh_real(&cells[0]);
+            let mut built = 0;
+            for i in order {
+                assert_eq!(run(&cells[i], &shared), want[i], "{policy}: cell {i}, order {order:?}");
+                built = built.max(reach[i]);
+                assert_eq!(shared.table(1).expect("table").rows(), built, "order {order:?}");
+            }
+        }
+        for race in 0..4 {
+            let shared = fresh_real(&cells[0]);
+            let got = par_map_indexed(2, Some(2), |i| run(&cells[i], &shared));
+            assert_eq!(got, want, "{policy}: race {race}");
         }
     }
 }

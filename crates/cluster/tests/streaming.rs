@@ -93,7 +93,7 @@ proptest! {
         for chunk in [1usize, 7, 64, period] {
             let streamed =
                 WorkloadRealization::synthesize_streamed(&cfg.trace, seed, nodes, chunk);
-            prop_assert!(streamed.window_table().is_none());
+            prop_assert!(streamed.table(usize::MAX).is_none());
             for shards in [1usize, 4] {
                 prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);
                 for width in [1usize, 4] {

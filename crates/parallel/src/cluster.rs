@@ -149,7 +149,10 @@ fn simulate_over(
     let factory = RngFactory::new(cfg.seed);
     let table = BurstParamTable::paper_calibrated();
     let cs = SimDuration::from_micros(100);
-    let mut cursor = real.cursor();
+    let window = SimDuration::from_secs(SAMPLE_PERIOD_SECS);
+    let n_windows = (cfg.horizon.as_nanos() / window.as_nanos()) as usize;
+    // The window loop below reads windows `0..n_windows`.
+    let mut cursor = real.cursor(n_windows);
 
     // Pre-draw the arrival sequence.
     let mut arr_rng = factory.stream_for(linger_sim_core::domains::JOBS, 0);
@@ -168,8 +171,6 @@ fn simulate_over(
         out
     };
 
-    let window = SimDuration::from_secs(SAMPLE_PERIOD_SECS);
-    let n_windows = (cfg.horizon.as_nanos() / window.as_nanos()) as usize;
     let dedicated_phase = cfg.grain + cfg.comm;
     let dedicated_secs = dedicated_phase.as_secs_f64() * cfg.phases as f64;
 

@@ -116,8 +116,8 @@ where
 /// vector is identical at any thread count. `f` runs under
 /// [`std::panic::catch_unwind`]; units are independent by contract, so a
 /// panicking unit cannot leave state behind that other units observe
-/// (state shared between units, such as a workload realization, is
-/// read-only).
+/// (state shared between units is read-only, or, like a workload
+/// realization's window table, stored only once fully built).
 pub fn try_par_map_indexed<U, F>(n: usize, jobs: Option<usize>, f: F) -> Vec<Result<U, CellPanic>>
 where
     U: Send,

@@ -10,6 +10,15 @@
 //! redundant work: the bytes are provably identical. A sweep calls
 //! [`WorkloadRealization::synthesize`] once per `(trace config, seed,
 //! node count)` and hands the realization to every cell that shares it.
+//!
+//! Synthesis itself draws only the phase offsets. The table's rows are
+//! built when the first simulator asks for a cursor, and only as many
+//! as that simulator can read: a run over a horizon of `h` seconds
+//! reads windows `0..=h/2`, often a small share of the trace's replay
+//! period. The realization keeps that table and hands it to every later
+//! simulator that reads no further; one that reads further rebuilds it
+//! once at the longer length. Rows do not depend on how many were
+//! built, so a table of `r` rows is the first `r` rows of the full one.
 
 use crate::coarse::{CoarseTrace, CoarseTraceConfig, TraceStream, TOTAL_MEMORY_KB};
 use crate::generator::LocalWorkload;
@@ -18,7 +27,8 @@ use crate::stream::{
     streamed_chunk_windows, StreamSpec, WindowCursor, DEFAULT_WINDOW_BUDGET_BYTES,
 };
 use linger_sim_core::{env_count, par_map_indexed, RngFactory};
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Window-major struct-of-arrays matrix of every node's `(cpu, mem,
 /// idle)` per window.
@@ -42,14 +52,22 @@ use std::sync::{Arc, Mutex};
 /// `w < period()`: for traces of length `period`,
 /// `(offset + (w % period)) % period == (offset + w) % period`.
 ///
+/// A table may hold only its first [`rows()`](Self::rows) rows: a run
+/// over a horizon shorter than the period never reads the rest. Such a
+/// table serves windows `0..rows()` and panics past them instead of
+/// wrapping; only a table of every row (`rows() == period()`) wraps.
+///
 /// Synthesized realizations write the table straight from the per-node
-/// trace streams (`WindowTable::synthesize`);
+/// trace streams (`WindowTable::synthesize`), with as many rows as the
+/// simulators over them can read;
 /// [`WorkloadRealization::from_traces`] transposes already materialized
-/// traces (measured or hand-built). Simulators read it through a
-/// [`WindowCursor`].
+/// traces (measured or hand-built) into a table of every row.
+/// Simulators read it through a [`WindowCursor`].
 #[derive(Debug, Clone)]
 pub struct WindowTable {
     period: usize,
+    /// Rows built, `1..=period`.
+    rows: usize,
     nodes: usize,
     /// One bit per (window, node): nodes per row padded to a whole number
     /// of 64-bit words so rows start word-aligned.
@@ -88,18 +106,24 @@ struct ColumnBlock {
 }
 
 impl ColumnBlock {
-    fn new(period: usize) -> ColumnBlock {
+    fn new(rows: usize) -> ColumnBlock {
         ColumnBlock {
-            cpu: vec![0.0; period * BLOCK_NODES],
-            mem_pages: vec![0; period * BLOCK_NODES],
-            idle: vec![0; period],
+            cpu: vec![0.0; rows * BLOCK_NODES],
+            mem_pages: vec![0; rows * BLOCK_NODES],
+            idle: vec![0; rows],
         }
     }
 
-    /// Run each node's [`TraceStream`] once through one period, writing
-    /// sample `s` of node `first + j` to row `(s - offset_j) mod period`
-    /// — the row whose lookup `(offset_j + w) % period` lands on `s`.
-    /// Rows are `offsets.len()` wide.
+    /// Fill rows `0..rows` of nodes `first..first + offsets.len()`: row
+    /// `w` of node `first + j` is sample `(offset_j + w) mod period` of
+    /// its [`TraceStream`]. Rows are `offsets.len()` wide.
+    ///
+    /// The rows read samples `offset_j..offset_j + rows`, which wrap
+    /// past the period into a head `0..offset_j + rows - period`. Each
+    /// stream is walked once in sample order: the wrapped head first,
+    /// then a [`TraceStream::skip`] over the samples no row reads, then
+    /// the run from `offset_j`. No sample is drawn twice, and a table
+    /// of every row draws each sample exactly once.
     fn fill(
         &mut self,
         cfg: &CoarseTraceConfig,
@@ -107,37 +131,45 @@ impl ColumnBlock {
         first: usize,
         offsets: &[usize],
         period: usize,
+        rows: usize,
     ) {
         let width = offsets.len();
         self.idle.fill(0);
         for (j, &offset) in offsets.iter().enumerate() {
+            let offset = offset % period;
             let mut stream = TraceStream::new(cfg, factory, (first + j) as u64);
-            let mut w = (period - offset % period) % period;
-            for _ in 0..period {
-                let (s, is_idle) = stream.next_sample();
-                self.cpu[w * width + j] = s.cpu;
-                self.mem_pages[w * width + j] = synthesized_pages(s.mem_used_kb);
-                self.idle[w] |= u64::from(is_idle) << j;
-                w += 1;
-                if w == period {
-                    w = 0;
-                }
-            }
+            let head = (offset + rows).saturating_sub(period);
+            self.write(&mut stream, j, width, period - offset..period - offset + head);
+            stream.skip(offset - head);
+            self.write(&mut stream, j, width, 0..rows - head);
+        }
+    }
+
+    /// Write the stream's next samples of column `j` into `rows`, in
+    /// order.
+    fn write(&mut self, stream: &mut TraceStream, j: usize, width: usize, rows: Range<usize>) {
+        for w in rows {
+            let (s, is_idle) = stream.next_sample();
+            self.cpu[w * width + j] = s.cpu;
+            self.mem_pages[w * width + j] = synthesized_pages(s.mem_used_kb);
+            self.idle[w] |= u64::from(is_idle) << j;
         }
     }
 }
 
 impl WindowTable {
-    /// Synthesize the table of `offsets.len()` nodes straight from their
-    /// `cfg` trace streams under `factory`, without materializing a
-    /// single per-node trace.
+    /// Synthesize the first `rows` rows (clamped to `1..=period`) of the
+    /// table of `offsets.len()` nodes straight from their `cfg` trace
+    /// streams under `factory`, without materializing a single per-node
+    /// trace.
     ///
     /// Nodes are generated in 64-node column blocks over `jobs` workers.
     /// Each worker reuses one block buffer and scatters every block into
     /// its columns as soon as it is filled. A block's bytes and columns
     /// depend only on its index, so the table is identical at any worker
-    /// count and equals [`WindowTable::build`] over the same streams'
-    /// traces, while peak memory is the table plus one block per worker.
+    /// count and its rows equal the first rows of [`WindowTable::build`]
+    /// over the same streams' traces, while peak memory is the table
+    /// plus one block per worker.
     ///
     /// # Panics
     /// If the period is zero.
@@ -145,19 +177,22 @@ impl WindowTable {
         cfg: &CoarseTraceConfig,
         factory: &RngFactory,
         offsets: &[usize],
+        rows: usize,
         jobs: Option<usize>,
     ) -> WindowTable {
         let period = cfg.sample_count();
         assert!(period > 0, "window table needs a nonzero period");
+        let rows = rows.clamp(1, period);
         let nodes = offsets.len();
         let words_per_row = nodes.div_ceil(BLOCK_NODES);
         let table = Mutex::new(WindowTable {
             period,
+            rows,
             nodes,
             words_per_row,
-            cpu: vec![0.0; period * nodes],
-            mem_pages: vec![0; period * nodes],
-            idle: vec![0u64; period * words_per_row],
+            cpu: vec![0.0; rows * nodes],
+            mem_pages: vec![0; rows * nodes],
+            idle: vec![0u64; rows * words_per_row],
         });
         // Idle block buffers: one per worker once every worker has run.
         // A unit that panics poisons the locks only on its way to failing
@@ -172,10 +207,10 @@ impl WindowTable {
                 .lock()
                 .expect(POISONED)
                 .pop()
-                .unwrap_or_else(|| ColumnBlock::new(period));
-            block.fill(cfg, factory, first, &offsets[first..last], period);
+                .unwrap_or_else(|| ColumnBlock::new(rows));
+            block.fill(cfg, factory, first, &offsets[first..last], period, rows);
             let mut t = table.lock().expect(POISONED);
-            for w in 0..period {
+            for w in 0..rows {
                 let col = w * nodes + first;
                 let src = w * width..(w + 1) * width;
                 t.cpu[col..col + width].copy_from_slice(&block.cpu[src.clone()]);
@@ -216,12 +251,42 @@ impl WindowTable {
                 }
             }
         }
-        Some(WindowTable { period, nodes, words_per_row, cpu, mem_pages, idle })
+        Some(WindowTable {
+            period,
+            rows: period,
+            nodes,
+            words_per_row,
+            cpu,
+            mem_pages,
+            idle,
+        })
     }
 
     /// Number of windows before the table wraps (the shared trace length).
     pub fn period(&self) -> usize {
         self.period
+    }
+
+    /// Number of rows built: windows `0..rows()` are readable, and every
+    /// window is once `rows() == period()`.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The stored row of window `w`.
+    ///
+    /// # Panics
+    /// If the table stops short of the period and `w` lies past its
+    /// rows: a partial table never wraps.
+    #[inline]
+    fn row(&self, w: usize) -> usize {
+        assert!(
+            w < self.rows || self.rows == self.period,
+            "window {w} lies past the {} rows built of a {}-window period",
+            self.rows,
+            self.period
+        );
+        w % self.period
     }
 
     /// Number of node columns per row.
@@ -235,24 +300,24 @@ impl WindowTable {
     }
 
     /// Owner CPU demand (in `[0, 1]`) of every node for window `w`
-    /// (wraps modulo the period).
+    /// (wraps modulo the period; see [`Self::rows`]).
     pub fn cpu_row(&self, w: usize) -> &[f64] {
-        let start = (w % self.period) * self.nodes;
+        let start = self.row(w) * self.nodes;
         &self.cpu[start..start + self.nodes]
     }
 
     /// Owner-resident memory (whole [`PAGE_KB`] pages) of every node for
-    /// window `w` (wraps modulo the period).
+    /// window `w` (wraps modulo the period; see [`Self::rows`]).
     pub fn mem_row(&self, w: usize) -> &[u16] {
-        let start = (w % self.period) * self.nodes;
+        let start = self.row(w) * self.nodes;
         &self.mem_pages[start..start + self.nodes]
     }
 
     /// Recruitment idle flags for window `w` as packed bit words: bit
     /// `n % 64` of word `n / 64` ⇔ node `n` is idle (wraps modulo the
-    /// period). Bits at or past `nodes()` are zero.
+    /// period; see [`Self::rows`]). Bits at or past `nodes()` are zero.
     pub fn idle_row(&self, w: usize) -> &[u64] {
-        let start = (w % self.period) * self.words_per_row;
+        let start = self.row(w) * self.words_per_row;
         &self.idle[start..start + self.words_per_row]
     }
 
@@ -263,9 +328,14 @@ impl WindowTable {
     }
 }
 
-/// One fully synthesized owner workload for a cluster: per-node phase
-/// offsets plus either the prebuilt window table or the recipe a
-/// [`WindowCursor`] streams it from. No per-node trace is kept resident.
+/// One cluster's owner workload: per-node phase offsets plus the
+/// recipe for its window rows. No per-node trace is kept resident.
+///
+/// A synthesized realization draws only the offsets up front. Its rows
+/// come either from a [`WindowTable`] built on the first
+/// [`Self::cursor`] request — as many rows as that run can read, kept
+/// and shared by `Arc` with every later simulator — or from a per-run
+/// [`WindowCursor`] that streams them in chunks.
 ///
 /// This is the single shared helper behind `ClusterSim::new`, the
 /// parallel-program simulators, and the bench drivers — the one place
@@ -281,10 +351,50 @@ pub struct WorkloadRealization {
 /// How a realization holds its window rows.
 #[derive(Debug)]
 enum Windows {
-    /// Fully materialized, `Arc`-shared with every simulator over it.
-    Table(Arc<WindowTable>),
+    /// Transposed whole from materialized traces: every row exists.
+    Traces(Arc<WindowTable>),
+    /// Synthesized into a shared table, built as far as a cursor asks.
+    Table(TableSlot),
     /// Realized on demand in chunks, one [`WindowCursor`] per run.
     Stream(StreamSpec),
+}
+
+/// A synthesized realization's table: the trace recipe and the rows
+/// built from it so far.
+#[derive(Debug)]
+struct TableSlot {
+    cfg: CoarseTraceConfig,
+    seed: u64,
+    /// `None` until the first cursor; then the table every cursor so far
+    /// could read, swapped for a longer one when a later run reads
+    /// further.
+    built: Mutex<Option<Arc<WindowTable>>>,
+}
+
+impl TableSlot {
+    /// A table covering at least `rows` rows (clamped to the period) of
+    /// the nodes with phase `offsets`: the built one if it reaches that
+    /// far, else a table of exactly that many rows, built here and kept.
+    ///
+    /// Builds run under the slot's lock, so racing requests build once.
+    /// A build that panics leaves the slot as it was (it is assigned
+    /// only after a build returns), so a poisoned lock is recovered.
+    fn rows(&self, rows: usize, offsets: &[usize]) -> Arc<WindowTable> {
+        let rows = rows.clamp(1, self.cfg.sample_count());
+        let mut built = self.built.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(table) = built.as_ref().filter(|t| t.rows() >= rows) {
+            return table.clone();
+        }
+        let factory = RngFactory::new(self.seed);
+        let table = Arc::new(WindowTable::synthesize(&self.cfg, &factory, offsets, rows, None));
+        *built = Some(table.clone());
+        table
+    }
+
+    /// The table built so far, if any.
+    fn built(&self) -> Option<Arc<WindowTable>> {
+        self.built.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    }
 }
 
 impl WorkloadRealization {
@@ -295,17 +405,20 @@ impl WorkloadRealization {
     /// and its offset from its `TRACE_OFFSET` stream — exactly the
     /// streams `ClusterSim::new` historically drew, so a realization
     /// shared across runs and a fresh one per run are bit-identical.
-    /// Synthesis is index-keyed, so it fans out over the process worker
-    /// pool without affecting the bytes produced.
+    /// Only the offsets are drawn here; window rows are built when a
+    /// simulator asks for them ([`Self::cursor`]). Synthesis is
+    /// index-keyed, so it fans out over the process worker pool without
+    /// affecting the bytes produced.
     ///
-    /// When the window table would not fit the window byte budget
+    /// When the full window table would not fit the window byte budget
     /// ([`DEFAULT_WINDOW_BUDGET_BYTES`], 4 GiB) — or
     /// `LINGER_WINDOW_CHUNK=<windows>` forces it at any node count, as
     /// the chunked-vs-monolithic determinism checks do — this returns a
     /// *streamed* realization instead (see [`streamed_chunk_windows`]):
-    /// only the offsets are computed up front and windows are realized on
-    /// demand in chunks, byte-identical to the monolithic table at any
-    /// chunk size.
+    /// windows are realized on demand in chunks, byte-identical to the
+    /// table at any chunk size. The budget sizes the whole period on
+    /// purpose, not the rows a run reads: one realization may serve a
+    /// run that reads every row.
     pub fn synthesize(cfg: &CoarseTraceConfig, seed: u64, nodes: usize) -> WorkloadRealization {
         let period = cfg.sample_count();
         let forced = env_count("LINGER_WINDOW_CHUNK");
@@ -315,8 +428,9 @@ impl WorkloadRealization {
         }
     }
 
-    /// [`Self::synthesize`] pinned to the materialized window-table
-    /// representation, regardless of budget knobs.
+    /// [`Self::synthesize`] pinned to the window-table representation,
+    /// regardless of budget knobs. Draws the offsets; the table's rows
+    /// are built by the first [`Self::cursor`] that needs them.
     ///
     /// # Panics
     /// If `cfg` has a zero-length period.
@@ -325,10 +439,11 @@ impl WorkloadRealization {
         seed: u64,
         nodes: usize,
     ) -> WorkloadRealization {
-        let factory = RngFactory::new(seed);
-        let offsets = draw_offsets(cfg.sample_count(), &factory, nodes);
-        let table = WindowTable::synthesize(cfg, &factory, &offsets, None);
-        WorkloadRealization { offsets, windows: Windows::Table(Arc::new(table)) }
+        let period = cfg.sample_count();
+        assert!(period > 0, "window table needs a nonzero period");
+        let offsets = draw_offsets(period, &RngFactory::new(seed), nodes);
+        let slot = TableSlot { cfg: cfg.clone(), seed, built: Mutex::new(None) };
+        WorkloadRealization { offsets, windows: Windows::Table(slot) }
     }
 
     /// [`Self::synthesize`] pinned to the streamed representation with an
@@ -372,7 +487,7 @@ impl WorkloadRealization {
     ) -> Option<WorkloadRealization> {
         assert_eq!(offsets.len(), traces.len(), "one offset per trace");
         let table = WindowTable::build(traces, &offsets)?;
-        Some(WorkloadRealization { offsets, windows: Windows::Table(Arc::new(table)) })
+        Some(WorkloadRealization { offsets, windows: Windows::Traces(Arc::new(table)) })
     }
 
     /// The per-node phase offsets (in samples).
@@ -380,24 +495,30 @@ impl WorkloadRealization {
         &self.offsets
     }
 
-    /// The prebuilt window-major table (`None` for a streamed
-    /// realization). Simulators read rows through [`Self::cursor`]
-    /// instead, which serves both representations.
-    pub fn window_table(&self) -> Option<&Arc<WindowTable>> {
+    /// The window-major table with at least `rows` rows (or every row,
+    /// if the period is shorter), building or growing the shared table
+    /// if it stops short; `None` for a streamed realization. Simulators
+    /// read rows through [`Self::cursor`] instead, which serves both
+    /// representations.
+    pub fn table(&self, rows: usize) -> Option<Arc<WindowTable>> {
         match &self.windows {
-            Windows::Table(tbl) => Some(tbl),
+            Windows::Traces(table) => Some(table.clone()),
+            Windows::Table(slot) => Some(slot.rows(rows, &self.offsets)),
             Windows::Stream(_) => None,
         }
     }
 
-    /// A fresh window cursor at window 0: over the shared table for a
-    /// monolithic realization, or streaming chunks for a streamed one.
+    /// A fresh window cursor at window 0 for a run that reads windows
+    /// `0..rows`: over the shared table for a table realization (built
+    /// first if it does not yet reach `rows`, see [`Self::table`]), or
+    /// streaming chunks for a streamed one, which reads any window.
     ///
     /// Each simulation run needs its own cursor (the per-node generator
     /// streams are mutable); the realization itself stays shareable.
-    pub fn cursor(&self) -> WindowCursor {
+    pub fn cursor(&self, rows: usize) -> WindowCursor {
         match &self.windows {
-            Windows::Table(tbl) => WindowCursor::table(tbl.clone()),
+            Windows::Traces(table) => WindowCursor::table(table.clone()),
+            Windows::Table(slot) => WindowCursor::table(slot.rows(rows, &self.offsets)),
             Windows::Stream(spec) => WindowCursor::streamed(spec, &self.offsets),
         }
     }
@@ -407,12 +528,21 @@ impl WorkloadRealization {
         self.offsets.len()
     }
 
-    /// Estimated resident bytes: the window table plus the offsets (just
-    /// the offsets for a streamed realization — each cursor owns its
+    /// Estimated resident bytes: the offsets plus the rows built so far.
+    ///
+    /// A synthesized table holds no rows until the first [`Self::cursor`]
+    /// and then as many as the longest run over it can read (every row
+    /// once one run reads the whole period), so read this after the
+    /// simulators are built. A table from traces holds every row; a
+    /// streamed realization holds just the offsets (each cursor owns its
     /// chunk arena).
     pub fn approx_bytes(&self) -> usize {
-        let table = self.window_table().map_or(0, |t| t.approx_bytes());
-        table + self.offsets.len() * std::mem::size_of::<usize>()
+        let table = match &self.windows {
+            Windows::Traces(table) => Some(table.clone()),
+            Windows::Table(slot) => slot.built(),
+            Windows::Stream(_) => None,
+        };
+        table.map_or(0, |t| t.approx_bytes()) + self.offsets.len() * std::mem::size_of::<usize>()
     }
 }
 
@@ -457,14 +587,15 @@ mod tests {
         (traces, offsets)
     }
 
-    /// Assert two tables hold bit-identical rows (cpu bits, memory pages,
-    /// idle words) and that padding bits past the node count are zero.
+    /// Assert `got` holds bit-identical rows (cpu bits, memory pages,
+    /// idle words) to the first `got.rows()` rows of `want`, and that
+    /// padding bits past the node count are zero.
     fn assert_same_rows(got: &WindowTable, want: &WindowTable, what: &str) {
         assert_eq!(got.period(), want.period(), "{what}: period");
         assert_eq!(got.nodes(), want.nodes(), "{what}: nodes");
         assert_eq!(got.words_per_row(), want.words_per_row(), "{what}: words");
         let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-        for w in 0..want.period() {
+        for w in 0..got.rows() {
             assert_eq!(bits(got.cpu_row(w)), bits(want.cpu_row(w)), "{what}: cpu row {w}");
             assert_eq!(got.mem_row(w), want.mem_row(w), "{what}: mem row {w}");
             assert_eq!(got.idle_row(w), want.idle_row(w), "{what}: idle row {w}");
@@ -475,17 +606,28 @@ mod tests {
         }
     }
 
-    /// The fused builder against the legacy derivation: whole traces,
-    /// then [`WindowTable::build`] — and its page lane against each
-    /// trace's KB samples directly, so a KB-to-page error the two
-    /// builders shared would still show.
-    fn assert_fused_matches_legacy(c: &CoarseTraceConfig, seed: u64, nodes: usize, jobs: usize) {
-        let (traces, offsets) = legacy_synthesize(c, seed, nodes);
+    /// The fused builder's first `rows` rows (every row at
+    /// `usize::MAX`) against the legacy derivation: whole traces, then
+    /// [`WindowTable::build`] — and its page lane against each trace's
+    /// KB samples directly, so a KB-to-page error the two builders
+    /// shared would still show. `offsets` replaces the drawn offsets
+    /// when given.
+    fn assert_fused_matches_legacy(
+        c: &CoarseTraceConfig,
+        seed: u64,
+        nodes: usize,
+        rows: usize,
+        jobs: usize,
+        offsets: Option<Vec<usize>>,
+    ) {
+        let (traces, drawn) = legacy_synthesize(c, seed, nodes);
+        let offsets = offsets.unwrap_or(drawn);
         let legacy = WindowTable::build(&traces, &offsets).expect("uniform traces");
-        let fused = WindowTable::synthesize(c, &RngFactory::new(seed), &offsets, Some(jobs));
-        let what = format!("{nodes} nodes, jobs {jobs}, seed {seed}");
+        let fused = WindowTable::synthesize(c, &RngFactory::new(seed), &offsets, rows, Some(jobs));
+        assert_eq!(fused.rows(), rows.clamp(1, legacy.period()), "rows built");
+        let what = format!("{nodes} nodes, {rows} rows, jobs {jobs}, seed {seed}");
         assert_same_rows(&fused, &legacy, &what);
-        for w in 0..fused.period() {
+        for w in 0..fused.rows() {
             let want: Vec<u32> = (traces.iter().zip(&offsets))
                 .map(|(t, &o)| t.sample(o + w).mem_used_kb / PAGE_KB)
                 .collect();
@@ -501,8 +643,9 @@ mod tests {
         let (traces, offsets) = legacy_synthesize(&c, 42, 6);
         assert_eq!(real.offsets(), &offsets[..]);
         let legacy = WindowTable::build(&traces, &offsets).expect("uniform traces");
-        let tbl = real.window_table().expect("monolithic realization");
-        assert_same_rows(tbl, &legacy, "6 nodes");
+        let tbl = real.table(usize::MAX).expect("monolithic realization");
+        assert_eq!(tbl.rows(), tbl.period());
+        assert_same_rows(&tbl, &legacy, "6 nodes");
     }
 
     #[test]
@@ -515,7 +658,7 @@ mod tests {
         for secs in [2, 194] {
             for nodes in [1, 63, 64, 65, 130, 1089] {
                 for jobs in [1, 4] {
-                    assert_fused_matches_legacy(&cfg(secs), 11, nodes, jobs);
+                    assert_fused_matches_legacy(&cfg(secs), 11, nodes, usize::MAX, jobs, None);
                 }
             }
         }
@@ -524,7 +667,7 @@ mod tests {
     #[test]
     fn empty_realization_has_an_empty_table() {
         let real = WorkloadRealization::synthesize_monolithic(&cfg(600), 3, 0);
-        let tbl = real.window_table().expect("monolithic realization");
+        let tbl = real.table(usize::MAX).expect("monolithic realization");
         assert_eq!((tbl.nodes(), tbl.words_per_row()), (0, 0));
         assert!(tbl.cpu_row(5).is_empty() && tbl.idle_row(5).is_empty());
         assert_eq!(real.nodes(), 0);
@@ -549,15 +692,90 @@ mod tests {
             let nodes = [1, 63, 64, 65, 130, any_nodes][node_pick];
             let secs = [2, 194, any_secs][secs_pick];
             let jobs = [1, 4][jobs_pick];
-            assert_fused_matches_legacy(&cfg(secs), seed, nodes, jobs);
+            assert_fused_matches_legacy(&cfg(secs), seed, nodes, usize::MAX, jobs, None);
         }
+
+        /// A table of `R` rows equals the first `R` rows of the full
+        /// one — around the 30-sample recruitment window the offset skip
+        /// builds in full, one short of the period, and at it — with
+        /// node 0's offset chosen so its rows do or do not wrap past
+        /// the period and, beside it, the last node's so they always do
+        /// (`R > 1`).
+        #[test]
+        fn bounded_table_is_the_full_tables_first_rows(
+            node_pick in 0usize..6,
+            any_nodes in 1usize..=300,
+            secs_pick in 0usize..2,
+            any_secs in 64u64..=400,
+            rows_pick in 0usize..7,
+            any_rows in 1usize..=200,
+            jobs_pick in 0usize..2,
+            first_wraps in any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let nodes = [1, 63, 64, 65, 130, any_nodes][node_pick];
+            // Period 97, or any period 32..=200: past every fixed `R`.
+            let c = cfg([194, any_secs][secs_pick]);
+            let period = c.sample_count();
+            let rows = [1, 29, 30, 31, period - 1, period, any_rows.min(period)][rows_pick];
+            let jobs = [1, 4][jobs_pick];
+            let (_, mut offsets) = legacy_synthesize(&c, seed, nodes);
+            offsets[nodes - 1] = period - 1;
+            offsets[0] = if first_wraps { period - 1 } else { 0 };
+            assert_fused_matches_legacy(&c, seed, nodes, rows, jobs, Some(offsets));
+        }
+    }
+
+    #[test]
+    fn reading_past_the_built_rows_panics() {
+        let real = WorkloadRealization::synthesize_monolithic(&cfg(600), 5, 70);
+        let tbl = real.table(40).expect("table");
+        assert_eq!((tbl.rows(), tbl.period()), (40, 300));
+        let _ = (tbl.cpu_row(39), tbl.mem_row(39), tbl.idle_row(39));
+        // Past the rows, in the unbuilt rest of the period, and past the
+        // period (where a full table would wrap back into the built rows).
+        for w in [40, 299, 300, 301] {
+            for lane in 0..3 {
+                let read = std::panic::catch_unwind(|| match lane {
+                    0 => tbl.cpu_row(w).len(),
+                    1 => tbl.mem_row(w).len(),
+                    _ => tbl.idle_row(w).len(),
+                });
+                assert!(read.is_err(), "lane {lane} read window {w} of 40 rows");
+            }
+        }
+        // The full table wraps.
+        let full = real.table(usize::MAX).expect("table");
+        assert_eq!(full.cpu_row(301), full.cpu_row(1));
+    }
+
+    #[test]
+    fn one_table_serves_every_cursor_and_grows_once() {
+        let real = WorkloadRealization::synthesize_monolithic(&cfg(600), 9, 70);
+        let offsets_only = real.approx_bytes();
+        assert_eq!(offsets_only, 70 * 8, "synthesis builds no rows");
+        let short = real.table(100).expect("table");
+        assert_eq!(short.rows(), 100);
+        // A request the built table covers returns it; a longer one
+        // swaps in a table of exactly that length, whose first rows are
+        // the short table's.
+        assert!(Arc::ptr_eq(&short, &real.table(30).expect("table")));
+        let long = real.table(250).expect("table");
+        assert_eq!(long.rows(), 250);
+        assert_same_rows(&short, &long, "100 of 250 rows");
+        assert!(Arc::ptr_eq(&long, &real.table(100).expect("table")));
+        assert!(real.approx_bytes() > offsets_only);
+        // Requests clamp to the period and never build an empty table.
+        assert_eq!(real.table(usize::MAX).expect("table").rows(), 300);
+        let fresh = WorkloadRealization::synthesize_monolithic(&cfg(600), 9, 70);
+        assert_eq!(fresh.table(0).expect("table").rows(), 1);
     }
 
     #[test]
     fn window_table_rows_match_direct_trace_lookups() {
         let real = WorkloadRealization::synthesize(&cfg(600), 7, 5);
         let (traces, _) = legacy_synthesize(&cfg(600), 7, 5);
-        let tbl = real.window_table().expect("uniform traces build a table");
+        let tbl = real.table(usize::MAX).expect("uniform traces build a table");
         assert_eq!(tbl.period(), traces[0].len());
         assert_eq!(tbl.nodes(), 5);
         // Probe beyond the period to cover the wrap equivalence.
@@ -607,7 +825,8 @@ mod tests {
         // u16::MAX pages is 262,140..=262,143 KB; one KB more is a page
         // the lane cannot hold, so the set has no window-major form.
         let real = peaking_at(262_143).expect("65,535 pages fit the lane");
-        let tbl = real.window_table().expect("monolithic realization");
+        let tbl = real.table(1).expect("a table from traces");
+        assert_eq!(tbl.rows(), tbl.period(), "every row exists");
         // Node 1 starts at offset 1: window 1 reads its last sample.
         assert_eq!(tbl.mem_row(1), &[30_000 / 4, u16::MAX]);
         assert_eq!(tbl.mem_row(0), &[30_000 / 4, 0], "1 KB is no whole page");
@@ -616,11 +835,15 @@ mod tests {
 
     #[test]
     fn approx_bytes_pins_the_table_layout() {
-        // 130 nodes × 300 windows: an 8-byte cpu cell and a 2-byte page
-        // cell per node-window, 3 idle words per row and one offset per
-        // node — 312,000 + 78,000 + 7,200 + 1,040 bytes.
+        // 130 nodes: one 8-byte offset per node (1,040 bytes) before
+        // any rows are built; then per row an 8-byte cpu cell and a
+        // 2-byte page cell per node and 3 idle words — 1,324 bytes.
         let real = WorkloadRealization::synthesize_monolithic(&cfg(600), 3, 130);
-        assert_eq!(real.window_table().expect("table").period(), 300);
+        assert_eq!(real.approx_bytes(), 1_040);
+        assert_eq!(real.table(150).expect("table").rows(), 150);
+        assert_eq!(real.approx_bytes(), 1_040 + 150 * 1_324);
+        // Every row of the 300-window period.
+        assert_eq!(real.table(usize::MAX).expect("table").period(), 300);
         assert_eq!(real.approx_bytes(), 398_240);
     }
 }

@@ -1,13 +1,16 @@
 //! Memory-bounded streaming realization of the window table.
 //!
-//! The monolithic [`WindowTable`] costs `O(nodes × period)` bytes —
-//! 10.125 B per node-window: an 8-byte CPU lane, a 2-byte page lane and
-//! one idle bit (no per-node traces stay resident behind it). At
-//! 1,048,576 nodes and a 3600-second trace that is ~17.8 GiB: the memory
-//! wall, not the sweep loop, is what used to cap the scaling experiments.
+//! A full [`WindowTable`] costs `O(nodes × period)` bytes — 10.125 B
+//! per node-window: an 8-byte CPU lane, a 2-byte page lane and one idle
+//! bit (no per-node traces stay resident behind it). At 1,048,576 nodes
+//! and a 3600-second trace that is ~17.8 GiB: the memory wall, not the
+//! sweep loop, is what used to cap the scaling experiments. A table
+//! holds only the rows its runs read (see the realization module), but
+//! a run whose horizon covers the period reads all of them, so the
+//! representation choice sizes the full period.
 //!
-//! This module replaces the build-everything-up-front step with a
-//! deterministic pipeline that never materializes a trace at all:
+//! This module replaces the table with a deterministic pipeline that
+//! never materializes a trace at all:
 //!
 //! * each node keeps a resumable [`TraceStream`] — two counter-based RNGs
 //!   (each buffering four ChaCha blocks) plus a handful of scalars,
@@ -35,15 +38,16 @@
 //! memory state and consume the jitter and keyboard draws unread
 //! ([`TraceStream::skip`]).
 //!
-//! The same [`WindowCursor`] type also serves a monolithic realization,
-//! straight from its shared table, so every consumer reads window rows
-//! through one interface whichever representation it was handed.
+//! The same [`WindowCursor`] type also serves a table realization,
+//! straight from its shared table (built by the realization before the
+//! cursor is handed out, never by the cursor), so every consumer reads
+//! window rows through one interface whichever representation it was
+//! handed.
 //!
 //! `LINGER_WINDOW_CHUNK` forces streaming with an explicit chunk size
 //! (in windows); [`DEFAULT_WINDOW_BUDGET_BYTES`] (4 GiB) is the ceiling
-//! above which a monolithic realization would not fit and synthesis
-//! switches to streaming on its own, sizing chunks to a quarter of the
-//! budget.
+//! above which a full table would not fit and synthesis switches to
+//! streaming on its own, sizing chunks to a quarter of the budget.
 
 use crate::coarse::{CoarseTraceConfig, TraceStream};
 use crate::realization::{synthesized_pages, WindowTable};
@@ -54,11 +58,14 @@ use std::time::Instant;
 /// Default byte ceiling for a fully materialized realization
 /// (window table + offsets): 4 GiB keeps every historical sweep point
 /// (≤65,536 nodes, ~1.1 GiB at a 1-hour trace) on the monolithic path
-/// while 262,144 nodes (~4.45 GiB) and up stream.
+/// while 262,144 nodes (~4.45 GiB) and up stream. It sizes every row of
+/// the period on purpose, although a table builds only the rows its runs
+/// read: one realization may serve a run that reads them all.
 pub const DEFAULT_WINDOW_BUDGET_BYTES: usize = 4 << 30;
 
-/// Estimated resident bytes of a *monolithic* realization: the
-/// window-major table plus the per-node offsets.
+/// Estimated resident bytes of a *monolithic* realization once every
+/// row of its period is built: the window-major table plus the per-node
+/// offsets.
 pub fn monolithic_bytes_estimate(nodes: usize, period: usize) -> usize {
     period * window_row_bytes(nodes) + nodes * std::mem::size_of::<usize>()
 }
@@ -186,10 +193,13 @@ pub struct WindowRows<'a> {
 /// source of every consumer, whichever representation the realization
 /// holds (see [`WorkloadRealization::cursor`]).
 ///
-/// Over a monolithic realization it reads the shared [`WindowTable`]
-/// (absolute windows wrap modulo the period, and nothing is ever built);
-/// over a streamed one it realizes windows in chunks. Either way
-/// [`WindowCursor::rows`] returns the identical bytes for every window.
+/// Over a monolithic realization it reads the shared [`WindowTable`],
+/// whose rows the realization built before handing the cursor out
+/// (absolute windows wrap modulo the period once every row exists, and
+/// a shorter table panics past its rows); the cursor itself builds
+/// nothing. Over a streamed realization it realizes windows in chunks.
+/// Either way [`WindowCursor::rows`] returns the identical bytes for
+/// every window it can serve.
 ///
 /// One cursor belongs to exactly one simulation run (the per-node
 /// streams are mutable); the realization is the shareable part.
@@ -235,8 +245,9 @@ impl WindowCursor {
     }
 
     /// Seconds spent building chunks so far (stream positioning +
-    /// generation; 0 over a table). Harnesses report this as
-    /// setup, not window-loop time.
+    /// generation; 0 over a table, whose rows were built before the
+    /// cursor existed). Harnesses report this as setup, not window-loop
+    /// time.
     pub fn build_secs(&self) -> f64 {
         match &self.source {
             RowSource::Table(_) => 0.0,
@@ -462,11 +473,11 @@ mod tests {
     fn chunked_rows_match_monolithic_table() {
         let c = cfg(600); // period 300
         let mono = WorkloadRealization::synthesize_monolithic(&c, 13, 70);
-        let tbl = mono.window_table().expect("table");
-        let mut table_cur = mono.cursor();
+        let tbl = mono.table(usize::MAX).expect("table");
+        let mut table_cur = mono.cursor(usize::MAX);
         for chunk_windows in [1usize, 7, 64, 300] {
             let streamed = WorkloadRealization::synthesize_streamed(&c, 13, 70, chunk_windows);
-            let mut cur = streamed.cursor();
+            let mut cur = streamed.cursor(usize::MAX);
             assert_eq!(streamed.offsets(), mono.offsets());
             // Probe past the period to exercise per-node restarts.
             for w in 0..2 * tbl.period() + 3 {
@@ -501,11 +512,11 @@ mod tests {
         let nodes = SHARD_MIN_NODES + 37;
         linger_sim_core::set_default_jobs(4);
         let mono = WorkloadRealization::synthesize_monolithic(&c, 29, nodes);
-        let tbl = mono.window_table().expect("table");
+        let tbl = mono.table(usize::MAX).expect("table");
         let period = tbl.period();
         for chunk_windows in [1, 7, period] {
             let streamed = WorkloadRealization::synthesize_streamed(&c, 29, nodes, chunk_windows);
-            let mut cur = streamed.cursor();
+            let mut cur = streamed.cursor(usize::MAX);
             let RowSource::Stream(stream) = &cur.source else { panic!("streamed cursor") };
             assert_eq!(stream.plan.shard_count(), 4, "fill must be sharded");
             let ranges = stream.plan.ranges();
@@ -532,7 +543,7 @@ mod tests {
         for nodes in [1, 63, 64, 65, 130] {
             let streamed = WorkloadRealization::synthesize_streamed(&c, 17, nodes, 40);
             let traces: Vec<_> = (0..nodes).map(|n| c.synthesize(&factory, n as u64)).collect();
-            let mut cur = streamed.cursor();
+            let mut cur = streamed.cursor(usize::MAX);
             for w in 0..2 * c.sample_count() + 3 {
                 let want: Vec<u32> = (traces.iter().zip(streamed.offsets()))
                     .map(|(t, &o)| t.sample(o + w).mem_used_kb / crate::PAGE_KB)
@@ -561,6 +572,7 @@ mod tests {
     fn monolithic_estimate_tracks_realized_bytes() {
         let c = cfg(600);
         let real = WorkloadRealization::synthesize_monolithic(&c, 5, 40);
+        real.table(usize::MAX).expect("table");
         let est = monolithic_bytes_estimate(40, c.sample_count());
         let actual = real.approx_bytes();
         assert_eq!(est, actual, "the estimate counts exactly the realized lanes");
