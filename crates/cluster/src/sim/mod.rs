@@ -470,8 +470,8 @@ impl ClusterSim {
         self.windows.chunks_built()
     }
 
-    /// Resident bytes of the streamed window arena — chunk plus per-node
-    /// stream states and scratch (0 unless streamed).
+    /// Resident bytes of the streamed window arena — chunk plus parked
+    /// per-node stream states (0 unless streamed).
     pub fn stream_arena_bytes(&self) -> usize {
         self.windows.approx_bytes()
     }

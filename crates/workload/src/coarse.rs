@@ -164,7 +164,7 @@ impl Default for CoarseTraceConfig {
     }
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum UserState {
     Active,
     Away,
@@ -186,6 +186,11 @@ enum UserState {
 /// was quiet. Streams always start at sample 0; to begin replay at a
 /// later offset, [`TraceStream::skip`] past it (the flags depend on the
 /// quiet streak, so there is no shortcut).
+///
+/// A live stream is ~760 B, most of it the two RNGs' keystream buffers.
+/// Between uses the crate parks it in 64 B (`park`) and resumes it
+/// later (`resume`): the buffers are a cache of a counter-based
+/// keystream, so a word position is all they hold.
 #[derive(Clone)]
 pub struct TraceStream {
     cfg: CoarseTraceConfig,
@@ -240,6 +245,60 @@ impl TraceStream {
     /// will produce.
     pub fn index(&self) -> usize {
         self.next
+    }
+
+    /// The stream at rest: its scalar state and both RNGs' keystream
+    /// word positions, without the keystream buffers or the config.
+    ///
+    /// # Panics
+    /// If the stream lies past sample `u32::MAX` (272 years of 2 s
+    /// samples) or an RNG past word `u64::MAX`.
+    pub(crate) fn park(&self) -> ParkedTrace {
+        let word =
+            |rng: &SimRng| u64::try_from(rng.get_word_pos()).expect("word position fits u64");
+        ParkedTrace {
+            remaining: self.remaining,
+            cpu_level: self.cpu_level,
+            os_base_kb: self.os_base_kb,
+            working_set_kb: self.working_set_kb,
+            session_target_kb: self.session_target_kb,
+            rng_word: word(&self.rng),
+            mem_rng_word: word(&self.mem_rng),
+            next: u32::try_from(self.next).expect("trace position fits u32"),
+            quiet_streak: u8::try_from(self.quiet_streak).expect("the streak saturates at 30"),
+            state: self.state,
+        }
+    }
+
+    /// Resume `machine_id`'s stream from `parked`, which
+    /// [`TraceStream::park`] took from a stream over the same
+    /// `(cfg, factory, machine_id)`: both RNGs are re-derived through
+    /// [`RngFactory::stream_for`] and seeked to the parked word
+    /// positions. The resumed stream yields exactly what the parked one
+    /// would have.
+    pub(crate) fn resume(
+        cfg: &CoarseTraceConfig,
+        factory: &RngFactory,
+        machine_id: u64,
+        parked: &ParkedTrace,
+    ) -> Self {
+        let mut rng = factory.stream_for(domains::COARSE_TRACE, machine_id);
+        rng.set_word_pos(parked.rng_word.into());
+        let mut mem_rng = factory.stream_for(domains::MEMORY, machine_id);
+        mem_rng.set_word_pos(parked.mem_rng_word.into());
+        TraceStream {
+            cfg: cfg.clone(),
+            rng,
+            mem_rng,
+            state: parked.state,
+            remaining: parked.remaining,
+            cpu_level: parked.cpu_level,
+            os_base_kb: parked.os_base_kb,
+            working_set_kb: parked.working_set_kb,
+            session_target_kb: parked.session_target_kb,
+            quiet_streak: parked.quiet_streak.into(),
+            next: parked.next as usize,
+        }
     }
 
     /// Generate the next sample and its recruitment (idle) flag.
@@ -333,6 +392,36 @@ impl TraceStream {
         }
         self.working_set_kb = self.working_set_kb.clamp(2_000.0, 36_000.0);
         self.next += 1;
+    }
+}
+
+/// A [`TraceStream`] at rest ([`TraceStream::park`]): everything but
+/// the keystream buffers and the config, which
+/// [`TraceStream::resume`] rebuilds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ParkedTrace {
+    remaining: f64,
+    cpu_level: f64,
+    os_base_kb: f64,
+    working_set_kb: f64,
+    session_target_kb: f64,
+    /// Keystream word positions of the episode/CPU and memory RNGs.
+    rng_word: u64,
+    mem_rng_word: u64,
+    /// Index of the next sample.
+    next: u32,
+    /// Saturates at the 30-sample recruitment window.
+    quiet_streak: u8,
+    state: UserState,
+}
+
+const _: () = assert!(RECRUITMENT_WINDOW <= u8::MAX as u32);
+const _: () = assert!(std::mem::size_of::<ParkedTrace>() <= 64);
+
+impl ParkedTrace {
+    /// Index of the sample the resumed stream produces next.
+    pub(crate) fn index(&self) -> usize {
+        self.next as usize
     }
 }
 
@@ -578,6 +667,48 @@ mod tests {
                         "machine {machine}: sample {k} after skip({n})"
                     );
                 }
+            }
+        }
+    }
+
+    /// Parking and resuming must continue exactly as the uninterrupted
+    /// stream: after each of the first 130 samples (a sample draws 4–12
+    /// CPU-RNG words, so these park at many phases of the first 64-word
+    /// buffers, including right after refills), around the recruitment
+    /// window, deep in the trace and at the period.
+    #[test]
+    fn park_then_resume_equals_sampling_throughout() {
+        let cfg = CoarseTraceConfig {
+            duration: SimDuration::from_secs(3600),
+            ..Default::default()
+        };
+        let period = cfg.sample_count();
+        let f = RngFactory::new(23);
+        let start = |state| {
+            (0u64..)
+                .find(|&m| TraceStream::new(&cfg, &f, m).state == state)
+                .expect("some machine starts in each state")
+        };
+        for machine in [start(UserState::Active), start(UserState::Away)] {
+            for n in (0..=130).chain([899, period - 1, period]) {
+                let mut reference = TraceStream::new(&cfg, &f, machine);
+                for _ in 0..n {
+                    reference.next_sample();
+                }
+                let parked = reference.park();
+                assert_eq!(parked.index(), n);
+                let mut resumed = TraceStream::resume(&cfg, &f, machine, &parked);
+                assert_eq!(resumed.index(), n);
+                assert_eq!(resumed.quiet_streak, reference.quiet_streak, "park at {n}");
+                assert_eq!(resumed.park(), parked, "a resumed stream parks where it was");
+                for k in 0..120 {
+                    assert_eq!(
+                        resumed.next_sample(),
+                        reference.next_sample(),
+                        "machine {machine}: sample {k} after parking at {n}"
+                    );
+                }
+                assert_eq!(resumed.quiet_streak, reference.quiet_streak);
             }
         }
     }

@@ -344,7 +344,8 @@ impl WindowTable {
 /// consumers cannot drift.
 #[derive(Debug)]
 pub struct WorkloadRealization {
-    offsets: Vec<usize>,
+    /// Shared with every streamed cursor.
+    offsets: Arc<[usize]>,
     windows: Windows,
 }
 
@@ -487,7 +488,10 @@ impl WorkloadRealization {
     ) -> Option<WorkloadRealization> {
         assert_eq!(offsets.len(), traces.len(), "one offset per trace");
         let table = WindowTable::build(traces, &offsets)?;
-        Some(WorkloadRealization { offsets, windows: Windows::Traces(Arc::new(table)) })
+        Some(WorkloadRealization {
+            offsets: offsets.into(),
+            windows: Windows::Traces(Arc::new(table)),
+        })
     }
 
     /// The per-node phase offsets (in samples).
@@ -511,15 +515,17 @@ impl WorkloadRealization {
     /// A fresh window cursor at window 0 for a run that reads windows
     /// `0..rows`: over the shared table for a table realization (built
     /// first if it does not yet reach `rows`, see [`Self::table`]), or
-    /// streaming chunks for a streamed one, which reads any window.
+    /// streaming chunks of at most `rows` windows for a streamed one,
+    /// which still reads any window.
     ///
     /// Each simulation run needs its own cursor (the per-node generator
-    /// streams are mutable); the realization itself stays shareable.
+    /// streams are mutable); the realization itself, offsets included,
+    /// stays shared.
     pub fn cursor(&self, rows: usize) -> WindowCursor {
         match &self.windows {
             Windows::Traces(table) => WindowCursor::table(table.clone()),
             Windows::Table(slot) => WindowCursor::table(slot.rows(rows, &self.offsets)),
-            Windows::Stream(spec) => WindowCursor::streamed(spec, &self.offsets),
+            Windows::Stream(spec) => WindowCursor::streamed(spec, self.offsets.clone(), rows),
         }
     }
 
@@ -534,8 +540,8 @@ impl WorkloadRealization {
     /// and then as many as the longest run over it can read (every row
     /// once one run reads the whole period), so read this after the
     /// simulators are built. A table from traces holds every row; a
-    /// streamed realization holds just the offsets (each cursor owns its
-    /// chunk arena).
+    /// streamed realization holds just the offsets, which its cursors
+    /// share (each cursor owns its chunk arena and parked streams).
     pub fn approx_bytes(&self) -> usize {
         let table = match &self.windows {
             Windows::Traces(table) => Some(table.clone()),
@@ -548,7 +554,7 @@ impl WorkloadRealization {
 
 /// Every node's phase offset into a `period`-sample trace, drawn from its
 /// `TRACE_OFFSET` stream — shared by both representations.
-fn draw_offsets(period: usize, factory: &RngFactory, nodes: usize) -> Vec<usize> {
+fn draw_offsets(period: usize, factory: &RngFactory, nodes: usize) -> Arc<[usize]> {
     (0..nodes)
         .map(|n| LocalWorkload::random_offset_for_len(period, factory, n as u64))
         .collect()

@@ -12,13 +12,16 @@
 //! This module replaces the table with a deterministic pipeline that
 //! never materializes a trace at all:
 //!
-//! * each node keeps a resumable [`TraceStream`] — two counter-based RNGs
-//!   (each buffering four ChaCha blocks) plus a handful of scalars,
-//!   ~760 B — positioned at the sample its phase offset says the sweep
-//!   needs next;
+//! * each node keeps its [`TraceStream`] *parked* between chunk fills
+//!   (`ParkedTrace`, 64 B: the generator's scalars and its two
+//!   counter-based RNGs' keystream word positions), at the sample its
+//!   phase offset says the sweep needs next; a fill resumes one node's
+//!   stream at a time (~760 B live, with both RNGs' four-block
+//!   keystream buffers), writes that node's slice of the chunk and parks
+//!   it again;
 //! * a [`WindowCursor`] realizes windows in chunks of `W` windows, built
 //!   on demand just ahead of the sweep; the arena is the chunk plus the
-//!   streams, recycled on every refill, so peak memory is
+//!   parked streams, recycled on every refill, so peak memory is
 //!   `O(nodes × W)` regardless of the period;
 //! * chunk fill is sharded over contiguous 64-aligned node ranges
 //!   ([`ShardPlan`]) — every node's samples come from its own
@@ -31,12 +34,14 @@
 //! Replay wraps are handled per node: when `(offset + window) mod period`
 //! returns to 0 the node's stream is simply restarted at sample 0, which
 //! costs nothing — only the *initial* positioning pays a skip of
-//! `offset` samples (on average half a period per node, done once,
-//! in parallel, and attributed to setup time by the harness). The skip
-//! still makes every draw of those samples, but only the last minute's
-//! 30 are built in full; the rest advance the episode, CPU-level and
-//! memory state and consume the jitter and keyboard draws unread
-//! ([`TraceStream::skip`]).
+//! `offset` samples (on average half a period per node, done once, in
+//! the first fill, and attributed to setup time by the harness). That
+//! fill runs on the cursor's shards, and a plan has one shard below
+//! [`SHARD_MIN_NODES`] nodes, so up to there the positioning is serial.
+//! The skip still makes every draw of those samples, but only the last
+//! minute's 30 are built in full; the rest advance the episode,
+//! CPU-level and memory state and consume the jitter and keyboard draws
+//! unread ([`TraceStream::skip`]).
 //!
 //! The same [`WindowCursor`] type also serves a table realization,
 //! straight from its shared table (built by the realization before the
@@ -49,7 +54,7 @@
 //! above which a full table would not fit and synthesis switches to
 //! streaming on its own, sizing chunks to a quarter of the budget.
 
-use crate::coarse::{CoarseTraceConfig, TraceStream};
+use crate::coarse::{CoarseTraceConfig, ParkedTrace, TraceStream};
 use crate::realization::{synthesized_pages, WindowTable};
 use linger_sim_core::{default_jobs, RngFactory, ShardPlan, SHARD_MIN_NODES};
 use std::sync::Arc;
@@ -223,10 +228,12 @@ impl WindowCursor {
     }
 
     /// A streaming cursor at window 0 for `spec`, with per-node phase
-    /// `offsets` (the `TRACE_OFFSET`-stream draws).
-    pub(crate) fn streamed(spec: &StreamSpec, offsets: &[usize]) -> WindowCursor {
+    /// `offsets` (the `TRACE_OFFSET`-stream draws), for a run that reads
+    /// windows `0..rows`: its chunks are no longer than `rows` windows.
+    /// It still serves any window.
+    pub(crate) fn streamed(spec: &StreamSpec, offsets: Arc<[usize]>, rows: usize) -> WindowCursor {
         WindowCursor {
-            source: RowSource::Stream(Box::new(ChunkStream::new(spec, offsets))),
+            source: RowSource::Stream(Box::new(ChunkStream::new(spec, offsets, rows))),
         }
     }
 
@@ -264,8 +271,8 @@ impl WindowCursor {
     }
 
     /// Resident bytes this cursor owns: the streaming arena (chunk +
-    /// per-node streams + offsets), or 0 over a table (the table belongs
-    /// to the realization).
+    /// parked per-node streams), or 0 over a table. The table and the
+    /// offsets belong to the realization.
     pub fn approx_bytes(&self) -> usize {
         match &self.source {
             RowSource::Table(_) => 0,
@@ -274,17 +281,26 @@ impl WindowCursor {
     }
 }
 
+/// A node not yet streamed is `None`, in the parked state's niche.
+const _: () =
+    assert!(std::mem::size_of::<Option<ParkedTrace>>() == std::mem::size_of::<ParkedTrace>());
+
 /// The streaming half of [`WindowCursor`]. Windows may be requested in
 /// any forward order; requesting an earlier window restarts the affected
 /// streams (correct, but O(period) — the sweep never does it).
 struct ChunkStream {
     spec: StreamSpec,
-    offsets: Vec<usize>,
+    /// The realization's offsets, shared.
+    offsets: Arc<[usize]>,
     period: usize,
+    /// Windows per chunk: the spec's chunk, capped at the rows the run
+    /// reads.
+    windows: usize,
     factory: RngFactory,
-    /// Lazily initialized at the first fill (creation + offset skip is
-    /// the dominant setup cost and belongs inside `build_secs`).
-    streams: Vec<TraceStream>,
+    /// Each node's stream between fills; `None` until the first fill
+    /// creates it (creation + offset skip is the dominant setup cost and
+    /// belongs inside `build_secs`).
+    parked: Vec<Option<ParkedTrace>>,
     chunk: WindowChunk,
     plan: ShardPlan,
     build_secs: f64,
@@ -292,7 +308,7 @@ struct ChunkStream {
 }
 
 impl ChunkStream {
-    fn new(spec: &StreamSpec, offsets: &[usize]) -> ChunkStream {
+    fn new(spec: &StreamSpec, offsets: Arc<[usize]>, rows: usize) -> ChunkStream {
         assert_eq!(offsets.len(), spec.nodes, "one offset per node");
         let period = spec.period();
         assert!(period > 0, "streamed realization needs a nonzero period");
@@ -300,10 +316,11 @@ impl ChunkStream {
         let plan = ShardPlan::new(spec.nodes, shards);
         ChunkStream {
             spec: spec.clone(),
-            offsets: offsets.to_vec(),
+            offsets,
             period,
+            windows: spec.chunk_windows.min(rows).min(period).max(1),
             factory: RngFactory::new(spec.seed),
-            streams: Vec::new(),
+            parked: vec![None; spec.nodes],
             chunk: WindowChunk::default(),
             plan,
             build_secs: 0.0,
@@ -311,11 +328,10 @@ impl ChunkStream {
         }
     }
 
-    /// Resident bytes of the arena (chunk + streams + offsets).
+    /// Resident bytes of the arena (chunk + parked streams).
     fn approx_bytes(&self) -> usize {
         self.chunk.approx_bytes()
-            + self.streams.capacity() * std::mem::size_of::<TraceStream>()
-            + self.offsets.capacity() * std::mem::size_of::<usize>()
+            + self.parked.capacity() * std::mem::size_of::<Option<ParkedTrace>>()
     }
 
     /// Make absolute window `w` resident and return its rows.
@@ -327,24 +343,14 @@ impl ChunkStream {
     }
 
     /// Rebuild the chunk arena to cover `[base, base + W)`. Every shard
-    /// writes its own nodes straight into its slice of each window row.
+    /// writes its own nodes straight into its slice of each window row,
+    /// resuming one node's stream at a time and parking it again.
     fn fill(&mut self, base: usize) {
         let t0 = Instant::now();
         let nodes = self.spec.nodes;
         let period = self.period;
-        let windows = self.spec.chunk_windows.min(period).max(1);
+        let windows = self.windows;
         let words_per_row = nodes.div_ceil(64);
-
-        if self.streams.is_empty() {
-            // First fill: create every stream at sample 0. The skip to
-            // each node's offset happens in the per-window positioning
-            // below, inside the sharded fill.
-            let spec_cfg = &self.spec.cfg;
-            let factory = &self.factory;
-            self.streams = linger_sim_core::par_map_indexed(nodes, None, |n| {
-                TraceStream::new(spec_cfg, factory, n as u64)
-            });
-        }
 
         let chunk = &mut self.chunk;
         chunk.base = base;
@@ -358,17 +364,18 @@ impl ChunkStream {
         chunk.idle.clear();
         chunk.idle.resize(windows * words_per_row, 0);
 
-        // Hand each shard its nodes' streams and its slice of every window
-        // row. Shard ranges are 64-aligned, so the idle words of distinct
-        // shards are disjoint. (`max(1)`: a node-less chunk has no rows.)
+        // Hand each shard its nodes' parked streams and its slice of every
+        // window row. Shard ranges are 64-aligned, so the idle words of
+        // distinct shards are disjoint. (`max(1)`: a node-less chunk has
+        // no rows.)
         let plan = &self.plan;
         let mut shards: Vec<ShardFill<'_>> = plan
             .ranges()
             .iter()
-            .zip(plan.split_mut(&mut self.streams))
-            .map(|(range, streams)| ShardFill {
+            .zip(plan.split_mut(&mut self.parked))
+            .map(|(range, parked)| ShardFill {
                 start: range.start,
-                streams,
+                parked,
                 offsets: &self.offsets[range.clone()],
                 cpu: Vec::with_capacity(windows),
                 mem_pages: Vec::with_capacity(windows),
@@ -398,24 +405,30 @@ impl ChunkStream {
         plan.run(shards, |_, shard: ShardFill<'_>| {
             let ShardFill {
                 start,
-                streams,
+                parked,
                 offsets,
                 mut cpu,
                 mut mem_pages,
                 mut idle,
             } = shard;
-            for (j, (stream, &offset)) in streams.iter_mut().zip(offsets).enumerate() {
+            for (j, (slot, &offset)) in parked.iter_mut().zip(offsets).enumerate() {
+                let machine = (start + j) as u64;
                 // A fresh stream *is* sample 0, so replaying from the
                 // start of the trace is a restart.
-                let restart = || TraceStream::new(spec_cfg, factory, (start + j) as u64);
+                let restart = || TraceStream::new(spec_cfg, factory, machine);
                 // Position once per chunk at the node's first sample,
-                // `(offset + base) % period`. A sweep's stream usually
-                // sits there already; it lies behind after a forward
-                // jump and past it after a wrap or an earlier window.
+                // `(offset + base) % period`. A sweep's parked stream
+                // usually sits there already and lies behind after a
+                // forward jump. A node the first fill meets has none, and
+                // one parked past it (after a wrap or an earlier window)
+                // replays from the start.
                 let mut pos = (offset + base) % period;
-                if stream.index() > pos {
-                    *stream = restart();
-                }
+                let mut stream = match slot {
+                    Some(p) if p.index() <= pos => {
+                        TraceStream::resume(spec_cfg, factory, machine, p)
+                    }
+                    _ => restart(),
+                };
                 if stream.index() < pos {
                     stream.skip(pos - stream.index());
                 }
@@ -423,7 +436,7 @@ impl ChunkStream {
                 // spans at most one period, so it wraps at most once.
                 for dw in 0..windows {
                     if pos == period {
-                        *stream = restart();
+                        stream = restart();
                         pos = 0;
                     }
                     let (s, is_idle) = stream.next_sample();
@@ -434,6 +447,7 @@ impl ChunkStream {
                         idle[dw][j / 64] |= 1u64 << (j % 64);
                     }
                 }
+                *slot = Some(stream.park());
             }
         });
 
@@ -442,12 +456,12 @@ impl ChunkStream {
     }
 }
 
-/// One shard's share of a chunk fill: the streams and phase offsets of
-/// its nodes (the first is node `start`) and its slice of every window
-/// row, window by window.
+/// One shard's share of a chunk fill: the parked streams and phase
+/// offsets of its nodes (the first is node `start`) and its slice of
+/// every window row, window by window.
 struct ShardFill<'a> {
     start: usize,
-    streams: &'a mut [TraceStream],
+    parked: &'a mut [Option<ParkedTrace>],
     offsets: &'a [usize],
     cpu: Vec<&'a mut [f64]>,
     mem_pages: Vec<&'a mut [u16]>,
@@ -501,6 +515,44 @@ mod tests {
         assert_eq!(table_cur.build_secs(), 0.0, "a table cursor builds nothing");
         assert_eq!(table_cur.chunks_built(), 0);
         assert_eq!(table_cur.approx_bytes(), 0, "the table belongs to the realization");
+    }
+
+    /// A cursor for a run that reads fewer rows than the spec's chunk
+    /// builds chunks of those rows only, yet serves every window the
+    /// table does: past its rows, past the period and across the wrap.
+    #[test]
+    fn short_run_cursor_caps_its_chunk_and_serves_every_window() {
+        let c = cfg(600); // period 300
+        let mono = WorkloadRealization::synthesize_monolithic(&c, 31, 130);
+        let tbl = mono.table(usize::MAX).expect("table");
+        let streamed = WorkloadRealization::synthesize_streamed(&c, 31, 130, 64);
+        for rows in [1, 5, 63, 64, 400] {
+            let mut cur = streamed.cursor(rows);
+            let RowSource::Stream(stream) = &cur.source else { panic!("streamed cursor") };
+            assert_eq!(stream.windows, rows.min(64), "chunk of a {rows}-row run");
+            for w in (0..rows.min(80)).chain([rows, rows + 1, 299, 300, 301, 2 * 300 + 7]) {
+                let r = cur.rows(w);
+                let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(r.cpu), bits(tbl.cpu_row(w)), "cpu row {w} of a {rows}-row run");
+                assert_eq!(r.mem_pages, tbl.mem_row(w), "mem row {w} of a {rows}-row run");
+                assert_eq!(r.idle, tbl.idle_row(w), "idle row {w} of a {rows}-row run");
+            }
+        }
+    }
+
+    /// The arena is the chunk plus 64 B of parked stream per node; the
+    /// offsets are the realization's, shared and counted there.
+    #[test]
+    fn arena_counts_the_chunk_and_the_parked_streams() {
+        let c = cfg(600);
+        let streamed = WorkloadRealization::synthesize_streamed(&c, 3, 130, 16);
+        assert_eq!(streamed.approx_bytes(), 130 * 8, "the offsets");
+        let mut cur = streamed.cursor(usize::MAX);
+        cur.rows(0);
+        // Per window 130 cpu and page cells and 3 idle words.
+        assert_eq!(cur.approx_bytes(), 16 * 1_324 + 130 * 64);
+        let RowSource::Stream(stream) = &cur.source else { panic!("streamed cursor") };
+        assert!(std::ptr::eq(&stream.offsets[..], streamed.offsets()), "offsets are shared");
     }
 
     /// The sharded fill — every shard writing its own slice of each row,
