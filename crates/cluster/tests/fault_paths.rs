@@ -28,6 +28,10 @@
 //! shards, which the 16- and 24-node cells above cannot reach. The
 //! stealing cell's journal overflows the ring, so its digest covers the
 //! full outcome and the journal's last 65,536 events.
+//!
+//! The memory-pressure pins run the wide throughput cell with 24 MB jobs,
+//! through the same grid: the only cells whose hosted jobs lose pages to
+//! owner memory growth and run partially resident.
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{
@@ -478,5 +482,38 @@ fn multi_shard_source_outcomes_are_pinned() {
             assert!(sim.archived_jobs() > 0, "{name}: open runs retire jobs");
             assert!(svc.accounting_holds(), "{name}");
         }
+    });
+}
+
+/// The wide throughput cell with 24 MB jobs over a 1,200 s horizon. The
+/// 8 MB jobs of every other cell always stay fully resident; 24 MB ones
+/// do not, so owner memory growth reclaims pages from hosted jobs, which
+/// then run partially resident and regrow once the owner shrinks — the
+/// two-pool reclaim and regrow paths no other pin reaches.
+fn pressure_cell(policy: Policy) -> ClusterConfig {
+    let mut cfg = wide_throughput_cell(policy);
+    cfg.family = JobFamily::uniform(2 * NODES as u32, SimDuration::from_secs(90), 24 * 1024);
+    cfg.mode = RunMode::Throughput { horizon: SimTime::from_secs(1200) };
+    cfg
+}
+
+#[test]
+fn memory_pressure_outcomes_are_pinned() {
+    // Recorded while every node's memory pool was refreshed from the
+    // window row each window, hosting a job or not.
+    let real = realize(&pressure_cell(Policy::LingerLonger));
+    let pinned: [(Policy, u64); 2] = [
+        (Policy::LingerLonger, 0x4e3e_85de_7f70_a9d8),
+        (Policy::ImmediateEviction, 0xb2e3_4839_fa70_4eac),
+    ];
+    let pins = pinned
+        .iter()
+        .map(|&(p, want)| (format!("24 MB throughput/{p}"), pressure_cell(p), &real, want))
+        .collect();
+    assert_pins(pins, |name, sim| {
+        let total = 2 * NODES;
+        assert!(sim.completed() > total, "{name}: horizon must turn slots over");
+        assert_eq!(sim.live_job_rows(), total, "{name}: live rows stay at the family size");
+        assert!(sim.fault_stats().crashes > 0, "{name}: {:?}", sim.fault_stats());
     });
 }
