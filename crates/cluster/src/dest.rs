@@ -312,13 +312,13 @@ mod tests {
         members: impl Iterator<Item = usize>,
         mem_kb: u32,
         exclude: Option<usize>,
-        cpu_w: &[f64],
+        cpu: &[f64],
         free_kb: &[u32],
     ) -> Option<usize> {
         members
             .filter(|&ni| Some(ni) != exclude)
             .filter(|&ni| free_kb[ni] >= mem_kb)
-            .min_by(|&a, &b| key_cmp(&(cpu_w[a], a as u32), &(cpu_w[b], b as u32)))
+            .min_by(|&a, &b| key_cmp(&(cpu[a], a as u32), &(cpu[b], b as u32)))
     }
 
     /// A miniature of the simulator's node state: free/idle/crashed sets,

@@ -25,7 +25,7 @@
 //!   destination queries answer `None` and evictions return to the job's
 //!   home deque. The central round trip is ignored.
 
-use super::{ClusterSim, WINDOW};
+use super::{room_kb, ClusterSim, WINDOW};
 use crate::config::ClusterConfig;
 use crate::dest::{Cand, DestIndex, Pool};
 use crate::state::{JobSlabs, NodeId};
@@ -159,7 +159,7 @@ impl Dispatch {
         }
     }
 
-    /// A new window refreshed every node's load and memory: the
+    /// A new window brought every node's load and memory: the
     /// destination pools rebuild on their next query.
     pub(super) fn new_window(&mut self) {
         if let Dispatch::Central(c) = self {
@@ -239,9 +239,11 @@ impl ClusterSim {
         let Dispatch::Central(c) = &mut self.dispatch else {
             return None;
         };
-        let (cpu_w, memory) = (&self.cpu_w, &self.nodes.memory);
-        let cand = |ni: usize| (cpu_w[ni], ni as u32);
-        let room = |ni: usize| memory[ni].free_kb();
+        // Only free nodes are candidates, and `room` is asked only of
+        // live ones, so both read the window row.
+        let (rows, total_kb) = (self.windows.current(), self.cfg.node_memory_kb);
+        let cand = |ni: usize| (rows.cpu[ni], ni as u32);
+        let room = |ni: usize| room_kb(total_kb, rows.mem_pages[ni]);
         let ex = exclude.map(|n| n.0);
         match pool {
             Pool::Idle => {
@@ -249,11 +251,10 @@ impl ClusterSim {
                 c.dest.best(pool, live, room, mem_kb, ex, live.iter().map(cand))
             }
             Pool::NonIdle => {
-                let idle = &self.idle_words;
                 let members = self
                     .free
                     .iter()
-                    .filter(|&ni| idle[ni / 64] & (1u64 << (ni % 64)) == 0)
+                    .filter(|&ni| rows.idle[ni / 64] & (1u64 << (ni % 64)) == 0)
                     .map(cand);
                 c.dest.best(pool, &self.free, room, mem_kb, ex, members)
             }
@@ -360,12 +361,12 @@ impl ClusterSim {
     fn classify_steals(&self, deques: &StealState, bufs: &mut [Vec<StealIntent>]) {
         let plan = &self.plan;
         let free_words = self.free.words();
-        let idle_words = &self.idle_words;
+        let idle = self.windows.current().idle;
         let policy = self.cfg.params.policy;
         plan.run(bufs.iter_mut(), |si, out| {
             out.clear();
             let wr = plan.word_range(si);
-            classify_steals_shard(wr.start, &free_words[wr], idle_words, policy, deques, out);
+            classify_steals_shard(wr.start, &free_words[wr], idle, policy, deques, out);
         });
     }
 
@@ -404,9 +405,7 @@ impl ClusterSim {
                 // LIFO, zero latency.
                 if intent.pop {
                     if let Some(ji) = st.back(ni).map(|ji| ji as usize) {
-                        if self.jobs.arrival[ji] <= t
-                            && self.nodes.memory[ni].fits(self.jobs.mem_kb[ji])
-                        {
+                        if self.jobs.arrival[ji] <= t && self.room_at(ni) >= self.jobs.mem_kb[ji] {
                             st.pop_back(ni);
                             self.steal_stats.local_pops += 1;
                             self.dispatch_queued(ji, NodeId(ni), t, SimDuration::ZERO);
@@ -436,8 +435,7 @@ impl ClusterSim {
                         && !self.crashed.contains(vi)
                         && st.front(vi).is_some_and(|ji| {
                             let ji = ji as usize;
-                            self.jobs.arrival[ji] <= t
-                                && self.nodes.memory[ni].fits(self.jobs.mem_kb[ji])
+                            self.jobs.arrival[ji] <= t && self.room_at(ni) >= self.jobs.mem_kb[ji]
                         });
                     if !stealable {
                         self.steal_stats.misses += 1;
@@ -494,14 +492,14 @@ impl ClusterSim {
 fn classify_steals_shard(
     word_base: usize,
     free_words: &[u64],
-    idle_words: &[u64],
+    idle: &[u64],
     policy: Policy,
     st: &StealState,
     out: &mut Vec<StealIntent>,
 ) {
     let on_non_idle = policy.places_on_non_idle();
     for (k, &w0) in free_words.iter().enumerate() {
-        let idle_word = idle_words[word_base + k];
+        let idle_word = idle[word_base + k];
         let mut word = w0;
         while word != 0 {
             let bit = word.trailing_zeros() as usize;

@@ -146,7 +146,7 @@ enum ProgressKind {
 /// The cluster simulation.
 pub struct ClusterSim {
     cfg: ClusterConfig,
-    /// Per-node slabs (occupancy, memory).
+    /// Per-node slabs (occupancy, the hosted jobs' memory pools).
     nodes: NodeSlabs,
     /// Per-job hot/cold slabs; materialized via [`Self::jobs`].
     jobs: JobSlabs,
@@ -174,19 +174,16 @@ pub struct ClusterSim {
     /// claim/release, so a saturated cluster answers "no idle node" in
     /// O(1) instead of rescanning all free nodes.
     free_idle: NodeIndex,
-    /// Per-window scratch: the recruitment idle flags of every node at
-    /// the current window as packed bit words, and the CPU demands.
-    idle_words: Vec<u64>,
-    cpu_w: Vec<f64>,
     /// Superset of the jobs currently in [`JobState::Migrating`] —
     /// appended to on every migration start, compacted each window — so
     /// transfer progress and arrivals never rescan the ever-growing job
     /// table (throughput mode appends a record per respawn).
     migrating: Vec<usize>,
-    /// Per-window `(cpu, mem, idle)` rows of phase 0: the realization's
-    /// shared table or its streamed chunks, behind one cursor (both
-    /// produce identical rows — `stream::tests` and the cluster
-    /// streaming suite prove it bit-for-bit).
+    /// Per-window `(cpu, mem, idle)` rows: the realization's shared
+    /// table or its streamed chunks, behind one cursor (both produce
+    /// identical rows — `stream::tests` and the cluster streaming suite
+    /// prove it bit-for-bit). Phase 0 loads the window; every later
+    /// phase reads its rows in place ([`WindowCursor::current`]).
     windows: WindowCursor,
     /// Word-aligned partition of the node-id space driving the
     /// classify phase of every sweep.
@@ -275,10 +272,10 @@ impl ClusterSim {
         let source = Source::new(&cfg, jobs.len());
         // Windows the run can reach before its hard horizon stops it.
         let max_windows = (source.horizon().as_nanos() / WINDOW.as_nanos()) as usize + 1;
-        // Node state comes from the window rows; initial memory demand is
-        // the window-0 row.
+        // Load window 0 now, so a streamed cursor's first fill is
+        // construction time, not run time.
         let mut windows = real.cursor(max_windows);
-        let nodes = NodeSlabs::new(windows.rows(0).mem_pages, cfg.node_memory_kb);
+        windows.rows(0);
         let n = cfg.nodes;
         // The fault schedule spans the run's hard horizon; events are a
         // pure function of (faults config, seed, node), so two runs of
@@ -290,7 +287,7 @@ impl ClusterSim {
         let dispatch = Dispatch::new(&cfg, &jobs, shard_count);
         ClusterSim {
             cfg,
-            nodes,
+            nodes: NodeSlabs::new(n),
             jobs,
             source,
             dispatch,
@@ -302,8 +299,6 @@ impl ClusterSim {
             free: NodeIndex::full(n),
             busy: NodeIndex::new(n),
             free_idle: NodeIndex::new(n),
-            idle_words: vec![0; n.div_ceil(64).max(1)],
-            cpu_w: vec![0.0; n],
             migrating: Vec::new(),
             windows,
             plan,
@@ -476,10 +471,16 @@ impl ClusterSim {
         self.windows.approx_bytes()
     }
 
+    /// Owner CPU demand of node `ni` at the current window.
+    #[inline]
+    fn cpu_at(&self, ni: usize) -> f64 {
+        self.windows.current().cpu[ni]
+    }
+
     /// Recruitment idle flag of node `ni` at the current window.
     #[inline]
     fn idle_at(&self, ni: usize) -> bool {
-        self.idle_words[ni / 64] & (1u64 << (ni % 64)) != 0
+        self.windows.current().idle[ni / 64] & (1u64 << (ni % 64)) != 0
     }
 
     /// Run to the configured termination condition. Returns `true` on
@@ -532,8 +533,8 @@ impl ClusterSim {
             let queue_depth = self.dispatch.queued_len() as u32;
             self.event_at(t, EventKind::WindowStart { queue_depth })
         });
-        // 0. Per-window node state: copy the window's cpu/idle lanes into
-        //    the scratch arrays and refresh every node's memory demand.
+        // 0. Load the window's rows, which every later phase reads in
+        //    place, and meet the owners' new memory demand on busy nodes.
         self.refresh_window(w);
 
         // 1. Fault events. A crash knocks the node out of every
@@ -637,8 +638,8 @@ impl ClusterSim {
         //    f64 addition is order-sensitive, so it stays sequential);
         //    job progress only touches hosted nodes: shards do the
         //    steal-rate math, the merge applies it ascending.
-        for ni in 0..self.nodes.len() {
-            self.local_busy_secs += self.cpu_w[ni] * WINDOW.as_secs_f64();
+        for &u in self.windows.current().cpu {
+            self.local_busy_secs += u * WINDOW.as_secs_f64();
         }
         self.classify_progress();
         self.apply_progress(t);
@@ -658,36 +659,27 @@ impl ClusterSim {
         self.window += 1;
     }
 
-    /// Phase 0: refresh the per-window scratch (cpu lane, idle words,
-    /// memory demand) and rebuild the `free ∧ idle` candidate set.
+    /// Phase 0: load window `w`'s rows and rebuild the `free ∧ idle`
+    /// candidate set from its idle words.
     ///
-    /// Each shard streams its own slice of the window's three SoA rows:
-    /// busy nodes take the full two-pool accounting path (reclaim/regrow
-    /// against the hosted job), then a branch-free bulk store refreshes
-    /// every node — a value-level no-op on the busy nodes just updated,
-    /// and exactly equivalent to the full path on nodes with no foreign
-    /// job attached.
+    /// Only busy nodes hold memory state: each shard walks its slice of
+    /// the busy index and hands every hosted job's pool the owner's new
+    /// demand (reclaim or regrow). A free node's room is read from the
+    /// row itself ([`room_kb`]), so free nodes cost nothing here.
     fn refresh_window(&mut self, w: usize) {
         // A streamed cursor builds (or reuses) the chunk covering `w`
         // here, recycling its arena in place.
         let rows = self.windows.rows(w);
-        let (cpu_row, mem_row, idle_row) = (rows.cpu, rows.mem_pages, rows.idle);
         let plan = &self.plan;
         let busy_words = self.busy.words();
-        let parts = plan
-            .split_mut(&mut self.cpu_w)
-            .into_iter()
-            .zip(plan.split_mut(&mut self.nodes.memory))
-            .zip(plan.split_words_mut(&mut self.idle_words));
-        plan.run(parts, |si, ((cpu_dst, mem_dst), idle_dst)| {
-            let range = plan.ranges()[si].clone();
-            let busy_w = &busy_words[plan.word_range(si)];
-            refresh_shard(range, cpu_dst, idle_dst, mem_dst, busy_w, cpu_row, mem_row, idle_row);
+        plan.run(plan.split_mut(&mut self.nodes.memory), |si, mem| {
+            let pages = &rows.mem_pages[plan.ranges()[si].clone()];
+            refresh_shard(&busy_words[plan.word_range(si)], mem, pages);
         });
         // One O(n/64) pass replaces the historical per-node inserts; the
         // set content is identical (`free` already excludes crashed
         // nodes).
-        self.free_idle.assign_and_words(&self.idle_words, &self.free);
+        self.free_idle.assign_and_words(rows.idle, &self.free);
         self.dispatch.new_window();
     }
 
@@ -701,7 +693,7 @@ impl ClusterSim {
         let hosted = &self.nodes.hosted;
         let job_state = &self.jobs.state;
         let cold = &self.jobs.cold;
-        let idle_words = &self.idle_words;
+        let idle = self.windows.current().idle;
         let policy = self.cfg.params.policy;
         plan.run(bufs.iter_mut(), |si, out| {
             out.clear();
@@ -712,7 +704,7 @@ impl ClusterSim {
                 hosted,
                 job_state,
                 cold,
-                idle_words,
+                idle,
                 policy,
                 t,
                 out,
@@ -767,7 +759,7 @@ impl ClusterSim {
         let memory = &self.nodes.memory;
         let job_state = &self.jobs.state;
         let remaining = &self.jobs.remaining;
-        let cpu_w = &self.cpu_w;
+        let cpu = self.windows.current().cpu;
         let cfg = &self.cfg;
         plan.run(bufs.iter_mut(), |si, out| {
             out.clear();
@@ -779,7 +771,7 @@ impl ClusterSim {
                 job_state,
                 remaining,
                 memory,
-                cpu_w,
+                cpu,
                 cfg,
                 out,
             );
@@ -845,8 +837,8 @@ impl ClusterSim {
                 t,
                 EventKind::Decision {
                     action,
-                    host_cpu: Some(self.cpu_w[node.0]),
-                    dest_cpu: dest.map(|d| self.cpu_w[d.0]),
+                    host_cpu: Some(self.cpu_at(node.0)),
+                    dest_cpu: dest.map(|d| self.cpu_at(d.0)),
                     age_secs: None,
                     migration_secs: None,
                     dest: dest.map(|d| d.0 as u32),
@@ -896,8 +888,8 @@ impl ClusterSim {
         } else {
             None
         };
-        let h = self.cpu_w[node.0];
-        let l = dest.map_or(0.0, |d| self.cpu_w[d.0]);
+        let h = self.cpu_at(node.0);
+        let l = dest.map_or(0.0, |d| self.cpu_at(d.0));
         let t_migr = self.cfg.params.migration.cost(mem_kb);
         let age = t.saturating_since(start);
         if !should_migrate(age, h, l, t_migr) {
@@ -982,7 +974,6 @@ impl ClusterSim {
                 .on_node(ni as u32)
         });
         if let Some(ji) = hosted {
-            self.nodes.memory[ni].detach_foreign();
             self.nodes.set_hosted(ni, None);
             self.busy.remove(ni);
             self.fault_stats.crash_evictions += 1;
@@ -1117,7 +1108,7 @@ impl ClusterSim {
                 .on_node(node.0 as u32)
                 .for_job(self.jobs.id[ji].0)
         });
-        self.nodes.memory[node.0].attach_foreign(self.jobs.mem_kb[ji]);
+        self.attach(node.0, ji);
         let idle = self.idle_at(node.0);
         let cold = &mut self.jobs.cold[ji];
         cold.migration_until = None;
@@ -1175,8 +1166,24 @@ impl ClusterSim {
         self.busy.insert(node.0);
     }
 
+    /// Attach job `ji`'s image to node `ni`'s memory pool, seeded from
+    /// the owner's demand this window: a pool holds state only while its
+    /// node hosts a job, and one holding no job is exactly its row
+    /// (`a_fresh_pool_stands_in_for_a_detached_one` in the workload
+    /// crate's memory tests).
+    fn attach(&mut self, ni: usize, ji: usize) {
+        let pages = u32::from(self.windows.current().mem_pages[ni]);
+        let pool = &mut self.nodes.memory[ni];
+        *pool = TwoPoolMemory::new(self.cfg.node_memory_kb, pages);
+        pool.attach_foreign(self.jobs.mem_kb[ji]);
+    }
+
+    /// Room for a foreign job on free node `ni`, KB.
+    fn room_at(&self, ni: usize) -> u32 {
+        room_kb(self.cfg.node_memory_kb, self.windows.current().mem_pages[ni])
+    }
+
     fn release_node(&mut self, node: NodeId) {
-        self.nodes.memory[node.0].detach_foreign();
         self.nodes.set_hosted(node.0, None);
         self.join_free(node.0);
         self.busy.remove(node.0);
@@ -1193,7 +1200,7 @@ impl ClusterSim {
         } else {
             Pool::NonIdle
         };
-        self.dispatch.node_freed(pool, (self.cpu_w[ni], ni as u32));
+        self.dispatch.node_freed(pool, (self.cpu_at(ni), ni as u32));
     }
 
     /// Dispatch a queued job to `dest`, `extra` simulated seconds from
@@ -1213,7 +1220,7 @@ impl ClusterSim {
                 t,
                 EventKind::Decision {
                     action: DecisionAction::Place,
-                    host_cpu: Some(self.cpu_w[dest.0]),
+                    host_cpu: Some(self.cpu_at(dest.0)),
                     dest_cpu: None,
                     age_secs: None,
                     migration_secs: None,
@@ -1237,7 +1244,7 @@ impl ClusterSim {
             self.start_transfer(ji, dest, t + extra, false, 1);
         } else {
             self.claim_node(dest, ji);
-            self.nodes.memory[dest.0].attach_foreign(self.jobs.mem_kb[ji]);
+            self.attach(dest.0, ji);
             let idle = self.idle_at(dest.0);
             self.jobs.node[ji] = dest.0 as u32;
             let cold = &mut self.jobs.cold[ji];
@@ -1264,38 +1271,26 @@ fn queued_span(jobs: &JobSlabs, ji: usize, w: u32) -> SimDuration {
     SimDuration::from_nanos(WINDOW.as_nanos() * w.saturating_sub(from) as u64)
 }
 
-/// One shard's slice of phase 0: copy the window's cpu/idle lanes and
-/// refresh memory demand. `range` is the shard's node-id range (64-
-/// aligned start); `busy_words` is its slice of the busy bitset.
-#[allow(clippy::too_many_arguments)]
-fn refresh_shard(
-    range: std::ops::Range<usize>,
-    cpu_dst: &mut [f64],
-    idle_dst: &mut [u64],
-    mem: &mut [TwoPoolMemory],
-    busy_words: &[u64],
-    cpu_row: &[f64],
-    mem_row: &[u16],
-    idle_row: &[u64],
-) {
-    let base = range.start;
-    cpu_dst.copy_from_slice(&cpu_row[range.clone()]);
-    let word_base = base / 64;
-    idle_dst.copy_from_slice(&idle_row[word_base..word_base + idle_dst.len()]);
-    // Busy nodes take the full two-pool accounting path (reclaim/regrow
-    // against the hosted job's pool)...
+/// Room for a foreign job, KB, on a node of `total_kb` that hosts none:
+/// what its owner's `pages` of memory leave free. A free node's pool
+/// holds nothing else, so this reads the row instead of a pool.
+fn room_kb(total_kb: u32, pages: u16) -> u32 {
+    TwoPoolMemory::new(total_kb, u32::from(pages)).free_kb()
+}
+
+/// One shard's slice of phase 0: every busy node's pool meets its
+/// owner's new demand. `busy_words` is the shard's slice of the busy
+/// bitset; `mem` and `pages` start at its first node (64-aligned). A node
+/// reserved for an in-flight job carries a stale pool until the job
+/// attaches and reseeds it; updating that pool is harmless.
+fn refresh_shard(busy_words: &[u64], mem: &mut [TwoPoolMemory], pages: &[u16]) {
     for (k, &w0) in busy_words.iter().enumerate() {
         let mut word = w0;
         while word != 0 {
-            let ni = (word_base + k) * 64 + word.trailing_zeros() as usize;
+            let i = k * 64 + word.trailing_zeros() as usize;
             word &= word - 1;
-            mem[ni - base].set_local_pages(u32::from(mem_row[ni]));
+            mem[i].set_local_pages(u32::from(pages[i]));
         }
-    }
-    // ...then a branch-free bulk store refreshes every node — a value-
-    // level no-op on the busy nodes just updated.
-    for (m, &pages) in mem.iter_mut().zip(&mem_row[range]) {
-        m.store_local_pages_unattached(u32::from(pages));
     }
 }
 
@@ -1308,13 +1303,13 @@ fn classify_decisions_shard(
     hosted: &[u32],
     job_state: &[JobState],
     cold: &[JobCold],
-    idle_words: &[u64],
+    idle: &[u64],
     policy: Policy,
     t: SimTime,
     out: &mut Vec<DecideIntent>,
 ) {
     for (k, &w0) in busy_words.iter().enumerate() {
-        let idle_word = idle_words[word_base + k];
+        let idle_word = idle[word_base + k];
         // Gather the word's node → job pairs first, starting each job
         // record's cache fill, so the classification below runs against
         // lines already in flight instead of stalling one miss at a
@@ -1361,7 +1356,7 @@ fn classify_progress_shard(
     job_state: &[JobState],
     remaining: &[SimDuration],
     memory: &[TwoPoolMemory],
-    cpu_w: &[f64],
+    cpu: &[f64],
     cfg: &ClusterConfig,
     out: &mut Vec<ProgressIntent>,
 ) {
@@ -1397,7 +1392,7 @@ fn classify_progress_shard(
                 });
                 continue;
             }
-            let u = cpu_w[ni];
+            let u = cpu[ni];
             // Memory pressure: a partially-resident job pages and slows
             // proportionally.
             let residency = memory[ni].foreign_residency();

@@ -172,29 +172,28 @@ pub const NO_NODE: u32 = u32::MAX;
 /// Per-node state as parallel slabs keyed by node id.
 ///
 /// `hosted` (the occupancy array every placement and decision sweep
-/// reads) and `memory` (refreshed from the window row each window) are
-/// the only slabs: every other per-window node attribute — CPU demand,
-/// recruitment idleness, owner memory — is read from the realization's
-/// window rows, so no per-node trace is ever resident.
+/// reads) and `memory` (the hosted jobs' pools) are the only slabs: every
+/// other per-window node attribute — CPU demand, recruitment idleness,
+/// owner memory — is read in place from the realization's window rows,
+/// so no per-node trace or row copy is ever resident.
 pub struct NodeSlabs {
     /// Job index hosted on (or reserved for) each node; [`NO_JOB`] when
     /// free.
     pub(crate) hosted: Vec<u32>,
-    /// Two-pool memory state per node.
+    /// Two-pool memory state of the job each node hosts, indexed by node:
+    /// seeded from the window row when the job attaches and refreshed
+    /// every window while it stays. Stale on a node that hosts no
+    /// attached job, whose room the simulator reads from the row instead.
     pub(crate) memory: Vec<TwoPoolMemory>,
 }
 
 impl NodeSlabs {
-    /// Assemble the slabs with every node free and its memory pool
-    /// initialised from `initial_mem_pages`, the realization's window-0
-    /// page row (node `n`'s trace sample at its start offset).
-    pub fn new(initial_mem_pages: &[u16], node_memory_kb: u32) -> Self {
-        let memory = initial_mem_pages
-            .iter()
-            .map(|&pages| TwoPoolMemory::new(node_memory_kb, u32::from(pages)))
-            .collect();
-        let hosted = vec![NO_JOB; initial_mem_pages.len()];
-        NodeSlabs { hosted, memory }
+    /// Assemble the slabs for `nodes` free nodes.
+    pub fn new(nodes: usize) -> Self {
+        NodeSlabs {
+            hosted: vec![NO_JOB; nodes],
+            memory: vec![TwoPoolMemory::new(0, 0); nodes],
+        }
     }
 
     /// Number of nodes.
@@ -218,11 +217,6 @@ impl NodeSlabs {
     #[inline]
     pub(crate) fn set_hosted(&mut self, ni: usize, ji: Option<usize>) {
         self.hosted[ni] = ji.map_or(NO_JOB, |j| j as u32);
-    }
-
-    /// The memory pool of node `ni`.
-    pub fn memory(&self, ni: usize) -> &TwoPoolMemory {
-        &self.memory[ni]
     }
 }
 

@@ -3,13 +3,17 @@
 //! `WindowCursor` at any chunk size, on any worker width and shard
 //! count, with fault injection active and telemetry journaling, must
 //! reproduce the monolithic-table run exactly — job for job, counter
-//! for counter, event for event.
+//! for counter, event for event — whether its jobs come from a family
+//! or from open arrivals, and whether the central coordinator or work
+//! stealing places them.
 
 use linger::{JobFamily, Policy};
-use linger_cluster::{ClusterConfig, ClusterSim, FaultConfig};
+use linger_cluster::{
+    AdmissionPolicy, ClusterConfig, ClusterSim, FaultConfig, RunMode, ServiceConfig, StealingConfig,
+};
 use linger_sim_core::{set_default_jobs, ShardPlan, SimDuration, SimTime};
 use linger_telemetry::Recorder;
-use linger_workload::WorkloadRealization;
+use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution, WorkloadRealization};
 use proptest::prelude::*;
 
 fn config(
@@ -42,9 +46,39 @@ fn config(
     cfg
 }
 
+/// `cfg` under job source and scheduler `mode`: 0 keeps the family and
+/// the central coordinator; 1 adds open arrivals at 0.9 of the cluster's
+/// service capacity over a 640 s horizon, past the trace's 600 s period;
+/// 2 places those arrivals by randomized work stealing instead. Only
+/// stealing reads the window's idle words for free nodes in its classify,
+/// and only open runs keep placing on non-idle nodes late into the run.
+fn with_mode(mut cfg: ClusterConfig, mode: usize, demand_s: u64) -> ClusterConfig {
+    if mode == 0 {
+        return cfg;
+    }
+    let rate_per_hour = 0.9 * cfg.nodes as f64 * 3600.0 / demand_s as f64;
+    cfg.service = ServiceConfig {
+        arrivals: ArrivalConfig {
+            process: ArrivalProcess::Poisson { rate_per_hour },
+            mean_cpu_secs: demand_s as f64,
+            mem_kb: 8 * 1024,
+            size_dist: SizeDistribution::Exponential,
+        },
+        admission: AdmissionPolicy::Shed,
+        queue_capacity: 2 * cfg.nodes,
+        deadline_secs: 300.0,
+    };
+    cfg.mode = RunMode::Open { horizon: SimTime::from_secs(640) };
+    if mode == 2 {
+        cfg.stealing = StealingConfig::randomized(3, 0.1);
+    }
+    cfg
+}
+
 /// The run's complete observable outcome as one string: every job
 /// record, the throughput/delay accumulators at full f64 bit precision,
-/// the fault counters, and the serialized telemetry journal.
+/// the fault, service and steal counters, and the serialized telemetry
+/// journal.
 fn run_signature(
     cfg: ClusterConfig,
     real: &WorkloadRealization,
@@ -62,11 +96,13 @@ fn run_signature(
         .map(|j| serde_json::to_string(&j.snapshot()).unwrap())
         .unwrap_or_default();
     format!(
-        "{:?}|{}|{}|{:?}|{}",
+        "{:?}|{}|{}|{:?}|{:?}|{:?}|{}",
         sim.jobs(),
         sim.foreign_cpu_delivered().as_nanos(),
         sim.foreground_delay_ratio().to_bits(),
         sim.fault_stats(),
+        sim.service_stats(),
+        sim.steal_stats(),
         events,
     )
 }
@@ -84,9 +120,12 @@ proptest! {
         seed in 0u64..10_000,
         crash_rate in 0.5f64..20.0,
         fail_prob in 0.05f64..0.5,
+        // Family + central, open + central, or open + stealing.
+        mode in 0usize..3,
     ) {
         let policy = Policy::ALL[policy_idx];
         let cfg = config(policy, nodes, jobs, demand_s, seed, crash_rate, fail_prob);
+        let cfg = with_mode(cfg, mode, demand_s);
         let period = cfg.trace.sample_count();
         let mono = WorkloadRealization::synthesize_monolithic(&cfg.trace, seed, nodes);
         let baseline = run_signature(cfg.clone(), &mono, 1, 1);
@@ -100,8 +139,8 @@ proptest! {
                     let got = run_signature(cfg.clone(), &streamed, shards, width);
                     prop_assert_eq!(
                         &baseline, &got,
-                        "{} diverged at chunk={} shards={} width={}",
-                        policy, chunk, shards, width
+                        "{} mode {} diverged at chunk={} shards={} width={}",
+                        policy, mode, chunk, shards, width
                     );
                 }
             }

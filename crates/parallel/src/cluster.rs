@@ -183,8 +183,8 @@ fn simulate_over(
     // so every placement decision below is unchanged.
     let mut free = NodeIndex::full(cfg.nodes);
     let mut idle = NodeIndex::new(cfg.nodes);
+    let every_node = NodeIndex::full(cfg.nodes);
     // Per-window scratch, hoisted out of the loop.
-    let mut cpu_w = vec![0.0f64; cfg.nodes];
     let mut members_scratch: Vec<usize> = Vec::with_capacity(cfg.nodes);
     let mut busy_scratch: Vec<usize> = Vec::with_capacity(cfg.width);
     let mut finished: Vec<usize> = Vec::new();
@@ -207,15 +207,11 @@ fn simulate_over(
         }
 
         // One window row per node per window, from the shared table or
-        // the streamed chunk alike.
+        // the streamed chunk alike, read in place. The idle set takes the
+        // row's idle words whole (bits past the last node are zero).
         let rows = cursor.rows(w);
-        cpu_w.copy_from_slice(rows.cpu);
-        idle.clear();
-        for n in 0..cfg.nodes {
-            if rows.idle[n / 64] & (1u64 << (n % 64)) != 0 {
-                idle.insert(n);
-            }
-        }
+        let cpu = rows.cpu;
+        idle.assign_and_words(rows.idle, &every_node);
 
         // Placement.
         while let Some(&(id, arrived)) = queue.front() {
@@ -234,7 +230,7 @@ fn simulate_over(
                     members_scratch.sort_unstable_by(|&a, &b| {
                         idle.contains(b)
                             .cmp(&idle.contains(a))
-                            .then(cpu_w[a].partial_cmp(&cpu_w[b]).expect("finite"))
+                            .then(cpu[a].partial_cmp(&cpu[b]).expect("finite"))
                             .then(a.cmp(&b))
                     });
                     members_scratch.len() >= cfg.width
@@ -255,7 +251,7 @@ fn simulate_over(
                     now.as_nanos(),
                     EventKind::Decision {
                         action: DecisionAction::Place,
-                        host_cpu: Some(cpu_w[lead]),
+                        host_cpu: Some(cpu[lead]),
                         dest_cpu: None,
                         age_secs: None,
                         migration_secs: None,
@@ -320,7 +316,7 @@ fn simulate_over(
                             now.as_nanos(),
                             EventKind::Decision {
                                 action: DecisionAction::Stall,
-                                host_cpu: Some(cpu_w[busy]),
+                                host_cpu: Some(cpu[busy]),
                                 dest_cpu: None,
                                 age_secs: None,
                                 migration_secs: None,
@@ -337,7 +333,7 @@ fn simulate_over(
             let mut worst_wall = cfg.grain.as_secs_f64();
             let mut lingering = 0usize;
             for &m in &job.members {
-                let u = cpu_w[m];
+                let u = cpu[m];
                 let rate = steal_rate(&table, u, cs).max(1e-6);
                 let wall = cfg.grain.as_secs_f64() / rate;
                 if !idle.contains(m) {
@@ -348,7 +344,7 @@ fn simulate_over(
             if lingering > 0 {
                 // Extreme-value barrier amplification (same estimator as
                 // the hybrid predictor).
-                let u_typ: f64 = job.members.iter().map(|&m| cpu_w[m]).fold(0.0f64, f64::max);
+                let u_typ: f64 = job.members.iter().map(|&m| cpu[m]).fold(0.0f64, f64::max);
                 let p = table.interpolate(u_typ);
                 if p.run_mean > 0.0 {
                     let n_bursts = worst_wall * u_typ / p.run_mean;

@@ -15,9 +15,11 @@
 //! 3. when local demand grows, pages are reclaimed from the foreign job
 //!    first.
 //!
-//! The cluster simulator uses the derived admission check
-//! ([`TwoPoolMemory::fits`]) to gate job placement, and the reclaim
-//! counters feed the memory-pressure ablation bench.
+//! The cluster simulator gates job placement on a node's free memory
+//! ([`TwoPoolMemory::free_kb`]). It keeps a pool only while the node
+//! hosts a job: a pool holding none carries nothing beyond its owner's
+//! last demand, so a free node's room is that of a pool built fresh from
+//! the window's demand.
 
 use serde::{Deserialize, Serialize};
 
@@ -89,7 +91,8 @@ impl TwoPoolMemory {
 
     /// Would a foreign job of `job_kb` fit entirely in currently-free
     /// memory? This is the admission check the cluster scheduler applies
-    /// before placing or migrating a job onto a node.
+    /// (as `job_kb <= free_kb()`) before placing or migrating a job onto
+    /// a node.
     pub fn fits(&self, job_kb: u32) -> bool {
         job_kb <= self.free_kb()
     }
@@ -155,27 +158,6 @@ impl TwoPoolMemory {
             self.local_pages + self.foreign_resident_pages <= self.total_pages,
             "pools exceed physical memory"
         );
-    }
-
-    /// [`set_local_pages`](Self::set_local_pages) specialised to a node
-    /// with no foreign job attached.
-    ///
-    /// With `foreign_demand_pages == 0` (hence `foreign_resident_pages ==
-    /// 0`), the growth branch reclaims nothing and counts no page-outs
-    /// (demand is clamped to `total_pages` first), and the shrink branch
-    /// regrows nothing — both reduce to the clamped store below. Also a
-    /// value-level no-op when the full path already ran for this window:
-    /// every `set_local_pages` ends with `local_pages == want`. The
-    /// per-window memory refresh exploits both properties to stream the
-    /// whole cluster's trace row branch-free, after busy nodes took the
-    /// full accounting path.
-    #[inline]
-    pub fn store_local_pages_unattached(&mut self, local_pages: u32) {
-        debug_assert!(
-            self.foreign_demand_pages == 0 || self.local_pages == local_pages.min(self.total_pages),
-            "fast path requires no foreign job or an already-applied update"
-        );
-        self.local_pages = local_pages.min(self.total_pages);
     }
 }
 
@@ -278,27 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn unattached_store_matches_full_update() {
-        let mut x = 48_271u64;
-        let mut full = mem();
-        let mut fast = mem();
-        for _ in 0..10_000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let kb = (x >> 33) as u32 % (80 * 1024);
-            full.set_local_pages(kb / PAGE_KB);
-            fast.store_local_pages_unattached(kb / PAGE_KB);
-            assert_eq!(full, fast);
-        }
-        // And re-storing after the full path ran is a no-op even with a
-        // foreign job attached.
-        full.attach_foreign(8 * 1024);
-        full.set_local_pages(40 * 1024 / PAGE_KB);
-        let snapshot = full.clone();
-        full.store_local_pages_unattached(40 * 1024 / PAGE_KB);
-        assert_eq!(full, snapshot);
-    }
-
-    #[test]
     fn page_rounding() {
         let mut m = TwoPoolMemory::new(100 * PAGE_KB, 10);
         // 5 KB demand rounds up to 2 pages.
@@ -360,12 +321,8 @@ mod tests {
             let mut got = TwoPoolMemory::new(total_kb, local_kb / PAGE_KB);
             let mut want = reference_new(total_kb, local_kb);
             prop_assert_eq!(&got, &want);
-            // Driven by the unattached store alone (meaningful only
-            // while no foreign job is attached).
-            let mut fast = got.clone();
             // A zero-KB job stands for none attached.
-            let attached = job_kb > 0;
-            if attached {
+            if job_kb > 0 {
                 got.attach_foreign(job_kb);
                 want.attach_foreign(job_kb);
             }
@@ -373,11 +330,58 @@ mod tests {
                 got.set_local_pages(kb / PAGE_KB);
                 reference_set_local_kb(&mut want, kb);
                 prop_assert_eq!(&got, &want);
-                if !attached {
-                    fast.store_local_pages_unattached(kb / PAGE_KB);
-                    prop_assert_eq!(&fast, &want);
+            }
+        }
+
+        /// A pool that holds no foreign job carries no state beyond the
+        /// owner's last demand, so a pool built fresh from that demand
+        /// can stand in for it: the cluster keeps a node's pool only
+        /// while it hosts a job and seeds it from the window row when the
+        /// job attaches. Each op is `(code, kb)`: codes 0 and 1 set the
+        /// owner's demand to `kb`, 2 attaches a job of `kb % 48 MB` when
+        /// none is attached, and 3 detaches.
+        #[test]
+        fn a_fresh_pool_stands_in_for_a_detached_one(
+            total_kb in 1u32..=128 * 1024,
+            local_kb in 0u32..=160 * 1024,
+            ops in prop::collection::vec((0u32..4, 0u32..=160 * 1024), 1..64),
+        ) {
+            // What the simulator reads of a pool.
+            let view = |m: &TwoPoolMemory| {
+                (m.local_kb(), m.foreign_resident_kb(), m.free_kb(), m.foreign_residency())
+            };
+            let mut last_pages = local_kb / PAGE_KB;
+            let mut persistent = TwoPoolMemory::new(total_kb, last_pages);
+            // The seeded stand-in while a job is attached.
+            let mut seeded: Option<TwoPoolMemory> = None;
+            for (code, kb) in ops {
+                match code {
+                    0 | 1 => {
+                        last_pages = kb / PAGE_KB;
+                        persistent.set_local_pages(last_pages);
+                        if let Some(s) = seeded.as_mut() {
+                            s.set_local_pages(last_pages);
+                        }
+                    }
+                    2 if seeded.is_none() => {
+                        let job_kb = kb % (48 * 1024);
+                        persistent.attach_foreign(job_kb);
+                        let mut fresh = TwoPoolMemory::new(total_kb, last_pages);
+                        fresh.attach_foreign(job_kb);
+                        seeded = Some(fresh);
+                    }
+                    2 => {}
+                    _ => {
+                        persistent.detach_foreign();
+                        seeded = None;
+                    }
+                }
+                if let Some(s) = &seeded {
+                    prop_assert_eq!(view(s), view(&persistent));
                 }
             }
+            persistent.detach_foreign();
+            prop_assert_eq!(view(&TwoPoolMemory::new(total_kb, last_pages)), view(&persistent));
         }
     }
 }

@@ -24,7 +24,7 @@ use crate::coarse::{CoarseTrace, CoarseTraceConfig, TraceStream, TOTAL_MEMORY_KB
 use crate::generator::LocalWorkload;
 use crate::memory::PAGE_KB;
 use crate::stream::{
-    streamed_chunk_windows, StreamSpec, WindowCursor, DEFAULT_WINDOW_BUDGET_BYTES,
+    streamed_chunk_windows, StreamSpec, WindowCursor, WindowRows, DEFAULT_WINDOW_BUDGET_BYTES,
 };
 use linger_sim_core::{env_count, par_map_indexed, RngFactory};
 use std::ops::Range;
@@ -279,7 +279,7 @@ impl WindowTable {
     /// If the table stops short of the period and `w` lies past its
     /// rows: a partial table never wraps.
     #[inline]
-    fn row(&self, w: usize) -> usize {
+    pub(crate) fn row(&self, w: usize) -> usize {
         assert!(
             w < self.rows || self.rows == self.period,
             "window {w} lies past the {} rows built of a {}-window period",
@@ -302,23 +302,31 @@ impl WindowTable {
     /// Owner CPU demand (in `[0, 1]`) of every node for window `w`
     /// (wraps modulo the period; see [`Self::rows`]).
     pub fn cpu_row(&self, w: usize) -> &[f64] {
-        let start = self.row(w) * self.nodes;
-        &self.cpu[start..start + self.nodes]
+        self.stored(self.row(w)).cpu
     }
 
     /// Owner-resident memory (whole [`PAGE_KB`] pages) of every node for
     /// window `w` (wraps modulo the period; see [`Self::rows`]).
     pub fn mem_row(&self, w: usize) -> &[u16] {
-        let start = self.row(w) * self.nodes;
-        &self.mem_pages[start..start + self.nodes]
+        self.stored(self.row(w)).mem_pages
     }
 
     /// Recruitment idle flags for window `w` as packed bit words: bit
     /// `n % 64` of word `n / 64` ⇔ node `n` is idle (wraps modulo the
     /// period; see [`Self::rows`]). Bits at or past `nodes()` are zero.
     pub fn idle_row(&self, w: usize) -> &[u64] {
-        let start = self.row(w) * self.words_per_row;
-        &self.idle[start..start + self.words_per_row]
+        self.stored(self.row(w)).idle
+    }
+
+    /// The lanes of stored row `r` ([`Self::row`] maps windows to rows).
+    #[inline]
+    pub(crate) fn stored(&self, r: usize) -> WindowRows<'_> {
+        let (cells, words) = (r * self.nodes, r * self.words_per_row);
+        WindowRows {
+            cpu: &self.cpu[cells..cells + self.nodes],
+            mem_pages: &self.mem_pages[cells..cells + self.nodes],
+            idle: &self.idle[words..words + self.words_per_row],
+        }
     }
 
     fn approx_bytes(&self) -> usize {

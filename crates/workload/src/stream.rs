@@ -157,11 +157,10 @@ impl WindowChunk {
         self.windows > 0 && w >= self.base && w < self.base + self.windows
     }
 
-    /// The rows of resident absolute window `w`.
-    fn rows(&self, w: usize) -> WindowRows<'_> {
-        assert!(self.contains(w), "window {w} not in chunk");
-        let cells = (w - self.base) * self.nodes;
-        let words = (w - self.base) * self.words_per_row;
+    /// The lanes of chunk row `r` (absolute window `base + r`).
+    #[inline]
+    fn stored(&self, r: usize) -> WindowRows<'_> {
+        let (cells, words) = (r * self.nodes, r * self.words_per_row);
         WindowRows {
             cpu: &self.cpu[cells..cells + self.nodes],
             mem_pages: &self.mem_pages[cells..cells + self.nodes],
@@ -212,6 +211,9 @@ pub struct WindowRows<'a> {
 /// [`WorkloadRealization::cursor`]: crate::realization::WorkloadRealization::cursor
 pub struct WindowCursor {
     source: RowSource,
+    /// Where the window [`WindowCursor::rows`] last loaded is stored: its
+    /// table row, or its row of the resident chunk.
+    row: usize,
 }
 
 enum RowSource {
@@ -224,7 +226,7 @@ enum RowSource {
 impl WindowCursor {
     /// A cursor over a materialized table.
     pub(crate) fn table(table: Arc<WindowTable>) -> WindowCursor {
-        WindowCursor { source: RowSource::Table(table) }
+        WindowCursor { source: RowSource::Table(table), row: 0 }
     }
 
     /// A streaming cursor at window 0 for `spec`, with per-node phase
@@ -234,6 +236,7 @@ impl WindowCursor {
     pub(crate) fn streamed(spec: &StreamSpec, offsets: Arc<[usize]>, rows: usize) -> WindowCursor {
         WindowCursor {
             source: RowSource::Stream(Box::new(ChunkStream::new(spec, offsets, rows))),
+            row: 0,
         }
     }
 
@@ -241,13 +244,25 @@ impl WindowCursor {
     /// holds it if the cursor streams and `w` is not resident.
     #[inline]
     pub fn rows(&mut self, w: usize) -> WindowRows<'_> {
-        match &mut self.source {
-            RowSource::Table(table) => WindowRows {
-                cpu: table.cpu_row(w),
-                mem_pages: table.mem_row(w),
-                idle: table.idle_row(w),
-            },
-            RowSource::Stream(stream) => stream.rows(w),
+        self.row = match &mut self.source {
+            RowSource::Table(table) => table.row(w),
+            RowSource::Stream(stream) => stream.load(w),
+        };
+        self.current()
+    }
+
+    /// The rows of the window [`Self::rows`] last loaded (window 0 before
+    /// any), read in place through a shared borrow: a simulation reads
+    /// them while it updates its own state, and nothing is copied. The
+    /// row was located at load time, so this only slices.
+    ///
+    /// # Panics
+    /// If the cursor streams and has loaded no window yet.
+    #[inline]
+    pub fn current(&self) -> WindowRows<'_> {
+        match &self.source {
+            RowSource::Table(table) => table.stored(self.row),
+            RowSource::Stream(stream) => stream.chunk.stored(self.row),
         }
     }
 
@@ -334,12 +349,12 @@ impl ChunkStream {
             + self.parked.capacity() * std::mem::size_of::<Option<ParkedTrace>>()
     }
 
-    /// Make absolute window `w` resident and return its rows.
-    fn rows(&mut self, w: usize) -> WindowRows<'_> {
+    /// Make absolute window `w` resident; returns its chunk row.
+    fn load(&mut self, w: usize) -> usize {
         if !self.chunk.contains(w) {
             self.fill(w);
         }
-        self.chunk.rows(w)
+        w - self.chunk.base
     }
 
     /// Rebuild the chunk arena to cover `[base, base + W)`. Every shard
@@ -508,6 +523,10 @@ mod tests {
                 assert_eq!(t.cpu.as_ptr(), tbl.cpu_row(w).as_ptr(), "no copy of the table");
                 assert_eq!(t.mem_pages, rows.mem_pages);
                 assert_eq!(t.idle, rows.idle);
+                // Both read the loaded window again in place.
+                assert_eq!(table_cur.current().cpu.as_ptr(), tbl.cpu_row(w).as_ptr());
+                let again = cur.current();
+                assert_eq!((again.mem_pages, again.idle), (tbl.mem_row(w), tbl.idle_row(w)));
             }
             assert!(cur.build_secs() > 0.0);
             assert!(cur.chunks_built() >= 1);
