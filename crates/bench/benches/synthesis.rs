@@ -1,10 +1,13 @@
 //! Workload-synthesis benchmarks: the parallel trace-library fan-out and
-//! the streamed window pipeline's chunk build, at the node counts where
-//! the `ext_scaling` sweep switches representations. Serial and parallel
+//! the window-row filler's chunk build, at the node counts where the
+//! `ext_scaling` sweep switches representations. Serial and parallel
 //! synthesis run over the same seeds (the fan-out is index-keyed, so the
 //! bytes are identical either way) — the gap between the two is the
-//! speedup the worker pool buys, and a chunk-build regression shows up
-//! directly as streamed-cell setup cost in the scaling sweep.
+//! speedup the worker pool buys. The filler is the one row builder: it
+//! fills a streamed cursor's chunks and, in a single fill at window 0,
+//! a table realization's rows, so `chunk_build` times the table's
+//! builder too, and a regression there shows up directly as setup cost
+//! of streamed and table cells alike in the scaling sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use linger_sim_core::{set_default_jobs, RngFactory, SimDuration};

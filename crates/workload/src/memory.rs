@@ -35,11 +35,6 @@ pub struct TwoPoolMemory {
     foreign_resident_pages: u32,
     /// The foreign job's full working-set size; residency may be lower.
     foreign_demand_pages: u32,
-    /// Cumulative pages reclaimed from the foreign pool by local growth.
-    reclaimed_pages: u64,
-    /// Cumulative local page-outs forced while no foreign pages remained
-    /// (i.e. pressure the local workload would have seen anyway).
-    local_pageouts: u64,
 }
 
 impl TwoPoolMemory {
@@ -54,8 +49,6 @@ impl TwoPoolMemory {
             local_pages,
             foreign_resident_pages: 0,
             foreign_demand_pages: 0,
-            reclaimed_pages: 0,
-            local_pageouts: 0,
         }
     }
 
@@ -77,16 +70,6 @@ impl TwoPoolMemory {
     /// Free memory (neither pool), KB.
     pub fn free_kb(&self) -> u32 {
         (self.total_pages - self.local_pages - self.foreign_resident_pages) * PAGE_KB
-    }
-
-    /// Pages reclaimed from the foreign pool so far.
-    pub fn reclaimed_pages(&self) -> u64 {
-        self.reclaimed_pages
-    }
-
-    /// Local page-outs that occurred with no foreign pages left to take.
-    pub fn local_pageouts(&self) -> u64 {
-        self.local_pageouts
     }
 
     /// Would a foreign job of `job_kb` fit entirely in currently-free
@@ -127,25 +110,17 @@ impl TwoPoolMemory {
     /// Update local memory demand to `local_pages` (from the coarse
     /// trace's page lane).
     ///
-    /// Growth reclaims foreign pages first (invariant 3), then counts
-    /// local page-outs if demand still exceeds physical memory. Shrink
-    /// releases pages to the free list, where the foreign job may re-grow
-    /// toward its demand (invariant 1 of the free-list rule).
+    /// Demand past physical memory is clamped. Growth takes free pages,
+    /// then reclaims foreign pages (invariant 3). Shrink releases pages
+    /// to the free list, where the foreign job may re-grow toward its
+    /// demand (invariant 1 of the free-list rule).
     pub fn set_local_pages(&mut self, local_pages: u32) {
         let want = local_pages.min(self.total_pages);
         if want > self.local_pages {
-            let mut need = want - self.local_pages;
-            // Take free pages first.
+            // Take free pages first, then reclaim from the foreign pool:
+            // `want` is capped at physical memory, so the two cover it.
             let free = self.total_pages - self.local_pages - self.foreign_resident_pages;
-            let from_free = need.min(free);
-            need -= from_free;
-            // Then reclaim from the foreign pool.
-            let from_foreign = need.min(self.foreign_resident_pages);
-            self.foreign_resident_pages -= from_foreign;
-            self.reclaimed_pages += from_foreign as u64;
-            need -= from_foreign;
-            // Anything left would have paged out local memory regardless.
-            self.local_pageouts += need as u64;
+            self.foreign_resident_pages -= (want - self.local_pages).saturating_sub(free);
             self.local_pages = want;
         } else {
             self.local_pages = want;
@@ -206,8 +181,6 @@ mod tests {
         m.set_local_pages(60 * 1024 / PAGE_KB);
         assert_eq!(m.local_kb(), 60 * 1024);
         assert_eq!(m.foreign_resident_kb(), 4 * 1024);
-        assert_eq!(m.reclaimed_pages(), (4 * 1024 / PAGE_KB) as u64);
-        assert_eq!(m.local_pageouts(), 0, "local never pages for foreign");
     }
 
     #[test]
@@ -216,11 +189,9 @@ mod tests {
         m.attach_foreign(8 * 1024);
         m.set_local_pages(64 * 1024 / PAGE_KB); // consumes everything
         assert_eq!(m.foreign_resident_kb(), 0);
-        assert_eq!(m.local_pageouts(), 0); // exactly fits
         m.set_local_pages(64 * 1024 / PAGE_KB); // no-op
-        assert_eq!(m.local_pageouts(), 0);
-        // Demand beyond physical memory is clamped, not counted against
-        // the foreign job.
+                                                // Demand beyond physical memory is clamped, not counted against
+                                                // the foreign job.
         m.set_local_pages(80 * 1024 / PAGE_KB);
         assert_eq!(m.local_kb(), 64 * 1024);
     }
@@ -278,8 +249,6 @@ mod tests {
             local_pages,
             foreign_resident_pages: 0,
             foreign_demand_pages: 0,
-            reclaimed_pages: 0,
-            local_pageouts: 0,
         }
     }
 
@@ -292,9 +261,6 @@ mod tests {
             need -= from_free;
             let from_foreign = need.min(m.foreign_resident_pages);
             m.foreign_resident_pages -= from_foreign;
-            m.reclaimed_pages += from_foreign as u64;
-            need -= from_foreign;
-            m.local_pageouts += need as u64;
             m.local_pages = want;
         } else {
             m.local_pages = want;

@@ -20,14 +20,14 @@
 //! once at the longer length. Rows do not depend on how many were
 //! built, so a table of `r` rows is the first `r` rows of the full one.
 
-use crate::coarse::{CoarseTrace, CoarseTraceConfig, TraceStream, TOTAL_MEMORY_KB};
+use crate::coarse::{CoarseTrace, CoarseTraceConfig, TOTAL_MEMORY_KB};
 use crate::generator::LocalWorkload;
 use crate::memory::PAGE_KB;
 use crate::stream::{
-    streamed_chunk_windows, StreamSpec, WindowCursor, WindowRows, DEFAULT_WINDOW_BUDGET_BYTES,
+    streamed_chunk_windows, NodeStreams, StreamSpec, WindowCursor, WindowLanes, WindowRows,
+    DEFAULT_WINDOW_BUDGET_BYTES,
 };
-use linger_sim_core::{env_count, par_map_indexed, RngFactory};
-use std::ops::Range;
+use linger_sim_core::{default_jobs, env_count, RngFactory, ShardPlan};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Window-major struct-of-arrays matrix of every node's `(cpu, mem,
@@ -57,24 +57,18 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// table serves windows `0..rows()` and panics past them instead of
 /// wrapping; only a table of every row (`rows() == period()`) wraps.
 ///
-/// Synthesized realizations write the table straight from the per-node
-/// trace streams (`WindowTable::synthesize`), with as many rows as the
-/// simulators over them can read;
+/// The lanes are the same struct a streamed chunk fills. A synthesized
+/// realization's table is built by the streamed cursor's filler as one
+/// chunk at window 0, straight from the per-node trace streams, with as
+/// many rows as the simulators over it can read;
 /// [`WorkloadRealization::from_traces`] transposes already materialized
 /// traces (measured or hand-built) into a table of every row.
 /// Simulators read it through a [`WindowCursor`].
 #[derive(Debug, Clone)]
 pub struct WindowTable {
     period: usize,
-    /// Rows built, `1..=period`.
-    rows: usize,
-    nodes: usize,
-    /// One bit per (window, node): nodes per row padded to a whole number
-    /// of 64-bit words so rows start word-aligned.
-    words_per_row: usize,
-    cpu: Vec<f64>,
-    mem_pages: Vec<u16>,
-    idle: Vec<u64>,
+    /// Rows `0..rows`, with `rows` in `1..=period`.
+    lanes: WindowLanes,
 }
 
 /// Every synthesized sample holds at most [`TOTAL_MEMORY_KB`], so its
@@ -90,139 +84,7 @@ pub(crate) fn synthesized_pages(mem_used_kb: u32) -> u16 {
     (mem_used_kb / PAGE_KB) as u16
 }
 
-/// Nodes per column block of [`WindowTable::synthesize`]: one packed
-/// idle word per row.
-const BLOCK_NODES: usize = 64;
-
-/// One column block of a table under construction: up to
-/// [`BLOCK_NODES`] adjacent nodes in window-major order, each row as
-/// wide as the block's node count. A worker fills and scatters one
-/// block after another in the same buffers.
-struct ColumnBlock {
-    cpu: Vec<f64>,
-    mem_pages: Vec<u16>,
-    /// One word per window; bit `j` ⇔ node `first + j` is idle.
-    idle: Vec<u64>,
-}
-
-impl ColumnBlock {
-    fn new(rows: usize) -> ColumnBlock {
-        ColumnBlock {
-            cpu: vec![0.0; rows * BLOCK_NODES],
-            mem_pages: vec![0; rows * BLOCK_NODES],
-            idle: vec![0; rows],
-        }
-    }
-
-    /// Fill rows `0..rows` of nodes `first..first + offsets.len()`: row
-    /// `w` of node `first + j` is sample `(offset_j + w) mod period` of
-    /// its [`TraceStream`]. Rows are `offsets.len()` wide.
-    ///
-    /// The rows read samples `offset_j..offset_j + rows`, which wrap
-    /// past the period into a head `0..offset_j + rows - period`. Each
-    /// stream is walked once in sample order: the wrapped head first,
-    /// then a [`TraceStream::skip`] over the samples no row reads, then
-    /// the run from `offset_j`. No sample is drawn twice, and a table
-    /// of every row draws each sample exactly once.
-    fn fill(
-        &mut self,
-        cfg: &CoarseTraceConfig,
-        factory: &RngFactory,
-        first: usize,
-        offsets: &[usize],
-        period: usize,
-        rows: usize,
-    ) {
-        let width = offsets.len();
-        self.idle.fill(0);
-        for (j, &offset) in offsets.iter().enumerate() {
-            let offset = offset % period;
-            let mut stream = TraceStream::new(cfg, factory, (first + j) as u64);
-            let head = (offset + rows).saturating_sub(period);
-            self.write(&mut stream, j, width, period - offset..period - offset + head);
-            stream.skip(offset - head);
-            self.write(&mut stream, j, width, 0..rows - head);
-        }
-    }
-
-    /// Write the stream's next samples of column `j` into `rows`, in
-    /// order.
-    fn write(&mut self, stream: &mut TraceStream, j: usize, width: usize, rows: Range<usize>) {
-        for w in rows {
-            let (s, is_idle) = stream.next_sample();
-            self.cpu[w * width + j] = s.cpu;
-            self.mem_pages[w * width + j] = synthesized_pages(s.mem_used_kb);
-            self.idle[w] |= u64::from(is_idle) << j;
-        }
-    }
-}
-
 impl WindowTable {
-    /// Synthesize the first `rows` rows (clamped to `1..=period`) of the
-    /// table of `offsets.len()` nodes straight from their `cfg` trace
-    /// streams under `factory`, without materializing a single per-node
-    /// trace.
-    ///
-    /// Nodes are generated in 64-node column blocks over `jobs` workers.
-    /// Each worker reuses one block buffer and scatters every block into
-    /// its columns as soon as it is filled. A block's bytes and columns
-    /// depend only on its index, so the table is identical at any worker
-    /// count and its rows equal the first rows of [`WindowTable::build`]
-    /// over the same streams' traces, while peak memory is the table
-    /// plus one block per worker.
-    ///
-    /// # Panics
-    /// If the period is zero.
-    pub(crate) fn synthesize(
-        cfg: &CoarseTraceConfig,
-        factory: &RngFactory,
-        offsets: &[usize],
-        rows: usize,
-        jobs: Option<usize>,
-    ) -> WindowTable {
-        let period = cfg.sample_count();
-        assert!(period > 0, "window table needs a nonzero period");
-        let rows = rows.clamp(1, period);
-        let nodes = offsets.len();
-        let words_per_row = nodes.div_ceil(BLOCK_NODES);
-        let table = Mutex::new(WindowTable {
-            period,
-            rows,
-            nodes,
-            words_per_row,
-            cpu: vec![0.0; rows * nodes],
-            mem_pages: vec![0; rows * nodes],
-            idle: vec![0u64; rows * words_per_row],
-        });
-        // Idle block buffers: one per worker once every worker has run.
-        // A unit that panics poisons the locks only on its way to failing
-        // the whole fan-out.
-        const POISONED: &str = "a synthesis unit panicked";
-        let spare: Mutex<Vec<ColumnBlock>> = Mutex::new(Vec::new());
-        par_map_indexed(words_per_row, jobs, |b| {
-            let first = b * BLOCK_NODES;
-            let last = (first + BLOCK_NODES).min(nodes);
-            let width = last - first;
-            let mut block = spare
-                .lock()
-                .expect(POISONED)
-                .pop()
-                .unwrap_or_else(|| ColumnBlock::new(rows));
-            block.fill(cfg, factory, first, &offsets[first..last], period, rows);
-            let mut t = table.lock().expect(POISONED);
-            for w in 0..rows {
-                let col = w * nodes + first;
-                let src = w * width..(w + 1) * width;
-                t.cpu[col..col + width].copy_from_slice(&block.cpu[src.clone()]);
-                t.mem_pages[col..col + width].copy_from_slice(&block.mem_pages[src]);
-                t.idle[w * words_per_row + b] = block.idle[w];
-            }
-            drop(t);
-            spare.lock().expect(POISONED).push(block);
-        });
-        table.into_inner().expect(POISONED)
-    }
-
     /// Gather `traces` (with per-node phase `offsets`) into a window-major
     /// table.
     ///
@@ -253,12 +115,14 @@ impl WindowTable {
         }
         Some(WindowTable {
             period,
-            rows: period,
-            nodes,
-            words_per_row,
-            cpu,
-            mem_pages,
-            idle,
+            lanes: WindowLanes {
+                rows: period,
+                nodes,
+                words_per_row,
+                cpu,
+                mem_pages,
+                idle,
+            },
         })
     }
 
@@ -270,7 +134,7 @@ impl WindowTable {
     /// Number of rows built: windows `0..rows()` are readable, and every
     /// window is once `rows() == period()`.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.lanes.rows
     }
 
     /// The stored row of window `w`.
@@ -280,10 +144,10 @@ impl WindowTable {
     /// rows: a partial table never wraps.
     #[inline]
     pub(crate) fn row(&self, w: usize) -> usize {
+        let rows = self.lanes.rows;
         assert!(
-            w < self.rows || self.rows == self.period,
-            "window {w} lies past the {} rows built of a {}-window period",
-            self.rows,
+            w < rows || rows == self.period,
+            "window {w} lies past the {rows} rows built of a {}-window period",
             self.period
         );
         w % self.period
@@ -291,12 +155,12 @@ impl WindowTable {
 
     /// Number of node columns per row.
     pub fn nodes(&self) -> usize {
-        self.nodes
+        self.lanes.nodes
     }
 
     /// `u64` words per idle row (`nodes` rounded up to a multiple of 64).
     pub fn words_per_row(&self) -> usize {
-        self.words_per_row
+        self.lanes.words_per_row
     }
 
     /// Owner CPU demand (in `[0, 1]`) of every node for window `w`
@@ -321,18 +185,7 @@ impl WindowTable {
     /// The lanes of stored row `r` ([`Self::row`] maps windows to rows).
     #[inline]
     pub(crate) fn stored(&self, r: usize) -> WindowRows<'_> {
-        let (cells, words) = (r * self.nodes, r * self.words_per_row);
-        WindowRows {
-            cpu: &self.cpu[cells..cells + self.nodes],
-            mem_pages: &self.mem_pages[cells..cells + self.nodes],
-            idle: &self.idle[words..words + self.words_per_row],
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        self.cpu.len() * std::mem::size_of::<f64>()
-            + self.mem_pages.len() * std::mem::size_of::<u16>()
-            + self.idle.len() * std::mem::size_of::<u64>()
+        self.lanes.stored(r)
     }
 }
 
@@ -394,10 +247,24 @@ impl TableSlot {
         if let Some(table) = built.as_ref().filter(|t| t.rows() >= rows) {
             return table.clone();
         }
-        let factory = RngFactory::new(self.seed);
-        let table = Arc::new(WindowTable::synthesize(&self.cfg, &factory, offsets, rows, None));
+        let plan = ShardPlan::new(offsets.len(), default_jobs());
+        let table = Arc::new(self.build(offsets, rows, &plan));
         *built = Some(table.clone());
         table
+    }
+
+    /// The table's first `rows` rows (`1..=period`), built by the
+    /// streamed cursor's filler as one chunk at window 0 over `plan`'s
+    /// node shards. The rows are identical at any shard and worker
+    /// count and equal the first rows of [`WindowTable::build`] over
+    /// the same streams' traces, while peak memory is the table plus
+    /// one 64-node block buffer per shard.
+    fn build(&self, offsets: &[usize], rows: usize, plan: &ShardPlan) -> WindowTable {
+        let mut lanes = WindowLanes::zeroed(rows, offsets.len());
+        let factory = RngFactory::new(self.seed);
+        let streams = NodeStreams { cfg: &self.cfg, factory: &factory, offsets, plan };
+        streams.fill(&mut lanes, 0, None);
+        WindowTable { period: self.cfg.sample_count(), lanes }
     }
 
     /// The table built so far, if any.
@@ -556,7 +423,8 @@ impl WorkloadRealization {
             Windows::Table(slot) => slot.built(),
             Windows::Stream(_) => None,
         };
-        table.map_or(0, |t| t.approx_bytes()) + self.offsets.len() * std::mem::size_of::<usize>()
+        table.map_or(0, |t| t.lanes.approx_bytes())
+            + self.offsets.len() * std::mem::size_of::<usize>()
     }
 }
 
@@ -620,26 +488,28 @@ mod tests {
         }
     }
 
-    /// The fused builder's first `rows` rows (every row at
-    /// `usize::MAX`) against the legacy derivation: whole traces, then
-    /// [`WindowTable::build`] — and its page lane against each trace's
-    /// KB samples directly, so a KB-to-page error the two builders
-    /// shared would still show. `offsets` replaces the drawn offsets
-    /// when given.
+    /// The table builder's first `rows` rows (every row at
+    /// `usize::MAX`) over a plan of `shards` node shards against the
+    /// legacy derivation: whole traces, then [`WindowTable::build`] —
+    /// and its page lane against each trace's KB samples directly, so a
+    /// KB-to-page error the two builders shared would still show.
+    /// `offsets` replaces the drawn offsets when given.
     fn assert_fused_matches_legacy(
         c: &CoarseTraceConfig,
         seed: u64,
         nodes: usize,
         rows: usize,
-        jobs: usize,
+        shards: usize,
         offsets: Option<Vec<usize>>,
     ) {
         let (traces, drawn) = legacy_synthesize(c, seed, nodes);
         let offsets = offsets.unwrap_or(drawn);
         let legacy = WindowTable::build(&traces, &offsets).expect("uniform traces");
-        let fused = WindowTable::synthesize(c, &RngFactory::new(seed), &offsets, rows, Some(jobs));
-        assert_eq!(fused.rows(), rows.clamp(1, legacy.period()), "rows built");
-        let what = format!("{nodes} nodes, {rows} rows, jobs {jobs}, seed {seed}");
+        let slot = TableSlot { cfg: c.clone(), seed, built: Mutex::new(None) };
+        let rows = rows.clamp(1, legacy.period());
+        let fused = slot.build(&offsets, rows, &ShardPlan::new(nodes, shards));
+        assert_eq!(fused.rows(), rows, "rows built");
+        let what = format!("{nodes} nodes, {rows} rows, {shards} shards, seed {seed}");
         assert_same_rows(&fused, &legacy, &what);
         for w in 0..fused.rows() {
             let want: Vec<u32> = (traces.iter().zip(&offsets))
@@ -667,12 +537,13 @@ mod tests {
         // Periods 1 and 97 (not a multiple of the 64-node block; long
         // enough for the one-minute quiet streak that sets idle bits);
         // node counts straddling one block, two blocks, and — at 1,089
-        // — 18 blocks, so every worker's buffer is refilled, last with
-        // a one-node block narrower than the rows it held before.
+        // — 18 blocks, so every shard's buffer is refilled, the last
+        // shard's last with a one-node block narrower than the rows it
+        // held before.
         for secs in [2, 194] {
             for nodes in [1, 63, 64, 65, 130, 1089] {
-                for jobs in [1, 4] {
-                    assert_fused_matches_legacy(&cfg(secs), 11, nodes, usize::MAX, jobs, None);
+                for shards in [1, 4] {
+                    assert_fused_matches_legacy(&cfg(secs), 11, nodes, usize::MAX, shards, None);
                 }
             }
         }
@@ -690,23 +561,23 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Every row of the fused table equals the legacy transpose, at
-        /// any node count, period and worker count.
+        /// Every row of the built table equals the legacy transpose, at
+        /// any node count, period and shard count.
         #[test]
         fn fused_table_matches_legacy_build(
             node_pick in 0usize..6,
             any_nodes in 1usize..=300,
             secs_pick in 0usize..3,
             any_secs in 2u64..=400,
-            jobs_pick in 0usize..2,
+            shards_pick in 0usize..2,
             seed in 0u64..1_000,
         ) {
             // Block edges, or any count ≤ 300; period 1, 97 (not a
             // multiple of the block), or any period ≤ 200.
             let nodes = [1, 63, 64, 65, 130, any_nodes][node_pick];
             let secs = [2, 194, any_secs][secs_pick];
-            let jobs = [1, 4][jobs_pick];
-            assert_fused_matches_legacy(&cfg(secs), seed, nodes, usize::MAX, jobs, None);
+            let shards = [1, 4][shards_pick];
+            assert_fused_matches_legacy(&cfg(secs), seed, nodes, usize::MAX, shards, None);
         }
 
         /// A table of `R` rows equals the first `R` rows of the full
@@ -723,7 +594,7 @@ mod tests {
             any_secs in 64u64..=400,
             rows_pick in 0usize..7,
             any_rows in 1usize..=200,
-            jobs_pick in 0usize..2,
+            shards_pick in 0usize..2,
             first_wraps in any::<bool>(),
             seed in 0u64..1_000,
         ) {
@@ -732,11 +603,11 @@ mod tests {
             let c = cfg([194, any_secs][secs_pick]);
             let period = c.sample_count();
             let rows = [1, 29, 30, 31, period - 1, period, any_rows.min(period)][rows_pick];
-            let jobs = [1, 4][jobs_pick];
+            let shards = [1, 4][shards_pick];
             let (_, mut offsets) = legacy_synthesize(&c, seed, nodes);
             offsets[nodes - 1] = period - 1;
             offsets[0] = if first_wraps { period - 1 } else { 0 };
-            assert_fused_matches_legacy(&c, seed, nodes, rows, jobs, Some(offsets));
+            assert_fused_matches_legacy(&c, seed, nodes, rows, shards, Some(offsets));
         }
     }
 

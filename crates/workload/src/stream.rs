@@ -17,37 +17,43 @@
 //!   counter-based RNGs' keystream word positions), at the sample its
 //!   phase offset says the sweep needs next; a fill resumes one node's
 //!   stream at a time (~760 B live, with both RNGs' four-block
-//!   keystream buffers), writes that node's slice of the chunk and parks
-//!   it again;
+//!   keystream buffers), writes that node's column of the chunk and
+//!   parks it again;
 //! * a [`WindowCursor`] realizes windows in chunks of `W` windows, built
 //!   on demand just ahead of the sweep; the arena is the chunk plus the
 //!   parked streams, recycled on every refill, so peak memory is
 //!   `O(nodes × W)` regardless of the period;
 //! * chunk fill is sharded over contiguous 64-aligned node ranges
-//!   ([`ShardPlan`]) — every node's samples come from its own
-//!   `stream_for(domain, node)` streams, and each shard writes straight
-//!   into its own disjoint slice of every chunk row (the 64-aligned
-//!   boundaries keep the packed idle words disjoint too), so the realized
-//!   bytes are identical at any worker count, any shard count, and any
-//!   chunk size.
+//!   ([`ShardPlan`], one shard per worker at every node count) — every
+//!   node's samples come from its own `stream_for(domain, node)`
+//!   streams, and each shard fills its nodes 64 at a time into a small
+//!   block buffer that it then scatters into its own disjoint slice of
+//!   every chunk row (the 64-aligned boundaries keep the packed idle
+//!   words disjoint too), so the realized bytes are identical at any
+//!   worker count, any shard count, and any chunk size.
 //!
 //! Replay wraps are handled per node: when `(offset + window) mod period`
 //! returns to 0 the node's stream is simply restarted at sample 0, which
 //! costs nothing — only the *initial* positioning pays a skip of
 //! `offset` samples (on average half a period per node, done once, in
 //! the first fill, and attributed to setup time by the harness). That
-//! fill runs on the cursor's shards, and a plan has one shard below
-//! [`SHARD_MIN_NODES`] nodes, so up to there the positioning is serial.
-//! The skip still makes every draw of those samples, but only the last
-//! minute's 30 are built in full; the rest advance the episode,
-//! CPU-level and memory state and consume the jitter and keyboard draws
-//! unread ([`TraceStream::skip`]).
+//! fill runs on the cursor's shards, so positioning runs in parallel
+//! whenever the worker budget is above one. A node whose first chunk
+//! wraps the period walks its fresh stream once in sample order instead:
+//! the wrapped head, then the skip, then the run from its offset; the
+//! next chunk restarts it. The skip still makes every draw of those
+//! samples, but only the last minute's 30 are built in full; the rest
+//! advance the episode, CPU-level and memory state and consume the
+//! jitter and keyboard draws unread ([`TraceStream::skip`]).
 //!
-//! The same [`WindowCursor`] type also serves a table realization,
-//! straight from its shared table (built by the realization before the
-//! cursor is handed out, never by the cursor), so every consumer reads
-//! window rows through one interface whichever representation it was
-//! handed.
+//! The filler is the crate's one row builder: a table realization's
+//! [`WindowTable`] is a single fill of as many rows as its runs read,
+//! at window 0 and with no parked streams, into the same lanes a chunk
+//! uses. The same [`WindowCursor`] type also serves a table
+//! realization, straight from its shared table (built by the
+//! realization before the cursor is handed out, never by the cursor),
+//! so every consumer reads window rows through one interface whichever
+//! representation it was handed.
 //!
 //! `LINGER_WINDOW_CHUNK` forces streaming with an explicit chunk size
 //! (in windows); [`DEFAULT_WINDOW_BUDGET_BYTES`] (4 GiB) is the ceiling
@@ -56,7 +62,8 @@
 
 use crate::coarse::{CoarseTraceConfig, ParkedTrace, TraceStream};
 use crate::realization::{synthesized_pages, WindowTable};
-use linger_sim_core::{default_jobs, RngFactory, ShardPlan, SHARD_MIN_NODES};
+use linger_sim_core::{default_jobs, RngFactory, ShardPlan};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -136,30 +143,41 @@ impl StreamSpec {
     }
 }
 
-/// A window-major slice of the realization covering `windows` consecutive
-/// absolute windows starting at `base` — same row layout as
-/// [`WindowTable`], minus the modulo (the stream already resolved
-/// absolute windows to trace samples).
-#[derive(Debug, Default)]
-struct WindowChunk {
-    base: usize,
-    windows: usize,
-    nodes: usize,
-    words_per_row: usize,
-    cpu: Vec<f64>,
-    mem_pages: Vec<u16>,
-    idle: Vec<u64>,
+/// Window-major struct-of-arrays lanes of `rows` consecutive windows
+/// over every node: the storage of a [`WindowTable`] and of a streamed
+/// chunk alike.
+///
+/// Row `r` holds every node in node order. The `cpu` and `mem_pages`
+/// rows are `nodes` cells wide; the `idle` rows are `words_per_row`
+/// packed words, the nodes padded to a whole number of 64-bit words so
+/// rows start word-aligned.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WindowLanes {
+    pub(crate) rows: usize,
+    pub(crate) nodes: usize,
+    pub(crate) words_per_row: usize,
+    pub(crate) cpu: Vec<f64>,
+    pub(crate) mem_pages: Vec<u16>,
+    pub(crate) idle: Vec<u64>,
 }
 
-impl WindowChunk {
-    /// Whether absolute window `w` is resident.
-    fn contains(&self, w: usize) -> bool {
-        self.windows > 0 && w >= self.base && w < self.base + self.windows
+impl WindowLanes {
+    /// Zeroed lanes of `rows` rows over `nodes` nodes.
+    pub(crate) fn zeroed(rows: usize, nodes: usize) -> WindowLanes {
+        let words_per_row = nodes.div_ceil(64);
+        WindowLanes {
+            rows,
+            nodes,
+            words_per_row,
+            cpu: vec![0.0; rows * nodes],
+            mem_pages: vec![0; rows * nodes],
+            idle: vec![0; rows * words_per_row],
+        }
     }
 
-    /// The lanes of chunk row `r` (absolute window `base + r`).
+    /// The lanes of row `r`.
     #[inline]
-    fn stored(&self, r: usize) -> WindowRows<'_> {
+    pub(crate) fn stored(&self, r: usize) -> WindowRows<'_> {
         let (cells, words) = (r * self.nodes, r * self.words_per_row);
         WindowRows {
             cpu: &self.cpu[cells..cells + self.nodes],
@@ -168,11 +186,188 @@ impl WindowChunk {
         }
     }
 
-    /// Resident bytes of the chunk arena.
-    fn approx_bytes(&self) -> usize {
-        self.cpu.capacity() * std::mem::size_of::<f64>()
-            + self.mem_pages.capacity() * std::mem::size_of::<u16>()
-            + self.idle.capacity() * std::mem::size_of::<u64>()
+    /// Resident bytes of the three lanes.
+    pub(crate) fn approx_bytes(&self) -> usize {
+        self.cpu.len() * std::mem::size_of::<f64>()
+            + self.mem_pages.len() * std::mem::size_of::<u16>()
+            + self.idle.len() * std::mem::size_of::<u64>()
+    }
+}
+
+/// Everything a fill draws window rows from: the trace generator, the
+/// seeded factory every node's streams derive from, the nodes' phase
+/// offsets, and the node shards the fill runs on.
+pub(crate) struct NodeStreams<'a> {
+    pub(crate) cfg: &'a CoarseTraceConfig,
+    pub(crate) factory: &'a RngFactory,
+    pub(crate) offsets: &'a [usize],
+    pub(crate) plan: &'a ShardPlan,
+}
+
+impl NodeStreams<'_> {
+    /// Fill every row of `lanes` with absolute windows `base..base +
+    /// lanes.rows`: row `r` of node `n` is sample `(offset_n + base + r)
+    /// mod period` of its [`TraceStream`]. This is the one row builder:
+    /// a table is a single fill at `base` 0, a streamed cursor one fill
+    /// per chunk.
+    ///
+    /// With `parked`, every node resumes its parked stream if that lies
+    /// at or before its first sample and parks it again afterwards; a
+    /// table never refills, so it keeps no parked streams.
+    ///
+    /// Each shard of the plan fills its nodes' columns on its own
+    /// ([`ShardPlan::run`]). Shard ranges are 64-aligned, so the shards'
+    /// idle words are disjoint and the bytes are identical at any shard
+    /// and worker count.
+    ///
+    /// # Panics
+    /// If the period is zero, `lanes.rows` exceeds it, or the lanes and
+    /// the offsets disagree on the node count.
+    pub(crate) fn fill(
+        &self,
+        lanes: &mut WindowLanes,
+        base: usize,
+        parked: Option<&mut [Option<ParkedTrace>]>,
+    ) {
+        let (rows, nodes) = (lanes.rows, lanes.nodes);
+        let period = self.cfg.sample_count();
+        assert!(period > 0 && rows <= period, "a fill spans at most one nonzero period");
+        assert_eq!(self.offsets.len(), nodes, "one offset per node");
+        // Hand each shard its nodes' offsets and parked streams and its
+        // slice of every row. (`max(1)`: a node-less fill has no rows.)
+        let plan = self.plan;
+        let mut parked = parked.map(|p| plan.split_mut(p).into_iter());
+        let mut shards: Vec<ShardFill<'_>> = plan
+            .ranges()
+            .iter()
+            .map(|range| ShardFill {
+                start: range.start,
+                offsets: &self.offsets[range.clone()],
+                parked: parked.as_mut().and_then(Iterator::next),
+                cpu: Vec::with_capacity(rows),
+                mem_pages: Vec::with_capacity(rows),
+                idle: Vec::with_capacity(rows),
+            })
+            .collect();
+        for ((cpu, mem_pages), idle) in lanes
+            .cpu
+            .chunks_exact_mut(nodes.max(1))
+            .zip(lanes.mem_pages.chunks_exact_mut(nodes.max(1)))
+            .zip(lanes.idle.chunks_exact_mut(lanes.words_per_row.max(1)))
+        {
+            for (((shard, cpu), mem_pages), idle) in shards
+                .iter_mut()
+                .zip(plan.split_mut(cpu))
+                .zip(plan.split_mut(mem_pages))
+                .zip(plan.split_words_mut(idle))
+            {
+                shard.cpu.push(cpu);
+                shard.mem_pages.push(mem_pages);
+                shard.idle.push(idle);
+            }
+        }
+        plan.run(shards, |_, shard: ShardFill<'_>| shard.fill(self, base, rows));
+    }
+}
+
+/// One shard's share of a fill: the phase offsets and parked streams of
+/// its nodes (the first is node `start`) and its slice of every row.
+struct ShardFill<'a> {
+    start: usize,
+    offsets: &'a [usize],
+    parked: Option<&'a mut [Option<ParkedTrace>]>,
+    cpu: Vec<&'a mut [f64]>,
+    mem_pages: Vec<&'a mut [u16]>,
+    idle: Vec<&'a mut [u64]>,
+}
+
+impl ShardFill<'_> {
+    /// Fill the shard's nodes 64 at a time: each node's column goes into
+    /// one block buffer, which is then scattered into the rows.
+    fn fill(mut self, src: &NodeStreams<'_>, base: usize, rows: usize) {
+        let (cfg, factory) = (src.cfg, src.factory);
+        let period = cfg.sample_count();
+        let mut block = BlockBuffer::new(rows);
+        for first in (0..self.offsets.len()).step_by(64) {
+            let width = (self.offsets.len() - first).min(64);
+            block.idle.fill(0);
+            for j in 0..width {
+                let n = first + j;
+                let machine = (self.start + n) as u64;
+                let pos = (self.offsets[n] + base) % period;
+                let slot = self.parked.as_deref_mut().map(|p| &mut p[n]);
+                let resumable = slot.as_deref().copied().flatten().filter(|p| p.index() <= pos);
+                let stream = match resumable {
+                    // A resumed stream walks forward from `pos` and, if
+                    // the rows wrap the period, restarts at sample 0 (a
+                    // fresh stream *is* sample 0).
+                    Some(p) => {
+                        let mut stream = TraceStream::resume(cfg, factory, machine, &p);
+                        stream.skip(pos - stream.index());
+                        let run = rows.min(period - pos);
+                        block.write(&mut stream, j, 0..run);
+                        if run < rows {
+                            stream = TraceStream::new(cfg, factory, machine);
+                            block.write(&mut stream, j, run..rows);
+                        }
+                        stream
+                    }
+                    // Any other node walks a fresh stream once in sample
+                    // order: the rows past the wrap read the head
+                    // `0..pos + rows - period`, then a skip passes the
+                    // samples no row reads, then the run from `pos`. No
+                    // sample is drawn twice, and a fill of the whole
+                    // period draws each exactly once.
+                    None => {
+                        let mut stream = TraceStream::new(cfg, factory, machine);
+                        let head = (pos + rows).saturating_sub(period);
+                        block.write(&mut stream, j, period - pos..period - pos + head);
+                        stream.skip(pos - head);
+                        block.write(&mut stream, j, 0..rows - head);
+                        stream
+                    }
+                };
+                if let Some(slot) = slot {
+                    *slot = Some(stream.park());
+                }
+            }
+            for r in 0..rows {
+                let cells = r * 64..r * 64 + width;
+                self.cpu[r][first..first + width].copy_from_slice(&block.cpu[cells.clone()]);
+                self.mem_pages[r][first..first + width].copy_from_slice(&block.mem_pages[cells]);
+                self.idle[r][first / 64] = block.idle[r];
+            }
+        }
+    }
+}
+
+/// Up to 64 adjacent nodes' rows, filled one node's column at a time:
+/// row `r` of the block's node `j` is cell `r * 64 + j`, and its idle
+/// flag bit `j` of word `r`.
+struct BlockBuffer {
+    cpu: Vec<f64>,
+    mem_pages: Vec<u16>,
+    idle: Vec<u64>,
+}
+
+impl BlockBuffer {
+    fn new(rows: usize) -> BlockBuffer {
+        BlockBuffer {
+            cpu: vec![0.0; rows * 64],
+            mem_pages: vec![0; rows * 64],
+            idle: vec![0; rows],
+        }
+    }
+
+    /// Write the stream's next samples into `rows` of column `j`, in
+    /// order.
+    fn write(&mut self, stream: &mut TraceStream, j: usize, rows: Range<usize>) {
+        for r in rows {
+            let (s, is_idle) = stream.next_sample();
+            self.cpu[r * 64 + j] = s.cpu;
+            self.mem_pages[r * 64 + j] = synthesized_pages(s.mem_used_kb);
+            self.idle[r] |= u64::from(is_idle) << j;
+        }
     }
 }
 
@@ -262,7 +457,7 @@ impl WindowCursor {
     pub fn current(&self) -> WindowRows<'_> {
         match &self.source {
             RowSource::Table(table) => table.stored(self.row),
-            RowSource::Stream(stream) => stream.chunk.stored(self.row),
+            RowSource::Stream(stream) => stream.lanes.stored(self.row),
         }
     }
 
@@ -307,7 +502,6 @@ struct ChunkStream {
     spec: StreamSpec,
     /// The realization's offsets, shared.
     offsets: Arc<[usize]>,
-    period: usize,
     /// Windows per chunk: the spec's chunk, capped at the rows the run
     /// reads.
     windows: usize,
@@ -316,7 +510,10 @@ struct ChunkStream {
     /// creates it (creation + offset skip is the dominant setup cost and
     /// belongs inside `build_secs`).
     parked: Vec<Option<ParkedTrace>>,
-    chunk: WindowChunk,
+    /// The resident chunk holds absolute windows `base..base + lanes.rows`
+    /// (no rows before the first fill).
+    base: usize,
+    lanes: WindowLanes,
     plan: ShardPlan,
     build_secs: f64,
     chunks_built: u64,
@@ -327,17 +524,15 @@ impl ChunkStream {
         assert_eq!(offsets.len(), spec.nodes, "one offset per node");
         let period = spec.period();
         assert!(period > 0, "streamed realization needs a nonzero period");
-        let shards = if spec.nodes >= SHARD_MIN_NODES { default_jobs() } else { 1 };
-        let plan = ShardPlan::new(spec.nodes, shards);
         ChunkStream {
             spec: spec.clone(),
             offsets,
-            period,
             windows: spec.chunk_windows.min(rows).min(period).max(1),
             factory: RngFactory::new(spec.seed),
             parked: vec![None; spec.nodes],
-            chunk: WindowChunk::default(),
-            plan,
+            base: 0,
+            lanes: WindowLanes::default(),
+            plan: ShardPlan::new(spec.nodes, default_jobs()),
             build_secs: 0.0,
             chunks_built: 0,
         }
@@ -345,147 +540,42 @@ impl ChunkStream {
 
     /// Resident bytes of the arena (chunk + parked streams).
     fn approx_bytes(&self) -> usize {
-        self.chunk.approx_bytes()
+        self.lanes.approx_bytes()
             + self.parked.capacity() * std::mem::size_of::<Option<ParkedTrace>>()
     }
 
     /// Make absolute window `w` resident; returns its chunk row.
     fn load(&mut self, w: usize) -> usize {
-        if !self.chunk.contains(w) {
+        if !(self.base..self.base + self.lanes.rows).contains(&w) {
             self.fill(w);
         }
-        w - self.chunk.base
+        w - self.base
     }
 
-    /// Rebuild the chunk arena to cover `[base, base + W)`. Every shard
-    /// writes its own nodes straight into its slice of each window row,
-    /// resuming one node's stream at a time and parking it again.
+    /// Rebuild the chunk arena to cover `[base, base + W)`, resuming
+    /// every node's parked stream and parking it again.
     fn fill(&mut self, base: usize) {
         let t0 = Instant::now();
-        let nodes = self.spec.nodes;
-        let period = self.period;
-        let windows = self.windows;
-        let words_per_row = nodes.div_ceil(64);
-
-        let chunk = &mut self.chunk;
-        chunk.base = base;
-        chunk.windows = windows;
-        chunk.nodes = nodes;
-        chunk.words_per_row = words_per_row;
-        // Every cpu and memory cell is overwritten below; only the idle
-        // bits accumulate, so only they are cleared.
-        chunk.cpu.resize(windows * nodes, 0.0);
-        chunk.mem_pages.resize(windows * nodes, 0);
-        chunk.idle.clear();
-        chunk.idle.resize(windows * words_per_row, 0);
-
-        // Hand each shard its nodes' parked streams and its slice of every
-        // window row. Shard ranges are 64-aligned, so the idle words of
-        // distinct shards are disjoint. (`max(1)`: a node-less chunk has
-        // no rows.)
-        let plan = &self.plan;
-        let mut shards: Vec<ShardFill<'_>> = plan
-            .ranges()
-            .iter()
-            .zip(plan.split_mut(&mut self.parked))
-            .map(|(range, parked)| ShardFill {
-                start: range.start,
-                parked,
-                offsets: &self.offsets[range.clone()],
-                cpu: Vec::with_capacity(windows),
-                mem_pages: Vec::with_capacity(windows),
-                idle: Vec::with_capacity(windows),
-            })
-            .collect();
-        for ((cpu, mem_pages), idle) in chunk
-            .cpu
-            .chunks_exact_mut(nodes.max(1))
-            .zip(chunk.mem_pages.chunks_exact_mut(nodes.max(1)))
-            .zip(chunk.idle.chunks_exact_mut(words_per_row.max(1)))
-        {
-            for (((shard, cpu), mem_pages), idle) in shards
-                .iter_mut()
-                .zip(plan.split_mut(cpu))
-                .zip(plan.split_mut(mem_pages))
-                .zip(plan.split_words_mut(idle))
-            {
-                shard.cpu.push(cpu);
-                shard.mem_pages.push(mem_pages);
-                shard.idle.push(idle);
-            }
+        if self.lanes.rows == 0 {
+            self.lanes = WindowLanes::zeroed(self.windows, self.spec.nodes);
         }
-
-        let spec_cfg = &self.spec.cfg;
-        let factory = &self.factory;
-        plan.run(shards, |_, shard: ShardFill<'_>| {
-            let ShardFill {
-                start,
-                parked,
-                offsets,
-                mut cpu,
-                mut mem_pages,
-                mut idle,
-            } = shard;
-            for (j, (slot, &offset)) in parked.iter_mut().zip(offsets).enumerate() {
-                let machine = (start + j) as u64;
-                // A fresh stream *is* sample 0, so replaying from the
-                // start of the trace is a restart.
-                let restart = || TraceStream::new(spec_cfg, factory, machine);
-                // Position once per chunk at the node's first sample,
-                // `(offset + base) % period`. A sweep's parked stream
-                // usually sits there already and lies behind after a
-                // forward jump. A node the first fill meets has none, and
-                // one parked past it (after a wrap or an earlier window)
-                // replays from the start.
-                let mut pos = (offset + base) % period;
-                let mut stream = match slot {
-                    Some(p) if p.index() <= pos => {
-                        TraceStream::resume(spec_cfg, factory, machine, p)
-                    }
-                    _ => restart(),
-                };
-                if stream.index() < pos {
-                    stream.skip(pos - stream.index());
-                }
-                // Consecutive windows read consecutive samples; a chunk
-                // spans at most one period, so it wraps at most once.
-                for dw in 0..windows {
-                    if pos == period {
-                        stream = restart();
-                        pos = 0;
-                    }
-                    let (s, is_idle) = stream.next_sample();
-                    pos += 1;
-                    cpu[dw][j] = s.cpu;
-                    mem_pages[dw][j] = synthesized_pages(s.mem_used_kb);
-                    if is_idle {
-                        idle[dw][j / 64] |= 1u64 << (j % 64);
-                    }
-                }
-                *slot = Some(stream.park());
-            }
-        });
-
+        self.base = base;
+        let streams = NodeStreams {
+            cfg: &self.spec.cfg,
+            factory: &self.factory,
+            offsets: &self.offsets,
+            plan: &self.plan,
+        };
+        streams.fill(&mut self.lanes, base, Some(&mut self.parked));
         self.build_secs += t0.elapsed().as_secs_f64();
         self.chunks_built += 1;
     }
 }
 
-/// One shard's share of a chunk fill: the parked streams and phase
-/// offsets of its nodes (the first is node `start`) and its slice of
-/// every window row, window by window.
-struct ShardFill<'a> {
-    start: usize,
-    parked: &'a mut [Option<ParkedTrace>],
-    offsets: &'a [usize],
-    cpu: Vec<&'a mut [f64]>,
-    mem_pages: Vec<&'a mut [u16]>,
-    idle: Vec<&'a mut [u64]>,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarse::CoarseTrace;
     use crate::realization::WorkloadRealization;
     use linger_sim_core::SimDuration;
 
@@ -575,22 +665,23 @@ mod tests {
     }
 
     /// The sharded fill — every shard writing its own slice of each row,
-    /// here with a ragged last shard — must reproduce the monolithic
-    /// table at every chunk size, including across the wrap.
+    /// here over an explicit 4-shard plan with a ragged last shard —
+    /// must reproduce the monolithic table at every chunk size,
+    /// including across the wrap.
     #[test]
     fn sharded_fill_matches_monolithic_table() {
         let c = cfg(40); // period 20
-        let nodes = SHARD_MIN_NODES + 37;
-        linger_sim_core::set_default_jobs(4);
+        let nodes = 7 * 64 + 37; // shards of 128, 128, 128 and 101 nodes
         let mono = WorkloadRealization::synthesize_monolithic(&c, 29, nodes);
         let tbl = mono.table(usize::MAX).expect("table");
         let period = tbl.period();
         for chunk_windows in [1, 7, period] {
             let streamed = WorkloadRealization::synthesize_streamed(&c, 29, nodes, chunk_windows);
             let mut cur = streamed.cursor(usize::MAX);
-            let RowSource::Stream(stream) = &cur.source else { panic!("streamed cursor") };
-            assert_eq!(stream.plan.shard_count(), 4, "fill must be sharded");
+            let RowSource::Stream(stream) = &mut cur.source else { panic!("streamed cursor") };
+            stream.plan = ShardPlan::new(nodes, 4);
             let ranges = stream.plan.ranges();
+            assert_eq!(ranges.len(), 4, "fill must be sharded");
             assert_ne!(ranges[3].len(), ranges[0].len(), "ragged last shard");
             for w in 0..2 * period + 3 {
                 let rows = cur.rows(w);
@@ -601,7 +692,53 @@ mod tests {
                 assert_eq!(rows.idle, tbl.idle_row(w), "idle row {w} chunk {chunk_windows}");
             }
         }
-        linger_sim_core::set_default_jobs(0);
+    }
+
+    /// A node whose first chunk wraps the period walks a fresh stream in
+    /// sample order and parks it at the period's end, so the next chunk
+    /// restarts it; a node one sample from wrapping and one that never
+    /// wraps ride along. Every row, past the period too, equals the
+    /// legacy transpose of whole traces.
+    #[test]
+    fn wrapping_first_chunk_walks_in_sample_order_then_restarts() {
+        let c = cfg(194); // period 97
+        let period = c.sample_count();
+        let chunk = 7;
+        let offsets: Vec<usize> = vec![0, period - 1, period - chunk + 1];
+        let factory = RngFactory::new(23);
+        let traces: Vec<Arc<CoarseTrace>> =
+            (0..3).map(|n| Arc::new(c.synthesize(&factory, n))).collect();
+        let oracle = WindowTable::build(&traces, &offsets).expect("uniform traces");
+        let spec = StreamSpec {
+            cfg: c.clone(),
+            seed: 23,
+            nodes: 3,
+            chunk_windows: chunk,
+        };
+        let mut cur = WindowCursor::streamed(&spec, offsets.into(), usize::MAX);
+        let parked = |cur: &WindowCursor| match &cur.source {
+            RowSource::Stream(stream) => {
+                stream.parked.iter().map(|p| p.map(|p| p.index())).collect()
+            }
+            RowSource::Table(_) => Vec::new(),
+        };
+        let bits = |row: &[f64]| row.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        for w in 0..2 * period + 3 {
+            let rows = cur.rows(w);
+            assert_eq!(bits(rows.cpu), bits(oracle.cpu_row(w)), "cpu row {w}");
+            assert_eq!(rows.mem_pages, oracle.mem_row(w), "mem row {w}");
+            assert_eq!(rows.idle, oracle.idle_row(w), "idle row {w}");
+            if w == 0 {
+                // Node 0 ran 0..7; nodes 1 and 2 wrapped, so each walked
+                // its head, skipped and ran to the period's end, past
+                // the next chunk's first samples (6 and 1).
+                assert_eq!(parked(&cur), [Some(chunk), Some(period), Some(period)]);
+            }
+            if w == chunk {
+                // Restarted at sample 0 and run to the chunk's end.
+                assert_eq!(parked(&cur), [Some(2 * chunk), Some(13), Some(8)]);
+            }
+        }
     }
 
     /// The streamed page lane against each node's whole trace, derived
