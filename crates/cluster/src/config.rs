@@ -172,21 +172,6 @@ impl ClusterConfig {
         self.mode = RunMode::Throughput { horizon: SimTime::from_secs(3600) };
         self
     }
-
-    /// Switch to open-arrivals serving mode for `horizon` under the
-    /// given service configuration. The closed family is still submitted
-    /// at time zero (pass an empty family for a pure open run).
-    pub fn with_open_mode(mut self, service: ServiceConfig, horizon: SimTime) -> Self {
-        self.mode = RunMode::Open { horizon };
-        self.service = service;
-        self
-    }
-
-    /// Replace the scheduler's queue discipline (central vs stealing).
-    pub fn with_stealing(mut self, stealing: StealingConfig) -> Self {
-        self.stealing = stealing;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -210,27 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn open_mode_carries_service_config() {
-        use linger_workload::{ArrivalConfig, ArrivalProcess, SizeDistribution};
-        let service = ServiceConfig {
-            arrivals: ArrivalConfig {
-                process: ArrivalProcess::Poisson { rate_per_hour: 600.0 },
-                mean_cpu_secs: 120.0,
-                mem_kb: 8 * 1024,
-                size_dist: SizeDistribution::Exponential,
-            },
-            admission: AdmissionPolicy::Shed,
-            queue_capacity: 128,
-            deadline_secs: 300.0,
-        };
-        let c = ClusterConfig::paper(Policy::LingerLonger, JobFamily::empty())
-            .with_open_mode(service, SimTime::from_secs(48 * 3600));
-        assert_eq!(c.mode, RunMode::Open { horizon: SimTime::from_secs(48 * 3600) });
-        assert_eq!(c.service.admission, AdmissionPolicy::Shed);
-        assert_eq!(c.service.queue_capacity, 128);
-    }
-
-    #[test]
     fn admission_policy_names_are_distinct() {
         let mut names: Vec<&str> = AdmissionPolicy::ALL.iter().map(|p| p.name()).collect();
         names.sort_unstable();
@@ -239,13 +203,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_defaults_off_and_builder_swaps_it_in() {
-        use crate::stealing::StealingConfig;
+    fn stealing_defaults_off() {
         let c = ClusterConfig::paper(Policy::LingerLonger, JobFamily::empty());
         assert!(!c.stealing.enabled, "paper config must keep the central queue");
-        let c = c.with_stealing(StealingConfig::randomized(4, 0.5));
-        assert!(c.stealing.enabled);
-        assert_eq!(c.stealing.probe_attempts, 4);
     }
 
     #[test]

@@ -28,14 +28,6 @@ impl NetworkModel {
         NetworkModel { backbone_bps: 10.0e6, per_flow_bps: 3.0e6 }
     }
 
-    /// An effectively infinite network (isolates policy effects).
-    pub fn unconstrained() -> Self {
-        NetworkModel {
-            backbone_bps: f64::INFINITY,
-            per_flow_bps: f64::INFINITY,
-        }
-    }
-
     /// The rate each of `flows` concurrent transfers receives.
     pub fn per_flow_rate(&self, flows: usize) -> f64 {
         if flows == 0 {
@@ -97,12 +89,6 @@ mod tests {
     }
 
     #[test]
-    fn unconstrained_is_instant_in_the_limit() {
-        let n = NetworkModel::unconstrained();
-        assert!(n.per_flow_rate(100).is_infinite());
-    }
-
-    #[test]
     fn steal_round_trips_feel_backbone_contention() {
         let n = NetworkModel::paper_default();
         let quiet = n.steal_round_trip_secs(0);
@@ -112,7 +98,11 @@ mod tests {
         let storm = n.steal_round_trip_secs(10);
         assert!(storm > 2.0 * quiet, "contention should slow probes: {storm} vs {quiet}");
         // An unconstrained network never delays a probe.
-        assert_eq!(NetworkModel::unconstrained().steal_round_trip_secs(10), 0.0);
+        let free = NetworkModel {
+            backbone_bps: f64::INFINITY,
+            per_flow_bps: f64::INFINITY,
+        };
+        assert_eq!(free.steal_round_trip_secs(10), 0.0);
     }
 
     #[test]

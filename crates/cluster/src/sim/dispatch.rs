@@ -544,7 +544,7 @@ mod tests {
     fn steal_half_moves_batches_and_still_completes() {
         use crate::stealing::StealingConfig;
         let mut cfg = small_cfg(Policy::LingerLonger);
-        cfg.stealing = StealingConfig::randomized(3, 0.05).with_steal_half();
+        cfg.stealing = StealingConfig { steal_half: true, ..StealingConfig::randomized(3, 0.05) };
         let mut sim = ClusterSim::new(cfg);
         assert!(sim.run());
         assert_eq!(sim.completed(), 8);
@@ -597,7 +597,7 @@ mod tests {
         use crate::stealing::StealingConfig;
         let mut cfg = open_cfg(AdmissionPolicy::Deadline, 2.0, 24, 3600);
         cfg.service.deadline_secs = 120.0;
-        cfg.stealing = StealingConfig::randomized(3, 0.1).with_steal_half();
+        cfg.stealing = StealingConfig { steal_half: true, ..StealingConfig::randomized(3, 0.1) };
         let mut sim = ClusterSim::new(cfg);
         assert!(sim.run());
         let s = sim.service_stats();

@@ -89,12 +89,6 @@ impl StealingConfig {
             central_dispatch_rtt_secs: 0.0,
         }
     }
-
-    /// Same, but thieves take half the victim's deque per hit.
-    pub fn with_steal_half(mut self) -> Self {
-        self.steal_half = true;
-        self
-    }
 }
 
 /// Exact counters of the stealing (and central-dispatch) fast paths.
@@ -293,7 +287,7 @@ mod tests {
         let back: StealingConfig = serde_json::from_str(&line).unwrap();
         assert_eq!(s, back);
         assert!(!back.enabled);
-        let r = StealingConfig::randomized(3, 0.25).with_steal_half();
+        let r = StealingConfig { steal_half: true, ..StealingConfig::randomized(3, 0.25) };
         let back: StealingConfig =
             serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
         assert_eq!(r, back);

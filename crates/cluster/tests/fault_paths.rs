@@ -233,7 +233,7 @@ fn stealing_cell() -> ClusterConfig {
     let mut cfg = open_cell(AdmissionPolicy::Shed, Policy::LingerLonger);
     cfg.service.arrivals.size_dist =
         SizeDistribution::BoundedPareto { alpha: 1.5, max_ratio: 100.0 };
-    cfg.stealing = StealingConfig::randomized(3, 0.5).with_steal_half();
+    cfg.stealing = StealingConfig { steal_half: true, ..StealingConfig::randomized(3, 0.5) };
     cfg
 }
 

@@ -1,7 +1,7 @@
 //! Hand-built trace scenarios exercising the scheduler's state machine
 //! edge cases through [`ClusterSim::with_traces`].
 
-use linger::{JobFamily, Policy};
+use linger::{JobFamily, JobId, JobSpec, Policy};
 use linger_cluster::{ClusterConfig, ClusterSim, JobState};
 use linger_sim_core::{SimDuration, SimTime};
 use linger_workload::{CoarseSample, CoarseTrace};
@@ -199,7 +199,10 @@ fn eviction_storms_contend_for_the_shared_network() {
     };
     let mut shared = build(Some(NetworkModel::paper_default()));
     assert!(shared.run());
-    let mut unconstrained = build(Some(NetworkModel::unconstrained()));
+    let mut unconstrained = build(Some(NetworkModel {
+        backbone_bps: f64::INFINITY,
+        per_flow_bps: f64::INFINITY,
+    }));
     assert!(unconstrained.run());
     let sum = |s: &ClusterSim| -> f64 {
         s.jobs().iter().map(|j| j.breakdown.migrating.as_secs_f64()).sum()
@@ -240,8 +243,17 @@ fn shared_network_matches_fixed_cost_for_a_lone_migration() {
 fn staggered_arrivals_are_honored() {
     // Jobs arriving every 100 s must not start before their arrival.
     let mut cfg = base_cfg(Policy::LingerLonger, 2, 3, 60);
-    cfg.family =
-        JobFamily::staggered(3, SimDuration::from_secs(60), 8 * 1024, SimDuration::from_secs(100));
+    let jobs: Vec<JobSpec> = (0..3)
+        .map(|i| JobSpec {
+            id: JobId(i),
+            cpu_demand: SimDuration::from_secs(60),
+            mem_kb: 8 * 1024,
+            arrival: SimTime::from_secs(100 * u64::from(i)),
+        })
+        .collect();
+    // The family's job list is private; its serialized form takes any.
+    let family = format!(r#"{{"jobs":{}}}"#, serde_json::to_string(&jobs).unwrap());
+    cfg.family = serde_json::from_str(&family).unwrap();
     let traces = vec![trace(4000, &[]), trace(4000, &[])];
     let mut s = ClusterSim::with_traces(cfg, traces, vec![WINDOWS_PER_MIN; 2]);
     assert!(s.run());

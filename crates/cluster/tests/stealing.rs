@@ -113,10 +113,10 @@ proptest! {
     ) {
         let policy = Policy::ALL[policy_idx];
         let load = load_milli as f64 / 1000.0;
-        let mut stealing = StealingConfig::randomized(attempts, rtt_milli as f64 / 1000.0);
-        if steal_half {
-            stealing = stealing.with_steal_half();
-        }
+        let stealing = StealingConfig {
+            steal_half,
+            ..StealingConfig::randomized(attempts, rtt_milli as f64 / 1000.0)
+        };
         let cfg = config(policy, nodes, load, 1800, seed, crash_rate, fail_prob, stealing, pareto);
         // One synthesis serves all four runs of this case.
         let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);

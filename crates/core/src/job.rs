@@ -60,27 +60,6 @@ impl JobFamily {
         }
     }
 
-    /// A family whose jobs arrive `interval` apart (job `i` arrives at
-    /// `i·interval`) — for open-arrival experiments beyond the paper's
-    /// submit-at-once batches.
-    pub fn staggered(
-        count: u32,
-        cpu_demand: SimDuration,
-        mem_kb: u32,
-        interval: SimDuration,
-    ) -> Self {
-        JobFamily {
-            jobs: (0..count)
-                .map(|i| JobSpec {
-                    id: JobId(i),
-                    cpu_demand,
-                    mem_kb,
-                    arrival: SimTime::ZERO + interval.mul_f64(i as f64),
-                })
-                .collect(),
-        }
-    }
-
     /// Paper workload-1: "128 foreign jobs each requiring 600 processor
     /// seconds … on average each node had two foreign jobs to execute"
     /// (64-node cluster). All jobs are 8 MB.
@@ -108,11 +87,6 @@ impl JobFamily {
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
-
-    /// Total CPU demand across the family.
-    pub fn total_demand(&self) -> SimDuration {
-        self.jobs.iter().map(|j| j.cpu_demand).sum()
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +99,6 @@ mod tests {
         assert_eq!(w.len(), 128);
         assert!(w.jobs().iter().all(|j| j.cpu_demand == SimDuration::from_secs(600)));
         assert!(w.jobs().iter().all(|j| j.mem_kb == 8192));
-        assert_eq!(w.total_demand(), SimDuration::from_secs(128 * 600));
     }
 
     #[test]
@@ -133,7 +106,6 @@ mod tests {
         let w = JobFamily::workload_2();
         assert_eq!(w.len(), 16);
         assert!(w.jobs().iter().all(|j| j.cpu_demand == SimDuration::from_secs(1800)));
-        assert_eq!(w.total_demand(), SimDuration::from_secs(16 * 1800));
     }
 
     #[test]
@@ -145,21 +117,8 @@ mod tests {
     }
 
     #[test]
-    fn staggered_arrivals_are_spaced() {
-        let w =
-            JobFamily::staggered(4, SimDuration::from_secs(60), 1024, SimDuration::from_secs(30));
-        let arrivals: Vec<u64> = w
-            .jobs()
-            .iter()
-            .map(|j| j.arrival.as_nanos() / 1_000_000_000)
-            .collect();
-        assert_eq!(arrivals, vec![0, 30, 60, 90]);
-    }
-
-    #[test]
     fn uniform_empty_family() {
         let w = JobFamily::uniform(0, SimDuration::from_secs(1), 1024);
         assert!(w.is_empty());
-        assert_eq!(w.total_demand(), SimDuration::ZERO);
     }
 }

@@ -47,10 +47,3 @@ pub use job::{JobFamily, JobId, JobSpec};
 pub use migration::{MigrationCostModel, MigrationRetryPolicy};
 pub use params::{PolicyParams, DEFAULT_CONTEXT_SWITCH, DEFAULT_PAUSE_TIMEOUT};
 pub use policy::Policy;
-
-/// Convenience re-exports of the substrate types used across the API.
-pub mod prelude {
-    pub use crate::{JobFamily, JobId, JobSpec, MigrationCostModel, Policy, PolicyParams};
-    pub use linger_sim_core::{RngFactory, SimDuration, SimTime};
-    pub use linger_workload::{BurstParamTable, CoarseTrace, CoarseTraceConfig, LocalWorkload};
-}

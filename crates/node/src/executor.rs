@@ -433,7 +433,7 @@ mod tests {
         let t = BurstParamTable::paper_calibrated();
         let mut us: Vec<f64> = (0..=102_000).map(|i| -0.01 + i as f64 * 1e-5).collect();
         for i in 0..=20 {
-            let level = BurstParamTable::bucket_level(i);
+            let level = i as f64 * linger_workload::params::BUCKET_WIDTH;
             let (mut up, mut down) = (level, level);
             us.push(level);
             for _ in 0..3 {

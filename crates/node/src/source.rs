@@ -27,11 +27,6 @@ impl FixedUtilization {
         FixedUtilization { gen: BurstGenerator::paper(utilization), rng }
     }
 
-    /// Bursts from a custom generator.
-    pub fn from_generator(gen: BurstGenerator, rng: SimRng) -> Self {
-        FixedUtilization { gen, rng }
-    }
-
     /// The pinned utilization level.
     pub fn utilization(&self) -> f64 {
         self.gen.utilization()

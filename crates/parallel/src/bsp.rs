@@ -53,14 +53,6 @@ impl BspConfig {
             context_switch: SimDuration::from_micros(100),
         }
     }
-
-    /// Total CPU demand per process.
-    pub fn work_per_process(&self) -> SimDuration {
-        let comm = self
-            .per_message_cpu
-            .mul_f64(self.pattern.messages_per_phase(self.processes) as f64);
-        (self.compute_per_phase + comm).mul_f64(self.phases as f64)
-    }
 }
 
 /// Outcome of one BSP run.
@@ -172,8 +164,9 @@ mod tests {
     fn ideal_run_matches_work() {
         let cfg = quick_cfg();
         let r = run_bsp(&cfg, &utils(0, 0.0), 5, 0);
-        let work = cfg.work_per_process().as_secs_f64()
-            + cfg.phases as f64 * cfg.round_latency.as_secs_f64();
+        let messages = cfg.pattern.messages_per_phase(cfg.processes) as f64;
+        let phase = cfg.compute_per_phase + cfg.per_message_cpu.mul_f64(messages);
+        let work = (phase + cfg.round_latency).as_secs_f64() * cfg.phases as f64;
         let got = r.completion.as_secs_f64();
         assert!((got - work).abs() / work < 0.02, "ideal completion {got} vs work {work}");
     }

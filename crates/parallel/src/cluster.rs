@@ -113,28 +113,17 @@ struct RunningJob {
 /// Run the experiment for one policy.
 ///
 /// Telemetry is controlled by `LINGER_TELEMETRY` (see
-/// [`Recorder::from_env`]); use [`simulate_parallel_cluster_with_recorder`]
-/// to pass an explicit recorder instead.
+/// [`Recorder::from_env`]). It records queue entries, placements,
+/// RigidIdle stalls, member migrations, and completions. The recorder
+/// draws no random numbers and reads no simulation state after the fact,
+/// so the report is identical with telemetry on or off.
 pub fn simulate_parallel_cluster(
     cfg: &ParallelClusterConfig,
     policy: ParallelPolicy,
 ) -> ParallelClusterReport {
-    simulate_parallel_cluster_with_recorder(cfg, policy, &Recorder::from_env())
-}
-
-/// [`simulate_parallel_cluster`] with an explicit telemetry [`Recorder`].
-///
-/// Records queue entries, placements, RigidIdle stalls, member
-/// migrations, and completions. The recorder draws no random numbers and
-/// reads no simulation state after the fact, so the report is identical
-/// with telemetry on or off.
-pub fn simulate_parallel_cluster_with_recorder(
-    cfg: &ParallelClusterConfig,
-    policy: ParallelPolicy,
-    recorder: &Recorder,
-) -> ParallelClusterReport {
+    let recorder = Recorder::from_env();
     let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
-    simulate_over(cfg, policy, recorder, &real)
+    simulate_over(cfg, policy, &recorder, &real)
 }
 
 /// The experiment over an explicit realization — monolithic or streamed,

@@ -148,23 +148,15 @@ pub struct HybridPoint {
 /// out across worker threads deterministically — results land in idle
 /// order and every simulation seed derives from `(k, idle, seed, rep)`
 /// alone, making the output identical at any thread count.
-pub fn hybrid_experiment(job: &MalleableJob, seed: u64, reps: u32) -> Vec<HybridPoint> {
-    hybrid_experiment_with_recorder(job, seed, reps, &Recorder::from_env())
-}
-
-/// [`hybrid_experiment`] with an explicit telemetry [`Recorder`].
 ///
-/// Records one [`DecisionAction::SelectWidth`] decision per idle point
-/// (the predictor's chosen width, with the oracle's width as `dest_cpu`
-/// context is omitted — `dest` carries the chosen `k`). Events are
-/// recorded after the parallel fan-out returns, iterating points in idle
-/// order, so the journal is identical at any thread count.
-pub fn hybrid_experiment_with_recorder(
-    job: &MalleableJob,
-    seed: u64,
-    reps: u32,
-    recorder: &Recorder,
-) -> Vec<HybridPoint> {
+/// Telemetry is controlled by `LINGER_TELEMETRY` (see
+/// [`Recorder::from_env`]). It records one
+/// [`DecisionAction::SelectWidth`] decision per idle point; `dest`
+/// carries the predictor's chosen width `k`. Events are recorded after
+/// the parallel fan-out returns, iterating points in idle order, so the
+/// journal is identical at any thread count.
+pub fn hybrid_experiment(job: &MalleableJob, seed: u64, reps: u32) -> Vec<HybridPoint> {
+    let recorder = Recorder::from_env();
     let points = hybrid_points(job, seed, reps);
     recorder.record_all(|| {
         points

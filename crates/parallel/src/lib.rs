@@ -42,10 +42,10 @@ pub mod reconfig;
 pub use apps::{fig12, fig13, App, Fig12Point, Fig13Point};
 pub use bsp::{run_bsp, slowdown, BspConfig, BspRun};
 pub use cluster::{
-    simulate_parallel_cluster, simulate_parallel_cluster_with_recorder, throughput_sweep,
-    ParallelClusterConfig, ParallelClusterReport, ParallelPolicy, ThroughputComparison,
+    simulate_parallel_cluster, throughput_sweep, ParallelClusterConfig, ParallelClusterReport,
+    ParallelPolicy, ThroughputComparison,
 };
 pub use comm::CommPattern;
 pub use experiments::{fig10, fig9, Fig10Point, Fig9Point};
-pub use hybrid::{hybrid_experiment, hybrid_experiment_with_recorder, predict_best_k, HybridPoint};
+pub use hybrid::{hybrid_experiment, predict_best_k, HybridPoint};
 pub use reconfig::{fig11, Fig11Point, MalleableJob, Strategy};

@@ -3,8 +3,8 @@
 //! [`Engine`] drives a model implementing [`Simulation`]: it pops the
 //! earliest pending event, advances the clock, and hands the event to the
 //! model together with a [`Context`] through which the model schedules or
-//! cancels further events. The loop stops when the event set drains, a time
-//! horizon is reached, or the model calls [`Context::stop`].
+//! cancels further events. The loop stops when the event set drains or the
+//! model calls [`Context::stop`].
 
 use crate::queue::{EventHandle, EventQueue};
 use crate::time::{SimDuration, SimTime};
@@ -64,12 +64,8 @@ pub trait Simulation {
 pub enum RunOutcome {
     /// No pending events remain.
     Drained,
-    /// The time horizon was reached before the event set drained.
-    Horizon,
     /// The model requested a stop.
     Stopped,
-    /// The event budget was exhausted (runaway protection).
-    Budget,
 }
 
 /// The event loop driving a [`Simulation`].
@@ -121,51 +117,21 @@ impl<S: Simulation> Engine<S> {
         self.sim
     }
 
-    /// Run until the event set drains or `horizon` is passed.
-    ///
-    /// Events with timestamps **at** the horizon still fire; the first event
-    /// strictly beyond it is left pending and the clock is set to the
-    /// horizon.
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        self.run_inner(horizon, u64::MAX)
-    }
-
-    /// Run until drained (no horizon).
+    /// Run until the event set drains or the model stops the run. The
+    /// clock rests at the last event handled.
     pub fn run_to_completion(&mut self) -> RunOutcome {
-        self.run_inner(SimTime::MAX, u64::MAX)
-    }
-
-    /// Run with an event budget — a guard against accidental event storms.
-    pub fn run_with_budget(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
-        self.run_inner(horizon, max_events)
-    }
-
-    fn run_inner(&mut self, horizon: SimTime, max_events: u64) -> RunOutcome {
         let mut stop = false;
-        let mut budget = max_events;
-        loop {
-            if budget == 0 {
-                return RunOutcome::Budget;
-            }
-            let Some((at, event)) = self.queue.pop_due(horizon) else {
-                return if self.queue.is_empty() {
-                    // Drained: clock rests at the last event handled.
-                    RunOutcome::Drained
-                } else {
-                    self.now = horizon;
-                    RunOutcome::Horizon
-                };
-            };
+        while let Some((at, event)) = self.queue.pop_due(SimTime::MAX) {
             debug_assert!(at >= self.now, "event queue yielded past event");
             self.now = at;
             self.events_handled += 1;
-            budget -= 1;
             let mut ctx = Context { now: self.now, queue: &mut self.queue, stop: &mut stop };
             self.sim.handle(event, &mut ctx);
             if stop {
                 return RunOutcome::Stopped;
             }
         }
+        RunOutcome::Drained
     }
 }
 
@@ -205,25 +171,6 @@ mod tests {
         assert_eq!(eng.events_handled(), 4);
     }
 
-    #[test]
-    fn horizon_cuts_run_and_sets_clock() {
-        let mut eng = Engine::new(Countdown { remaining: 100, fired_at: vec![] });
-        eng.prime(SimTime::ZERO, Tick::Tick);
-        let outcome = eng.run_until(SimTime::from_millis(2500));
-        assert_eq!(outcome, RunOutcome::Horizon);
-        // Fires at 0,1,2 s; the 3 s event is beyond the 2.5 s horizon.
-        assert_eq!(eng.model().fired_at.len(), 3);
-        assert_eq!(eng.now(), SimTime::from_millis(2500));
-    }
-
-    #[test]
-    fn event_at_horizon_still_fires() {
-        let mut eng = Engine::new(Countdown { remaining: 5, fired_at: vec![] });
-        eng.prime(SimTime::ZERO, Tick::Tick);
-        eng.run_until(SimTime::from_secs(2));
-        assert_eq!(eng.model().fired_at.last().copied(), Some(SimTime::from_secs(2)));
-    }
-
     struct Stopper;
     impl Simulation for Stopper {
         type Event = u32;
@@ -242,23 +189,6 @@ mod tests {
         eng.prime(SimTime::from_secs(3), 3);
         assert_eq!(eng.run_to_completion(), RunOutcome::Stopped);
         assert_eq!(eng.now(), SimTime::from_secs(2));
-    }
-
-    struct Storm;
-    impl Simulation for Storm {
-        type Event = ();
-        fn handle(&mut self, _e: (), ctx: &mut Context<'_, ()>) {
-            // Re-schedules at the same instant forever.
-            ctx.schedule_in(SimDuration::ZERO, ());
-        }
-    }
-
-    #[test]
-    fn budget_guards_against_event_storms() {
-        let mut eng = Engine::new(Storm);
-        eng.prime(SimTime::ZERO, ());
-        assert_eq!(eng.run_with_budget(SimTime::from_secs(1), 10_000), RunOutcome::Budget);
-        assert_eq!(eng.events_handled(), 10_000);
     }
 
     struct Canceller {

@@ -163,13 +163,6 @@ impl NodeIndex {
         None
     }
 
-    /// Remove and return the largest id present.
-    pub fn pop_last(&mut self) -> Option<usize> {
-        let id = self.last()?;
-        self.remove(id);
-        Some(id)
-    }
-
     /// Iterate the ids in ascending order — the same order a
     /// `(0..n).filter(...)` scan visits them.
     pub fn iter(&self) -> Iter<'_> {
@@ -248,16 +241,6 @@ impl NodeIndex {
             }
         }
         self.len = len;
-    }
-
-    /// Count ids present in both `self` and `other`.
-    pub fn count_and(&self, other: &NodeIndex) -> usize {
-        assert_eq!(self.capacity, other.capacity, "capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
     }
 }
 
@@ -407,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn first_last_pop() {
+    fn first_last() {
         let mut idx = NodeIndex::new(1000);
         assert_eq!(idx.first(), None);
         assert_eq!(idx.last(), None);
@@ -416,10 +399,6 @@ mod tests {
         idx.insert(64);
         assert_eq!(idx.first(), Some(3));
         assert_eq!(idx.last(), Some(900));
-        assert_eq!(idx.pop_last(), Some(900));
-        assert_eq!(idx.pop_last(), Some(64));
-        assert_eq!(idx.pop_last(), Some(3));
-        assert_eq!(idx.pop_last(), None);
     }
 
     #[test]
@@ -434,7 +413,6 @@ mod tests {
         }
         let naive: Vec<usize> = (0..520).filter(|i| i % 15 == 0).collect();
         assert_eq!(a.iter_and(&b).collect::<Vec<_>>(), naive);
-        assert_eq!(a.count_and(&b), naive.len());
         assert_eq!(a.last_and(&b), naive.last().copied());
         let empty = NodeIndex::new(520);
         assert_eq!(a.last_and(&empty), None);

@@ -220,9 +220,10 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
-    /// Number of cancelled entries still occupying the heap (debug
-    /// accessor; bounded by `max(64, len())` thanks to compaction).
-    pub fn cancelled_len(&self) -> usize {
+    /// Number of cancelled entries still occupying the heap (bounded by
+    /// `max(64, len())` thanks to compaction).
+    #[cfg(test)]
+    fn cancelled_len(&self) -> usize {
         self.tombstones
     }
 

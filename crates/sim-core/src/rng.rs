@@ -84,8 +84,6 @@ pub mod domains {
     pub const COARSE_TRACE: u32 = 2;
     /// Foreign-job properties and arrival jitter (per job).
     pub const JOBS: u32 = 3;
-    /// Cluster-level placement tie-breaking.
-    pub const PLACEMENT: u32 = 4;
     /// Parallel application communication jitter (per process).
     pub const PARALLEL: u32 = 5;
     /// Trace start-offset selection (per node), Sec 4.2's random offsets.
@@ -138,11 +136,6 @@ impl RngFactory {
     /// A factory for the given experiment master seed.
     pub const fn new(master: u64) -> Self {
         RngFactory { master }
-    }
-
-    /// The master seed (recorded in experiment outputs).
-    pub const fn master_seed(&self) -> u64 {
-        self.master
     }
 
     /// The RNG for `stream`. Always returns the same generator state for

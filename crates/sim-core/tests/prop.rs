@@ -80,29 +80,6 @@ proptest! {
     }
 
     #[test]
-    fn horizon_runs_handle_any_cut_point(
-        horizon_ms in 0u64..10_000,
-    ) {
-        struct Ticker;
-        impl Simulation for Ticker {
-            type Event = u32;
-            fn handle(&mut self, e: u32, ctx: &mut Context<'_, u32>) {
-                if e < 200 {
-                    ctx.schedule_in(SimDuration::from_millis(100), e + 1);
-                }
-            }
-        }
-        let mut eng = Engine::new(Ticker);
-        eng.prime(SimTime::ZERO, 0);
-        eng.run_until(SimTime::from_millis(horizon_ms));
-        // Events fire every 100 ms from 0; clock ends at min(horizon, last).
-        prop_assert!(eng.now() <= SimTime::from_millis(horizon_ms.max(1)).max(SimTime::from_millis(20_000)));
-        let fired = eng.events_handled();
-        let expect = (horizon_ms / 100 + 1).min(201);
-        prop_assert_eq!(fired, expect);
-    }
-
-    #[test]
     fn node_index_matches_naive_scan_after_every_op(
         capacity in 1usize..600,
         ops in prop::collection::vec((0usize..600, 0u8..3), 0..300),
@@ -156,26 +133,6 @@ proptest! {
         let scan: Vec<usize> =
             (0..capacity).filter(|&i| free_bits[i] && idle_bits[i]).collect();
         prop_assert_eq!(free.iter_and(&idle).collect::<Vec<_>>(), scan.clone());
-        prop_assert_eq!(free.count_and(&idle), scan.len());
         prop_assert_eq!(free.last_and(&idle), scan.last().copied());
-    }
-
-    #[test]
-    fn node_index_pop_last_drains_descending(
-        capacity in 1usize..300,
-        bits in prop::collection::vec(any::<bool>(), 300),
-    ) {
-        let mut idx = NodeIndex::new(capacity);
-        for (i, &bit) in bits.iter().enumerate().take(capacity) {
-            idx.set(i, bit);
-        }
-        let mut expected: Vec<usize> = (0..capacity).filter(|&i| bits[i]).collect();
-        expected.reverse();
-        let mut got = Vec::new();
-        while let Some(id) = idx.pop_last() {
-            got.push(id);
-        }
-        prop_assert_eq!(got, expected);
-        prop_assert!(idx.is_empty());
     }
 }

@@ -79,31 +79,6 @@ impl Histogram {
     pub fn count(&self, i: usize) -> u64 {
         self.counts[i]
     }
-
-    /// Center of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
-
-    /// Upper edge of bin `i`.
-    pub fn bin_upper(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + (i as f64 + 1.0) * w
-    }
-
-    /// Cumulative frequency curve: points `(bin upper edge, P(X ≤ edge))`,
-    /// counting underflow as below all edges. This is the form plotted in
-    /// the paper's Fig 2.
-    pub fn cdf_points(&self) -> Vec<(f64, f64)> {
-        let mut acc = self.underflow;
-        let mut out = Vec::with_capacity(self.counts.len());
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            out.push((self.bin_upper(i), acc as f64 / self.total.max(1) as f64));
-        }
-        out
-    }
 }
 
 /// An exact empirical CDF built from a stored, sorted sample.
@@ -191,22 +166,6 @@ mod tests {
         assert_eq!(h.count(9), 1);
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 1);
-        assert!((h.bin_center(0) - 0.05).abs() < 1e-12);
-        assert!((h.bin_upper(9) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_cdf_points_reach_one_minus_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.extend([1.0, 3.0, 5.0, 7.0, 9.0, 20.0]);
-        let pts = h.cdf_points();
-        assert_eq!(pts.len(), 5);
-        let last = pts.last().unwrap().1;
-        assert!((last - 5.0 / 6.0).abs() < 1e-12); // overflow excluded
-                                                   // Monotone.
-        for w in pts.windows(2) {
-            assert!(w[1].1 >= w[0].1);
-        }
     }
 
     #[test]

@@ -312,7 +312,7 @@ mod tests {
             let trace = DispatchTrace::synthesize_fixed(&f, id, u, SimDuration::from_secs(2400));
             an.ingest(&trace);
         }
-        let truth = DispatchTrace::ground_truth_table();
+        let truth = BurstParamTable::paper_calibrated();
         for bucket in [2usize, 10] {
             let measured = an.to_param_table().buckets()[bucket];
             let expected = truth.buckets()[bucket];

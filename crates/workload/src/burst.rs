@@ -7,7 +7,7 @@
 //! two-moment fits of the interpolated bucket parameters.
 
 use crate::fit_table::BurstFitTable;
-use crate::params::{BucketParams, BurstParamTable};
+use crate::params::BucketParams;
 use linger_sim_core::{SimDuration, SimRng};
 use linger_stats::{Distribution, Fitted};
 use rand::Rng;
@@ -91,14 +91,6 @@ impl BurstGenerator {
         g
     }
 
-    /// A generator over a private fit table built from `table`.
-    ///
-    /// Prefer [`Self::new`] with a shared [`BurstFitTable`] when many
-    /// generators use the same parameters (one per cluster node).
-    pub fn from_table(table: BurstParamTable, utilization: f64) -> Self {
-        Self::new(Arc::new(BurstFitTable::new(table)), utilization)
-    }
-
     /// Convenience: the process-wide shared paper-calibrated table.
     pub fn paper(utilization: f64) -> Self {
         Self::new(BurstFitTable::paper_shared(), utilization)
@@ -143,11 +135,6 @@ impl BurstGenerator {
         self.idle_dist = idle;
         self.last_params = Some(p);
         self.rebuilds += 1;
-    }
-
-    /// The kind of the next burst [`Self::next_burst`] will return.
-    pub fn peek_kind(&self) -> BurstKind {
-        self.effective_kind()
     }
 
     fn effective_kind(&self) -> BurstKind {
@@ -243,6 +230,7 @@ impl BurstGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::params::BurstParamTable;
     use linger_sim_core::{domains, RngFactory};
 
     fn rng() -> SimRng {
@@ -279,7 +267,6 @@ mod tests {
     #[test]
     fn first_burst_is_idle() {
         let mut g = BurstGenerator::paper(0.5);
-        assert_eq!(g.peek_kind(), BurstKind::Idle);
         let b = g.next_burst(&mut rng());
         assert_eq!(b.kind, BurstKind::Idle);
     }
@@ -372,7 +359,10 @@ mod tests {
         // must generate identical bursts through retargets — including at
         // interpolated (cache-path) utilization levels.
         let mut g1 = BurstGenerator::paper(0.37);
-        let mut g2 = BurstGenerator::from_table(BurstParamTable::paper_calibrated(), 0.37);
+        let mut g2 = BurstGenerator::new(
+            Arc::new(BurstFitTable::new(BurstParamTable::paper_calibrated())),
+            0.37,
+        );
         let mut r1 = rng();
         let mut r2 = rng();
         for i in 0..1000 {
@@ -425,8 +415,8 @@ mod tests {
         let (run, idle) = BurstFitTable::new(t.clone()).fits_for(0.42);
         assert_eq!(run.unwrap().family(), "erlang-mix");
         assert_eq!(idle.unwrap().family(), "erlang-mix");
-        let mut g1 = BurstGenerator::from_table(t.clone(), 0.42);
-        let mut g2 = BurstGenerator::from_table(t, 0.42);
+        let mut g1 = BurstGenerator::new(Arc::new(BurstFitTable::new(t.clone())), 0.42);
+        let mut g2 = BurstGenerator::new(Arc::new(BurstFitTable::new(t)), 0.42);
         let mut r1 = rng();
         let mut r2 = rng();
         let mut batch = Vec::new();
@@ -446,7 +436,7 @@ mod tests {
             buckets[i] = buckets[4];
         }
         let t = BurstParamTable::from_buckets(buckets);
-        let mut g = BurstGenerator::from_table(t, 0.22);
+        let mut g = BurstGenerator::new(Arc::new(BurstFitTable::new(t)), 0.22);
         assert_eq!(g.rebuilds(), 1);
         g.set_utilization(0.31);
         g.set_utilization(0.37);

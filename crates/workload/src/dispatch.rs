@@ -10,9 +10,7 @@
 //! burst population, which is what Figs 2 and 3 plot.
 
 use crate::burst::{Burst, BurstGenerator, BurstKind};
-use crate::params::BurstParamTable;
 use linger_sim_core::{domains, RngFactory, SimDuration};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A recorded sequence of alternating run/idle bursts on one CPU.
@@ -22,11 +20,6 @@ pub struct DispatchTrace {
 }
 
 impl DispatchTrace {
-    /// Wrap a raw burst sequence.
-    pub fn from_bursts(bursts: Vec<Burst>) -> Self {
-        DispatchTrace { bursts }
-    }
-
     /// The recorded bursts in time order.
     pub fn bursts(&self) -> &[Burst] {
         &self.bursts
@@ -108,76 +101,6 @@ impl DispatchTrace {
         }
         DispatchTrace { bursts }
     }
-
-    /// Synthesize a trace whose utilization wanders across levels: every
-    /// `dwell` the target jumps to a fresh uniform level in
-    /// `[lo, hi]`. Exercises all analysis buckets in one trace.
-    pub fn synthesize_wandering(
-        factory: &RngFactory,
-        trace_id: u64,
-        duration: SimDuration,
-        dwell: SimDuration,
-        (lo, hi): (f64, f64),
-    ) -> Self {
-        assert!(lo <= hi && (0.0..=1.0).contains(&lo) && (0.0..=1.0).contains(&hi));
-        let mut level_rng = factory.stream_for(domains::DISPATCH, trace_id ^ 0x5EED);
-        let mut gen = BurstGenerator::paper(lo + (hi - lo) * level_rng.random::<f64>());
-        let dwell_ns = dwell.as_nanos().max(1);
-        let mut next_jump = dwell_ns;
-        Self::generate(
-            factory,
-            trace_id,
-            duration,
-            move |elapsed_ns, r: &mut linger_sim_core::SimRng| {
-                if elapsed_ns >= next_jump {
-                    next_jump = elapsed_ns + dwell_ns;
-                    let _ = r; // level stream kept separate for determinism
-                    Some(lo + (hi - lo) * level_rng.random::<f64>())
-                } else {
-                    None
-                }
-            },
-            &mut gen,
-        )
-    }
-
-    fn generate<F>(
-        factory: &RngFactory,
-        trace_id: u64,
-        duration: SimDuration,
-        mut retarget: F,
-        gen: &mut BurstGenerator,
-    ) -> Self
-    where
-        F: FnMut(u64, &mut linger_sim_core::SimRng) -> Option<f64>,
-    {
-        let mut rng = factory.stream_for(domains::DISPATCH, trace_id);
-        let mut bursts = Vec::new();
-        let mut elapsed = 0u64;
-        let limit = duration.as_nanos();
-        while elapsed < limit {
-            if let Some(u) = retarget(elapsed, &mut rng) {
-                gen.set_utilization(u);
-            }
-            let mut b = gen.next_burst(&mut rng);
-            // Trim the final burst to the requested duration.
-            if elapsed + b.duration.as_nanos() > limit {
-                b.duration = SimDuration::from_nanos(limit - elapsed);
-                if b.duration.is_zero() {
-                    break;
-                }
-            }
-            elapsed += b.duration.as_nanos();
-            bursts.push(b);
-        }
-        DispatchTrace { bursts }
-    }
-
-    /// The paper table the generator is calibrated to — exported so tests
-    /// can compare re-derived moments against ground truth.
-    pub fn ground_truth_table() -> BurstParamTable {
-        BurstParamTable::paper_calibrated()
-    }
 }
 
 #[cfg(test)]
@@ -212,38 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn wandering_trace_covers_levels() {
-        let f = RngFactory::new(34);
-        let t = DispatchTrace::synthesize_wandering(
-            &f,
-            0,
-            SimDuration::from_secs(600),
-            SimDuration::from_secs(2),
-            (0.05, 0.95),
-        );
-        // Split into 2 s windows and check utilization spread.
-        let mut windows = Vec::new();
-        let mut acc_run = 0.0;
-        let mut acc = 0.0;
-        for b in t.bursts() {
-            let d = b.duration.as_secs_f64();
-            acc += d;
-            if b.kind == BurstKind::Run {
-                acc_run += d;
-            }
-            if acc >= 2.0 {
-                windows.push(acc_run / acc);
-                acc = 0.0;
-                acc_run = 0.0;
-            }
-        }
-        let lo = windows.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = windows.iter().cloned().fold(0.0f64, f64::max);
-        assert!(lo < 0.25, "low windows missing: min {lo}");
-        assert!(hi > 0.75, "high windows missing: max {hi}");
-    }
-
-    #[test]
     fn deterministic_per_trace_id() {
         let f = RngFactory::new(35);
         let a = DispatchTrace::synthesize_fixed(&f, 1, 0.5, SimDuration::from_secs(10));
@@ -263,8 +154,15 @@ mod tests {
             let d = SimDuration::from_secs(600);
             let batched = DispatchTrace::synthesize_fixed(&f, id, target, d);
             let mut gen = BurstGenerator::paper(target);
-            let per_draw = DispatchTrace::generate(&f, id, d, |_, _| None, &mut gen);
-            assert_eq!(batched.bursts(), per_draw.bursts(), "target {target}");
+            let mut rng = f.stream_for(domains::DISPATCH, id);
+            let (mut per_draw, mut elapsed) = (Vec::new(), SimDuration::ZERO);
+            while elapsed < d {
+                let mut b = gen.next_burst(&mut rng);
+                b.duration = b.duration.min(d - elapsed);
+                elapsed += b.duration;
+                per_draw.push(b);
+            }
+            assert_eq!(batched.bursts(), per_draw, "target {target}");
         }
     }
 

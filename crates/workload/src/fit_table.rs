@@ -62,11 +62,6 @@ impl BurstFitTable {
         &self.params
     }
 
-    /// The precomputed fit for bucket `i`.
-    pub fn bucket_fit(&self, i: usize) -> &FitPair {
-        &self.bucket_fits[i]
-    }
-
     /// The fitted run/idle distributions at utilization `u` ∈ [0, 1]
     /// (clamped), exactly equal to
     /// `fit_two_moments(params.interpolate(u))` on both phases.
@@ -93,11 +88,6 @@ impl BurstFitTable {
             cache.insert(key, fits);
         }
         fits
-    }
-
-    /// Number of interpolated levels currently memoized (diagnostics).
-    pub fn cached_levels(&self) -> usize {
-        self.cache.read().unwrap().len()
     }
 }
 
@@ -144,7 +134,7 @@ mod tests {
         let fits = BurstFitTable::new(table.clone());
         for i in 0..NUM_BUCKETS {
             let direct = fit_pair(&table.buckets()[i]);
-            assert!(same_fit(fits.bucket_fit(i), &direct), "bucket {i}");
+            assert!(same_fit(&fits.bucket_fits[i], &direct), "bucket {i}");
         }
     }
 
@@ -152,11 +142,15 @@ mod tests {
     fn bucket_levels_bypass_the_cache() {
         let fits = BurstFitTable::new(BurstParamTable::paper_calibrated());
         for i in 0..NUM_BUCKETS {
-            let u = BurstParamTable::bucket_level(i);
+            let u = i as f64 * BUCKET_WIDTH;
             let got = fits.fits_for(u);
-            assert!(same_fit(&got, fits.bucket_fit(i)), "level {u}");
+            assert!(same_fit(&got, &fits.bucket_fits[i]), "level {u}");
         }
-        assert_eq!(fits.cached_levels(), 0, "bucket levels must not populate the cache");
+        assert_eq!(
+            fits.cache.read().unwrap().len(),
+            0,
+            "bucket levels must not populate the cache"
+        );
     }
 
     #[test]
@@ -169,21 +163,21 @@ mod tests {
             // Second lookup comes from the cache and must be identical.
             assert!(same_fit(&fits.fits_for(u), &direct), "cached u = {u}");
         }
-        assert_eq!(fits.cached_levels(), 5);
+        assert_eq!(fits.cache.read().unwrap().len(), 5);
     }
 
     #[test]
     fn out_of_range_clamps_to_end_buckets() {
         let fits = BurstFitTable::new(BurstParamTable::paper_calibrated());
-        assert!(same_fit(&fits.fits_for(-3.0), fits.bucket_fit(0)));
-        assert!(same_fit(&fits.fits_for(7.0), fits.bucket_fit(NUM_BUCKETS - 1)));
+        assert!(same_fit(&fits.fits_for(-3.0), &fits.bucket_fits[0]));
+        assert!(same_fit(&fits.fits_for(7.0), &fits.bucket_fits[NUM_BUCKETS - 1]));
     }
 
     #[test]
     fn degenerate_buckets_fit_to_none() {
         let fits = BurstFitTable::new(BurstParamTable::paper_calibrated());
-        assert!(fits.bucket_fit(0).0.is_none(), "0% has no run bursts");
-        assert!(fits.bucket_fit(NUM_BUCKETS - 1).1.is_none(), "100% has no idle bursts");
+        assert!(fits.bucket_fits[0].0.is_none(), "0% has no run bursts");
+        assert!(fits.bucket_fits[NUM_BUCKETS - 1].1.is_none(), "100% has no idle bursts");
     }
 
     #[test]

@@ -88,17 +88,6 @@ impl LocalWorkload {
         self.trace.sample(self.sample_index_at(t)).cpu
     }
 
-    /// Whether the machine is recruited (idle) at time `t` by the
-    /// recruitment-threshold rule.
-    pub fn is_idle_at(&self, t: SimTime) -> bool {
-        self.trace.is_idle(self.sample_index_at(t))
-    }
-
-    /// Local memory use (KB) at time `t`.
-    pub fn mem_used_at(&self, t: SimTime) -> u32 {
-        self.trace.sample(self.sample_index_at(t)).mem_used_kb
-    }
-
     /// Simulated time up to which bursts have been emitted.
     pub fn position(&self) -> SimTime {
         self.position
@@ -180,7 +169,6 @@ mod tests {
         let trace = Arc::new(CoarseTrace::from_samples(samples));
         let w = workload(trace, 5);
         assert_eq!(w.utilization_at(SimTime::ZERO), 0.9);
-        assert_eq!(w.mem_used_at(SimTime::ZERO), 40_000);
         // 2 s later we've moved to sample 6.
         assert_eq!(w.utilization_at(SimTime::from_secs(2)), 0.1);
     }

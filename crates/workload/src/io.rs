@@ -1,13 +1,10 @@
 //! Trace persistence.
 //!
-//! Coarse traces and analysis outputs are serializable so benchmark runs
-//! can persist the exact workload realization they used (`results/`), and
-//! so external trace data in the same schema could be swapped in for the
-//! synthetic generator.
+//! Coarse traces are serializable so a run can persist the exact workload
+//! realization it used (the CLI's `traces --save`). Nothing reads them
+//! back: every run synthesizes its traces from the seed.
 
 use crate::coarse::CoarseTrace;
-use std::fs::File;
-use std::io::BufReader;
 use std::path::Path;
 
 /// Write a trace library as JSON.
@@ -19,13 +16,6 @@ pub fn save_traces<P: AsRef<Path>>(path: P, traces: &[CoarseTrace]) -> std::io::
     let json = serde_json::to_string(traces)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
     linger_sim_core::write_atomic(path.as_ref(), json.as_bytes())
-}
-
-/// Read a trace library back.
-pub fn load_traces<P: AsRef<Path>>(path: P) -> std::io::Result<Vec<CoarseTrace>> {
-    let f = File::open(path)?;
-    serde_json::from_reader(BufReader::new(f))
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -45,17 +35,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("traces.json");
         save_traces(&path, &traces).unwrap();
-        let back = load_traces(&path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let back = serde_json::from_str::<Vec<CoarseTrace>>(&text).unwrap();
         assert_eq!(back.len(), traces.len());
         for (a, b) in traces.iter().zip(&back) {
             assert_eq!(a.samples(), b.samples());
             assert_eq!(a.idle_flags(), b.idle_flags());
         }
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn load_missing_file_errors() {
-        assert!(load_traces("/nonexistent/traces.json").is_err());
     }
 }

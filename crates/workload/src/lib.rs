@@ -28,9 +28,7 @@
 //! * [`paging`] — the same policy at page granularity (LRU lists, free
 //!   list, fault costs), proving the protection invariant the Linux
 //!   prototype relies on;
-//! * [`io`] — trace persistence (JSON);
-//! * [`trace_text`] — a documented plain-text trace interchange format
-//!   for importing measured data.
+//! * [`io`] — trace persistence (JSON).
 
 //! ## Example
 //!
@@ -68,7 +66,6 @@ pub mod paging;
 pub mod params;
 pub mod realization;
 pub mod stream;
-pub mod trace_text;
 
 pub use analysis::{CoarseAggregates, FineGrainAnalysis};
 pub use arrivals::{ArrivalConfig, ArrivalGenerator, ArrivalProcess, SizeDistribution};

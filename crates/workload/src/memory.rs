@@ -92,7 +92,8 @@ impl TwoPoolMemory {
     }
 
     /// Detach the foreign job (eviction or completion), freeing its pool.
-    pub fn detach_foreign(&mut self) {
+    #[cfg(test)]
+    fn detach_foreign(&mut self) {
         self.foreign_resident_pages = 0;
         self.foreign_demand_pages = 0;
     }

@@ -231,7 +231,8 @@ impl PagingSim {
 
     /// Release local residency down to `pages` (the owner's demand
     /// shrank); freed frames go to the free list.
-    pub fn shrink_local_to(&mut self, pages: usize) {
+    #[cfg(test)]
+    fn shrink_local_to(&mut self, pages: usize) {
         while self.local_lru.len() > pages {
             let f = self.local_lru.pop_front().expect("non-empty");
             if let Some(vp) = self.local_map.iter().position(|&m| m == Some(f)) {

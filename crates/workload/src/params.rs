@@ -46,10 +46,11 @@ pub struct BucketParams {
     pub idle_var: f64,
 }
 
+#[cfg(test)]
 impl BucketParams {
     /// Expected CPU utilization implied by these moments
     /// (`run / (run + idle)`), or 0 when no run bursts occur.
-    pub fn implied_utilization(&self) -> f64 {
+    fn implied_utilization(&self) -> f64 {
         let total = self.run_mean + self.idle_mean;
         if total == 0.0 {
             0.0
@@ -228,11 +229,6 @@ impl BurstParamTable {
         (u / BUCKET_WIDTH).round() as usize
     }
 
-    /// The utilization level of bucket `i`.
-    pub fn bucket_level(i: usize) -> f64 {
-        i as f64 * BUCKET_WIDTH
-    }
-
     /// Interpolated burst parameters at utilization `u` ∈ [0, 1].
     ///
     /// "To generate fine-grained workloads, we use linear interpolation
@@ -306,7 +302,7 @@ mod tests {
     fn interpolation_probes() -> Vec<f64> {
         let mut us: Vec<f64> = (0..=102_000).map(|i| -0.01 + i as f64 * 1e-5).collect();
         for i in 0..NUM_BUCKETS {
-            for level in [BurstParamTable::bucket_level(i), i as f64 / 20.0] {
+            for level in [i as f64 * BUCKET_WIDTH, i as f64 / 20.0] {
                 let (mut up, mut down) = (level, level);
                 us.push(level);
                 for _ in 0..3 {
@@ -340,7 +336,7 @@ mod tests {
     fn table_has_consistent_utilization() {
         let t = BurstParamTable::paper_calibrated();
         for (i, b) in t.buckets().iter().enumerate() {
-            let level = BurstParamTable::bucket_level(i);
+            let level = i as f64 * BUCKET_WIDTH;
             if i == 0 || i == NUM_BUCKETS - 1 {
                 continue; // degenerate ends
             }
@@ -419,7 +415,7 @@ mod tests {
     fn interpolation_hits_bucket_values_exactly() {
         let t = BurstParamTable::paper_calibrated();
         for i in 0..NUM_BUCKETS {
-            let u = BurstParamTable::bucket_level(i);
+            let u = i as f64 * BUCKET_WIDTH;
             let p = t.interpolate(u);
             assert_eq!(p, t.buckets()[i], "bucket {i}");
         }

@@ -165,20 +165,23 @@ impl WindowTable {
 
     /// Owner CPU demand (in `[0, 1]`) of every node for window `w`
     /// (wraps modulo the period; see [`Self::rows`]).
-    pub fn cpu_row(&self, w: usize) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn cpu_row(&self, w: usize) -> &[f64] {
         self.stored(self.row(w)).cpu
     }
 
     /// Owner-resident memory (whole [`PAGE_KB`] pages) of every node for
     /// window `w` (wraps modulo the period; see [`Self::rows`]).
-    pub fn mem_row(&self, w: usize) -> &[u16] {
+    #[cfg(test)]
+    pub(crate) fn mem_row(&self, w: usize) -> &[u16] {
         self.stored(self.row(w)).mem_pages
     }
 
     /// Recruitment idle flags for window `w` as packed bit words: bit
     /// `n % 64` of word `n / 64` ⇔ node `n` is idle (wraps modulo the
     /// period; see [`Self::rows`]). Bits at or past `nodes()` are zero.
-    pub fn idle_row(&self, w: usize) -> &[u64] {
+    #[cfg(test)]
+    pub(crate) fn idle_row(&self, w: usize) -> &[u64] {
         self.stored(self.row(w)).idle
     }
 
