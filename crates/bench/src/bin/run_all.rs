@@ -889,9 +889,6 @@ fn main() {
         let names: Vec<&str> = timings.failed_sections.iter().map(|f| f.name.as_str()).collect();
         eprintln!("[warn: {} section(s) panicked: {}]", names.len(), names.join(", "));
     }
-    if linger_telemetry::Recorder::from_env().enabled() {
-        timings.telemetry = Some(linger_telemetry::metrics::global().summary());
-    }
     timings.peak_rss_kb = peak_rss_kb();
     if let Some((user, sys)) = cpu_secs() {
         (timings.user_secs, timings.sys_secs) = (Some(user), Some(sys));

@@ -372,176 +372,6 @@ pub fn fig13(seed: u64) -> Vec<linger_parallel::Fig13Point> {
     linger_parallel::fig13(seed)
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    const SEED: u64 = 7;
-
-    /// The realization estimate must not silently move a sweep point
-    /// between representations: at the default 4 GiB budget every count
-    /// through 65,536 builds a window table and the top two stream.
-    #[test]
-    fn scaling_sweep_representation_is_pinned() {
-        use linger_workload::stream::streamed_chunk_windows;
-        let period = scaling_trace().sample_count();
-        assert_eq!(period, 1800);
-        for nodes in SCALING_NODE_COUNTS {
-            let streams = streamed_chunk_windows(
-                nodes,
-                period,
-                linger_workload::DEFAULT_WINDOW_BUDGET_BYTES,
-                None,
-            )
-            .is_some();
-            assert_eq!(streams, nodes > 65_536, "{nodes} nodes");
-        }
-    }
-
-    #[test]
-    fn fig02_fast_fits_match() {
-        let r = fig02(SEED, true);
-        assert_eq!(r.len(), 2);
-        for b in &r {
-            assert!(b.ks_run < 0.1, "{}%: ks {}", b.level_pct, b.ks_run);
-            assert!(b.ks_idle < 0.1, "{}%: ks {}", b.level_pct, b.ks_idle);
-            assert_eq!(b.run_points.len(), 50);
-        }
-    }
-
-    #[test]
-    fn fig03_fast_recovers_moments() {
-        let rows = fig03(SEED, true);
-        assert_eq!(rows.len(), 21);
-        // Mid buckets must be populated and near the model.
-        for row in rows.iter().filter(|r| (20..=80).contains(&r.level_pct)) {
-            assert!(row.windows > 0, "bucket {} empty", row.level_pct);
-            if row.model_run_mean > 0.0 && row.windows > 50 {
-                let err = (row.run_mean - row.model_run_mean).abs() / row.model_run_mean;
-                assert!(err < 0.5, "bucket {}: run mean err {err}", row.level_pct);
-            }
-        }
-    }
-
-    #[test]
-    fn fig04_fast_matches_paper_anchors() {
-        let r = fig04(SEED, true);
-        assert!((r.non_idle_fraction - 0.46).abs() < 0.10);
-        assert!((r.non_idle_low_cpu_fraction - 0.76).abs() < 0.10);
-        assert!(r.p90_free_kb >= 12_000.0);
-        assert!(r.p95_free_kb >= 8_000.0);
-        // Survival curves are monotone decreasing.
-        for pts in [&r.cdf_all, &r.cdf_idle, &r.cdf_non_idle] {
-            for w in pts.windows(2) {
-                assert!(w[1].1 <= w[0].1 + 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn fig05_fast_has_grid() {
-        let r = fig05(SEED, true);
-        assert_eq!(r.len(), 27);
-        assert!(r.iter().all(|p| p.fcsr > 0.85));
-    }
-
-    #[test]
-    fn fig06_pipeline_tracks_trace() {
-        let r = fig06(SEED, true);
-        assert!(r.windows > 1000);
-        assert!(r.mean_abs_error < 0.08, "MAE {}", r.mean_abs_error);
-        assert!(r.correlation > 0.8, "corr {}", r.correlation);
-    }
-
-    #[test]
-    fn fig07_fast_preserves_ordering() {
-        let r = fig07(SEED, true);
-        let (ll, ie) = (&r.workload1[0], &r.workload1[2]);
-        assert!(ll.avg_completion_secs < ie.avg_completion_secs);
-        assert!(ll.throughput > ie.throughput);
-    }
-
-    #[test]
-    fn fig09_fast_shape() {
-        let r = fig09(SEED, true);
-        assert_eq!(r.len(), 10);
-        assert!(r[9].slowdown > r[2].slowdown);
-    }
-
-    #[test]
-    fn ext_scaling_cells_are_deterministic_and_match_cluster_sim_new() {
-        // A scaling cell must reproduce exactly what ClusterSim::new
-        // would compute from the same config — the shared traces/offsets
-        // are an optimization, not a semantic change — and re-running
-        // the sweep must give byte-identical points.
-        let (points, timings) = ext_scaling_at(SEED, &[16], true);
-        assert_eq!(points.len(), 4);
-        assert_eq!(timings.len(), 4);
-        let (again, _) = ext_scaling_at(SEED, &[16], true);
-        for (a, b) in points.iter().zip(&again) {
-            assert_eq!(serde_json::to_string(a).unwrap(), serde_json::to_string(b).unwrap());
-        }
-        for (p, t) in points.iter().zip(&timings) {
-            assert_eq!(p.windows, 300, "600 s horizon at 2 s windows");
-            assert_eq!(t.node_windows, 16.0 * 300.0);
-            assert!(p.completed > 0, "{}: nothing finished", p.policy);
-        }
-        // Direct construction path gives the same numbers.
-        let family = JobFamily::uniform(32, SimDuration::from_secs(300), 8 * 1024);
-        let mut cfg = linger_cluster::ClusterConfig::paper(Policy::LingerLonger, family);
-        cfg.nodes = 16;
-        cfg.seed = SEED;
-        cfg.trace = CoarseTraceConfig {
-            duration: SimDuration::from_secs(3600),
-            ..Default::default()
-        };
-        cfg.mode = linger_cluster::RunMode::Throughput { horizon: SimTime::from_secs(600) };
-        let mut sim = linger_cluster::ClusterSim::new(cfg);
-        sim.run();
-        let ll = &points[0];
-        assert_eq!(ll.policy, "LL");
-        assert_eq!(ll.completed, sim.completed());
-        assert_eq!(ll.foreign_cpu_secs, sim.foreign_cpu_delivered().as_secs_f64());
-    }
-
-    #[test]
-    fn ext_stealing_cells_are_deterministic_and_counters_balance() {
-        // A small grid through the exact cell code the figure uses:
-        // re-running the sweep must give byte-identical points, every
-        // cell's loss accounting and probe ledger must balance, and the
-        // three scheduler variants must exercise their own machinery
-        // (central serializes, stealing probes).
-        let points = ext_stealing_at(SEED, &[16], 1800, 0.95);
-        assert_eq!(points.len(), STEALING_SCHEDULERS.len() * STEALING_FAULTS.len() * 2);
-        let again = ext_stealing_at(SEED, &[16], 1800, 0.95);
-        for (a, b) in points.iter().zip(&again) {
-            assert_eq!(serde_json::to_string(a).unwrap(), serde_json::to_string(b).unwrap());
-        }
-        for p in &points {
-            assert!(p.completed > 0, "{}/{}: nothing finished", p.scheduler, p.size_dist);
-            assert_eq!(p.probes, p.hits + p.misses);
-            if p.scheduler == "central" {
-                assert!(p.central_dispatches > 0);
-                assert_eq!(p.probes, 0);
-            } else {
-                assert_eq!(p.central_dispatches, 0);
-                assert!(p.local_pops + p.stolen_jobs > 0);
-            }
-            if p.crash_rate_per_hour == 0.0 {
-                assert_eq!(p.crashes, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn paper_reference_is_fig7_shaped() {
-        let refs = fig07_paper_reference();
-        assert_eq!(refs.len(), 8);
-        // Headline: LL throughput improves ~50% over PM on workload-1.
-        assert!(refs[3][0] / refs[3][3] > 1.4);
-    }
-}
-
 // ------------------------------------------------------- extensions
 
 /// The hybrid-strategy extension (paper Sec 5.2 future work).
@@ -1458,8 +1288,173 @@ pub fn ablation_memory_pressure(seed: u64) -> Vec<MemoryPressureRow> {
 }
 
 #[cfg(test)]
-mod extension_tests {
+mod tests {
     use super::*;
+
+    const SEED: u64 = 7;
+
+    /// The realization estimate must not silently move a sweep point
+    /// between representations: at the default 4 GiB budget every count
+    /// through 65,536 builds a window table and the top two stream.
+    #[test]
+    fn scaling_sweep_representation_is_pinned() {
+        use linger_workload::stream::streamed_chunk_windows;
+        let period = scaling_trace().sample_count();
+        assert_eq!(period, 1800);
+        for nodes in SCALING_NODE_COUNTS {
+            let streams = streamed_chunk_windows(
+                nodes,
+                period,
+                linger_workload::DEFAULT_WINDOW_BUDGET_BYTES,
+                None,
+            )
+            .is_some();
+            assert_eq!(streams, nodes > 65_536, "{nodes} nodes");
+        }
+    }
+
+    #[test]
+    fn fig02_fast_fits_match() {
+        let r = fig02(SEED, true);
+        assert_eq!(r.len(), 2);
+        for b in &r {
+            assert!(b.ks_run < 0.1, "{}%: ks {}", b.level_pct, b.ks_run);
+            assert!(b.ks_idle < 0.1, "{}%: ks {}", b.level_pct, b.ks_idle);
+            assert_eq!(b.run_points.len(), 50);
+        }
+    }
+
+    #[test]
+    fn fig03_fast_recovers_moments() {
+        let rows = fig03(SEED, true);
+        assert_eq!(rows.len(), 21);
+        // Mid buckets must be populated and near the model.
+        for row in rows.iter().filter(|r| (20..=80).contains(&r.level_pct)) {
+            assert!(row.windows > 0, "bucket {} empty", row.level_pct);
+            if row.model_run_mean > 0.0 && row.windows > 50 {
+                let err = (row.run_mean - row.model_run_mean).abs() / row.model_run_mean;
+                assert!(err < 0.5, "bucket {}: run mean err {err}", row.level_pct);
+            }
+        }
+    }
+
+    #[test]
+    fn fig04_fast_matches_paper_anchors() {
+        let r = fig04(SEED, true);
+        assert!((r.non_idle_fraction - 0.46).abs() < 0.10);
+        assert!((r.non_idle_low_cpu_fraction - 0.76).abs() < 0.10);
+        assert!(r.p90_free_kb >= 12_000.0);
+        assert!(r.p95_free_kb >= 8_000.0);
+        // Survival curves are monotone decreasing.
+        for pts in [&r.cdf_all, &r.cdf_idle, &r.cdf_non_idle] {
+            for w in pts.windows(2) {
+                assert!(w[1].1 <= w[0].1 + 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn fig05_fast_has_grid() {
+        let r = fig05(SEED, true);
+        assert_eq!(r.len(), 27);
+        assert!(r.iter().all(|p| p.fcsr > 0.85));
+    }
+
+    #[test]
+    fn fig06_pipeline_tracks_trace() {
+        let r = fig06(SEED, true);
+        assert!(r.windows > 1000);
+        assert!(r.mean_abs_error < 0.08, "MAE {}", r.mean_abs_error);
+        assert!(r.correlation > 0.8, "corr {}", r.correlation);
+    }
+
+    #[test]
+    fn fig07_fast_preserves_ordering() {
+        let r = fig07(SEED, true);
+        let (ll, ie) = (&r.workload1[0], &r.workload1[2]);
+        assert!(ll.avg_completion_secs < ie.avg_completion_secs);
+        assert!(ll.throughput > ie.throughput);
+    }
+
+    #[test]
+    fn fig09_fast_shape() {
+        let r = fig09(SEED, true);
+        assert_eq!(r.len(), 10);
+        assert!(r[9].slowdown > r[2].slowdown);
+    }
+
+    #[test]
+    fn ext_scaling_cells_are_deterministic_and_match_cluster_sim_new() {
+        // A scaling cell must reproduce exactly what ClusterSim::new
+        // would compute from the same config — the shared traces/offsets
+        // are an optimization, not a semantic change — and re-running
+        // the sweep must give byte-identical points.
+        let (points, timings) = ext_scaling_at(SEED, &[16], true);
+        assert_eq!(points.len(), 4);
+        assert_eq!(timings.len(), 4);
+        let (again, _) = ext_scaling_at(SEED, &[16], true);
+        for (a, b) in points.iter().zip(&again) {
+            assert_eq!(serde_json::to_string(a).unwrap(), serde_json::to_string(b).unwrap());
+        }
+        for (p, t) in points.iter().zip(&timings) {
+            assert_eq!(p.windows, 300, "600 s horizon at 2 s windows");
+            assert_eq!(t.node_windows, 16.0 * 300.0);
+            assert!(p.completed > 0, "{}: nothing finished", p.policy);
+        }
+        // Direct construction path gives the same numbers.
+        let family = JobFamily::uniform(32, SimDuration::from_secs(300), 8 * 1024);
+        let mut cfg = linger_cluster::ClusterConfig::paper(Policy::LingerLonger, family);
+        cfg.nodes = 16;
+        cfg.seed = SEED;
+        cfg.trace = CoarseTraceConfig {
+            duration: SimDuration::from_secs(3600),
+            ..Default::default()
+        };
+        cfg.mode = linger_cluster::RunMode::Throughput { horizon: SimTime::from_secs(600) };
+        let mut sim = linger_cluster::ClusterSim::new(cfg);
+        sim.run();
+        let ll = &points[0];
+        assert_eq!(ll.policy, "LL");
+        assert_eq!(ll.completed, sim.completed());
+        assert_eq!(ll.foreign_cpu_secs, sim.foreign_cpu_delivered().as_secs_f64());
+    }
+
+    #[test]
+    fn ext_stealing_cells_are_deterministic_and_counters_balance() {
+        // A small grid through the exact cell code the figure uses:
+        // re-running the sweep must give byte-identical points, every
+        // cell's loss accounting and probe ledger must balance, and the
+        // three scheduler variants must exercise their own machinery
+        // (central serializes, stealing probes).
+        let points = ext_stealing_at(SEED, &[16], 1800, 0.95);
+        assert_eq!(points.len(), STEALING_SCHEDULERS.len() * STEALING_FAULTS.len() * 2);
+        let again = ext_stealing_at(SEED, &[16], 1800, 0.95);
+        for (a, b) in points.iter().zip(&again) {
+            assert_eq!(serde_json::to_string(a).unwrap(), serde_json::to_string(b).unwrap());
+        }
+        for p in &points {
+            assert!(p.completed > 0, "{}/{}: nothing finished", p.scheduler, p.size_dist);
+            assert_eq!(p.probes, p.hits + p.misses);
+            if p.scheduler == "central" {
+                assert!(p.central_dispatches > 0);
+                assert_eq!(p.probes, 0);
+            } else {
+                assert_eq!(p.central_dispatches, 0);
+                assert!(p.local_pops + p.stolen_jobs > 0);
+            }
+            if p.crash_rate_per_hour == 0.0 {
+                assert_eq!(p.crashes, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn paper_reference_is_fig7_shaped() {
+        let refs = fig07_paper_reference();
+        assert_eq!(refs.len(), 8);
+        // Headline: LL throughput improves ~50% over PM on workload-1.
+        assert!(refs[3][0] / refs[3][3] > 1.4);
+    }
 
     #[test]
     fn memory_pressure_cliff_sits_at_the_free_pool() {

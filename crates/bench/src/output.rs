@@ -76,8 +76,12 @@ pub fn results_dir() -> PathBuf {
 /// renamed over the target, so readers (and interrupted runs) never see
 /// a truncated result file.
 pub fn write_json<T: Serialize>(name: &str, value: &T) -> std::io::Result<PathBuf> {
-    let dir = results_dir();
-    std::fs::create_dir_all(&dir)?;
+    write_json_in(&results_dir(), name, value)
+}
+
+/// [`write_json`] into an explicit directory.
+fn write_json_in<T: Serialize>(dir: &Path, name: &str, value: &T) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(value)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
@@ -263,9 +267,6 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
-    /// Serializes the tests that point `LINGER_RESULTS` at a temp dir.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn try_parse_accepts_all_flags() {
         let a = HarnessArgs::try_parse(sv(&[
@@ -357,11 +358,8 @@ mod tests {
 
     #[test]
     fn write_json_leaves_no_temp_files() {
-        let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir().join("linger-bench-atomic-test");
-        std::env::set_var("LINGER_RESULTS", &dir);
-        write_json("atomic_unit", &42u32).unwrap();
-        std::env::remove_var("LINGER_RESULTS");
+        write_json_in(&dir, "atomic_unit", &42u32).unwrap();
         let names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
@@ -372,13 +370,10 @@ mod tests {
 
     #[test]
     fn write_json_roundtrip() {
-        let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let dir = std::env::temp_dir().join("linger-bench-test");
-        std::env::set_var("LINGER_RESULTS", &dir);
-        let path = write_json("unit_test", &vec![1, 2, 3]).unwrap();
+        let path = write_json_in(&dir, "unit_test", &vec![1, 2, 3]).unwrap();
         let data: Vec<u32> = serde_json::from_reader(std::fs::File::open(&path).unwrap()).unwrap();
         assert_eq!(data, vec![1, 2, 3]);
-        std::env::remove_var("LINGER_RESULTS");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

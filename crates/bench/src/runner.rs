@@ -58,10 +58,6 @@ pub struct RunTimings {
     /// including nanoseconds per node-window; empty when the sweep did
     /// not run.
     pub scaling: Vec<crate::experiments::ScalingTiming>,
-    /// End-of-run snapshot of the process-wide telemetry registry
-    /// (events, drops, per-policy decision counts); `None` when
-    /// telemetry was disabled for the run.
-    pub telemetry: Option<linger_telemetry::TelemetrySummary>,
     /// A/B micro-measurement of the telemetry disabled-vs-journaling
     /// window-loop cost (machine-dependent; informational).
     pub telemetry_overhead: Option<TelemetryOverhead>,

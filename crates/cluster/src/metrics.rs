@@ -165,6 +165,82 @@ pub fn policy_comparison(
     })
 }
 
+/// Mean ± 95% confidence half-width over replicated runs.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct Estimate {
+    /// Mean over replications.
+    pub mean: f64,
+    /// Normal-approximation 95% CI half-width.
+    pub ci95: f64,
+}
+
+impl Estimate {
+    fn from(o: &Online) -> Self {
+        let ci95 = o.ci_half_width(0.95).expect("0.95 is a supported confidence level");
+        Estimate { mean: o.mean(), ci95 }
+    }
+}
+
+/// [`PolicyMetrics`] aggregated over independent replications.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct ReplicatedMetrics {
+    /// The policy evaluated.
+    pub policy: Policy,
+    /// Replications run.
+    pub replications: u32,
+    /// Average job completion time (s).
+    pub avg_completion_secs: Estimate,
+    /// Steady-state throughput (cpu-s/s).
+    pub throughput: Estimate,
+    /// Family completion time (s).
+    pub family_time_secs: Estimate,
+    /// Cluster-wide foreground delay ratio.
+    pub foreground_delay: Estimate,
+}
+
+/// Replicate [`evaluate_policy`] over `reps` master seeds and report
+/// means with confidence intervals — the missing error bars of Fig 7.
+/// Replication `r` uses seed [`replication_seed`]`(base_seed, r)` (a
+/// wrapping walk — see the seed-space contract in `sim-core::rng`),
+/// identical across policies (common random numbers), so policy
+/// *differences* are tighter than the marginal intervals suggest.
+///
+/// Replications are independent and fan out across worker threads; the
+/// seed of replication `r` depends only on `r`, so the aggregate is
+/// byte-identical at any thread count (accumulation happens afterwards,
+/// in replication order).
+pub fn evaluate_policy_replicated(
+    policy: Policy,
+    family: JobFamily,
+    nodes: usize,
+    base_seed: u64,
+    reps: u32,
+) -> ReplicatedMetrics {
+    assert!(reps >= 2, "need at least two replications for an interval");
+    let runs = par_map_indexed(reps as usize, None, |r| {
+        let seed = replication_seed(base_seed, r as u64);
+        evaluate_policy(policy, family.clone(), &paper_realization(nodes, seed), seed)
+    });
+    let mut avg = Online::new();
+    let mut tput = Online::new();
+    let mut fam = Online::new();
+    let mut delay = Online::new();
+    for m in &runs {
+        avg.add(m.avg_completion_secs);
+        tput.add(m.throughput);
+        fam.add(m.family_time_secs);
+        delay.add(m.foreground_delay);
+    }
+    ReplicatedMetrics {
+        policy,
+        replications: reps,
+        avg_completion_secs: Estimate::from(&avg),
+        throughput: Estimate::from(&tput),
+        family_time_secs: Estimate::from(&fam),
+        foreground_delay: Estimate::from(&delay),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,88 +415,6 @@ mod tests {
             );
         }
     }
-}
-
-/// Mean ± 95% confidence half-width over replicated runs.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Estimate {
-    /// Mean over replications.
-    pub mean: f64,
-    /// Normal-approximation 95% CI half-width.
-    pub ci95: f64,
-}
-
-impl Estimate {
-    fn from(o: &Online) -> Self {
-        let ci95 = o.ci_half_width(0.95).expect("0.95 is a supported confidence level");
-        Estimate { mean: o.mean(), ci95 }
-    }
-}
-
-/// [`PolicyMetrics`] aggregated over independent replications.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ReplicatedMetrics {
-    /// The policy evaluated.
-    pub policy: Policy,
-    /// Replications run.
-    pub replications: u32,
-    /// Average job completion time (s).
-    pub avg_completion_secs: Estimate,
-    /// Steady-state throughput (cpu-s/s).
-    pub throughput: Estimate,
-    /// Family completion time (s).
-    pub family_time_secs: Estimate,
-    /// Cluster-wide foreground delay ratio.
-    pub foreground_delay: Estimate,
-}
-
-/// Replicate [`evaluate_policy`] over `reps` master seeds and report
-/// means with confidence intervals — the missing error bars of Fig 7.
-/// Replication `r` uses seed [`replication_seed`]`(base_seed, r)` (a
-/// wrapping walk — see the seed-space contract in `sim-core::rng`),
-/// identical across policies (common random numbers), so policy
-/// *differences* are tighter than the marginal intervals suggest.
-///
-/// Replications are independent and fan out across worker threads; the
-/// seed of replication `r` depends only on `r`, so the aggregate is
-/// byte-identical at any thread count (accumulation happens afterwards,
-/// in replication order).
-pub fn evaluate_policy_replicated(
-    policy: Policy,
-    family: JobFamily,
-    nodes: usize,
-    base_seed: u64,
-    reps: u32,
-) -> ReplicatedMetrics {
-    assert!(reps >= 2, "need at least two replications for an interval");
-    let runs = par_map_indexed(reps as usize, None, |r| {
-        let seed = replication_seed(base_seed, r as u64);
-        evaluate_policy(policy, family.clone(), &paper_realization(nodes, seed), seed)
-    });
-    let mut avg = Online::new();
-    let mut tput = Online::new();
-    let mut fam = Online::new();
-    let mut delay = Online::new();
-    for m in &runs {
-        avg.add(m.avg_completion_secs);
-        tput.add(m.throughput);
-        fam.add(m.family_time_secs);
-        delay.add(m.foreground_delay);
-    }
-    ReplicatedMetrics {
-        policy,
-        replications: reps,
-        avg_completion_secs: Estimate::from(&avg),
-        throughput: Estimate::from(&tput),
-        family_time_secs: Estimate::from(&fam),
-        foreground_delay: Estimate::from(&delay),
-    }
-}
-
-#[cfg(test)]
-mod replication_tests {
-    use super::*;
-    use linger_sim_core::SimDuration;
 
     #[test]
     fn replication_produces_finite_intervals() {

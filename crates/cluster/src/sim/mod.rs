@@ -70,7 +70,7 @@ use linger_node::steal_rate_with;
 use linger_sim_core::{
     default_shard_count, env_count, prefetch_read, NodeIndex, ShardPlan, SimDuration, SimTime,
 };
-use linger_telemetry::{DecisionAction, Event, EventKind, JournalCounts, Recorder};
+use linger_telemetry::{DecisionAction, Event, EventKind, Recorder};
 use linger_workload::{
     CoarseTrace, TwoPoolMemory, WindowCursor, WorkloadRealization, SAMPLE_PERIOD_SECS,
 };
@@ -79,18 +79,6 @@ use std::sync::Arc;
 
 /// One simulation window (= the coarse-trace sampling period).
 pub const WINDOW: SimDuration = SimDuration::from_secs(SAMPLE_PERIOD_SECS);
-
-/// FNV-1a over the JSON serialization of a config — a stable name for
-/// its telemetry spill file.
-fn config_digest(cfg: &ClusterConfig) -> u64 {
-    let text = serde_json::to_string(cfg).unwrap_or_default();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// What the decision sweep resolved for one busy node — recorded by the
 /// owning shard, applied in ascending node order by the merge.
@@ -206,15 +194,6 @@ pub struct ClusterSim {
     /// *reads* simulation state and simulated time, never RNG streams,
     /// so attaching a recorder cannot change any result.
     telemetry: Recorder,
-    /// Whether `telemetry` is the recorder built from `LINGER_TELEMETRY`
-    /// at construction — the only one whose counts feed the process-wide
-    /// registry. A recorder attached by [`Self::set_recorder`] belongs to
-    /// its caller's own measurement, not to the figure runs the registry
-    /// summarizes.
-    telemetry_from_env: bool,
-    /// Counters already flushed to the global registry (watermark, so
-    /// repeated `run()` calls never double-count).
-    telemetry_absorbed: JournalCounts,
     /// Exact stealing / central-dispatch counters.
     steal_stats: StealStats,
 }
@@ -308,9 +287,7 @@ impl ClusterSim {
             crashed: NodeIndex::new(n),
             fault_cursor: 0,
             fault_stats: FaultStats::default(),
-            telemetry: Recorder::from_env(),
-            telemetry_from_env: true,
-            telemetry_absorbed: JournalCounts::default(),
+            telemetry: Recorder::disabled(),
             steal_stats: StealStats::default(),
         }
     }
@@ -337,13 +314,10 @@ impl ClusterSim {
         self
     }
 
-    /// Attach (or detach) an event recorder, replacing the one built
-    /// from `LINGER_TELEMETRY` at construction. The attached journal is
-    /// the caller's: it still spills to `LINGER_TELEMETRY_DIR`, but its
-    /// counts stay out of the process-wide registry.
+    /// Attach (or detach) an event recorder, replacing the disabled one
+    /// a sim starts with. The journal is the caller's to read.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         self.telemetry = recorder;
-        self.telemetry_from_env = false;
     }
 
     /// Builder-style [`Self::set_recorder`].
@@ -352,8 +326,8 @@ impl ClusterSim {
         self
     }
 
-    /// The attached recorder (disabled unless enabled by environment or
-    /// [`Self::set_recorder`]).
+    /// The attached recorder (disabled unless [`Self::set_recorder`]
+    /// attached one).
     pub fn recorder(&self) -> &Recorder {
         &self.telemetry
     }
@@ -486,42 +460,11 @@ impl ClusterSim {
     /// Run to the configured termination condition. Returns `true` on
     /// normal completion, `false` if the family-mode safety horizon hit.
     pub fn run(&mut self) -> bool {
-        let done = loop {
+        loop {
             if let Some(done) = self.finished() {
-                break done;
+                return done;
             }
             self.step();
-        };
-        self.flush_telemetry();
-        done
-    }
-
-    /// Merge this run's counters into the process-wide registry (once —
-    /// a watermark guards repeated calls — and only for the recorder
-    /// built from the environment) and spill the journal as JSON lines
-    /// when `LINGER_TELEMETRY_DIR` is set. The spill file name is
-    /// a digest of the serialized configuration, so identical configs
-    /// overwrite each other with identical bytes and a sweep stays
-    /// race-free at any `--jobs`.
-    fn flush_telemetry(&mut self) {
-        let Some(journal) = self.telemetry.journal() else { return };
-        let counts = journal.counts();
-        let delta = counts.since(&self.telemetry_absorbed);
-        if self.telemetry_from_env && delta.events > 0 {
-            linger_telemetry::metrics::global()
-                .absorb_counts(self.cfg.params.policy.abbrev(), delta);
-        }
-        self.telemetry_absorbed = counts;
-        if let Some(dir) = std::env::var_os("LINGER_TELEMETRY_DIR") {
-            let name = format!(
-                "journal-{}-{:016x}.jsonl",
-                self.cfg.params.policy.abbrev(),
-                config_digest(&self.cfg)
-            );
-            let path = std::path::Path::new(&dir).join(name);
-            if let Err(e) = journal.write_jsonl(&path) {
-                eprintln!("telemetry: could not write {}: {e}", path.display());
-            }
         }
     }
 

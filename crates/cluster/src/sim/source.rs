@@ -246,6 +246,6 @@ impl ClusterSim {
         o.last_completed = self.completed;
         s.peak_queue_depth = s.peak_queue_depth.max(self.dispatch.queued_len());
         s.peak_live_rows = s.peak_live_rows.max(self.jobs.len());
-        debug_assert!(s.accounting_holds(), "loss identity broken: {s:?}");
+        assert!(s.accounting_holds(), "loss identity broken: {s:?}");
     }
 }

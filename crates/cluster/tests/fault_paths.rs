@@ -272,7 +272,9 @@ type Pin<'a> = (String, ClusterConfig, &'a WorkloadRealization, u64);
 
 /// Check each pin at shards {1, 4} × widths {1, 4}, reporting every
 /// mismatch at once; `check` asserts the cell really exercised slot
-/// turnover.
+/// turnover. One more run per cell has no recorder attached: its outcome
+/// must equal the outcome half of the journaled run at shards 1, width 1,
+/// so journaling cannot move a result.
 fn assert_pins(pins: Vec<Pin<'_>>, check: impl Fn(&str, &ClusterSim)) {
     let mut wrong = Vec::new();
     for (name, cfg, real, want) in pins {
@@ -281,6 +283,14 @@ fn assert_pins(pins: Vec<Pin<'_>>, check: impl Fn(&str, &ClusterSim)) {
             check(&name, &sim);
             if got != want {
                 wrong.push(format!("{name} shards={shards} width={width}: {got:#018x}"));
+            }
+            if (shards, width) == (1, 1) {
+                let (plain, journaled) = (run(&cfg, real, 1).0, outcome_digest(&sim));
+                if plain != journaled {
+                    wrong.push(format!(
+                        "{name} unjournaled: {plain:#018x}, journaled {journaled:#018x}"
+                    ));
+                }
             }
         }
     }

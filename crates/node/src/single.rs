@@ -58,13 +58,11 @@ pub struct SingleNodeReport {
 }
 
 /// Run one single-node simulation: a compute-bound foreign job lingers for
-/// the whole run against a fixed-utilization foreground workload.
-///
-/// Telemetry is controlled by `LINGER_TELEMETRY` (see
-/// [`Recorder::from_env`]); use [`simulate_single_node_with_recorder`] to
-/// pass an explicit recorder instead.
+/// the whole run against a fixed-utilization foreground workload,
+/// journaling nothing; [`simulate_single_node_with_recorder`] attaches a
+/// recorder.
 pub fn simulate_single_node(cfg: &SingleNodeConfig) -> SingleNodeReport {
-    simulate_single_node_with_recorder(cfg, &Recorder::from_env())
+    simulate_single_node_with_recorder(cfg, &Recorder::disabled())
 }
 
 /// [`simulate_single_node`] with an explicit telemetry [`Recorder`].

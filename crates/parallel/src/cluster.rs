@@ -110,24 +110,22 @@ struct RunningJob {
     migrations: u32,
 }
 
-/// Run the experiment for one policy.
-///
-/// Telemetry is controlled by `LINGER_TELEMETRY` (see
-/// [`Recorder::from_env`]). It records queue entries, placements,
-/// RigidIdle stalls, member migrations, and completions. The recorder
-/// draws no random numbers and reads no simulation state after the fact,
-/// so the report is identical with telemetry on or off.
+/// Run the experiment for one policy, journaling nothing.
 pub fn simulate_parallel_cluster(
     cfg: &ParallelClusterConfig,
     policy: ParallelPolicy,
 ) -> ParallelClusterReport {
-    let recorder = Recorder::from_env();
     let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
-    simulate_over(cfg, policy, &recorder, &real)
+    simulate_over(cfg, policy, &Recorder::disabled(), &real)
 }
 
 /// The experiment over an explicit realization — monolithic or streamed,
 /// which must not change the report.
+///
+/// `recorder` journals queue entries, placements, RigidIdle stalls,
+/// member migrations, and completions. It draws no random numbers and
+/// reads no simulation state after the fact, so the report is identical
+/// with a journal attached or not.
 fn simulate_over(
     cfg: &ParallelClusterConfig,
     policy: ParallelPolicy,
@@ -421,7 +419,7 @@ pub fn throughput_sweep(
                 interarrival_mean: SimDuration::from_secs(ia),
                 ..base.clone()
             };
-            let run = |policy| simulate_over(&cfg, policy, &Recorder::from_env(), &real);
+            let run = |policy| simulate_over(&cfg, policy, &Recorder::disabled(), &real);
             ThroughputComparison {
                 interarrival_secs: ia as f64,
                 rigid: run(ParallelPolicy::RigidIdle),
@@ -536,6 +534,24 @@ mod tests {
                 let got = simulate_over(&c, policy, &Recorder::disabled(), &streamed);
                 assert_eq!(format!("{got:?}"), format!("{want:?}"), "{policy:?} chunk {chunk}");
             }
+        }
+    }
+
+    /// A journal attached to `simulate_over` records the run without
+    /// moving its report.
+    #[test]
+    fn journaling_leaves_the_report_unchanged() {
+        let c = cfg();
+        let real = WorkloadRealization::synthesize(&c.trace, c.seed, c.nodes);
+        for policy in [ParallelPolicy::RigidIdle, ParallelPolicy::Linger] {
+            let recorder = Recorder::with_capacity(1 << 16);
+            let journaled = simulate_over(&c, policy, &recorder, &real);
+            let plain = simulate_over(&c, policy, &Recorder::disabled(), &real);
+            assert!(
+                recorder.journal().unwrap().counts().events > 0,
+                "{policy:?} journaled nothing"
+            );
+            assert_eq!(format!("{journaled:?}"), format!("{plain:?}"), "{policy:?}");
         }
     }
 

@@ -21,7 +21,6 @@ use crate::bsp::{run_bsp, BspConfig};
 use crate::reconfig::{largest_pow2_at_most, MalleableJob, Strategy};
 use linger_node::steal_rate;
 use linger_sim_core::{par_map_indexed, SimDuration};
-use linger_telemetry::{DecisionAction, Event, EventKind, Recorder};
 use linger_workload::BurstParamTable;
 use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
@@ -148,41 +147,7 @@ pub struct HybridPoint {
 /// out across worker threads deterministically — results land in idle
 /// order and every simulation seed derives from `(k, idle, seed, rep)`
 /// alone, making the output identical at any thread count.
-///
-/// Telemetry is controlled by `LINGER_TELEMETRY` (see
-/// [`Recorder::from_env`]). It records one
-/// [`DecisionAction::SelectWidth`] decision per idle point; `dest`
-/// carries the predictor's chosen width `k`. Events are recorded after
-/// the parallel fan-out returns, iterating points in idle order, so the
-/// journal is identical at any thread count.
 pub fn hybrid_experiment(job: &MalleableJob, seed: u64, reps: u32) -> Vec<HybridPoint> {
-    let recorder = Recorder::from_env();
-    let points = hybrid_points(job, seed, reps);
-    recorder.record_all(|| {
-        points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                Event::new(
-                    i as u32,
-                    0,
-                    EventKind::Decision {
-                        action: DecisionAction::SelectWidth,
-                        host_cpu: Some(job.local_util),
-                        dest_cpu: None,
-                        age_secs: None,
-                        migration_secs: None,
-                        dest: Some(p.hybrid_k as u32),
-                    },
-                )
-                .on_node(p.idle as u32)
-            })
-            .collect()
-    });
-    points
-}
-
-fn hybrid_points(job: &MalleableJob, seed: u64, reps: u32) -> Vec<HybridPoint> {
     let candidates = candidate_widths(job.cluster);
     let sim_avg = |k: usize, idle: usize| {
         let total: f64 = (0..reps)

@@ -1,19 +1,9 @@
-//! The one grammar of the `LINGER_*` environment knobs.
+//! The one grammar of the `LINGER_*` count knobs.
 //!
-//! A flag is on for `1`, `true` or `on` and off for `0`, `false`, `off`
-//! or an empty value; a count is a positive integer. Anything else
-//! panics with the variable's name and value, so a typo in a
-//! determinism check fails loudly instead of silently running the
-//! default path. An unset variable is off (flags) or absent (counts).
-
-/// [`env_flag`] on a raw `value` (`None` when unset).
-fn parse_flag(name: &str, value: Option<&str>) -> bool {
-    match value {
-        None | Some("" | "0" | "false" | "off") => false,
-        Some("1" | "true" | "on") => true,
-        Some(v) => panic!("{name}={v:?}: expected 1, true, on, 0, false, off or empty"),
-    }
-}
+//! A count is a positive integer. Anything else panics with the
+//! variable's name and value, so a typo in a determinism check fails
+//! loudly instead of silently running the default path. An unset
+//! variable is absent.
 
 /// [`env_count`] on a raw `value` (`None` when unset).
 fn parse_count(name: &str, value: Option<&str>) -> Option<usize> {
@@ -22,14 +12,6 @@ fn parse_count(name: &str, value: Option<&str>) -> Option<usize> {
         Ok(n) if n > 0 => Some(n),
         _ => panic!("{name}={v:?}: expected a positive integer"),
     }
-}
-
-/// Flag knob `name` read from the environment; `false` when unset.
-///
-/// # Panics
-/// If the value is not `1`, `true`, `on`, `0`, `false`, `off` or empty.
-pub fn env_flag(name: &str) -> bool {
-    parse_flag(name, env_value(name).as_deref())
 }
 
 /// Count knob `name` read from the environment; `None` when unset.
@@ -50,16 +32,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flags_accept_the_documented_spellings() {
-        for v in [None, Some(""), Some("0"), Some("false"), Some("off")] {
-            assert!(!parse_flag("TEST_KNOB", v), "{v:?}");
-        }
-        for v in ["1", "true", "on"] {
-            assert!(parse_flag("TEST_KNOB", Some(v)), "{v}");
-        }
-    }
-
-    #[test]
     fn counts_accept_positive_integers() {
         assert_eq!(parse_count("TEST_KNOB", None), None);
         for (v, n) in [("1", 1), ("4", 4), ("32", 32)] {
@@ -76,10 +48,6 @@ mod tests {
 
     #[test]
     fn malformed_values_panic_with_name_and_value() {
-        for value in ["yes", "TRUE", "2", " 1"] {
-            let msg = rejection(|v| assert!(!parse_flag("TEST_FLAG", v)), value);
-            assert!(msg.starts_with(&format!("TEST_FLAG={value:?}:")), "{msg}");
-        }
         for value in ["four", "0", "", "-4", "4 "] {
             let msg = rejection(|v| assert!(parse_count("TEST_COUNT", v).is_none()), value);
             assert!(msg.starts_with(&format!("TEST_COUNT={value:?}:")), "{msg}");

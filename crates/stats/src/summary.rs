@@ -212,6 +212,59 @@ impl TimeWeighted {
     }
 }
 
+/// Batch-means confidence intervals for steady-state simulation output.
+///
+/// Correlated observations (e.g. per-window throughput from one long run)
+/// violate the independence assumption behind [`Online::ci_half_width`];
+/// the classical remedy is to average consecutive observations into
+/// batches and treat the batch means as approximately independent.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct BatchMeans {
+    batch_size: usize,
+    current_sum: f64,
+    current_count: usize,
+    batches: Online,
+}
+
+impl BatchMeans {
+    /// Accumulate batches of `batch_size` observations (≥ 1).
+    pub fn new(batch_size: usize) -> Self {
+        assert!(batch_size >= 1, "batch size must be positive");
+        BatchMeans {
+            batch_size,
+            current_sum: 0.0,
+            current_count: 0,
+            batches: Online::new(),
+        }
+    }
+
+    /// Record one observation.
+    pub fn add(&mut self, x: f64) {
+        self.current_sum += x;
+        self.current_count += 1;
+        if self.current_count == self.batch_size {
+            self.batches.add(self.current_sum / self.batch_size as f64);
+            self.current_sum = 0.0;
+            self.current_count = 0;
+        }
+    }
+
+    /// Number of completed batches.
+    pub fn batches(&self) -> u64 {
+        self.batches.count()
+    }
+
+    /// Mean over completed batches (the steady-state estimate).
+    pub fn mean(&self) -> f64 {
+        self.batches.mean()
+    }
+
+    /// Confidence-interval half-width over batch means.
+    pub fn ci_half_width(&self, level: f64) -> Result<f64, UnsupportedConfidence> {
+        self.batches.ci_half_width(level)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,64 +375,6 @@ mod tests {
         a.merge(&b);
         assert!((a.mean() - 3.0).abs() < 1e-12);
     }
-}
-
-/// Batch-means confidence intervals for steady-state simulation output.
-///
-/// Correlated observations (e.g. per-window throughput from one long run)
-/// violate the independence assumption behind [`Online::ci_half_width`];
-/// the classical remedy is to average consecutive observations into
-/// batches and treat the batch means as approximately independent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchMeans {
-    batch_size: usize,
-    current_sum: f64,
-    current_count: usize,
-    batches: Online,
-}
-
-impl BatchMeans {
-    /// Accumulate batches of `batch_size` observations (≥ 1).
-    pub fn new(batch_size: usize) -> Self {
-        assert!(batch_size >= 1, "batch size must be positive");
-        BatchMeans {
-            batch_size,
-            current_sum: 0.0,
-            current_count: 0,
-            batches: Online::new(),
-        }
-    }
-
-    /// Record one observation.
-    pub fn add(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batches.add(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn batches(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Mean over completed batches (the steady-state estimate).
-    pub fn mean(&self) -> f64 {
-        self.batches.mean()
-    }
-
-    /// Confidence-interval half-width over batch means.
-    pub fn ci_half_width(&self, level: f64) -> Result<f64, UnsupportedConfidence> {
-        self.batches.ci_half_width(level)
-    }
-}
-
-#[cfg(test)]
-mod batch_tests {
-    use super::*;
 
     #[test]
     fn batches_form_at_the_right_cadence() {

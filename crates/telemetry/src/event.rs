@@ -27,8 +27,6 @@ pub enum DecisionAction {
     Resume,
     /// A rigid parallel job stalled at a barrier (member node busy).
     Stall,
-    /// The hybrid scheduler chose a partition width.
-    SelectWidth,
 }
 
 impl DecisionAction {
@@ -43,22 +41,8 @@ impl DecisionAction {
             DecisionAction::Place => "place",
             DecisionAction::Resume => "resume",
             DecisionAction::Stall => "stall",
-            DecisionAction::SelectWidth => "select_width",
         }
     }
-
-    /// Every action, in `name()` order of declaration.
-    pub const ALL: [DecisionAction; 9] = [
-        DecisionAction::Linger,
-        DecisionAction::Evict,
-        DecisionAction::Pause,
-        DecisionAction::Requeue,
-        DecisionAction::Migrate,
-        DecisionAction::Place,
-        DecisionAction::Resume,
-        DecisionAction::Stall,
-        DecisionAction::SelectWidth,
-    ];
 }
 
 /// One journal entry.
@@ -295,6 +279,7 @@ impl Event {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::ACTION_SLOTS;
 
     #[test]
     fn events_round_trip_through_json() {
@@ -326,9 +311,20 @@ mod tests {
 
     #[test]
     fn names_are_stable_and_distinct() {
-        let mut names: Vec<&str> = DecisionAction::ALL.iter().map(|a| a.name()).collect();
+        let all = [
+            DecisionAction::Linger,
+            DecisionAction::Evict,
+            DecisionAction::Pause,
+            DecisionAction::Requeue,
+            DecisionAction::Migrate,
+            DecisionAction::Place,
+            DecisionAction::Resume,
+            DecisionAction::Stall,
+        ];
+        assert_eq!(all.len(), ACTION_SLOTS);
+        let mut names: Vec<&str> = all.iter().map(|a| a.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), DecisionAction::ALL.len());
+        assert_eq!(names.len(), all.len());
     }
 }

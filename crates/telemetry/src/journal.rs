@@ -9,13 +9,13 @@
 //! so attaching a recorder cannot perturb a simulation.
 
 use crate::event::{Event, EventKind};
-use linger_sim_core::{env_flag, write_atomic};
+use linger_sim_core::write_atomic;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Ring capacity (events) of a [`Recorder::from_env`] journal.
+/// Ring capacity (events) of the journals the tools attach.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// Anything that accepts a stream of events.
@@ -49,32 +49,13 @@ pub struct JournalCounts {
     pub decisions: [u64; ACTION_SLOTS],
 }
 
-impl JournalCounts {
-    /// Field-wise difference against an earlier snapshot of the same
-    /// journal — the delta to merge into a registry exactly once.
-    pub fn since(&self, earlier: &JournalCounts) -> JournalCounts {
-        let mut d = JournalCounts {
-            events: self.events.saturating_sub(earlier.events),
-            dropped: self.dropped.saturating_sub(earlier.dropped),
-            ..JournalCounts::default()
-        };
-        for i in 0..KIND_SLOTS {
-            d.by_kind[i] = self.by_kind[i].saturating_sub(earlier.by_kind[i]);
-        }
-        for i in 0..ACTION_SLOTS {
-            d.decisions[i] = self.decisions[i].saturating_sub(earlier.decisions[i]);
-        }
-        d
-    }
-}
-
 /// Number of `EventKind` variants (see [`kind_slot`]).
 pub const KIND_SLOTS: usize = 20;
 /// Number of `DecisionAction` variants.
-pub const ACTION_SLOTS: usize = 9;
+pub const ACTION_SLOTS: usize = 8;
 
 /// Dense counter slot for an event kind, in `EventKind` declaration
-/// order (kept in sync with [`EventKind::name`] by the tests below).
+/// order (each slot taken once, checked by the tests below).
 pub fn kind_slot(kind: &EventKind) -> usize {
     match kind {
         EventKind::WindowStart { .. } => 0,
@@ -99,30 +80,6 @@ pub fn kind_slot(kind: &EventKind) -> usize {
         EventKind::StealAbandon { .. } => 19,
     }
 }
-
-/// `name()` for each dense slot, same order as [`kind_slot`].
-pub const KIND_NAMES: [&str; KIND_SLOTS] = [
-    "window_start",
-    "decision",
-    "migration_start",
-    "migration_arrive",
-    "migration_fail",
-    "migration_retry",
-    "migration_abandon",
-    "node_crash",
-    "node_reboot",
-    "queue_enter",
-    "complete",
-    "node_study",
-    "arrival_burst",
-    "admission_shed",
-    "admission_defer",
-    "deadline_drop",
-    "steal_attempt",
-    "steal_hit",
-    "steal_miss",
-    "steal_abandon",
-];
 
 struct Ring {
     buf: VecDeque<Event>,
@@ -271,17 +228,6 @@ impl Recorder {
         Recorder { journal: Some(journal) }
     }
 
-    /// Build from the environment: enabled iff the `LINGER_TELEMETRY`
-    /// flag is on ([`env_flag`]), with a [`DEFAULT_CAPACITY`] ring. Read
-    /// per call, not cached, so tests and harness phases can toggle it.
-    pub fn from_env() -> Recorder {
-        if env_flag("LINGER_TELEMETRY") {
-            Recorder::with_capacity(DEFAULT_CAPACITY)
-        } else {
-            Recorder::disabled()
-        }
-    }
-
     /// Whether events are being kept.
     pub fn enabled(&self) -> bool {
         self.journal.is_some()
@@ -294,17 +240,6 @@ impl Recorder {
     pub fn record<F: FnOnce() -> Event>(&self, f: F) {
         if let Some(j) = &self.journal {
             j.push(f());
-        }
-    }
-
-    /// Record a batch of events in order. Like [`Recorder::record`], the
-    /// closure only runs when enabled.
-    #[inline]
-    pub fn record_all<F: FnOnce() -> Vec<Event>>(&self, f: F) {
-        if let Some(j) = &self.journal {
-            for ev in f() {
-                j.push(ev);
-            }
         }
     }
 
@@ -398,8 +333,8 @@ mod tests {
     }
 
     #[test]
-    fn kind_names_match_slots() {
-        // The dense slot table and EventKind::name must agree.
+    fn kind_slots_are_dense_and_distinct() {
+        // One sample per variant: every slot is taken exactly once.
         let samples: Vec<EventKind> = vec![
             EventKind::WindowStart { queue_depth: 0 },
             EventKind::Decision {
@@ -437,9 +372,8 @@ mod tests {
             EventKind::StealMiss { victim: 0, attempt: 1 },
             EventKind::StealAbandon { attempts: 3 },
         ];
-        assert_eq!(samples.len(), KIND_SLOTS);
-        for k in &samples {
-            assert_eq!(KIND_NAMES[kind_slot(k)], k.name());
-        }
+        let mut slots: Vec<usize> = samples.iter().map(kind_slot).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..KIND_SLOTS).collect::<Vec<_>>());
     }
 }

@@ -13,18 +13,18 @@
 //!   their cost-model inputs, migrations, faults, completions).
 //! * [`journal`] — the bounded ring journal, the [`Sink`] trait with
 //!   its no-op default, JSON-lines spill/load, and [`Recorder`].
-//! * [`metrics`] — the process-wide counter registry embedded in
-//!   `BENCH_runall.json`, plus offline per-journal aggregation into
-//!   counters, gauges, and `linger_stats` histograms.
+//! * [`metrics`] — offline per-journal aggregation into counters,
+//!   gauges, and `linger_stats` histograms.
 //! * [`chrome`] — Chrome trace-event export (opens in Perfetto as a
 //!   per-node timeline).
 //! * [`inspect`] — run summaries and decision-level diffs between two
 //!   journals.
 //!
-//! Environment: `LINGER_TELEMETRY=1` enables recording into a
-//! [`DEFAULT_CAPACITY`]-event ring per journal, and
-//! `LINGER_TELEMETRY_DIR` makes the cluster simulator spill each run's
-//! journal there as JSON lines.
+//! A simulator journals only when its caller attaches a journal-backed
+//! recorder (`ClusterSim::set_recorder`,
+//! `simulate_single_node_with_recorder`, `parallel::simulate_over`);
+//! the tools attach [`DEFAULT_CAPACITY`]-event rings. No environment
+//! variable turns recording on.
 
 #![warn(missing_docs)]
 
@@ -43,6 +43,4 @@ pub use journal::{
     read_events_jsonl, write_events_jsonl, Journal, JournalCounts, NullSink, Recorder, Sink,
     DEFAULT_CAPACITY,
 };
-pub use metrics::{
-    AdmissionTotals, Gauge, MetricsRegistry, PolicyCounts, StealTotals, TelemetrySummary,
-};
+pub use metrics::{AdmissionTotals, Gauge, MetricsRegistry, StealTotals};

@@ -1,131 +1,10 @@
-//! Metrics: a process-wide registry the harness embeds in
-//! `BENCH_runall.json`, and an offline aggregator that turns one
-//! journal into counters, gauges, and fixed-bucket histograms.
-//!
-//! The global registry is fed by whole-journal `absorb` calls (one
-//! mutex acquisition per finished simulation, never per event), keyed
-//! by a caller-supplied label — the policy abbreviation for cluster
-//! runs. Sums of counters are commutative, so the summary is identical
-//! at any `--jobs` even though absorption order is not.
+//! Metrics: an offline aggregator that turns one journal into
+//! counters, gauges, and fixed-bucket histograms.
 
 use crate::event::{DecisionAction, Event, EventKind};
-use crate::journal::{Journal, JournalCounts, ACTION_SLOTS, KIND_NAMES, KIND_SLOTS};
 use linger_stats::Histogram;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
-
-/// Aggregated counters for one label (policy) in the global registry.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PolicyCounts {
-    /// Events recorded under this label.
-    pub events: u64,
-    /// Events dropped to ring-capacity bounds.
-    pub dropped: u64,
-    /// Decision totals by action name.
-    pub decisions: BTreeMap<String, u64>,
-}
-
-/// Snapshot of the process-wide registry, embedded in
-/// `BENCH_runall.json` when telemetry is on.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct TelemetrySummary {
-    /// Total events recorded across every absorbed journal.
-    pub events: u64,
-    /// Events dropped to ring-capacity bounds.
-    pub dropped: u64,
-    /// Journals absorbed.
-    pub journals: u64,
-    /// Event totals by kind name.
-    pub by_kind: BTreeMap<String, u64>,
-    /// Per-label (policy) counters.
-    pub policies: BTreeMap<String, PolicyCounts>,
-}
-
-#[derive(Default)]
-struct RegistryState {
-    journals: u64,
-    by_kind: [u64; KIND_SLOTS],
-    dropped: u64,
-    events: u64,
-    policies: BTreeMap<String, ([u64; ACTION_SLOTS], u64, u64)>,
-}
-
-/// The process-wide telemetry registry.
-pub struct GlobalRegistry {
-    state: Mutex<RegistryState>,
-}
-
-impl GlobalRegistry {
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Merge one finished journal's exact counters under `label`.
-    pub fn absorb(&self, label: &str, journal: &Journal) {
-        self.absorb_counts(label, journal.counts());
-    }
-
-    /// Merge pre-extracted counters under `label`.
-    pub fn absorb_counts(&self, label: &str, c: JournalCounts) {
-        let mut st = self.lock();
-        st.journals += 1;
-        st.events += c.events;
-        st.dropped += c.dropped;
-        for (slot, n) in c.by_kind.iter().enumerate() {
-            st.by_kind[slot] += n;
-        }
-        let entry = st.policies.entry(label.to_string()).or_default();
-        for (slot, n) in c.decisions.iter().enumerate() {
-            entry.0[slot] += n;
-        }
-        entry.1 += c.events;
-        entry.2 += c.dropped;
-    }
-
-    /// Current totals.
-    pub fn summary(&self) -> TelemetrySummary {
-        let st = self.lock();
-        let mut by_kind = BTreeMap::new();
-        for (slot, n) in st.by_kind.iter().enumerate() {
-            if *n > 0 {
-                by_kind.insert(KIND_NAMES[slot].to_string(), *n);
-            }
-        }
-        let mut policies = BTreeMap::new();
-        for (label, (acts, events, dropped)) in &st.policies {
-            let mut decisions = BTreeMap::new();
-            for a in DecisionAction::ALL {
-                let n = acts[a as usize];
-                if n > 0 {
-                    decisions.insert(a.name().to_string(), n);
-                }
-            }
-            policies.insert(
-                label.clone(),
-                PolicyCounts { events: *events, dropped: *dropped, decisions },
-            );
-        }
-        TelemetrySummary {
-            events: st.events,
-            dropped: st.dropped,
-            journals: st.journals,
-            by_kind,
-            policies,
-        }
-    }
-
-    /// Drop everything (tests and repeated harness phases).
-    pub fn reset(&self) {
-        *self.lock() = RegistryState::default();
-    }
-}
-
-/// The shared registry instance.
-pub fn global() -> &'static GlobalRegistry {
-    static GLOBAL: OnceLock<GlobalRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(|| GlobalRegistry { state: Mutex::new(RegistryState::default()) })
-}
 
 /// Payload-level admission-control totals aggregated from the
 /// open-arrivals event kinds (PR 9 vocabulary).
@@ -539,30 +418,5 @@ mod tests {
         assert_eq!(full.dropped_keys, 0);
         assert_eq!(full.per_node.len(), 5);
         assert_eq!(full.events_per_window.total(), 5);
-    }
-
-    #[test]
-    fn global_registry_merges_labels_commutatively() {
-        let reg = GlobalRegistry { state: Mutex::new(RegistryState::default()) };
-        let j = Journal::with_capacity(8);
-        j.push(decision(DecisionAction::Evict, 0.9, None));
-        j.push(decision(DecisionAction::Evict, 0.9, None));
-        let k = Journal::with_capacity(8);
-        k.push(decision(DecisionAction::Linger, 0.2, None));
-        reg.absorb("IE", &j);
-        reg.absorb("LL", &k);
-        let forward = reg.summary();
-        reg.reset();
-        reg.absorb("LL", &k);
-        reg.absorb("IE", &j);
-        let backward = reg.summary();
-        assert_eq!(forward.events, 3);
-        assert_eq!(forward.policies["IE"].decisions["evict"], 2);
-        assert_eq!(forward.policies["LL"].decisions["linger"], 1);
-        // Order of absorption must not matter.
-        assert_eq!(
-            serde_json::to_string(&forward).unwrap(),
-            serde_json::to_string(&backward).unwrap()
-        );
     }
 }

@@ -1,17 +1,11 @@
 //! Knob inventory guard: the `LINGER_*` environment variables the code
-//! reads are exactly the five README's "Knobs" table documents, so adding
+//! reads are exactly the three README's "Knobs" table documents, so adding
 //! or dropping one fails here instead of slipping through review.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-const KNOBS: [&str; 5] = [
-    "LINGER_RESULTS",
-    "LINGER_SHARDS",
-    "LINGER_TELEMETRY",
-    "LINGER_TELEMETRY_DIR",
-    "LINGER_WINDOW_CHUNK",
-];
+const KNOBS: [&str; 3] = ["LINGER_RESULTS", "LINGER_SHARDS", "LINGER_WINDOW_CHUNK"];
 
 /// Every `"LINGER_[A-Z_]+"` string literal in the `.rs` files under `dir`.
 fn literals(dir: &Path, found: &mut BTreeSet<String>) {

@@ -1,49 +1,89 @@
-//! The telemetry no-interference contract, enforced end to end: figure
-//! results are byte-identical with telemetry off or on, at any worker
-//! count; journals stay within their ring cap at figure scale; a run
-//! spills its journal where `LINGER_TELEMETRY_DIR` points; only the
-//! recorder built from the environment feeds the process-wide registry;
-//! and the decision-level diff pinpoints where two runs part ways.
+//! The telemetry no-interference contract, enforced end to end: a run
+//! with a journal attached has the outcome of the same run without one,
+//! at any worker count; journals stay within their ring cap at figure
+//! scale; a sim journals only through the recorder its caller attaches,
+//! and the caller can spill that journal as JSON lines; and the
+//! decision-level diff pinpoints where two runs part ways.
 
 use linger::{JobFamily, Policy};
-use linger_bench as bench;
-use linger_cluster::{ClusterConfig, ClusterSim};
+use linger_cluster::{paper_realization, ClusterConfig, ClusterSim};
 use linger_sim_core::{set_default_jobs, SimDuration};
 use linger_telemetry::{diff, read_events_jsonl, EventKind, Recorder};
-use std::sync::Mutex;
+use linger_workload::WorkloadRealization;
 
 const SEED: u64 = 1998;
 
-/// Serializes the tests that touch process-wide state (`LINGER_TELEMETRY`,
-/// `LINGER_TELEMETRY_DIR` and the default job count).
-static ENV_LOCK: Mutex<()> = Mutex::new(());
+/// Fig 7's `--fast` cluster cells, built as `evaluate_policy` builds
+/// them: both workloads × four policies, each a family run and a
+/// throughput run, all replaying one 16-node realization.
+fn fig07_cells() -> Vec<ClusterConfig> {
+    let workloads = [
+        JobFamily::uniform(32, SimDuration::from_secs(300), 8 * 1024),
+        JobFamily::uniform(4, SimDuration::from_secs(900), 8 * 1024),
+    ];
+    let mut cells = Vec::new();
+    for family in workloads {
+        for policy in Policy::ALL {
+            let mut cfg = ClusterConfig::paper(policy, family.clone());
+            cfg.nodes = 16;
+            cfg.seed = SEED;
+            cells.push(cfg.clone());
+            cells.push(cfg.with_throughput_mode());
+        }
+    }
+    cells
+}
 
-fn fig07_json(fast: bool) -> String {
-    serde_json::to_string(&bench::fig07(SEED, fast)).expect("serialize fig07")
+/// Run `cfg` over `real` with `recorder` attached; returns the run's
+/// whole observable outcome as text.
+fn outcome(cfg: &ClusterConfig, real: &WorkloadRealization, recorder: Recorder) -> String {
+    let mut sim = ClusterSim::with_realization(cfg.clone(), real).with_recorder(recorder);
+    let finished = sim.run();
+    format!(
+        "{finished}|{:?}|{:?}|{:?}|{:?}|{}|{}|{:#x}",
+        sim.jobs(),
+        sim.fault_stats(),
+        sim.service_stats(),
+        sim.steal_stats(),
+        sim.completed(),
+        sim.foreign_cpu_delivered().as_nanos(),
+        sim.foreground_delay_ratio().to_bits(),
+    )
+}
+
+/// Each fig07 cell journaled: its outcome and its resident events.
+fn journaled_fig07() -> Vec<(String, String)> {
+    let real = paper_realization(16, SEED);
+    fig07_cells()
+        .iter()
+        .map(|cfg| {
+            let recorder = Recorder::with_capacity(1 << 16);
+            let got = outcome(cfg, &real, recorder.clone());
+            let journal = recorder.journal().unwrap();
+            assert!(journal.counts().events > 0, "{}: nothing journaled", cfg.params.policy);
+            (got, serde_json::to_string(&journal.snapshot()).unwrap())
+        })
+        .collect()
 }
 
 #[test]
 fn fig07_json_is_byte_identical_with_telemetry_on() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::remove_var("LINGER_TELEMETRY");
-    let off = fig07_json(true);
-    std::env::set_var("LINGER_TELEMETRY", "1");
-    let on = fig07_json(true);
-    std::env::remove_var("LINGER_TELEMETRY");
-    assert_eq!(off, on, "telemetry must not perturb figure results");
+    let real = paper_realization(16, SEED);
+    let journaled = journaled_fig07();
+    for (cfg, (on, _)) in fig07_cells().iter().zip(&journaled) {
+        let off = outcome(cfg, &real, Recorder::disabled());
+        assert_eq!(&off, on, "{} {:?}: journaling moved the outcome", cfg.params.policy, cfg.mode);
+    }
 }
 
 #[test]
 fn fig07_json_is_byte_identical_across_worker_counts_with_telemetry_on() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::set_var("LINGER_TELEMETRY", "1");
     set_default_jobs(1);
-    let serial = fig07_json(true);
+    let serial = journaled_fig07();
     set_default_jobs(4);
-    let parallel = fig07_json(true);
+    let parallel = journaled_fig07();
     set_default_jobs(0);
-    std::env::remove_var("LINGER_TELEMETRY");
-    assert_eq!(serial, parallel, "telemetry must not break --jobs determinism");
+    assert_eq!(serial, parallel, "journaled runs must not depend on --jobs");
 }
 
 fn cell(seed: u64) -> ClusterConfig {
@@ -99,65 +139,43 @@ fn different_seeds_diverge_at_a_specific_decision() {
     );
 }
 
-/// The process-wide registry as comparable text.
-fn registry_json() -> String {
-    serde_json::to_string(&linger_telemetry::metrics::global().summary()).unwrap()
-}
-
+/// A sim journals only through the recorder its caller attaches: a new
+/// sim's recorder is disabled, and an attached one is shared with the
+/// caller, who reads the run from it.
 #[test]
 fn attached_recorders_stay_out_of_the_global_registry() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::set_var("LINGER_TELEMETRY", "1");
-    let before = registry_json();
-    // A harness's own journaling run, even with telemetry on: its
-    // journal fills, the registry does not move.
+    let sim = ClusterSim::new(cell(SEED));
+    assert!(!sim.recorder().enabled(), "a sim journals nothing until a recorder is attached");
     let recorder = Recorder::with_capacity(1 << 10);
-    ClusterSim::new(cell(SEED)).with_recorder(recorder.clone()).run();
-    assert!(recorder.journal().unwrap().counts().events > 0, "the attached journal records");
-    let after_attached = registry_json();
-    // The recorder a sim builds from the environment is still absorbed.
-    let journals = linger_telemetry::metrics::global().summary().journals;
-    ClusterSim::new(cell(SEED)).run();
-    let absorbed = linger_telemetry::metrics::global().summary().journals;
-    std::env::remove_var("LINGER_TELEMETRY");
-    assert_eq!(after_attached, before, "an attached recorder must not feed the registry");
-    assert_eq!(absorbed, journals + 1, "the environment's recorder feeds the registry");
+    let mut sim = sim.with_recorder(recorder.clone());
+    sim.run();
+    let counts = recorder.journal().unwrap().counts();
+    assert!(counts.events > 0, "the attached journal records");
+    assert_eq!(sim.recorder().journal().unwrap().counts(), counts, "one shared journal");
+    sim.set_recorder(Recorder::disabled());
+    assert!(!sim.recorder().enabled(), "set_recorder detaches too");
 }
 
-/// The spill file name `ClusterSim` derives from a config: the policy
-/// abbreviation and a 64-bit FNV-1a of the config's JSON.
-fn spill_name(cfg: &ClusterConfig) -> String {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in serde_json::to_string(cfg).unwrap().bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("journal-{}-{h:016x}.jsonl", cfg.params.policy.abbrev())
-}
-
+/// The caller spills an attached journal (as `linger-inspect record`
+/// does): the file reads back as the journal, and an identical run
+/// writes identical bytes.
 #[test]
 fn telemetry_dir_receives_each_runs_journal() {
-    // A config no other test runs, so a concurrent run spilling into the
-    // same directory cannot write this file.
     let mut cfg = cell(SEED + 7);
     cfg.nodes = 16;
     let dir = std::env::temp_dir().join(format!("linger-telemetry-dir-{}", std::process::id()));
-    let path = dir.join(spill_name(&cfg));
+    let path = dir.join("journal.jsonl");
     let run = || {
         let recorder = Recorder::with_capacity(1 << 16);
         ClusterSim::new(cfg.clone()).with_recorder(recorder.clone()).run();
-        let bytes = std::fs::read(&path).expect("journal spilled under its config name");
-        (recorder.journal().unwrap().snapshot(), bytes)
+        let journal = recorder.journal().unwrap();
+        journal.write_jsonl(&path).expect("spill the journal");
+        (journal.snapshot(), std::fs::read(&path).unwrap())
     };
-    let _guard = ENV_LOCK.lock().unwrap();
-    std::env::set_var("LINGER_TELEMETRY_DIR", &dir);
     let (events, first) = run();
-    std::fs::remove_file(&path).unwrap();
     let (_, second) = run();
-    std::env::remove_var("LINGER_TELEMETRY_DIR");
     assert!(!events.is_empty());
     assert_eq!(read_events_jsonl(&path).unwrap(), events, "the spill is the journal");
     assert_eq!(first, second, "an identical run must rewrite identical bytes");
-    // Best effort: a concurrent test may still be spilling here.
     let _ = std::fs::remove_dir_all(&dir);
 }
