@@ -1302,13 +1302,9 @@ mod tests {
         let period = scaling_trace().sample_count();
         assert_eq!(period, 1800);
         for nodes in SCALING_NODE_COUNTS {
-            let streams = streamed_chunk_windows(
-                nodes,
-                period,
-                linger_workload::DEFAULT_WINDOW_BUDGET_BYTES,
-                None,
-            )
-            .is_some();
+            let streams =
+                streamed_chunk_windows(nodes, period, linger_workload::DEFAULT_WINDOW_BUDGET_BYTES)
+                    .is_some();
             assert_eq!(streams, nodes > 65_536, "{nodes} nodes");
         }
     }

@@ -68,7 +68,7 @@ use linger::cost::should_migrate;
 use linger::Policy;
 use linger_node::steal_rate_with;
 use linger_sim_core::{
-    default_shard_count, env_count, prefetch_read, NodeIndex, ShardPlan, SimDuration, SimTime,
+    default_shard_count, prefetch_read, NodeIndex, ShardPlan, SimDuration, SimTime,
 };
 use linger_telemetry::{DecisionAction, Event, EventKind, Recorder};
 use linger_workload::{
@@ -260,8 +260,7 @@ impl ClusterSim {
         // pure function of (faults config, seed, node), so two runs of
         // the same config realize identical failures.
         let faults = FaultModel::new(cfg.faults, cfg.seed, n, max_windows);
-        let shards = env_count("LINGER_SHARDS").unwrap_or_else(|| default_shard_count(n));
-        let plan = ShardPlan::new(n, shards);
+        let plan = ShardPlan::new(n, default_shard_count(n));
         let shard_count = plan.shard_count().max(1);
         let dispatch = Dispatch::new(&cfg, &jobs, shard_count);
         ClusterSim {
@@ -294,12 +293,12 @@ impl ClusterSim {
 
     /// Repartition the node-id space into (at most) `shards` shards.
     ///
-    /// An execution knob only: any shard count produces byte-identical
+    /// An execution choice only: any shard count produces byte-identical
     /// results, because all side effects are applied by the sequential
-    /// index-ordered merge. Defaults to [`default_shard_count`];
-    /// `LINGER_SHARDS` overrides the default at construction. A count
-    /// above one threads the sweep whenever the worker budget is above
-    /// one ([`ShardPlan::run`]).
+    /// index-ordered merge. A sim starts at [`default_shard_count`] of
+    /// its node count; this is the only override, for tests and
+    /// benchmarks. A count above one threads the sweep whenever the
+    /// worker budget is above one ([`ShardPlan::run`]).
     pub fn set_shards(&mut self, shards: usize) {
         self.plan = ShardPlan::new(self.nodes.len(), shards.max(1));
         let shard_count = self.plan.shard_count().max(1);

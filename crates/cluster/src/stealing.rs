@@ -24,7 +24,7 @@
 //! per shard against window-start state and applied in ascending node
 //! order (the same classify → ordered-merge discipline as
 //! `DecideIntent`), so results are byte-identical at any `--jobs` or
-//! `LINGER_SHARDS`.
+//! shard count.
 
 use linger_sim_core::{domains, RngFactory};
 use serde::{Deserialize, Serialize};

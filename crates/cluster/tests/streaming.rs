@@ -3,9 +3,9 @@
 //! `WindowCursor` at any chunk size, on any worker width and shard
 //! count, with fault injection active and telemetry journaling, must
 //! reproduce the monolithic-table run exactly — job for job, counter
-//! for counter, event for event — whether its jobs come from a family
-//! or from open arrivals, and whether the central coordinator or work
-//! stealing places them.
+//! for counter, event for event — whether its jobs come from a family,
+//! a constant-population throughput run or open arrivals, and whether
+//! the central coordinator or work stealing places them.
 
 use linger::{JobFamily, Policy};
 use linger_cluster::{
@@ -46,15 +46,26 @@ fn config(
     cfg
 }
 
+/// The job source and scheduler combinations [`with_mode`] builds.
+const MODES: usize = 4;
+
 /// `cfg` under job source and scheduler `mode`: 0 keeps the family and
 /// the central coordinator; 1 adds open arrivals at 0.9 of the cluster's
 /// service capacity over a 640 s horizon, past the trace's 600 s period;
-/// 2 places those arrivals by randomized work stealing instead. Only
-/// stealing reads the window's idle words for free nodes in its classify,
-/// and only open runs keep placing on non-idle nodes late into the run.
+/// 2 places those arrivals by randomized work stealing instead; 3 holds
+/// the family's job count constant over the same horizon (throughput
+/// mode, as the scaling and throughput sweeps run it). Only stealing
+/// reads the window's idle words for free nodes in its classify, and
+/// only open and throughput runs keep placing on non-idle nodes late
+/// into the run.
 fn with_mode(mut cfg: ClusterConfig, mode: usize, demand_s: u64) -> ClusterConfig {
-    if mode == 0 {
-        return cfg;
+    match mode {
+        0 => return cfg,
+        3 => {
+            cfg.mode = RunMode::Throughput { horizon: SimTime::from_secs(640) };
+            return cfg;
+        }
+        _ => {}
     }
     let rate_per_hour = 0.9 * cfg.nodes as f64 * 3600.0 / demand_s as f64;
     cfg.service = ServiceConfig {
@@ -108,7 +119,9 @@ fn run_signature(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    // Every case runs every mode, each under a different policy, so each
+    // mode and each policy is covered on every run whatever the draws.
+    #![proptest_config(ProptestConfig::with_cases(2))]
 
     #[test]
     fn any_chunk_size_width_and_shards_reproduce_the_monolithic_run(
@@ -120,28 +133,34 @@ proptest! {
         seed in 0u64..10_000,
         crash_rate in 0.5f64..20.0,
         fail_prob in 0.05f64..0.5,
-        // Family + central, open + central, or open + stealing.
-        mode in 0usize..3,
     ) {
-        let policy = Policy::ALL[policy_idx];
-        let cfg = config(policy, nodes, jobs, demand_s, seed, crash_rate, fail_prob);
-        let cfg = with_mode(cfg, mode, demand_s);
-        let period = cfg.trace.sample_count();
-        let mono = WorkloadRealization::synthesize_monolithic(&cfg.trace, seed, nodes);
-        let baseline = run_signature(cfg.clone(), &mono, 1, 1);
-        for chunk in [1usize, 7, 64, period] {
-            let streamed =
-                WorkloadRealization::synthesize_streamed(&cfg.trace, seed, nodes, chunk);
-            prop_assert!(streamed.table(usize::MAX).is_none());
-            for shards in [1usize, 4] {
-                prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);
-                for width in [1usize, 4] {
-                    let got = run_signature(cfg.clone(), &streamed, shards, width);
-                    prop_assert_eq!(
-                        &baseline, &got,
-                        "{} mode {} diverged at chunk={} shards={} width={}",
-                        policy, mode, chunk, shards, width
-                    );
+        let cfg_for = |policy| config(policy, nodes, jobs, demand_s, seed, crash_rate, fail_prob);
+        // The owner workload depends on neither the policy nor the mode.
+        let trace = cfg_for(Policy::ALL[0]).trace;
+        let period = trace.sample_count();
+        let mono = WorkloadRealization::synthesize_monolithic(&trace, seed, nodes);
+        let streams: Vec<(usize, WorkloadRealization)> = [1usize, 7, 64, period]
+            .into_iter()
+            .map(|chunk| {
+                (chunk, WorkloadRealization::synthesize_streamed(&trace, seed, nodes, chunk))
+            })
+            .collect();
+        for mode in 0..MODES {
+            let policy = Policy::ALL[(policy_idx + mode) % Policy::ALL.len()];
+            let cfg = with_mode(cfg_for(policy), mode, demand_s);
+            let baseline = run_signature(cfg.clone(), &mono, 1, 1);
+            for (chunk, streamed) in &streams {
+                prop_assert!(streamed.table(usize::MAX).is_none());
+                for shards in [1usize, 4] {
+                    prop_assert_eq!(ShardPlan::new(nodes, shards).shard_count(), shards);
+                    for width in [1usize, 4] {
+                        let got = run_signature(cfg.clone(), streamed, shards, width);
+                        prop_assert_eq!(
+                            &baseline, &got,
+                            "{} mode {} diverged at chunk={} shards={} width={}",
+                            policy, mode, chunk, shards, width
+                        );
+                    }
                 }
             }
         }

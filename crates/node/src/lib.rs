@@ -40,7 +40,6 @@ pub mod source;
 pub use executor::{steal_rate, steal_rate_with, FineGrainCpu};
 pub use kernel::{simulate_kernel, KernelConfig, KernelReport, LocalProcessSpec};
 pub use single::{
-    fig5_paper_grid, fig5_sweep, simulate_single_node, simulate_single_node_with_recorder,
-    SingleNodeConfig, SingleNodeReport,
+    fig5_paper_grid, fig5_sweep, simulate_single_node, SingleNodeConfig, SingleNodeReport,
 };
 pub use source::{BurstSource, FixedUtilization};

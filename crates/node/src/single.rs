@@ -9,7 +9,6 @@
 use crate::executor::FineGrainCpu;
 use crate::source::FixedUtilization;
 use linger_sim_core::{domains, par_map_indexed, RngFactory, SimDuration};
-use linger_telemetry::{Event, EventKind, Recorder};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one single-node simulation.
@@ -58,22 +57,8 @@ pub struct SingleNodeReport {
 }
 
 /// Run one single-node simulation: a compute-bound foreign job lingers for
-/// the whole run against a fixed-utilization foreground workload,
-/// journaling nothing; [`simulate_single_node_with_recorder`] attaches a
-/// recorder.
+/// the whole run against a fixed-utilization foreground workload.
 pub fn simulate_single_node(cfg: &SingleNodeConfig) -> SingleNodeReport {
-    simulate_single_node_with_recorder(cfg, &Recorder::disabled())
-}
-
-/// [`simulate_single_node`] with an explicit telemetry [`Recorder`].
-///
-/// Emits one [`EventKind::NodeStudy`] summary event per run; the
-/// recorder never touches the RNG streams, so reports are identical
-/// with telemetry on or off.
-pub fn simulate_single_node_with_recorder(
-    cfg: &SingleNodeConfig,
-    recorder: &Recorder,
-) -> SingleNodeReport {
     let factory = RngFactory::new(cfg.seed);
     let src = FixedUtilization::new(
         cfg.utilization,
@@ -88,7 +73,7 @@ pub fn simulate_single_node_with_recorder(
     while wall < cfg.duration {
         wall += cpu.consume(chunk);
     }
-    let report = SingleNodeReport {
+    SingleNodeReport {
         utilization: cfg.utilization,
         context_switch: cfg.context_switch,
         ldr: cpu.ldr(),
@@ -97,21 +82,7 @@ pub fn simulate_single_node_with_recorder(
         local_busy: cpu.local_busy(),
         idle_available: cpu.idle_available(),
         preemptions: cpu.preemptions(),
-    };
-    recorder.record(|| {
-        Event::new(
-            0,
-            wall.as_nanos(),
-            EventKind::NodeStudy {
-                utilization: report.utilization,
-                ldr: report.ldr,
-                fcsr: report.fcsr,
-                preemptions: report.preemptions,
-            },
-        )
-        .on_node(0)
-    });
-    report
+    }
 }
 
 /// The Fig 5 sweep: LDR and FCSR at each utilization level for each
@@ -226,27 +197,6 @@ mod tests {
         assert!(grid[..9]
             .iter()
             .all(|r| r.context_switch == SimDuration::from_micros(100)));
-    }
-
-    #[test]
-    fn recorder_captures_node_study_without_changing_the_report() {
-        let recorder = Recorder::with_capacity(16);
-        let a = simulate_single_node_with_recorder(&cfg(0.4, 100), &recorder);
-        let b = simulate_single_node(&cfg(0.4, 100));
-        assert_eq!(a.ldr, b.ldr);
-        assert_eq!(a.fcsr, b.fcsr);
-        assert_eq!(a.preemptions, b.preemptions);
-        let events = recorder.journal().expect("enabled").snapshot();
-        assert_eq!(events.len(), 1);
-        match &events[0].kind {
-            EventKind::NodeStudy { utilization, ldr, fcsr, preemptions } => {
-                assert_eq!(*utilization, a.utilization);
-                assert_eq!(*ldr, a.ldr);
-                assert_eq!(*fcsr, a.fcsr);
-                assert_eq!(*preemptions, a.preemptions);
-            }
-            other => panic!("expected NodeStudy, got {other:?}"),
-        }
     }
 
     #[test]

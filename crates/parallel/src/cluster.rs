@@ -24,7 +24,6 @@
 
 use linger_node::steal_rate;
 use linger_sim_core::{NodeIndex, RngFactory, SimDuration, SimTime};
-use linger_telemetry::{DecisionAction, Event, EventKind, Recorder};
 use linger_workload::{
     BurstParamTable, CoarseTraceConfig, WorkloadRealization, SAMPLE_PERIOD_SECS,
 };
@@ -100,36 +99,26 @@ pub struct ParallelClusterReport {
 }
 
 struct RunningJob {
-    id: u32,
     arrived: SimTime,
-    placed: SimTime,
     members: Vec<usize>,
     phases_left: f64,
-    stalled_windows: u64,
     total_windows: u64,
-    migrations: u32,
 }
 
-/// Run the experiment for one policy, journaling nothing.
+/// Run the experiment for one policy.
 pub fn simulate_parallel_cluster(
     cfg: &ParallelClusterConfig,
     policy: ParallelPolicy,
 ) -> ParallelClusterReport {
     let real = WorkloadRealization::synthesize(&cfg.trace, cfg.seed, cfg.nodes);
-    simulate_over(cfg, policy, &Recorder::disabled(), &real)
+    simulate_over(cfg, policy, &real)
 }
 
 /// The experiment over an explicit realization — monolithic or streamed,
 /// which must not change the report.
-///
-/// `recorder` journals queue entries, placements, RigidIdle stalls,
-/// member migrations, and completions. It draws no random numbers and
-/// reads no simulation state after the fact, so the report is identical
-/// with a journal attached or not.
 fn simulate_over(
     cfg: &ParallelClusterConfig,
     policy: ParallelPolicy,
-    recorder: &Recorder,
     real: &WorkloadRealization,
 ) -> ParallelClusterReport {
     assert_eq!(real.nodes(), cfg.nodes, "realization must cover cfg.nodes");
@@ -161,8 +150,7 @@ fn simulate_over(
     let dedicated_phase = cfg.grain + cfg.comm;
     let dedicated_secs = dedicated_phase.as_secs_f64() * cfg.phases as f64;
 
-    let mut queue: VecDeque<(u32, SimTime)> = VecDeque::new();
-    let mut next_job_id = 0u32;
+    let mut queue: VecDeque<SimTime> = VecDeque::new();
     let mut next_arrival = 0usize;
     let mut running: Vec<RunningJob> = Vec::new();
     // Unclaimed nodes and this window's idle set, as incremental indices:
@@ -185,11 +173,7 @@ fn simulate_over(
         let now = SimTime::ZERO + window.mul_f64(w as f64);
         // Admit arrivals.
         while next_arrival < arrivals.len() && arrivals[next_arrival] <= now {
-            let id = next_job_id;
-            next_job_id += 1;
-            queue.push_back((id, arrivals[next_arrival]));
-            recorder
-                .record(|| Event::new(w as u32, now.as_nanos(), EventKind::QueueEnter).for_job(id));
+            queue.push_back(arrivals[next_arrival]);
             next_arrival += 1;
         }
 
@@ -201,7 +185,7 @@ fn simulate_over(
         idle.assign_and_words(rows.idle, &every_node);
 
         // Placement.
-        while let Some(&(id, arrived)) = queue.front() {
+        while let Some(&arrived) = queue.front() {
             members_scratch.clear();
             let placeable = match policy {
                 ParallelPolicy::RigidIdle => {
@@ -231,32 +215,11 @@ fn simulate_over(
             for &m in &members {
                 free.remove(m);
             }
-            recorder.record(|| {
-                let lead = members[0];
-                Event::new(
-                    w as u32,
-                    now.as_nanos(),
-                    EventKind::Decision {
-                        action: DecisionAction::Place,
-                        host_cpu: Some(cpu[lead]),
-                        dest_cpu: None,
-                        age_secs: None,
-                        migration_secs: None,
-                        dest: Some(lead as u32),
-                    },
-                )
-                .on_node(lead as u32)
-                .for_job(id)
-            });
             running.push(RunningJob {
-                id,
                 arrived,
-                placed: now,
                 members,
                 phases_left: cfg.phases as f64,
-                stalled_windows: 0,
                 total_windows: 0,
-                migrations: 0,
             });
         }
 
@@ -279,40 +242,13 @@ fn simulate_over(
                         free.insert(b);
                         free.remove(spare);
                         job.members[slot] = spare;
-                        job.migrations += 1;
-                        recorder.record(|| {
-                            Event::new(
-                                w as u32,
-                                now.as_nanos(),
-                                EventKind::MigrationStart { dest: spare as u32, attempt: 1 },
-                            )
-                            .on_node(b as u32)
-                            .for_job(job.id)
-                        });
                     } else {
                         break;
                     }
                 }
-                if let Some(&busy) = job.members.iter().find(|&&m| !idle.contains(m)) {
+                if job.members.iter().any(|&m| !idle.contains(m)) {
                     // Still holding a non-idle node with no spare: stall.
-                    job.stalled_windows += 1;
                     stalled_windows += 1;
-                    recorder.record(|| {
-                        Event::new(
-                            w as u32,
-                            now.as_nanos(),
-                            EventKind::Decision {
-                                action: DecisionAction::Stall,
-                                host_cpu: Some(cpu[busy]),
-                                dest_cpu: None,
-                                age_secs: None,
-                                migration_secs: None,
-                                dest: None,
-                            },
-                        )
-                        .on_node(busy as u32)
-                        .for_job(job.id)
-                    });
                     continue;
                 }
             }
@@ -356,24 +292,6 @@ fn simulate_over(
             response_sum += response;
             let exec_secs = job.total_windows as f64 * window.as_secs_f64();
             slowdown_sum += exec_secs / dedicated_secs;
-            recorder.record(|| {
-                let stalled = job.stalled_windows as f64 * window.as_secs_f64();
-                Event::new(
-                    w as u32,
-                    (now + window).as_nanos(),
-                    EventKind::Complete {
-                        queued_secs: job.placed.saturating_since(job.arrived).as_secs_f64(),
-                        running_secs: exec_secs - stalled,
-                        lingering_secs: 0.0,
-                        paused_secs: stalled,
-                        migrating_secs: 0.0,
-                        completion_secs: response,
-                        migrations: job.migrations,
-                    },
-                )
-                .on_node(job.members[0] as u32)
-                .for_job(job.id)
-            });
         }
     }
 
@@ -419,7 +337,7 @@ pub fn throughput_sweep(
                 interarrival_mean: SimDuration::from_secs(ia),
                 ..base.clone()
             };
-            let run = |policy| simulate_over(&cfg, policy, &Recorder::disabled(), &real);
+            let run = |policy| simulate_over(&cfg, policy, &real);
             ThroughputComparison {
                 interarrival_secs: ia as f64,
                 rigid: run(ParallelPolicy::RigidIdle),
@@ -526,32 +444,14 @@ mod tests {
         let period = c.trace.sample_count();
         let mono = WorkloadRealization::synthesize_monolithic(&c.trace, c.seed, c.nodes);
         for policy in [ParallelPolicy::RigidIdle, ParallelPolicy::Linger] {
-            let want = simulate_over(&c, policy, &Recorder::disabled(), &mono);
+            let want = simulate_over(&c, policy, &mono);
             assert!(want.completed > 0, "{policy:?} completed nothing");
             for chunk in [1, 7, period] {
                 let streamed =
                     WorkloadRealization::synthesize_streamed(&c.trace, c.seed, c.nodes, chunk);
-                let got = simulate_over(&c, policy, &Recorder::disabled(), &streamed);
+                let got = simulate_over(&c, policy, &streamed);
                 assert_eq!(format!("{got:?}"), format!("{want:?}"), "{policy:?} chunk {chunk}");
             }
-        }
-    }
-
-    /// A journal attached to `simulate_over` records the run without
-    /// moving its report.
-    #[test]
-    fn journaling_leaves_the_report_unchanged() {
-        let c = cfg();
-        let real = WorkloadRealization::synthesize(&c.trace, c.seed, c.nodes);
-        for policy in [ParallelPolicy::RigidIdle, ParallelPolicy::Linger] {
-            let recorder = Recorder::with_capacity(1 << 16);
-            let journaled = simulate_over(&c, policy, &recorder, &real);
-            let plain = simulate_over(&c, policy, &Recorder::disabled(), &real);
-            assert!(
-                recorder.journal().unwrap().counts().events > 0,
-                "{policy:?} journaled nothing"
-            );
-            assert_eq!(format!("{journaled:?}"), format!("{plain:?}"), "{policy:?}");
         }
     }
 

@@ -22,9 +22,7 @@
 //! * [`ShardPlan`] — word-aligned contiguous partitions of a node-id
 //!   space, letting one window sweep be advanced by cooperating shards
 //!   whose results merge back in index order; [`ShardPlan::run`] is the
-//!   one place that decides whether the shards run on threads;
-//! * [`env_count`] — the one parser of the `LINGER_*` count knobs,
-//!   which rejects malformed values.
+//!   one place that decides whether the shards run on threads.
 //!
 //! ## Example
 //!
@@ -55,7 +53,6 @@ mod engine;
 mod fsio;
 mod hint;
 mod index;
-mod knob;
 mod par;
 mod queue;
 mod rng;
@@ -66,7 +63,6 @@ pub use engine::{Context, Engine, RunOutcome, Simulation};
 pub use fsio::write_atomic;
 pub use hint::prefetch_read;
 pub use index::NodeIndex;
-pub use knob::env_count;
 pub use par::{default_jobs, par_map_indexed, set_default_jobs, try_par_map_indexed, CellPanic};
 pub use queue::{EventHandle, EventQueue};
 pub use rng::{domains, replication_seed, RngFactory, SimRng, StreamId};

@@ -122,7 +122,7 @@ fn transition(ev: &Event, open: Option<&OpenSpan>) -> Option<(&'static str, u64)
             }
             DecisionAction::Migrate => dest.map(|d| ("migrating", node_tid(d))),
             DecisionAction::Requeue => Some(("queued", 0)),
-            DecisionAction::Evict | DecisionAction::Stall => None,
+            DecisionAction::Evict => None,
         },
         EventKind::MigrationStart { dest, .. } | EventKind::MigrationRetry { dest, .. } => {
             Some(("migrating", node_tid(*dest)))

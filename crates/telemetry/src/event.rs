@@ -25,8 +25,6 @@ pub enum DecisionAction {
     Place,
     /// A lingering/paused job's node went idle: back to plain running.
     Resume,
-    /// A rigid parallel job stalled at a barrier (member node busy).
-    Stall,
 }
 
 impl DecisionAction {
@@ -40,7 +38,6 @@ impl DecisionAction {
             DecisionAction::Migrate => "migrate",
             DecisionAction::Place => "place",
             DecisionAction::Resume => "resume",
-            DecisionAction::Stall => "stall",
         }
     }
 }
@@ -125,17 +122,6 @@ pub enum EventKind {
         /// Migrations the job performed.
         migrations: u32,
     },
-    /// Summary of one single-node impact study run (`node::single`).
-    NodeStudy {
-        /// Configured local (foreground) utilization.
-        utilization: f64,
-        /// Local-job delay ratio measured.
-        ldr: f64,
-        /// Fine-grain cycle-stealing ratio measured.
-        fcsr: f64,
-        /// Foreground preemptions of the foreign job.
-        preemptions: u64,
-    },
     /// Open-arrivals window summary: the offered/admitted split and the
     /// queue depth after admission. Emitted only on windows with offered
     /// arrivals (or a draining backpressure deficit).
@@ -215,7 +201,6 @@ impl EventKind {
             EventKind::NodeReboot => "node_reboot",
             EventKind::QueueEnter => "queue_enter",
             EventKind::Complete { .. } => "complete",
-            EventKind::NodeStudy { .. } => "node_study",
             EventKind::ArrivalBurst { .. } => "arrival_burst",
             EventKind::AdmissionShed { .. } => "admission_shed",
             EventKind::AdmissionDefer { .. } => "admission_defer",
@@ -319,7 +304,6 @@ mod tests {
             DecisionAction::Migrate,
             DecisionAction::Place,
             DecisionAction::Resume,
-            DecisionAction::Stall,
         ];
         assert_eq!(all.len(), ACTION_SLOTS);
         let mut names: Vec<&str> = all.iter().map(|a| a.name()).collect();

@@ -50,9 +50,9 @@ pub struct JournalCounts {
 }
 
 /// Number of `EventKind` variants (see [`kind_slot`]).
-pub const KIND_SLOTS: usize = 20;
+pub const KIND_SLOTS: usize = 19;
 /// Number of `DecisionAction` variants.
-pub const ACTION_SLOTS: usize = 8;
+pub const ACTION_SLOTS: usize = 7;
 
 /// Dense counter slot for an event kind, in `EventKind` declaration
 /// order (each slot taken once, checked by the tests below).
@@ -69,15 +69,14 @@ pub fn kind_slot(kind: &EventKind) -> usize {
         EventKind::NodeReboot => 8,
         EventKind::QueueEnter => 9,
         EventKind::Complete { .. } => 10,
-        EventKind::NodeStudy { .. } => 11,
-        EventKind::ArrivalBurst { .. } => 12,
-        EventKind::AdmissionShed { .. } => 13,
-        EventKind::AdmissionDefer { .. } => 14,
-        EventKind::DeadlineDrop { .. } => 15,
-        EventKind::StealAttempt { .. } => 16,
-        EventKind::StealHit { .. } => 17,
-        EventKind::StealMiss { .. } => 18,
-        EventKind::StealAbandon { .. } => 19,
+        EventKind::ArrivalBurst { .. } => 11,
+        EventKind::AdmissionShed { .. } => 12,
+        EventKind::AdmissionDefer { .. } => 13,
+        EventKind::DeadlineDrop { .. } => 14,
+        EventKind::StealAttempt { .. } => 15,
+        EventKind::StealHit { .. } => 16,
+        EventKind::StealMiss { .. } => 17,
+        EventKind::StealAbandon { .. } => 18,
     }
 }
 
@@ -362,7 +361,6 @@ mod tests {
                 completion_secs: 0.0,
                 migrations: 0,
             },
-            EventKind::NodeStudy { utilization: 0.0, ldr: 0.0, fcsr: 0.0, preemptions: 0 },
             EventKind::ArrivalBurst { offered: 0, admitted: 0, depth: 0 },
             EventKind::AdmissionShed { count: 0 },
             EventKind::AdmissionDefer { count: 0, deficit: 0 },

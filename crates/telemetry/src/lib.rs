@@ -20,9 +20,8 @@
 //! * [`inspect`] — run summaries and decision-level diffs between two
 //!   journals.
 //!
-//! A simulator journals only when its caller attaches a journal-backed
-//! recorder (`ClusterSim::set_recorder`,
-//! `simulate_single_node_with_recorder`, `parallel::simulate_over`);
+//! Only the cluster simulator journals, and only when its caller
+//! attaches a journal-backed recorder (`ClusterSim::set_recorder`);
 //! the tools attach [`DEFAULT_CAPACITY`]-event rings. No environment
 //! variable turns recording on.
 

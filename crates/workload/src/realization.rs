@@ -27,7 +27,7 @@ use crate::stream::{
     streamed_chunk_windows, NodeStreams, StreamSpec, WindowCursor, WindowLanes, WindowRows,
     DEFAULT_WINDOW_BUDGET_BYTES,
 };
-use linger_sim_core::{default_jobs, env_count, RngFactory, ShardPlan};
+use linger_sim_core::{default_jobs, RngFactory, ShardPlan};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// Window-major struct-of-arrays matrix of every node's `(cpu, mem,
@@ -290,9 +290,7 @@ impl WorkloadRealization {
     /// affecting the bytes produced.
     ///
     /// When the full window table would not fit the window byte budget
-    /// ([`DEFAULT_WINDOW_BUDGET_BYTES`], 4 GiB) — or
-    /// `LINGER_WINDOW_CHUNK=<windows>` forces it at any node count, as
-    /// the chunked-vs-monolithic determinism checks do — this returns a
+    /// ([`DEFAULT_WINDOW_BUDGET_BYTES`], 4 GiB), this returns a
     /// *streamed* realization instead (see [`streamed_chunk_windows`]):
     /// windows are realized on demand in chunks, byte-identical to the
     /// table at any chunk size. The budget sizes the whole period on
@@ -300,15 +298,14 @@ impl WorkloadRealization {
     /// run that reads every row.
     pub fn synthesize(cfg: &CoarseTraceConfig, seed: u64, nodes: usize) -> WorkloadRealization {
         let period = cfg.sample_count();
-        let forced = env_count("LINGER_WINDOW_CHUNK");
-        match streamed_chunk_windows(nodes, period, DEFAULT_WINDOW_BUDGET_BYTES, forced) {
+        match streamed_chunk_windows(nodes, period, DEFAULT_WINDOW_BUDGET_BYTES) {
             Some(chunk) => Self::synthesize_streamed(cfg, seed, nodes, chunk),
             None => Self::synthesize_monolithic(cfg, seed, nodes),
         }
     }
 
     /// [`Self::synthesize`] pinned to the window-table representation,
-    /// regardless of budget knobs. Draws the offsets; the table's rows
+    /// regardless of the byte budget. Draws the offsets; the table's rows
     /// are built by the first [`Self::cursor`] that needs them.
     ///
     /// # Panics
@@ -326,7 +323,7 @@ impl WorkloadRealization {
     }
 
     /// [`Self::synthesize`] pinned to the streamed representation with an
-    /// explicit chunk size (in windows), regardless of budget knobs.
+    /// explicit chunk size (in windows), regardless of the byte budget.
     ///
     /// Offsets are the same `TRACE_OFFSET`-stream draws as the monolithic
     /// path (they depend only on the replay period), so a streamed

@@ -55,10 +55,14 @@
 //! so every consumer reads window rows through one interface whichever
 //! representation it was handed.
 //!
-//! `LINGER_WINDOW_CHUNK` forces streaming with an explicit chunk size
-//! (in windows); [`DEFAULT_WINDOW_BUDGET_BYTES`] (4 GiB) is the ceiling
-//! above which a full table would not fit and synthesis switches to
-//! streaming on its own, sizing chunks to a quarter of the budget.
+//! [`DEFAULT_WINDOW_BUDGET_BYTES`] (4 GiB) is the ceiling above which a
+//! full table would not fit and synthesis switches to streaming, sizing
+//! chunks to a quarter of the budget; the node count and the trace
+//! period alone decide.
+//! Tests and benchmarks pick a chunk size directly through
+//! [`WorkloadRealization::synthesize_streamed`].
+//!
+//! [`WorkloadRealization::synthesize_streamed`]: crate::realization::WorkloadRealization::synthesize_streamed
 
 use crate::coarse::{CoarseTraceConfig, ParkedTrace, TraceStream};
 use crate::realization::{synthesized_pages, WindowTable};
@@ -93,25 +97,16 @@ fn window_row_bytes(nodes: usize) -> usize {
 /// `nodes` over a `period`-window trace: `Some(chunk_windows)` to stream,
 /// `None` for the monolithic table.
 ///
-/// Streams when `forced` (the `LINGER_WINDOW_CHUNK` override) is set or
-/// the monolithic estimate exceeds `budget_bytes`; a pure function of
-/// its arguments, so the choice for every sweep point is testable
-/// without synthesizing anything.
+/// Streams when the monolithic estimate exceeds `budget_bytes`; a pure
+/// function of its arguments, so the choice for every sweep point is
+/// testable without synthesizing anything.
 ///
 /// [`WorkloadRealization::synthesize`]: crate::realization::WorkloadRealization::synthesize
-pub fn streamed_chunk_windows(
-    nodes: usize,
-    period: usize,
-    budget_bytes: usize,
-    forced: Option<usize>,
-) -> Option<usize> {
-    if nodes == 0 || period == 0 {
+pub fn streamed_chunk_windows(nodes: usize, period: usize, budget_bytes: usize) -> Option<usize> {
+    if nodes == 0 || period == 0 || monolithic_bytes_estimate(nodes, period) <= budget_bytes {
         return None;
     }
-    if forced.is_none() && monolithic_bytes_estimate(nodes, period) <= budget_bytes {
-        return None;
-    }
-    Some(forced.unwrap_or_else(|| auto_chunk_windows(nodes, period, budget_bytes)))
+    Some(auto_chunk_windows(nodes, period, budget_bytes))
 }
 
 /// Chunk size (windows) chosen automatically: a quarter of the byte
@@ -791,17 +786,16 @@ mod tests {
     }
 
     #[test]
-    fn representation_choice_is_a_pure_function_of_size_budget_and_override() {
+    fn representation_choice_is_a_pure_function_of_size_and_budget() {
         // Degenerate realizations never stream.
-        assert_eq!(streamed_chunk_windows(0, 1800, 1, None), None);
-        assert_eq!(streamed_chunk_windows(64, 0, 1, Some(8)), None);
-        // Within budget: monolithic unless the override forces a chunk.
+        assert_eq!(streamed_chunk_windows(0, 1800, 1), None);
+        assert_eq!(streamed_chunk_windows(64, 0, 1), None);
+        // Within budget: monolithic.
         let fits = monolithic_bytes_estimate(64, 1800);
-        assert_eq!(streamed_chunk_windows(64, 1800, fits, None), None);
-        assert_eq!(streamed_chunk_windows(64, 1800, fits, Some(32)), Some(32));
+        assert_eq!(streamed_chunk_windows(64, 1800, fits), None);
         // One byte over: stream with the automatic chunk size.
         assert_eq!(
-            streamed_chunk_windows(64, 1800, fits - 1, None),
+            streamed_chunk_windows(64, 1800, fits - 1),
             Some(auto_chunk_windows(64, 1800, fits - 1))
         );
     }

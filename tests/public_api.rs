@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// What the scans flag that stays on purpose, each with its reason.
-const ALLOWLIST: [(&str, &str); 6] = [
+const ALLOWLIST: [(&str, &str); 7] = [
     (
         "item migration_beneficial",
         "the paper's Fig 1 break-even inequality; tests/properties.rs checks it",
@@ -25,6 +25,7 @@ const ALLOWLIST: [(&str, &str); 6] = [
     ("dep crates/core -> linger-workload", LOCKED),
     ("dep crates/core -> rand", LOCKED),
     ("dep crates/node -> linger", LOCKED),
+    ("dep crates/node -> linger-telemetry", LOCKED),
     ("dep crates/node -> rand", LOCKED),
 ];
 
