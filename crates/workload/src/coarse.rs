@@ -187,7 +187,8 @@ enum UserState {
 /// later offset, [`TraceStream::skip`] past it (the flags depend on the
 /// quiet streak, so there is no shortcut).
 ///
-/// A live stream is ~760 B, most of it the two RNGs' keystream buffers.
+/// A live stream is 2,296 B (`size_of`), almost all of it the two RNGs'
+/// 1 KiB keystream buffers (sixteen ChaCha blocks each).
 /// Between uses the crate parks it in 64 B (`park`) and resumes it
 /// later (`resume`): the buffers are a cache of a counter-based
 /// keystream, so a word position is all they hold.
@@ -673,7 +674,7 @@ mod tests {
 
     /// Parking and resuming must continue exactly as the uninterrupted
     /// stream: after each of the first 130 samples (a sample draws 4–12
-    /// CPU-RNG words, so these park at many phases of the first 64-word
+    /// CPU-RNG words, so these park at many phases of the first 256-word
     /// buffers, including right after refills), around the recruitment
     /// window, deep in the trace and at the period.
     #[test]

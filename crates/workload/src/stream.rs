@@ -16,7 +16,7 @@
 //!   (`ParkedTrace`, 64 B: the generator's scalars and its two
 //!   counter-based RNGs' keystream word positions), at the sample its
 //!   phase offset says the sweep needs next; a fill resumes one node's
-//!   stream at a time (~760 B live, with both RNGs' four-block
+//!   stream at a time (2,296 B live, with both RNGs' sixteen-block
 //!   keystream buffers), writes that node's column of the chunk and
 //!   parks it again;
 //! * a [`WindowCursor`] realizes windows in chunks of `W` windows, built
