@@ -6,7 +6,7 @@
 //! `next_bursts_into` call for the same burst count, quantifying the
 //! slab-sampling win inside trace synthesis itself.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use linger_sim_core::{domains, RngFactory, SimDuration};
 use linger_stats::fit_two_moments;
 use linger_workload::{
@@ -129,13 +129,16 @@ fn bench_draws(c: &mut Criterion) {
         let mut stream = TraceStream::new(&CoarseTraceConfig::default(), &f, 0);
         b.iter(|| stream.next_sample())
     });
-    // The streamed path's initial positioning: a fresh stream skipped
-    // half a 1-hour period (900 samples), the mean offset per node.
-    c.bench_function("trace_stream_skip", |b| {
-        let cfg = CoarseTraceConfig {
-            duration: SimDuration::from_secs(3600),
-            ..Default::default()
-        };
+    // A node's initial positioning: a fresh stream skipped half a
+    // 1-hour period (900 samples), the mean offset per node, alone and
+    // as eight lanes of the vector walk; both reported per sample too.
+    let cfg = CoarseTraceConfig {
+        duration: SimDuration::from_secs(3600),
+        ..Default::default()
+    };
+    let mut group = c.benchmark_group("positioning");
+    group.throughput(Throughput::Elements(900));
+    group.bench_function("trace_stream_skip", |b| {
         let fresh = TraceStream::new(&cfg, &f, 0);
         b.iter(|| {
             let mut stream = fresh.clone();
@@ -143,6 +146,16 @@ fn bench_draws(c: &mut Criterion) {
             black_box(stream.index())
         })
     });
+    group.throughput(Throughput::Elements(8 * 900));
+    group.bench_function("trace_stream_skip_lanes", |b| {
+        let fresh: Vec<TraceStream> = (0..8).map(|n| TraceStream::new(&cfg, &f, n)).collect();
+        b.iter(|| {
+            let mut streams = fresh.clone();
+            TraceStream::skip_lanes(&mut streams, &[900; 8]);
+            black_box(streams[7].index())
+        })
+    });
+    group.finish();
 }
 
 criterion_group!(

@@ -29,7 +29,7 @@ use super::{room_kb, ClusterSim, WINDOW};
 use crate::config::ClusterConfig;
 use crate::dest::{Cand, DestIndex, Pool};
 use crate::state::{JobSlabs, NodeId};
-use crate::stealing::{draw_victim, StealState};
+use crate::stealing::{StealState, VictimDraws};
 use linger::{JobId, Policy};
 use linger_sim_core::{RngFactory, SimDuration, SimTime};
 use linger_telemetry::EventKind;
@@ -64,8 +64,8 @@ pub(super) struct Stealing {
     deques: StealState,
     /// Reusable per-shard steal-intent buffers.
     bufs: Vec<Vec<StealIntent>>,
-    /// Keyed streams for victim draws ([`crate::stealing`]).
-    rng: RngFactory,
+    /// Keyed victim draws ([`crate::stealing`]).
+    victims: VictimDraws,
 }
 
 /// A central coordinator that handles one placement per round trip.
@@ -117,8 +117,9 @@ impl Dispatch {
             for ji in 0..jobs.len() {
                 deques.push_back(deques.home_of(jobs.id[ji].0 as u64), ji as u32);
             }
-            let (bufs, rng) = (vec![Vec::new(); shards], RngFactory::new(cfg.seed));
-            return Dispatch::Stealing(Stealing { deques, bufs, rng });
+            let bufs = vec![Vec::new(); shards];
+            let victims = VictimDraws::new(&RngFactory::new(cfg.seed), cfg.nodes as u32);
+            return Dispatch::Stealing(Stealing { deques, bufs, victims });
         }
         let rtt = cfg.stealing.central_dispatch_rtt_secs;
         let coordinator = (rtt > 0.0).then(|| Coordinator {
@@ -419,7 +420,7 @@ impl ClusterSim {
                 // Probe randomized victims, one round trip each.
                 let mut hit = false;
                 for attempt in 1..=scfg.probe_attempts {
-                    let victim = draw_victim(&s.rng, thief, window, attempt, nodes);
+                    let victim = s.victims.victim(thief, window, attempt);
                     let vi = victim as usize;
                     self.steal_stats.probes += 1;
                     self.telemetry.record(|| {

@@ -26,7 +26,7 @@
 //! `DecideIntent`), so results are byte-identical at any `--jobs` or
 //! shard count.
 
-use linger_sim_core::{domains, RngFactory};
+use linger_sim_core::{domains, KeyedDraws, RngFactory};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -255,22 +255,70 @@ pub fn victim_stream_index(thief: u32, window: u32, attempt: u32) -> u64 {
     ((thief as u64) << 32) | (((window as u64) & 0x00FF_FFFF) << 8) | ((attempt as u64) & 0xFF)
 }
 
-/// Draw the victim node `thief` probes at `(window, attempt)`.
+/// The victim draws of one run over `nodes` nodes.
 ///
-/// Uniform over the other `nodes − 1` nodes (never the thief itself),
-/// and a pure function of `(seed, thief, window, attempt)` — the
-/// stealing determinism contract. `nodes` must be ≥ 2.
-pub fn draw_victim(factory: &RngFactory, thief: u32, window: u32, attempt: u32, nodes: u32) -> u32 {
-    debug_assert!(nodes >= 2, "stealing needs at least two nodes");
-    // One keyed draw, not a keyed stream: a probe needs exactly one
-    // value, and at cluster scale the probe path issues millions of
-    // draws per run, so the draw skips the ChaCha stream set-up.
-    let r = factory.draw_u64(domains::STEALING, victim_stream_index(thief, window, attempt));
-    let v = (r % (nodes as u64 - 1)) as u32;
-    if v >= thief {
-        v + 1
-    } else {
-        v
+/// A victim is uniform over the other `nodes − 1` nodes (never the
+/// thief itself) and a pure function of `(seed, thief, window,
+/// attempt)` — the stealing determinism contract. A probe needs exactly
+/// one value, and at cluster scale the probe path issues millions of
+/// draws per run, so each is one keyed draw, not a keyed stream, with
+/// the index-independent half of its mix and the reciprocal of
+/// `nodes − 1` computed once per run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct VictimDraws {
+    draws: KeyedDraws,
+    others: Remainder,
+}
+
+impl VictimDraws {
+    /// The draws for `nodes` nodes under `factory`'s seed. A fleet of
+    /// fewer than two has no victims; the steal merge never asks it.
+    pub(crate) fn new(factory: &RngFactory, nodes: u32) -> Self {
+        VictimDraws {
+            draws: factory.keyed(domains::STEALING),
+            others: Remainder::new(u64::from(nodes.saturating_sub(1).max(1))),
+        }
+    }
+
+    /// The victim node `thief` probes at `(window, attempt)`.
+    pub(crate) fn victim(&self, thief: u32, window: u32, attempt: u32) -> u32 {
+        let r = self.draws.draw(victim_stream_index(thief, window, attempt));
+        let v = self.others.of(r) as u32;
+        if v >= thief {
+            v + 1
+        } else {
+            v
+        }
+    }
+}
+
+/// `x % divisor` for any `u64` `x`, by a reciprocal computed once:
+/// `m = ⌊(2⁶⁴ − 1) / d⌋` lies in `[2⁶⁴/d − 1, 2⁶⁴/d]`, so the quotient
+/// estimate `⌊x · m / 2⁶⁴⌋` is the true quotient or one less, and one
+/// conditional subtraction makes the remainder exact.
+#[derive(Debug, Clone, Copy)]
+struct Remainder {
+    divisor: u64,
+    reciprocal: u64,
+}
+
+impl Remainder {
+    /// # Panics
+    /// If `divisor` is zero.
+    fn new(divisor: u64) -> Self {
+        assert!(divisor > 0, "remainder by zero");
+        Remainder { divisor, reciprocal: u64::MAX / divisor }
+    }
+
+    #[inline]
+    fn of(&self, x: u64) -> u64 {
+        let quotient = ((u128::from(x) * u128::from(self.reciprocal)) >> 64) as u64;
+        let r = x - quotient * self.divisor;
+        if r >= self.divisor {
+            r - self.divisor
+        } else {
+            r
+        }
     }
 }
 
@@ -340,11 +388,11 @@ mod tests {
         for thief in 0..8u32 {
             for w in 0..16u32 {
                 for a in 1..=4u32 {
-                    let v = draw_victim(&f, thief, w, a, 8);
+                    let v = VictimDraws::new(&f, 8).victim(thief, w, a);
                     assert_ne!(v, thief, "thief probed itself");
                     assert!(v < 8);
                     // Pure: same key, same victim.
-                    assert_eq!(v, draw_victim(&f, thief, w, a, 8));
+                    assert_eq!(v, VictimDraws::new(&f, 8).victim(thief, w, a));
                     seen.insert(v);
                 }
             }
@@ -352,7 +400,7 @@ mod tests {
         assert!(seen.len() >= 7, "victim draws should spread across the fleet");
         // Different attempts must be able to pick different victims.
         let picks: std::collections::BTreeSet<u32> =
-            (1..=8).map(|a| draw_victim(&f, 0, 0, a, 64)).collect();
+            (1..=8).map(|a| VictimDraws::new(&f, 64).victim(0, 0, a)).collect();
         assert!(picks.len() > 1, "attempt index never changed the victim");
     }
 
@@ -368,12 +416,49 @@ mod tests {
         }
     }
 
+    /// A victim is its key's draw `%` the other nodes, shifted past the
+    /// thief: the reciprocal remainder picks the same node.
+    #[test]
+    fn victims_match_the_modulo_draw() {
+        let f = RngFactory::new(1998);
+        for nodes in [2u32, 3, 8, 64, 1_000, 16_384] {
+            let draws = VictimDraws::new(&f, nodes);
+            for thief in [0, 1, nodes / 2, nodes - 1] {
+                for (w, a) in [(0, 1), (5, 3), (43_199, 2)] {
+                    let r = f.keyed(domains::STEALING).draw(victim_stream_index(thief, w, a));
+                    let v = (r % (u64::from(nodes) - 1)) as u32;
+                    let want = if v >= thief { v + 1 } else { v };
+                    assert_eq!(draws.victim(thief, w, a), want, "{nodes} nodes thief {thief}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The reciprocal remainder equals `%` for any `u64`, at the
+        /// divisors the fleets use and at random ones.
+        #[test]
+        fn reciprocal_remainder_is_exact(
+            xs in proptest::collection::vec(proptest::prelude::any::<u64>(), 64),
+            random in 1u64..=u64::MAX,
+        ) {
+            let divisors = [1, 2, 3, 63, 64, 16_383, (1 << 31) - 1, (1 << 32) - 2, random];
+            for d in divisors {
+                let rem = Remainder::new(d);
+                for &x in xs.iter().chain(&[0, 1, d - 1, d, u64::MAX, u64::MAX - 1]) {
+                    proptest::prop_assert_eq!(rem.of(x), x % d, "{} % {}", x, d);
+                }
+            }
+        }
+    }
+
     #[test]
     fn two_node_fleet_always_probes_the_other_node() {
         let f = RngFactory::new(7);
         for w in 0..32 {
-            assert_eq!(draw_victim(&f, 0, w, 1, 2), 1);
-            assert_eq!(draw_victim(&f, 1, w, 1, 2), 0);
+            let draws = VictimDraws::new(&f, 2);
+            assert_eq!(draws.victim(0, w, 1), 1);
+            assert_eq!(draws.victim(1, w, 1), 0);
         }
     }
 }

@@ -65,7 +65,7 @@ pub use hint::prefetch_read;
 pub use index::NodeIndex;
 pub use par::{default_jobs, par_map_indexed, set_default_jobs, try_par_map_indexed, CellPanic};
 pub use queue::{EventHandle, EventQueue};
-pub use rng::{domains, replication_seed, RngFactory, SimRng, StreamId};
+pub use rng::{domains, replication_seed, KeyedDraws, RngFactory, SimRng, StreamId};
 pub use shard::{default_shard_count, ShardPlan, SHARD_MIN_NODES};
 pub use time::{
     round_half_away, SimDuration, SimTime, NANOS_PER_MICRO, NANOS_PER_MILLI, NANOS_PER_SEC,

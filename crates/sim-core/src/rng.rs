@@ -55,11 +55,20 @@ impl StreamId {
 
     /// The 64-bit lane seed `(master, domain, index)` mixes down to —
     /// the common prefix of the full 256-bit stream derivation and the
-    /// single-draw path ([`RngFactory::draw_u64`]).
+    /// single-draw path ([`KeyedDraws::draw`]).
     fn mix_base(self, master: u64) -> u64 {
-        splitmix64(master)
-            ^ splitmix64((self.domain as u64).wrapping_mul(0xA24B_AED4_963E_E407))
-            ^ splitmix64(self.index.wrapping_mul(0x9FB2_1C65_1E98_DF25))
+        self.mix_prefix(master) ^ Self::index_term(self.index)
+    }
+
+    /// The master and domain terms of [`Self::mix_base`].
+    fn mix_prefix(self, master: u64) -> u64 {
+        splitmix64(master) ^ splitmix64((self.domain as u64).wrapping_mul(0xA24B_AED4_963E_E407))
+    }
+
+    /// The index term of [`Self::mix_base`].
+    #[inline]
+    fn index_term(index: u64) -> u64 {
+        splitmix64(index.wrapping_mul(0x9FB2_1C65_1E98_DF25))
     }
 
     fn mix(self, master: u64) -> [u8; 32] {
@@ -150,15 +159,43 @@ impl RngFactory {
         self.stream(StreamId::new(domain, index))
     }
 
-    /// One keyed 64-bit draw from `(domain, index)` — the single-output
-    /// collapse of [`Self::stream_for`] for call sites that need exactly
-    /// one value per key (work-stealing victim probes draw once per
-    /// `(thief, window, attempt)` key, millions of times per run, and a
-    /// full ChaCha stream set-up per draw dominates their wall-clock).
-    /// Same derivation contract as a stream: a pure function of
-    /// `(master, domain, index)`, independent of draw order.
-    pub fn draw_u64(&self, domain: u32, index: u64) -> u64 {
-        splitmix64(StreamId::new(domain, index).mix_base(self.master))
+    /// `stream_for(domain, index).next_u64()`, the same value, from the
+    /// stream's first ChaCha block alone instead of a sixteen-block
+    /// refill: for call sites that read one draw per stream (each node's
+    /// trace offset).
+    pub fn stream_first_u64(&self, domain: u32, index: u64) -> u64 {
+        SimRng::first_u64(StreamId::new(domain, index).mix(self.master))
+    }
+
+    /// Keyed 64-bit draws from `domain`, one per index — the
+    /// single-output collapse of [`Self::stream_for`] for call sites that
+    /// need exactly one value per key (work-stealing victim probes draw
+    /// once per `(thief, window, attempt)` key, millions of times per
+    /// run, and a full ChaCha stream set-up per draw dominates their
+    /// wall-clock). Same derivation contract as a stream: each draw is a
+    /// pure function of `(master, domain, index)`, independent of draw
+    /// order.
+    pub fn keyed(&self, domain: u32) -> KeyedDraws {
+        KeyedDraws {
+            prefix: StreamId::new(domain, 0).mix_prefix(self.master),
+        }
+    }
+}
+
+/// One domain's keyed draws ([`RngFactory::keyed`]), with the
+/// index-independent half of the seed mix done once.
+#[derive(Debug, Clone, Copy)]
+pub struct KeyedDraws {
+    /// The master and domain terms of [`StreamId`]'s seed mix.
+    prefix: u64,
+}
+
+impl KeyedDraws {
+    /// The draw keyed by `index`: the 64-bit seed its stream mixes down
+    /// to, mixed once more.
+    #[inline]
+    pub fn draw(&self, index: u64) -> u64 {
+        splitmix64(self.prefix ^ StreamId::index_term(index))
     }
 }
 
@@ -231,6 +268,50 @@ mod tests {
         // panicking — the space is a ring.
         assert_eq!(replication_seed(u64::MAX, 0), u64::MAX);
         assert_eq!(replication_seed(u64::MAX, 2), 1);
+    }
+
+    /// The single-block first draw equals the stream's first `u64` over
+    /// many keys: every registered domain, small and wide indices, and
+    /// several master seeds.
+    #[test]
+    fn stream_first_u64_is_the_streams_first_draw() {
+        use rand_chacha::rand_core::RngCore;
+        let mut z = 0x5eed_u64;
+        for master in [0, 1, 1998, u64::MAX] {
+            let f = RngFactory::new(master);
+            for domain in 0..=domains::STEALING + 1 {
+                let wide = (0..64).map(|_| {
+                    splitmix64({
+                        z = z.wrapping_add(1);
+                        z
+                    })
+                });
+                for index in (0..64).chain([u64::MAX, 1 << 32]).chain(wide) {
+                    assert_eq!(
+                        f.stream_first_u64(domain, index),
+                        f.stream_for(domain, index).next_u64(),
+                        "master {master} domain {domain} index {index}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A keyed draw is the stream seed's lane mixed once more, with the
+    /// per-domain half hoisted (the stealing outcome pins hold the
+    /// values themselves).
+    #[test]
+    fn keyed_draws_mix_the_stream_seed() {
+        for master in [0, 7, 1998, u64::MAX] {
+            let f = RngFactory::new(master);
+            for domain in [0, domains::STEALING, u32::MAX] {
+                let keyed = f.keyed(domain);
+                for index in [0, 1, 255, 1 << 32, u64::MAX] {
+                    let base = StreamId::new(domain, index).mix_base(master);
+                    assert_eq!(keyed.draw(index), splitmix64(base));
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::burst::{Burst, BurstGenerator};
 use crate::coarse::{CoarseTrace, SAMPLE_PERIOD_SECS};
 use crate::fit_table::BurstFitTable;
 use linger_sim_core::{domains, RngFactory, SimRng, SimTime};
-use rand::Rng;
 use std::sync::Arc;
 
 /// The owner workload of one simulated node.
@@ -73,9 +72,11 @@ impl LocalWorkload {
     /// [`Self::random_offset`] from the trace *length* alone — the draw
     /// depends only on the replay period, so streamed realizations can
     /// compute every node's offset without materializing a single trace.
+    ///
+    /// The draw is the first `u64` of the node's `TRACE_OFFSET` stream,
+    /// taken from the stream's first ChaCha block alone.
     pub fn random_offset_for_len(len: usize, factory: &RngFactory, node_id: u64) -> usize {
-        let mut off_rng = factory.stream_for(domains::TRACE_OFFSET, node_id);
-        (off_rng.random::<u64>() % len as u64) as usize
+        (factory.stream_first_u64(domains::TRACE_OFFSET, node_id) % len as u64) as usize
     }
 
     /// The trace sample index in effect at simulated time `t`.

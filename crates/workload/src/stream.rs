@@ -18,7 +18,8 @@
 //!   phase offset says the sweep needs next; a fill resumes one node's
 //!   stream at a time (2,296 B live, with both RNGs' sixteen-block
 //!   keystream buffers), writes that node's column of the chunk and
-//!   parks it again;
+//!   parks it again (a first fill holds a 64-node block's fresh streams
+//!   live at once for the lane walk below);
 //! * a [`WindowCursor`] realizes windows in chunks of `W` windows, built
 //!   on demand just ahead of the sweep; the arena is the chunk plus the
 //!   parked streams, recycled on every refill, so peak memory is
@@ -44,7 +45,15 @@
 //! next chunk restarts it. The skip still makes every draw of those
 //! samples, but only the last minute's 30 are built in full; the rest
 //! advance the episode, CPU-level and memory state and consume the
-//! jitter and keyboard draws unread ([`TraceStream::skip`]).
+//! jitter and keyboard draws unread ([`TraceStream::skip`]). A fill
+//! takes each 64-node block in three passes — create or resume the
+//! streams and write the wrapped heads; skip; write the rows and park
+//! the streams — so that the block's skips longer than that minute run
+//! eight at a time as the lanes of one vector walk
+//! ([`TraceStream::skip_lanes`]); a table build and a streamed first
+//! fill position every node that way. A node with a short skip (every
+//! resumed stream in a run's later chunks skips none) takes its three
+//! passes at once.
 //!
 //! The filler is the crate's one row builder: a table realization's
 //! [`WindowTable`] is a single fill of as many rows as its runs read,
@@ -277,12 +286,20 @@ struct ShardFill<'a> {
 }
 
 impl ShardFill<'_> {
-    /// Fill the shard's nodes 64 at a time: each node's column goes into
-    /// one block buffer, which is then scattered into the rows.
+    /// Fill the shard's nodes 64 at a time into one block buffer, which
+    /// is then scattered into the rows. Each block takes three passes:
+    /// create or resume every node's stream and write its wrapped head;
+    /// skip every stream to its first row's sample, those with more
+    /// than [`LANE_SKIP`] samples to pass together through
+    /// [`TraceStream::skip_lanes`]; write each node's run of rows and
+    /// park its stream. A node with a short skip (a resumed stream in a
+    /// run's later chunks skips none) takes all three at once, so it
+    /// never waits in the pending list.
     fn fill(mut self, src: &NodeStreams<'_>, base: usize, rows: usize) {
         let (cfg, factory) = (src.cfg, src.factory);
         let period = cfg.sample_count();
         let mut block = BlockBuffer::new(rows);
+        let mut pending = Pending::default();
         for first in (0..self.offsets.len()).step_by(64) {
             let width = (self.offsets.len() - first).min(64);
             block.idle.fill(0);
@@ -290,23 +307,16 @@ impl ShardFill<'_> {
                 let n = first + j;
                 let machine = (self.start + n) as u64;
                 let pos = (self.offsets[n] + base) % period;
-                let slot = self.parked.as_deref_mut().map(|p| &mut p[n]);
-                let resumable = slot.as_deref().copied().flatten().filter(|p| p.index() <= pos);
-                let stream = match resumable {
+                let resumable =
+                    self.parked.as_deref().and_then(|p| p[n]).filter(|p| p.index() <= pos);
+                let run_rows = rows.min(period - pos);
+                let restart = resumable.is_some() && run_rows < rows;
+                let run = Run { col: j, rows: run_rows, restart, machine };
+                let (mut stream, skip) = match resumable {
                     // A resumed stream walks forward from `pos` and, if
                     // the rows wrap the period, restarts at sample 0 (a
                     // fresh stream *is* sample 0).
-                    Some(p) => {
-                        let mut stream = TraceStream::resume(cfg, factory, machine, &p);
-                        stream.skip(pos - stream.index());
-                        let run = rows.min(period - pos);
-                        block.write(&mut stream, j, 0..run);
-                        if run < rows {
-                            stream = TraceStream::new(cfg, factory, machine);
-                            block.write(&mut stream, j, run..rows);
-                        }
-                        stream
-                    }
+                    Some(p) => (TraceStream::resume(cfg, factory, machine, &p), pos - p.index()),
                     // Any other node walks a fresh stream once in sample
                     // order: the rows past the wrap read the head
                     // `0..pos + rows - period`, then a skip passes the
@@ -316,16 +326,22 @@ impl ShardFill<'_> {
                     None => {
                         let mut stream = TraceStream::new(cfg, factory, machine);
                         let head = (pos + rows).saturating_sub(period);
-                        block.write(&mut stream, j, period - pos..period - pos + head);
-                        stream.skip(pos - head);
-                        block.write(&mut stream, j, 0..rows - head);
-                        stream
+                        block.write(&mut stream, j, run.rows..run.rows + head);
+                        (stream, pos - head)
                     }
                 };
-                if let Some(slot) = slot {
-                    *slot = Some(stream.park());
+                if skip > LANE_SKIP {
+                    pending.push(stream, skip, run);
+                    continue;
                 }
+                stream.skip(skip);
+                self.finish(src, &mut block, stream, first, run);
             }
+            TraceStream::skip_lanes(&mut pending.streams, &pending.skips);
+            for (stream, run) in pending.streams.drain(..).zip(pending.runs.drain(..)) {
+                self.finish(src, &mut block, stream, first, run);
+            }
+            pending.skips.clear();
             for r in 0..rows {
                 let cells = r * 64..r * 64 + width;
                 self.cpu[r][first..first + width].copy_from_slice(&block.cpu[cells.clone()]);
@@ -333,6 +349,60 @@ impl ShardFill<'_> {
                 self.idle[r][first / 64] = block.idle[r];
             }
         }
+    }
+
+    /// Write `stream`'s run of rows from row 0 into column `run.col` of
+    /// the block whose first node is `first`, restart the stream at
+    /// sample 0 for the rows past a resumed stream's wrap, and park it.
+    fn finish(
+        &mut self,
+        src: &NodeStreams<'_>,
+        block: &mut BlockBuffer,
+        mut stream: TraceStream,
+        first: usize,
+        run: Run,
+    ) {
+        block.write(&mut stream, run.col, 0..run.rows);
+        if run.restart {
+            stream = TraceStream::new(src.cfg, src.factory, run.machine);
+            block.write(&mut stream, run.col, run.rows..block.rows());
+        }
+        if let Some(parked) = self.parked.as_deref_mut() {
+            parked[first + run.col] = Some(stream.park());
+        }
+    }
+}
+
+/// Skips longer than this many samples (one recruitment minute, the
+/// samples `skip` builds in full) go through the lane walk; shorter
+/// ones have no draw-only samples to share.
+const LANE_SKIP: usize = 30;
+
+/// Where one node's rows go: its block column, how many rows run from
+/// its first sample before the period wraps, whether a resumed stream
+/// restarts at sample 0 for the rest, and its machine id.
+#[derive(Clone, Copy)]
+struct Run {
+    col: usize,
+    rows: usize,
+    restart: bool,
+    machine: u64,
+}
+
+/// A block's streams waiting for the lane walk, with their skips and
+/// runs.
+#[derive(Default)]
+struct Pending {
+    streams: Vec<TraceStream>,
+    skips: Vec<usize>,
+    runs: Vec<Run>,
+}
+
+impl Pending {
+    fn push(&mut self, stream: TraceStream, skip: usize, run: Run) {
+        self.streams.push(stream);
+        self.skips.push(skip);
+        self.runs.push(run);
     }
 }
 
@@ -352,6 +422,11 @@ impl BlockBuffer {
             mem_pages: vec![0; rows * 64],
             idle: vec![0; rows],
         }
+    }
+
+    /// Rows per column.
+    fn rows(&self) -> usize {
+        self.idle.len()
     }
 
     /// Write the stream's next samples into `rows` of column `j`, in
